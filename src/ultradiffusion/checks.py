@@ -134,8 +134,8 @@ def _check_random_traces(tol: float, budget: float) -> CheckResult:
         tolerance=tol,
         runtime_s=elapsed,
         budget_s=budget,
-        detail="1000 random traces, up to 200 events each, exhaustive "
-        "strong-triangle scan." + first_bad,
+        detail="1000 random traces, up to 200 events each, strong triangle "
+        "inequality over every triple (subdominant-ultrametric proof)." + first_bad,
     )
 
 

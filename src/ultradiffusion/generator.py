@@ -3,7 +3,9 @@
 The rate between distinct states is e^(-mu*d(i, j)); each diagonal entry is
 minus its row's off-diagonal sum, so probability is conserved. Because rates
 are a decreasing function of an ultrametric distance, they inherit the dual
-inequality rate(i, j) >= min(rate(i, k), rate(k, j)).
+inequality rate(i, j) >= min(rate(i, k), rate(k, j)), which
+`check_rate_ultrametricity` checks with the same O(n^2) kernel as
+`ultrametric.verify_ultrametric`, reporting the first violating triple.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .traces import _readonly
-from .ultrametric import TripleReport, UltrametricSpace
+from .ultrametric import TripleReport, UltrametricSpace, _first_violation
 
 __all__ = ["Generator", "build_generator", "check_rate_ultrametricity"]
 
@@ -66,34 +68,20 @@ def build_generator(space: UltrametricSpace, mu: float) -> Generator:
 
 
 def check_rate_ultrametricity(gen: Generator, tol: float = 0.0) -> TripleReport:
-    """Exhaustively confirm rate(i, j) >= min(rate(i, k), rate(k, j)) - tol.
+    """Confirm rate(i, j) >= min(rate(i, k), rate(k, j)) - tol for distinct i, j, k.
 
-    Scans every ordered triple of distinct states and reports the first
-    violation in lexicographic (i, j, k) order.
+    This is the strong triangle inequality of -rate (negation is exact in
+    floating point), so the same kernel as `verify_ultrametric` proves it in
+    O(n^2) or reports the first violation in lexicographic (i, j, k) order.
     """
     n = gen.size
-    rates = gen.rates.copy()
-    # Mask diagonals with +inf so triples containing repeats pass trivially.
-    np.fill_diagonal(rates, np.inf)
-    worst: tuple[int, int, int] | None = None
-    for k in range(n):
-        floor = np.minimum.outer(rates[:, k], rates[k, :])
-        bad = rates < floor - tol
-        bad[:, k] = False
-        bad[k, :] = False
-        if bad.any():
-            i, j = np.argwhere(bad)[0]
-            candidate = (int(i), int(j), k)
-            if worst is None or candidate[:2] < worst[:2] or (
-                candidate[:2] == worst[:2] and candidate[2] < worst[2]
-            ):
-                worst = candidate
-    if worst is None:
+    triple = _first_violation(-gen.rates, tol)
+    if triple is None:
         return TripleReport(ok=True, triple=None, message=f"all {n} states rate-ultrametric")
-    i, j, k = worst
+    i, j, k = triple
     return TripleReport(
         ok=False,
-        triple=worst,
+        triple=triple,
         message=(
             f"rate({i},{j})={gen.rates[i, j]:g} falls below "
             f"min via state {k}: {min(gen.rates[i, k], gen.rates[k, j]):g}"

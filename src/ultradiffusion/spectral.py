@@ -141,13 +141,16 @@ class TreeModel:
     root: TreeNode
     _leaves: tuple[TreeNode, ...] = field(init=False, repr=False)
     _parent: dict[int, TreeNode] = field(init=False, repr=False)
+    _leaf_counts: dict[int, int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         leaves: list[TreeNode] = []
         parent: dict[int, TreeNode] = {}
+        preorder: list[TreeNode] = []
         stack = [self.root]
         while stack:
             node = stack.pop()
+            preorder.append(node)
             if node.height < 0:
                 raise ValueError("node heights must be nonnegative")
             if node.is_leaf:
@@ -162,8 +165,14 @@ class TreeModel:
                     raise ValueError("a node may appear only once in the tree")
                 parent[id(child)] = node
             stack.extend(reversed(node.children))
+        # Children follow their parent in pre-order, so a reverse pass counts
+        # every subtree's leaves once.
+        counts: dict[int, int] = {}
+        for node in reversed(preorder):
+            counts[id(node)] = sum(counts[id(c)] for c in node.children) if node.children else 1
         object.__setattr__(self, "_leaves", tuple(leaves))
         object.__setattr__(self, "_parent", parent)
+        object.__setattr__(self, "_leaf_counts", counts)
 
     @property
     def n_leaves(self) -> int:
@@ -185,6 +194,9 @@ class TreeModel:
         return path
 
     def leaf_count(self, node: TreeNode) -> int:
+        """Leaves under `node`, stored for tree nodes and counted for others."""
+        if id(node) in self._leaf_counts:
+            return self._leaf_counts[id(node)]
         count = 0
         stack = [node]
         while stack:

@@ -344,6 +344,16 @@ class TestEntryPoints:
         assert result.returncode == 0, result.stderr
         assert (tmp_path / "o" / "trace.csv").exists()
 
+    def test_import_leaves_scipy_cluster_unloaded(self):
+        # The ultrametricity kernel imports scipy.cluster when a check runs,
+        # so importing the CLI does not pay for it.
+        probe = "import sys, ultradiffusion.cli; print('scipy.cluster' in sys.modules)"
+        result = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
+
     def test_console_script(self, tmp_path):
         # Call the entry point declared in pyproject.toml the way the wrapper
         # pip generates for it does, so no installed package is needed.

@@ -1,6 +1,7 @@
 """Rate-matrix construction over ultrametric spaces."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,12 @@ from ultradiffusion.generator import (
     check_rate_ultrametricity,
 )
 from ultradiffusion.traces import EventTrace
-from ultradiffusion.ultrametric import build_from_trace, uniform_chain
+from ultradiffusion.ultrametric import (
+    TripleReport,
+    UltrametricSpace,
+    build_from_trace,
+    uniform_chain,
+)
 
 
 def worked_space():
@@ -21,6 +27,61 @@ def worked_space():
         horizon=17.0,
     )
     return build_from_trace(trace)
+
+
+def reference_report(gen, tol):
+    """Plain scan of every ordered triple of distinct states, in lexicographic order."""
+    r, n = gen.rates, gen.size
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if len({i, j, k}) == 3 and r[i, j] < min(r[i, k], r[k, j]) - tol:
+                    return TripleReport(
+                        ok=False,
+                        triple=(i, j, k),
+                        message=f"rate({i},{j})={r[i, j]:g} falls below "
+                        f"min via state {k}: {min(r[i, k], r[k, j]):g}",
+                    )
+    return TripleReport(ok=True, triple=None, message=f"all {n} states rate-ultrametric")
+
+
+def space_of(dist):
+    n = len(dist)
+    return UltrametricSpace(
+        labels=np.arange(1.0, n + 1),
+        horizon=float(n),
+        dist=np.array(dist, dtype=float),
+        multiplicity=np.ones(n, dtype=int),
+    )
+
+
+def quiet_generator(space, mu):
+    """`build_generator` without its warning about rates that underflow to zero."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return build_generator(space, mu)
+
+
+def small_spaces(st):
+    """Spaces of 1-12 states over a few distances, so ties are common.
+
+    Each starts ultrametric, d(i, j) = max(level_i, level_j), and then has a
+    few symmetric pairs overwritten, which may or may not break it.
+    """
+    values = st.sampled_from([1.0, 2.0, 3.0, 4.0, np.inf])
+
+    @st.composite
+    def spaces(draw):
+        n = draw(st.integers(1, 12))
+        levels = np.array(draw(st.lists(values, min_size=n, max_size=n)))
+        dist = np.maximum.outer(levels, levels)
+        pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), values)
+        for i, j, v in draw(st.lists(pairs, max_size=2 * n)):
+            dist[i, j] = dist[j, i] = v
+        np.fill_diagonal(dist, 0.0)
+        return space_of(dist)
+
+    return spaces()
 
 
 class TestBuildGenerator:
@@ -123,3 +184,73 @@ class TestRateUltrametricity:
         report = check_rate_ultrametricity(Generator(rates=rates, mu=0.0))
         assert not report.ok
         assert report.triple == (0, 2, 1)
+        assert report.message == "rate(0,2)=0.001 falls below min via state 1: 1"
+
+    def test_matches_the_reference_scan(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        # At mu = 250 the rates at distance 3 and beyond underflow to zero.
+        @hypothesis.settings(max_examples=300, deadline=None)
+        @hypothesis.given(
+            small_spaces(st),
+            st.sampled_from([0.5, 250.0]),
+            st.sampled_from([0.0, 1e-9, 1.5, -0.5]),
+        )
+        def check(space, mu, tol):
+            gen = quiet_generator(space, mu)
+            assert check_rate_ultrametricity(gen, tol) == reference_report(gen, tol)
+
+        check()
+
+    def test_infinite_distances_give_zero_rates(self):
+        gen = quiet_generator(space_of([[0, np.inf, np.inf], [np.inf, 0, 1], [np.inf, 1, 0]]), 1.0)
+        assert check_rate_ultrametricity(gen).ok
+        gen = quiet_generator(space_of([[0, 1, np.inf], [1, 0, 1], [np.inf, 1, 0]]), 1.0)
+        assert check_rate_ultrametricity(gen) == TripleReport(
+            ok=False, triple=(0, 2, 1), message="rate(0,2)=0 falls below min via state 1: 0.367879"
+        )
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_fewer_than_three_states_pass_at_any_tolerance(self, n):
+        gen = build_generator(space_of(np.ones((n, n)) - np.eye(n)), 1.0)
+        for tol in (-10.0, 0.0, 1.0):
+            assert check_rate_ultrametricity(gen, tol) == TripleReport(
+                ok=True, triple=None, message=f"all {n} states rate-ultrametric"
+            )
+
+
+class TestRateUltrametricityAtScale:
+    """A 3001-state trace generator: the scan would take minutes, the proof about a second."""
+
+    @staticmethod
+    def big_space():
+        rng = np.random.default_rng(7)
+        events = np.sort(1000.0 * (1.0 - rng.random(3000)))
+        space = build_from_trace(EventTrace(story_id="big", events=events, horizon=1000.0))
+        assert space.size == 3001
+        return space
+
+    def test_trace_generator_passes(self):
+        gen = build_generator(self.big_space(), mu=0.001)
+        assert check_rate_ultrametricity(gen) == TripleReport(
+            ok=True, triple=None, message="all 3001 states rate-ultrametric"
+        )
+
+    def test_one_changed_pair_in_row_zero_is_found(self):
+        space = self.big_space()
+        dist = space.dist.copy()
+        # Row 0 is constant at the largest distance D, so rate(0, j) is the
+        # smallest rate. Shrinking d(0, 5) below d(1, 5) < D raises rate(0, 5)
+        # above rate(0, 1), which breaks (0, 1, 5) and no earlier triple.
+        dist[0, 5] = dist[5, 0] = dist[1, 5] / 2
+        broken = UltrametricSpace(
+            labels=space.labels, horizon=space.horizon, dist=dist, multiplicity=space.multiplicity
+        )
+        gen = build_generator(broken, mu=0.001)
+        r = gen.rates
+        assert check_rate_ultrametricity(gen) == TripleReport(
+            ok=False,
+            triple=(0, 1, 5),
+            message=f"rate(0,1)={r[0, 1]:g} falls below min via state 5: {r[1, 5]:g}",
+        )

@@ -209,6 +209,20 @@ class TestTreeModel:
         assert binary_tree(3).n_leaves == 8
         assert star_tree(5, 1.0).n_leaves == 5
 
+    def test_leaf_count_of_every_subtree(self):
+        tree = binary_tree(3)
+        leaf = tree.leaf(1)
+        assert tree.leaf_count(leaf) == 1
+        assert [tree.leaf_count(node) for node in tree.path_to_root(leaf)] == [2, 4, 8]
+        tree = caterpillar_tree(50, 0.1)
+        assert [tree.leaf_count(node) for node in tree.path_to_root(tree.leaf(1))] == list(
+            range(2, 51)
+        )
+
+    def test_leaf_count_of_a_node_outside_the_tree(self):
+        outside = binary_tree(2).root
+        assert binary_tree(3).leaf_count(outside) == 4
+
 
 class TestSpaceFromTree:
     def test_star_space_has_constant_distances(self):

@@ -5,6 +5,7 @@ import pytest
 
 from ultradiffusion.traces import EventTrace
 from ultradiffusion.ultrametric import (
+    TripleReport,
     UltrametricSpace,
     build_from_trace,
     rescale_distances,
@@ -30,6 +31,54 @@ WORKED_MATRIX = np.array(
     ],
     dtype=float,
 )
+
+
+def reference_report(space, tol):
+    """Plain scan of every ordered triple of distinct states, in lexicographic order."""
+    d, labels, n = space.dist, space.labels, space.size
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if len({i, j, k}) == 3 and d[i, j] > max(d[i, k], d[k, j]) + tol:
+                    return TripleReport(
+                        ok=False,
+                        triple=(i, j, k),
+                        message=f"d({labels[i]:g},{labels[j]:g})={d[i, j]:g} exceeds "
+                        f"max(d(.,{labels[k]:g}))={max(d[i, k], d[k, j]):g}",
+                    )
+    return TripleReport(ok=True, triple=None, message=f"all {n} states ultrametric")
+
+
+def space_of(dist):
+    n = len(dist)
+    return UltrametricSpace(
+        labels=np.arange(1.0, n + 1),
+        horizon=float(n),
+        dist=np.array(dist, dtype=float),
+        multiplicity=np.ones(n, dtype=int),
+    )
+
+
+def small_spaces(st):
+    """Spaces of 1-12 states over a few distances, so ties are common.
+
+    Each starts ultrametric, d(i, j) = max(level_i, level_j), and then has a
+    few symmetric pairs overwritten, which may or may not break it.
+    """
+    values = st.sampled_from([1.0, 2.0, 3.0, 4.0, np.inf])
+
+    @st.composite
+    def spaces(draw):
+        n = draw(st.integers(1, 12))
+        levels = np.array(draw(st.lists(values, min_size=n, max_size=n)))
+        dist = np.maximum.outer(levels, levels)
+        pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), values)
+        for i, j, v in draw(st.lists(pairs, max_size=2 * n)):
+            dist[i, j] = dist[j, i] = v
+        np.fill_diagonal(dist, 0.0)
+        return space_of(dist)
+
+    return spaces()
 
 
 class TestBuildFromTrace:
@@ -131,6 +180,73 @@ class TestVerifyUltrametric:
         )
         assert not verify_ultrametric(space).ok
         assert verify_ultrametric(space, tol=1e-9).ok
+
+    def test_matches_the_reference_scan(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=300, deadline=None)
+        @hypothesis.given(small_spaces(st), st.sampled_from([0.0, 1e-9, 1.5, -0.5]))
+        def check(space, tol):
+            assert verify_ultrametric(space, tol) == reference_report(space, tol)
+
+        check()
+
+    def test_infinite_distances(self):
+        assert verify_ultrametric(space_of([[0, np.inf, np.inf], [np.inf, 0, 1], [np.inf, 1, 0]])).ok
+        report = verify_ultrametric(space_of([[0, 1, np.inf], [1, 0, 1], [np.inf, 1, 0]]))
+        assert report == TripleReport(
+            ok=False, triple=(0, 2, 1), message="d(1,3)=inf exceeds max(d(.,2))=1"
+        )
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_fewer_than_three_states_pass_at_any_tolerance(self, n):
+        space = space_of(np.ones((n, n)) - np.eye(n))
+        for tol in (-10.0, 0.0, 1.0):
+            assert verify_ultrametric(space, tol) == TripleReport(
+                ok=True, triple=None, message=f"all {n} states ultrametric"
+            )
+
+    def test_first_triple_and_message_are_exact(self):
+        report = verify_ultrametric(space_of([[0, 1, 5], [1, 0, 1], [5, 1, 0]]))
+        assert report == TripleReport(
+            ok=False, triple=(0, 2, 1), message="d(1,3)=5 exceeds max(d(.,2))=1"
+        )
+
+
+class TestVerifyAtScale:
+    """A 3001-state trace space: the scan would take minutes, the proof about a second."""
+
+    @staticmethod
+    def big_space():
+        rng = np.random.default_rng(7)
+        events = np.sort(1000.0 * (1.0 - rng.random(3000)))
+        space = build_from_trace(EventTrace(story_id="big", events=events, horizon=1000.0))
+        assert space.size == 3001
+        return space
+
+    def test_trace_space_passes(self):
+        assert verify_ultrametric(self.big_space()) == TripleReport(
+            ok=True, triple=None, message="all 3001 states ultrametric"
+        )
+
+    def test_one_changed_pair_in_row_zero_is_found(self):
+        space = self.big_space()
+        dist = space.dist.copy()
+        # Row 0 is constant at the largest distance D. Shrinking d(0, 5) below
+        # d(1, 5) < D breaks (0, 1, 5): d(0, 1) = D > max(d(0, 5), d(5, 1)).
+        # No j < 1 exists, and k = 5 is the only state that breaks (0, 1, k).
+        dist[0, 5] = dist[5, 0] = dist[1, 5] / 2
+        broken = UltrametricSpace(
+            labels=space.labels, horizon=space.horizon, dist=dist, multiplicity=space.multiplicity
+        )
+        labels = space.labels
+        assert verify_ultrametric(broken) == TripleReport(
+            ok=False,
+            triple=(0, 1, 5),
+            message=f"d({labels[0]:g},{labels[1]:g})={dist[0, 1]:g} exceeds "
+            f"max(d(.,{labels[5]:g}))={dist[1, 5]:g}",
+        )
 
 
 class TestUltrametricSpaceInvariants:
