@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -80,7 +79,6 @@ class RunConfig:
     mapping_mode: str = "roundtrip"
     min_events: int = 50
     rescale: bool = False
-    seed: int = 0
     horizon: float | None = None
     paper_prefactor: bool = False
 
@@ -102,7 +100,6 @@ def _config(args: argparse.Namespace) -> RunConfig:
         mapping_mode=args.mapping,
         min_events=args.min_events,
         rescale=getattr(args, "rescale_distances", False),
-        seed=args.seed,
         horizon=args.horizon,
         paper_prefactor=args.paper_prefactor,
     )
@@ -169,24 +166,27 @@ def _fit_record(trace, cfg: RunConfig):
     return record, curve, fitted, simulated.values
 
 
-def _run_pool(items, worker):
-    """Apply `worker` to each item; return ({story_id: result}, [(id, error)])."""
+def _run_each(traces, worker):
+    """Apply `worker` to each trace; return ({story_id: result}, sorted [(id, error)]).
+
+    A story fails on the errors bad data raises (a fit that cannot be made,
+    parameters that cannot be inferred); any other exception is a bug and
+    propagates.
+    """
     results: dict[str, object] = {}
     failures: list[tuple[str, str]] = []
-    with ThreadPoolExecutor(max_workers=min(8, len(items))) as pool:
-        futures = {pool.submit(worker, item): item.story_id for item in items}
-        for future, sid in futures.items():
-            try:
-                results[sid] = future.result()
-            except Exception as err:
-                failures.append((sid, f"{type(err).__name__}: {err}"))
+    for trace in traces:
+        try:
+            results[trace.story_id] = worker(trace)
+        except (FitError, ValueError, FloatingPointError) as err:
+            failures.append((trace.story_id, f"{type(err).__name__}: {err}"))
     return results, sorted(failures)
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
     cfg = _config(args)
     kept = _load_qualifying(cfg)
-    results, failures = _run_pool(kept, lambda trace: _fit_record(trace, cfg))
+    results, failures = _run_each(kept, lambda trace: _fit_record(trace, cfg))
     for sid, message in failures:
         print(f"story {sid!r} failed: {message}", file=sys.stderr)
     if not results:
@@ -306,7 +306,7 @@ def _compare_record(trace, cfg: RunConfig):
 def cmd_compare(args: argparse.Namespace) -> int:
     cfg = _config(args)
     kept = _load_qualifying(cfg)
-    results, failures = _run_pool(kept, lambda trace: _compare_record(trace, cfg))
+    results, failures = _run_each(kept, lambda trace: _compare_record(trace, cfg))
     for sid, message in failures:
         print(f"story {sid!r} failed: {message}", file=sys.stderr)
     if not results:
@@ -428,7 +428,6 @@ def build_parser() -> argparse.ArgumentParser:
             action="store_true",
             help="use the printed 1/t_N curve amplitude instead of (t_N-1)/t_N",
         )
-        p.add_argument("--seed", type=int, default=0, help="unused here; accepted for symmetry")
 
     p_fit = sub.add_parser("fit", help="fit each story's curve and map parameters")
     add_trace_flags(p_fit)

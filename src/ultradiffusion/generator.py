@@ -39,11 +39,11 @@ class Generator:
         if not np.array_equal(rates, rates.T):
             raise ValueError("rates must be symmetric")
         n = rates.shape[0]
-        off = rates[~np.eye(n, dtype=bool)]
-        if off.size and np.min(off) < 0:
+        if np.count_nonzero(rates < 0) > np.count_nonzero(np.diagonal(rates) < 0):
             raise ValueError("off-diagonal rates must be nonnegative")
         drift = np.max(np.abs(rates.sum(axis=1))) if n else 0.0
-        if drift > 1e-12 * max(1.0, float(np.max(np.abs(rates)))) * max(1, n):
+        largest = max(float(rates.max()), -float(rates.min())) if n else 0.0
+        if drift > 1e-12 * max(1.0, largest) * max(1, n):
             raise ValueError(f"row sums must vanish, worst drift {drift:g}")
 
     @property
@@ -55,15 +55,18 @@ def build_generator(space: UltrametricSpace, mu: float) -> Generator:
     """Generator over `space` with off-diagonal rates e^(-mu*d)."""
     if mu < 0:
         raise ValueError("mu must be nonnegative")
-    rates = np.exp(-mu * space.dist)
+    rates = space.dist * -mu
+    np.exp(rates, out=rates)
     np.fill_diagonal(rates, 0.0)
-    if space.size > 1 and np.min(rates + np.eye(space.size)) <= 0:
+    # Rates are never negative; zeros beyond the n on the diagonal underflowed.
+    if np.count_nonzero(rates == 0) > space.size:
         warnings.warn(
             "some rates underflowed to zero; consider rescaling distances",
             RuntimeWarning,
             stacklevel=2,
         )
     np.fill_diagonal(rates, -rates.sum(axis=1))
+    rates.setflags(write=False)  # handed over as is, not copied
     return Generator(rates=rates, mu=mu)
 
 

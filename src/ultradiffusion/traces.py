@@ -30,6 +30,16 @@ class TraceFormatError(ValueError):
 
 
 def _readonly(values, dtype=float) -> np.ndarray:
+    # A read-only array that owns its data is taken as it is, so a builder
+    # that hands over its own finished matrix pays for no second copy; any
+    # other input, a caller's writable array included, is copied.
+    if (
+        isinstance(values, np.ndarray)
+        and values.dtype == dtype
+        and values.base is None
+        and not values.flags.writeable
+    ):
+        return values
     out = np.array(values, dtype=dtype)
     out.setflags(write=False)
     return out

@@ -68,8 +68,8 @@ class UltrametricSpace:
             raise ValueError("distances must be zero on the diagonal")
         if not np.array_equal(dist, dist.T):
             raise ValueError("distance matrix must be symmetric")
-        off = dist[~np.eye(n, dtype=bool)]
-        if off.size and np.min(off) <= 0:
+        # The n diagonal zeros are the only entries allowed to be <= 0.
+        if np.count_nonzero(dist <= 0) > n:
             raise ValueError("distances between distinct states must be positive")
 
     @property
@@ -106,6 +106,7 @@ def build_from_trace(trace: EventTrace) -> UltrametricSpace:
     multiplicity = np.concatenate([counts[::-1], [0]])
     later = np.maximum.outer(span - labels, span - labels)
     np.fill_diagonal(later, 0.0)
+    later.setflags(write=False)  # handed over as is, not copied
     return UltrametricSpace(labels=labels, horizon=span, dist=later, multiplicity=multiplicity)
 
 
@@ -120,6 +121,7 @@ def uniform_chain(n: int) -> UltrametricSpace:
     idx = np.arange(1, n + 1, dtype=float)
     dist = np.maximum.outer(idx, idx) - 1.0
     np.fill_diagonal(dist, 0.0)
+    dist.setflags(write=False)
     return UltrametricSpace(
         labels=idx,
         horizon=float(n - 1),

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ultradiffusion import cli
 from ultradiffusion.cli import main
 from ultradiffusion.fitting import UltradiffusionParams, sample_events
 from ultradiffusion.serialize import write_trace_csv
@@ -128,6 +129,28 @@ class TestFit:
         assert code == 0
         assert (out / "a_b_curve.tsv").exists()
         assert (out / "a_b_2_curve.tsv").exists()
+
+
+class TestStoryFailures:
+    def test_data_errors_fail_the_story_not_the_run(self, tmp_path, capsys):
+        # The memoryless story's amplitude cannot be inverted; the other fits.
+        csv = tmp_path / "mixed.csv"
+        write_linear_story(csv)
+        with csv.open("a") as fh:
+            fh.writelines(f"sat,{t:.9g}\n" for t in sampled_story("sat", seed=5).events)
+        out = tmp_path / "out"
+        assert main(["fit", "--input", str(csv), "--out-dir", str(out)]) == 0
+        assert "story 'line' failed: ValueError: amplitude" in capsys.readouterr().err
+        assert [r["story_id"] for r in json.loads((out / "fits.json").read_text())] == ["sat"]
+
+    @pytest.mark.parametrize("command", ["fit", "compare"])
+    def test_programming_errors_propagate(self, tmp_path, monkeypatch, command):
+        def broken(curve, offset=False):
+            raise TypeError("broken fitter")
+
+        monkeypatch.setattr(cli, "fit_exponential", broken)
+        with pytest.raises(TypeError, match="broken fitter"):
+            main([command, "--input", str(FIXTURE), "--out-dir", str(tmp_path / "o")])
 
 
 class TestAggregate:
@@ -331,6 +354,15 @@ class TestArgumentHandling:
              "--grid-points", "1"]
         )
         assert code == 1
+
+
+    @pytest.mark.parametrize("command", ["fit", "aggregate", "compare"])
+    def test_seed_is_not_a_trace_option(self, tmp_path, capsys, command):
+        code = main(
+            [command, "--input", str(FIXTURE), "--out-dir", str(tmp_path), "--seed", "1"]
+        )
+        assert code == 1
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
 
 class TestEntryPoints:

@@ -1,10 +1,13 @@
 """Saturation-curve fitting, parameter inference, and event sampling."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.optimize import least_squares
 
+from ultradiffusion.baselines import fit_linear
 from ultradiffusion.fitting import (
     ExponentialFit,
     FitError,
@@ -22,6 +25,84 @@ from ultradiffusion.oracle import ProbabilityVector, integrate_master_equation
 from ultradiffusion.spectral import chain_spectrum, survival_probability
 from ultradiffusion.traces import PopularityCurve, empirical_curve, uniform_grid
 from ultradiffusion.ultrametric import uniform_chain
+
+
+def reference_fit(curve, offset=False):
+    """Six-start Levenberg-Marquardt least squares, the fitter's earlier form.
+
+    Starts from a log-slope estimate of the early decay and five decay rates
+    from 0.1 to 1000 on the normalized time axis; keeps the best start with
+    h1 > 0, h2 > 0 (and 0 <= h3 < 1). Returns (h1, h2, h3), or None.
+    """
+    t, p = curve.grid, curve.values
+    span = float(t[-1])
+    x = t / span
+    h3_0 = float(p[0]) if offset else 0.0
+    h1_0 = max(float(p[-1]) - h3_0, 1e-12)
+
+    def residual(theta):
+        with np.errstate(over="ignore", under="ignore"):
+            model = theta[0] * (1.0 - np.exp(np.minimum(-theta[1] * x, 700.0)))
+        return model + (theta[2] if offset else 0.0) - p
+
+    def jacobian(theta):
+        with np.errstate(over="ignore", under="ignore"):
+            decay = np.exp(np.minimum(-theta[1] * x, 700.0))
+            cols = [1.0 - decay, theta[0] * x * decay] + ([np.ones_like(x)] if offset else [])
+        return np.stack(cols, axis=1)
+
+    rates = list(np.geomspace(0.1, 1000.0, 5))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        remaining = 1.0 - (p - h3_0) / h1_0
+    keep = (remaining > 0.02) & (remaining < 1.0) & np.isfinite(remaining)
+    if keep.sum() >= 2:
+        slope = np.polyfit(x[keep], np.log(remaining[keep]), 1)[0]
+        if slope < 0:
+            rates.insert(0, -float(slope))
+    best = None
+    for rate in rates:
+        start = [h1_0, rate] + ([h3_0] if offset else [])
+        result = least_squares(residual, np.array(start), jac=jacobian, method="lm")
+        h1, h2 = result.x[:2]
+        h3 = result.x[2] if offset else 0.0
+        if not (np.isfinite(result.cost) and h1 > 0 and h2 > 0 and 0 <= h3 < 1):
+            continue
+        if best is None or result.cost < best[0]:
+            best = (result.cost, (float(h1), float(h2) / span, float(h3)))
+    return None if best is None else best[1]
+
+
+def residual_sum(curve, h1, h2, h3):
+    # In extended precision (80-bit on x86-64), so the evaluation's own
+    # rounding stays below the 1e-12 the comparisons resolve.
+    t = curve.grid.astype(np.longdouble)
+    model = -np.longdouble(h1) * np.expm1(-np.longdouble(h2) * t) + np.longdouble(h3)
+    resid = curve.values - model
+    return resid @ resid
+
+
+def model_curves(st, noise):
+    """Curves h1*(1 - e^(-k*t/T)) + h3 on n-point grids, k from 0.3 to 20
+    and h3 clear of its bound 0, with Gaussian noise of the given scales,
+    kept in [0, 1] and nondecreasing."""
+
+    @st.composite
+    def curves(draw):
+        n = draw(st.integers(8, 300))
+        horizon = draw(st.floats(1e-3, 1e6))
+        k = draw(st.floats(0.3, 20.0))
+        h1 = draw(st.floats(0.2, 0.95))
+        h3 = draw(st.floats(0.01, 1.0 - h1))
+        sigma = draw(st.sampled_from(noise))
+        seed = draw(st.integers(0, 2**32 - 1))
+        grid = uniform_grid(horizon, n)
+        values = exponential_model(grid, h1, k / horizon, h3)
+        values = values + sigma * np.random.default_rng(seed).standard_normal(n)
+        values = np.maximum.accumulate(np.clip(values, 0.0, 1.0))
+        curve = PopularityCurve(grid=grid, values=values, saturation_count=n)
+        return curve, (h1, k / horizon, h3)
+
+    return curves()
 
 
 def synthetic_curve(h1, h2, h3=0.0, horizon=50.0, points=200, count=100):
@@ -113,12 +194,148 @@ class TestFitExponential:
         second = fit_exponential(curve)
         assert (first.h1, first.h2, first.r2) == (second.h1, second.h2, second.r2)
 
+    def test_straight_line_fits_at_the_slow_end(self):
+        # A line is the family's k -> 0 limit: the fit is finite and close,
+        # and still scores below the line itself.
+        grid = uniform_grid(10.0, 200)
+        line = PopularityCurve(grid=grid, values=grid / 10.0, saturation_count=1)
+        fit = fit_exponential(line)
+        assert fit.h2 * 10.0 == pytest.approx(1e-6)
+        assert 1.0 - 1e-12 < fit.r2 < fit_linear(grid, grid / 10.0)[2]
+
+    @pytest.mark.parametrize("offset", [False, True])
+    def test_collinear_fast_decay_end_is_finite_and_silent(self, offset):
+        # At the fast end of the rate scan the basis is 1 to rounding at
+        # every grid point, so the offset fit's two columns are collinear.
+        # A curve that jumps before its first point also draws the fit there.
+        grid = uniform_grid(1.0, 50)
+        values = np.full(50, 0.9)
+        values[0] = 0.3
+        curve = PopularityCurve(grid=grid, values=values, saturation_count=10)
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            fit = fit_exponential(curve, offset=offset)
+        assert math.isfinite(fit.h1) and math.isfinite(fit.h2)
+        assert 0.0 <= fit.h3 < 1.0
+        ref = reference_fit(curve, offset)
+        assert residual_sum(curve, fit.h1, fit.h2, fit.h3) <= residual_sum(curve, *ref) * (
+            1 + 1e-12
+        )
+
+    def test_zero_offset_fits_with_the_offset_flag(self):
+        # The free offset of this noiseless curve is 0 up to rounding, which
+        # here lands just below 0.
+        fit = fit_exponential(synthetic_curve(0.9, 1.0, horizon=1.0, points=50), offset=True)
+        assert 0.0 <= fit.h3 < 1e-12
+        assert fit.h1 == pytest.approx(0.9, rel=1e-9)
+        assert fit.h2 == pytest.approx(1.0, rel=1e-9)
+
+    def test_offset_below_zero_is_held_at_zero(self):
+        # The free offset of a curve rising from 0 through a kink is
+        # negative; the fit holds it at 0 and still fits h1 and h2.
+        grid = uniform_grid(50.0, 200)
+        values = np.clip(exponential_model(grid, 0.9, 0.1) - 0.02, 0.0, 1.0)
+        curve = PopularityCurve(grid=grid, values=values, saturation_count=100)
+        fit = fit_exponential(curve, offset=True)
+        assert fit.h3 == 0.0
+        assert fit.r2 > 0.999
+
     def test_recovers_from_sampled_noise(self):
         params = UltradiffusionParams(t_N=50, mu=0.2, M=10_000)
         trace = sample_events(params, seed=3)
         fit = fit_exponential(empirical_curve(trace, grid_points=200))
         assert fit.h1 == pytest.approx(0.98, abs=0.02)
         assert fit.r2 > 0.99
+
+
+class TestAgainstTheReferenceFitter:
+    """Properties checked against `reference_fit`, the multi-start
+    Levenberg-Marquardt fitter this module's variable projection replaced."""
+
+    @pytest.mark.parametrize("offset", [False, True])
+    def test_residual_sum_is_never_above_the_reference(self, offset):
+        hypothesis = pytest.importorskip("hypothesis")
+        if np.finfo(np.longdouble).eps >= np.finfo(float).eps:
+            pytest.skip("no extended precision to compare residual sums in")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=150, deadline=None)
+        @hypothesis.given(model_curves(st, [1e-4, 1e-3, 1e-2]))
+        def check(drawn):
+            curve, _ = drawn
+            ref = reference_fit(curve, offset)
+            hypothesis.assume(ref is not None)
+            fit = fit_exponential(curve, offset)
+            ours = residual_sum(curve, fit.h1, fit.h2, fit.h3)
+            assert ours <= residual_sum(curve, *ref) * (1 + 1e-12)
+
+        check()
+
+    @pytest.mark.parametrize("offset", [False, True])
+    def test_noiseless_curves_agree_with_the_reference(self, offset):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=100, deadline=None)
+        @hypothesis.given(model_curves(st, [0.0]))
+        def check(drawn):
+            curve, (h1, h2, h3) = drawn
+            # Offset fits take h3 from the curve; without it the truth has none.
+            if not offset:
+                curve = PopularityCurve(
+                    grid=curve.grid, values=curve.values - h3, saturation_count=1
+                )
+            ref = reference_fit(curve, offset)
+            assert ref is not None
+            fit = fit_exponential(curve, offset)
+            assert fit.h1 == pytest.approx(ref[0], rel=1e-8)
+            assert fit.h2 == pytest.approx(ref[1], rel=1e-8)
+            assert fit.h3 == pytest.approx(ref[2], abs=1e-8)
+            assert fit.h2 == pytest.approx(h2, rel=1e-8)
+
+        check()
+
+    def test_offset_fits_keep_the_offset_in_range(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @st.composite
+        def curves(draw):
+            # Any nondecreasing curve in [0, 1]: steps, plateaus, late jumps.
+            n = draw(st.integers(3, 60))
+            values = np.sort(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+            grid = uniform_grid(draw(st.floats(1e-3, 1e6)), n)
+            return PopularityCurve(grid=grid, values=values, saturation_count=n)
+
+        @hypothesis.settings(max_examples=300, deadline=None)
+        @hypothesis.given(curves())
+        def check(curve):
+            with warnings.catch_warnings(), np.errstate(all="raise"):
+                warnings.simplefilter("error")
+                try:
+                    fit = fit_exponential(curve, offset=True)
+                except FitError as err:
+                    assert "no dynamics" in str(err)
+                    return
+            assert 0.0 <= fit.h3 < 1.0
+            assert fit.h1 > 0 and fit.h2 > 0
+
+        check()
+
+    def test_exact_lines_score_below_the_line(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=100, deadline=None)
+        @hypothesis.given(st.integers(3, 2000), st.floats(1e-3, 1e6))
+        def check(n, horizon):
+            grid = uniform_grid(horizon, n)
+            line = PopularityCurve(grid=grid, values=grid / horizon, saturation_count=n)
+            fit = fit_exponential(line)
+            assert math.isfinite(fit.h1) and math.isfinite(fit.h2)
+            assert fit.r2 < fit_linear(grid, line.values)[2]
+
+        check()
 
 
 class TestExponentialFitInvariants:

@@ -152,6 +152,19 @@ class TestGeneratorInvariants:
         with pytest.raises(ValueError, match="nonnegative"):
             Generator(rates=bad, mu=0.0)
 
+    def test_rejects_negative_off_diagonal_beside_negative_diagonal(self):
+        # Rows sum to zero; the negative diagonal entries are allowed, the
+        # negative rate between states 0 and 2 is not.
+        bad = np.array([[-1.0, 2.0, -1.0], [2.0, -3.0, 1.0], [-1.0, 1.0, 0.0]])
+        with pytest.raises(ValueError, match="nonnegative"):
+            Generator(rates=bad, mu=0.0)
+
+    def test_copies_a_writable_caller_matrix(self):
+        rates = np.array([[-1.0, 1.0], [1.0, -1.0]])
+        gen = Generator(rates=rates, mu=0.0)
+        rates[0, 1] = 5.0
+        assert gen.rates[0, 1] == 1.0
+
 
 class TestRateUltrametricity:
     @pytest.mark.parametrize("n", [2, 5, 20, 50])

@@ -1,5 +1,8 @@
 """Ultrametric state spaces built from traces and model chains."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -285,6 +288,49 @@ class TestUltrametricSpaceInvariants:
                 dist=np.array([[0.0, 1.0], [1.0, 0.0]]),
                 multiplicity=np.ones(2, dtype=int),
             )
+
+
+    def test_copies_a_writable_caller_matrix(self):
+        dist = WORKED_MATRIX.copy()
+        space = UltrametricSpace(
+            labels=np.arange(7.0), horizon=7.0, dist=dist, multiplicity=np.ones(7, dtype=int)
+        )
+        dist[0, 1] = dist[1, 0] = 99.0
+        assert space.dist[0, 1] == 17.0
+        assert not space.dist.flags.writeable
+
+    def test_keeps_a_read_only_matrix_it_owns_outright(self):
+        space = build_from_trace(WORKED_TRACE)
+        again = UltrametricSpace(
+            labels=space.labels,
+            horizon=space.horizon,
+            dist=space.dist,
+            multiplicity=space.multiplicity,
+        )
+        assert again.dist is space.dist
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux")
+def test_build_from_trace_peak_memory_stays_below_two_matrices():
+    # A 3001-state trace space holds one 72 MB matrix. Building it once
+    # raised the peak by three such matrices (the outer maximum, a read-only
+    # copy, and a masked off-diagonal copy for the positivity check).
+    probe = """
+import resource
+import numpy as np
+from ultradiffusion.traces import EventTrace
+from ultradiffusion.ultrametric import build_from_trace
+trace = EventTrace(story_id="s", events=np.arange(1.0, 3001.0), horizon=3001.0)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+space = build_from_trace(trace)
+after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(space.size, space.dist.nbytes, (after - before) * 1024)
+"""
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    size, nbytes, rise = map(int, result.stdout.split())
+    assert size == 3001
+    assert rise < 2 * nbytes
 
 
 class TestUniformChain:
