@@ -1,22 +1,28 @@
 """Closed-form relaxation of ultrametric diffusion.
 
-For the unit-spaced chain of t_N states the generator diagonalizes exactly:
-lambda(1) = 0 and, for 1 < j <= t_N,
+On a rooted tree whose node heights set the hop rates e^(-h), every ancestor
+on a leaf's path to the root contributes one exponential mode to the leaf's
+return probability. With leaf counts N_0 = 1, N_1, ..., N_m along the path,
+P(t) = sum_k (1/N_{k-1} - 1/N_k) e^(-rate_k t) + 1/N_m: a hierarchy of time
+scales rather than a single rate. One kernel evaluates that sum for trees
+and chains alike. Trees are flat arrays in depth-first pre-order, so no
+routine recurses.
+
+The unit-spaced chain of t_N states is the caterpillar with N_k = k. Its
+generator diagonalizes exactly: lambda(1) = 0 and, for 1 < j <= t_N,
 
     lambda(j) = -((j-1)*e^(-mu*(j-1)) + sum_{i=j..t_N} e^(-mu*(i-1))),
 
 with orthonormal eigenvectors V(1) = (1, ..., 1)/sqrt(t_N) and, for j > 1,
 V_i(j) = 1/sqrt((j-1)*j) when i < j, V_j(j) = -sqrt((j-1)/j), zero below.
-The return probability of state i started in i is then a sum of decaying
-exponentials weighted by V_i(j)^2, which is a hierarchy of time scales rather
-than a single rate. The same structure holds on any rooted tree with
-level-dependent hop rates e^(-h): each node on the leaf-to-root path
-contributes one mode.
+The weights V_i(j)^2 are the path weights, so the dense matrix is only built
+on request.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,9 +45,24 @@ __all__ = [
 
 def _check_times(t) -> np.ndarray:
     times = np.asarray(t, dtype=float)
-    if np.any(times < 0):
+    if not np.all(times >= 0):
         raise ValueError("times must be nonnegative")
     return times
+
+
+def _check_index(index, n: int, what: str) -> int:
+    if isinstance(index, bool) or not isinstance(index, numbers.Integral):
+        raise ValueError(f"{what} index must be an integer, got {index!r}")
+    if not 1 <= index <= n:
+        raise ValueError(f"{what} index {index} outside 1..{n}")
+    return int(index)
+
+
+def _path_modes(counts: np.ndarray, rates: np.ndarray, times: np.ndarray) -> np.ndarray | float:
+    """sum_k (1/N_{k-1} - 1/N_k) e^(-rate_k t) + 1/N_m for path counts N_0 = 1, ..., N_m."""
+    weights = 1.0 / counts[:-1] - 1.0 / counts[1:]
+    out = np.exp(np.multiply.outer(times, -rates)) @ weights + 1.0 / counts[-1]
+    return out if times.ndim else float(out)
 
 
 @dataclass(frozen=True)
@@ -51,47 +72,54 @@ class ChainSpectrum:
     t_N: int
     mu: float
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "eigenvalues", _readonly(self.eigenvalues))
-        object.__setattr__(self, "eigenvectors", _readonly(self.eigenvectors))
-        n = self.t_N
-        if self.eigenvalues.shape != (n,) or self.eigenvectors.shape != (n, n):
+        if self.eigenvalues.shape != (self.t_N,):
             raise ValueError("eigensystem shape does not match t_N")
+
+    @property
+    def eigenvectors(self) -> np.ndarray:
+        """Orthonormal eigenvectors as columns, a dense t_N x t_N matrix built on each call."""
+        n = self.t_N
+        j = np.arange(2, n + 1)
+        above = np.concatenate([[1.0 / np.sqrt(n)], 1.0 / np.sqrt((j - 1) * j)])
+        vec = np.triu(np.broadcast_to(above, (n, n)), k=1)
+        vec[:, 0] = above[0]
+        vec[j - 1, j - 1] = -np.sqrt((j - 1) / j)
+        return vec
+
+
+def _check_chain(t_N: int, mu: float) -> None:
+    if t_N < 2:
+        raise ValueError("t_N must be at least 2")
+    if not mu >= 0:
+        raise ValueError("mu must be nonnegative")
 
 
 def chain_spectrum(t_N: int, mu: float) -> ChainSpectrum:
     """Exact spectrum of the generator over uniform_chain(t_N) at decay mu."""
-    if t_N < 2:
-        raise ValueError("t_N must be at least 2")
-    if mu < 0:
-        raise ValueError("mu must be nonnegative")
+    _check_chain(t_N, mu)
     n = t_N
     hop = np.exp(-mu * np.arange(n))        # hop[k] = e^(-mu*k)
     tails = np.cumsum(hop[::-1])[::-1]      # tails[k] = sum_{i>=k} hop[i]
     lam = np.zeros(n)
     j = np.arange(2, n + 1)
     lam[1:] = -((j - 1) * hop[j - 1] + tails[j - 1])
-    vec = np.zeros((n, n))
-    vec[:, 0] = 1.0 / np.sqrt(n)
-    for col in j:
-        vec[: col - 1, col - 1] = 1.0 / np.sqrt((col - 1) * col)
-        vec[col - 1, col - 1] = -np.sqrt((col - 1) / col)
-    return ChainSpectrum(t_N=n, mu=float(mu), eigenvalues=lam, eigenvectors=vec)
+    return ChainSpectrum(t_N=n, mu=float(mu), eigenvalues=lam)
 
 
 def autocorrelation_chain(spectrum: ChainSpectrum, i: int, t) -> np.ndarray | float:
     """Probability of finding state i again at time t, having started there.
 
     States are numbered 1..t_N. The value is 1 at t = 0 and decays to 1/t_N.
+    State i climbs levels max(i, 2)..t_N of the caterpillar; level k has k leaves.
     """
-    if not 1 <= i <= spectrum.t_N:
-        raise ValueError(f"state index {i} outside 1..{spectrum.t_N}")
+    i = _check_index(i, spectrum.t_N, "state")
     times = _check_times(t)
-    weights = spectrum.eigenvectors[i - 1] ** 2
-    out = np.exp(np.multiply.outer(times, spectrum.eigenvalues)) @ weights
-    return out if times.ndim else float(out)
+    first = max(i, 2)
+    counts = np.concatenate([[1.0], np.arange(first, spectrum.t_N + 1, dtype=float)])
+    return _path_modes(counts, -spectrum.eigenvalues[first - 1:], times)
 
 
 def survival_probability(t_N: int, mu: float, t) -> np.ndarray | float:
@@ -100,10 +128,7 @@ def survival_probability(t_N: int, mu: float, t) -> np.ndarray | float:
     Single-mode closed form for the chain's last state:
     ((t_N-1)/t_N) * e^(-t * t_N * e^(-mu*(t_N-1))) + 1/t_N.
     """
-    if t_N < 2:
-        raise ValueError("t_N must be at least 2")
-    if mu < 0:
-        raise ValueError("mu must be nonnegative")
+    _check_chain(t_N, mu)
     times = _check_times(t)
     rate = t_N * np.exp(-mu * (t_N - 1))
     out = ((t_N - 1) / t_N) * np.exp(-times * rate) + 1.0 / t_N
@@ -112,9 +137,7 @@ def survival_probability(t_N: int, mu: float, t) -> np.ndarray | float:
 
 def expected_rebroadcasts(params, t) -> np.ndarray | float:
     """Expected cumulative rebroadcast count M*(1 - survival) at time t."""
-    times = _check_times(t)
-    out = params.M * (1.0 - survival_probability(params.t_N, params.mu, times))
-    return out if times.ndim else float(out)
+    return params.M * (1.0 - survival_probability(params.t_N, params.mu, t))
 
 
 @dataclass(frozen=True)
@@ -124,88 +147,65 @@ class TreeNode:
     height: float
     children: tuple["TreeNode", ...] = ()
 
-    @property
-    def is_leaf(self) -> bool:
-        return not self.children
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class TreeModel:
     """Rooted tree whose node heights set the hop rates e^(-height).
 
-    Heights must increase strictly from every child to its parent and be
-    nonnegative, so hop rates fall with the size of the jump. Leaves are
-    numbered 1..N in depth-first order.
+    Nodes are numbered in depth-first pre-order, so the root is node 0 and
+    parents precede children: `parent[v]` (-1 at the root), `height[v]` and
+    `leaf_counts[v]` (the leaves under v). Leaves are numbered 1..N in that
+    order and `leaves[k - 1]` is the node of leaf k. Heights are nonnegative
+    and rise strictly from child to parent, so hop rates fall with the size
+    of the jump. `TreeModel(root)` flattens a nested TreeNode hierarchy and
+    keeps only the arrays; a subtree reached twice stands for two copies.
     """
 
-    root: TreeNode
-    _leaves: tuple[TreeNode, ...] = field(init=False, repr=False)
-    _parent: dict[int, TreeNode] = field(init=False, repr=False)
-    _leaf_counts: dict[int, int] = field(init=False, repr=False)
+    parent: np.ndarray
+    height: np.ndarray
+    leaf_counts: np.ndarray
+    leaves: np.ndarray
 
-    def __post_init__(self) -> None:
-        leaves: list[TreeNode] = []
-        parent: dict[int, TreeNode] = {}
-        preorder: list[TreeNode] = []
-        stack = [self.root]
+    def __init__(self, root: TreeNode) -> None:
+        parent: list[int] = []
+        height: list[float] = []
+        stack = [(root, -1)]
         while stack:
-            node = stack.pop()
-            preorder.append(node)
-            if node.height < 0:
+            node, up = stack.pop()
+            if up >= 0 and not node.height < height[up]:
+                raise ValueError(
+                    f"child height {node.height!r} must be below parent {height[up]!r}"
+                )
+            if not node.height >= 0:
                 raise ValueError("node heights must be nonnegative")
-            if node.is_leaf:
-                leaves.append(node)
-                continue
-            for child in node.children:
-                if child.height >= node.height:
-                    raise ValueError(
-                        f"child height {child.height!r} must be below parent {node.height!r}"
-                    )
-                if id(child) in parent:
-                    raise ValueError("a node may appear only once in the tree")
-                parent[id(child)] = node
-            stack.extend(reversed(node.children))
-        # Children follow their parent in pre-order, so a reverse pass counts
-        # every subtree's leaves once.
-        counts: dict[int, int] = {}
-        for node in reversed(preorder):
-            counts[id(node)] = sum(counts[id(c)] for c in node.children) if node.children else 1
-        object.__setattr__(self, "_leaves", tuple(leaves))
-        object.__setattr__(self, "_parent", parent)
-        object.__setattr__(self, "_leaf_counts", counts)
+            index = len(parent)
+            parent.append(up)
+            height.append(node.height)
+            stack.extend((child, index) for child in reversed(node.children))
+        self._set_arrays(np.array(parent), np.array(height, dtype=float))
+
+    @classmethod
+    def _from_arrays(cls, parent: np.ndarray, height: np.ndarray) -> TreeModel:
+        tree = object.__new__(cls)
+        tree._set_arrays(parent, height)
+        return tree
+
+    def _set_arrays(self, parent: np.ndarray, height: np.ndarray) -> None:
+        is_leaf = np.ones(parent.size, dtype=bool)
+        is_leaf[parent[1:]] = False
+        # Children follow their parent in pre-order: one reverse pass counts leaves.
+        counts = is_leaf.astype(int).tolist()
+        up = parent.tolist()
+        for v in range(len(up) - 1, 0, -1):
+            counts[up[v]] += counts[v]
+        object.__setattr__(self, "parent", _readonly(parent, dtype=int))
+        object.__setattr__(self, "height", _readonly(height))
+        object.__setattr__(self, "leaf_counts", _readonly(counts, dtype=int))
+        object.__setattr__(self, "leaves", _readonly(np.flatnonzero(is_leaf), dtype=int))
 
     @property
     def n_leaves(self) -> int:
-        return len(self._leaves)
-
-    def leaf(self, index: int) -> TreeNode:
-        """Leaf by 1-based depth-first index."""
-        if not 1 <= index <= self.n_leaves:
-            raise ValueError(f"leaf index {index} outside 1..{self.n_leaves}")
-        return self._leaves[index - 1]
-
-    def path_to_root(self, node: TreeNode) -> list[TreeNode]:
-        """Ancestors of `node`, nearest first, ending at the root."""
-        path = []
-        current = node
-        while id(current) in self._parent:
-            current = self._parent[id(current)]
-            path.append(current)
-        return path
-
-    def leaf_count(self, node: TreeNode) -> int:
-        """Leaves under `node`, stored for tree nodes and counted for others."""
-        if id(node) in self._leaf_counts:
-            return self._leaf_counts[id(node)]
-        count = 0
-        stack = [node]
-        while stack:
-            item = stack.pop()
-            if item.is_leaf:
-                count += 1
-            else:
-                stack.extend(item.children)
-        return count
+        return int(self.leaves.size)
 
 
 def tree_autocorrelation(tree: TreeModel, leaf: int, t) -> np.ndarray | float:
@@ -220,57 +220,53 @@ def tree_autocorrelation(tree: TreeModel, leaf: int, t) -> np.ndarray | float:
     where the sum runs over the strictly higher ancestors on the same path.
     The value starts at 1 and decays to 1/N.
     """
+    leaf = _check_index(leaf, tree.n_leaves, "leaf")
     times = _check_times(t)
-    node = tree.leaf(leaf)
-    path = tree.path_to_root(node)
-    total = tree.n_leaves
-    counts = np.array([1] + [tree.leaf_count(anc) for anc in path], dtype=float)
-    heights = np.array([anc.height for anc in path], dtype=float)
-    hop = np.exp(-heights)
+    path = [int(tree.leaves[leaf - 1])]
+    while path[-1]:                                # the root is node 0
+        path.append(int(tree.parent[path[-1]]))
+    counts = tree.leaf_counts[path].astype(float)
+    hop = np.exp(-tree.height[path[1:]])
     growth = (counts[1:] - counts[:-1]) * hop      # (N_i - N_{i-1}) e^(-h_i)
     above = np.concatenate([np.cumsum(growth[::-1])[::-1][1:], [0.0]])
-    rates = counts[1:] * hop + above
-    weights = 1.0 / counts[:-1] - 1.0 / counts[1:]
-    out = np.exp(np.multiply.outer(times, -rates)) @ weights + 1.0 / total
-    return out if times.ndim else float(out)
+    return _path_modes(counts, counts[1:] * hop + above, times)
 
 
 def caterpillar_tree(n: int, mu: float) -> TreeModel:
     """Tree encoding of uniform_chain(n): leaves i < j join at height mu*(j-1).
 
+    Pre-order puts the spine first, from the root (level n) down to level 2,
+    then leaves 1 and 2 under level 2 and leaf j >= 3 under level j.
     Needs mu > 0 so heights increase strictly along every path.
     """
     if n < 2:
         raise ValueError("a chain encoding needs at least 2 leaves")
-    if mu <= 0:
+    if not mu > 0:
         raise ValueError("mu must be positive for strictly increasing heights")
-    node = TreeNode(height=0.0)
-    for j in range(2, n + 1):
-        node = TreeNode(height=mu * (j - 1), children=(node, TreeNode(height=0.0)))
-    return TreeModel(root=node)
+    levels = np.arange(n, 1, -1)                   # spine node s is level n - s
+    parent = np.concatenate([np.arange(-1, n - 2), [n - 2], n - np.arange(2, n + 1)])
+    height = np.concatenate([mu * (levels - 1.0), np.zeros(n)])
+    return TreeModel._from_arrays(parent, height)
 
 
 def space_from_tree(tree: TreeModel) -> UltrametricSpace:
     """Leaf space of a tree with d(x, y) = height of the lowest common ancestor."""
     n = tree.n_leaves
+    # Node v's leaves sit at positions start[v] .. start[v] + counts[v] - 1.
+    start = np.searchsorted(tree.leaves, np.arange(tree.parent.size)).tolist()
+    counts = tree.leaf_counts.tolist()
+    height = tree.height.tolist()
     dist = np.zeros((n, n))
-
-    def fill(node: TreeNode, offset: int) -> int:
-        if node.is_leaf:
-            return offset + 1
-        bounds = [offset]
-        for child in node.children:
-            bounds.append(fill(child, bounds[-1]))
-        for a in range(len(node.children)):
-            for b in range(a + 1, len(node.children)):
-                dist[bounds[a]:bounds[a + 1], bounds[b]:bounds[b + 1]] = node.height
-                dist[bounds[b]:bounds[b + 1], bounds[a]:bounds[a + 1]] = node.height
-        return bounds[-1]
-
-    fill(tree.root, 0)
+    # A pair meets at the parent of the child that holds its first leaf.
+    for v, up in enumerate(tree.parent.tolist()[1:], start=1):
+        lo, mid = start[v], start[v] + counts[v]
+        hi = start[up] + counts[up]
+        dist[lo:mid, mid:hi] = height[up]
+        dist[mid:hi, lo:mid] = height[up]
+    dist.setflags(write=False)
     return UltrametricSpace(
         labels=np.arange(1, n + 1, dtype=float),
-        horizon=float(tree.root.height),
+        horizon=float(tree.height[0]),
         dist=dist,
         multiplicity=np.ones(n, dtype=int),
     )

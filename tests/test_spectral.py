@@ -1,12 +1,16 @@
 """Closed-form spectra, relaxation curves, and tree solutions."""
 
+import dataclasses
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from ultradiffusion.fitting import UltradiffusionParams
 from ultradiffusion.generator import build_generator
+from ultradiffusion.oracle import numeric_spectrum
 from ultradiffusion.spectral import (
     TreeModel,
     TreeNode,
@@ -33,6 +37,66 @@ def binary_tree(depth):
         return TreeNode(height=float(h), children=(level(h - 1), level(h - 1)))
 
     return TreeModel(root=level(depth))
+
+
+def path_to_root(tree, leaf):
+    """Node indices from leaf `leaf` (1-based) up to the root."""
+    path = [int(tree.leaves[leaf - 1])]
+    while tree.parent[path[-1]] >= 0:
+        path.append(int(tree.parent[path[-1]]))
+    return path
+
+
+def dense_chain_vectors(n):
+    """The chain's eigenvectors filled column by column, as the closed form reads."""
+    vec = np.zeros((n, n))
+    vec[:, 0] = 1.0 / np.sqrt(n)
+    for col in range(2, n + 1):
+        vec[: col - 1, col - 1] = 1.0 / np.sqrt((col - 1) * col)
+        vec[col - 1, col - 1] = -np.sqrt((col - 1) / col)
+    return vec
+
+
+def dense_autocorrelation(spectrum, i, t):
+    """Return probability through the full eigenvector row of state i."""
+    weights = dense_chain_vectors(spectrum.t_N)[i - 1] ** 2
+    return np.exp(np.multiply.outer(np.asarray(t, dtype=float), spectrum.eigenvalues)) @ weights
+
+
+def tree_from_parents(parent, height):
+    """Nested TreeNode hierarchy of pre-order parent and height arrays."""
+    children = [[] for _ in parent]
+    nodes = [None] * len(parent)
+    for v in range(len(parent) - 1, -1, -1):
+        nodes[v] = TreeNode(height=height[v], children=tuple(reversed(children[v])))
+        if parent[v] >= 0:
+            children[parent[v]].append(nodes[v])
+    return nodes[0]
+
+
+def random_trees(st):
+    """Pre-order trees of 1-12 nodes; heights rise strictly toward the root.
+
+    Each node after the root hangs under some node on the path from the root
+    to its predecessor, which is exactly the set of pre-order-valid parents.
+    """
+
+    @st.composite
+    def trees(draw):
+        n = draw(st.integers(1, 12))
+        parent, spine = [-1], [0]
+        for v in range(1, n):
+            depth = draw(st.integers(0, len(spine) - 1))
+            parent.append(spine[depth])
+            spine = spine[: depth + 1] + [v]
+        step = st.floats(0.05, 2.0)
+        height = [draw(st.floats(0.0, 1.0)) for _ in range(n)]
+        for v in range(n - 1, 0, -1):
+            up = parent[v]
+            height[up] = max(height[up], height[v] + draw(step))
+        return parent, height
+
+    return trees()
 
 
 class TestChainSpectrum:
@@ -79,6 +143,21 @@ class TestChainSpectrum:
         with pytest.raises(ValueError, match="at least 2"):
             chain_spectrum(1, mu=0.0)
 
+    @pytest.mark.parametrize("mu", [-0.1, math.nan])
+    def test_rejects_negative_or_nan_mu(self, mu):
+        with pytest.raises(ValueError, match="nonnegative"):
+            chain_spectrum(4, mu)
+
+    @pytest.mark.parametrize("t_N", [2, 3, 17, 40])
+    def test_eigenvectors_match_the_column_by_column_fill(self, t_N):
+        vec = chain_spectrum(t_N, mu=0.2).eigenvectors
+        np.testing.assert_array_equal(vec, dense_chain_vectors(t_N))
+
+    def test_stores_no_dense_matrix(self):
+        spectrum = chain_spectrum(10**4, mu=0.1)
+        assert [f.name for f in dataclasses.fields(spectrum)] == ["t_N", "mu", "eigenvalues"]
+        assert spectrum.eigenvalues.nbytes == 8 * 10**4
+
 
 class TestAutocorrelationChain:
     def test_equals_one_at_time_zero(self):
@@ -99,6 +178,46 @@ class TestAutocorrelationChain:
         spectrum = chain_spectrum(4, mu=0.1)
         with pytest.raises(ValueError, match="nonnegative"):
             autocorrelation_chain(spectrum, 1, -1.0)
+
+    @pytest.mark.parametrize("t", [math.nan, [0.0, math.nan]])
+    def test_rejects_nan_time(self, t):
+        spectrum = chain_spectrum(4, mu=0.1)
+        with pytest.raises(ValueError, match="nonnegative"):
+            autocorrelation_chain(spectrum, 1, t)
+
+    @pytest.mark.parametrize("state", [2.0, np.float64(2.0), True, np.True_, "2", None])
+    def test_rejects_non_integer_state(self, state):
+        spectrum = chain_spectrum(4, mu=0.1)
+        with pytest.raises(ValueError, match="must be an integer"):
+            autocorrelation_chain(spectrum, state, 1.0)
+
+    def test_accepts_numpy_integer_state(self):
+        spectrum = chain_spectrum(4, mu=0.1)
+        assert autocorrelation_chain(spectrum, np.int64(3), 1.0) == autocorrelation_chain(
+            spectrum, 3, 1.0
+        )
+
+    def test_matches_the_dense_eigenvector_route(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=100, deadline=None)
+        @hypothesis.given(
+            st.integers(2, 40),
+            st.floats(0.0, 5.0),
+            st.lists(st.floats(0.0, 50.0), min_size=1, max_size=8),
+        )
+        def check(t_N, mu, times):
+            spectrum = chain_spectrum(t_N, mu)
+            for i in range(1, t_N + 1):
+                np.testing.assert_allclose(
+                    autocorrelation_chain(spectrum, i, times),
+                    dense_autocorrelation(spectrum, i, times),
+                    rtol=0,
+                    atol=1e-12,
+                )
+
+        check()
 
     def test_nonincreasing_and_convex_on_a_grid(self):
         spectrum = chain_spectrum(12, mu=0.4)
@@ -133,6 +252,11 @@ class TestSurvivalProbability:
     def test_rejects_short_chain(self):
         with pytest.raises(ValueError, match="at least 2"):
             survival_probability(1, 0.0, 1.0)
+
+    @pytest.mark.parametrize("mu, t", [(math.nan, 1.0), (-1.0, 1.0), (0.1, math.nan)])
+    def test_rejects_negative_or_nan_inputs(self, mu, t):
+        with pytest.raises(ValueError, match="nonnegative"):
+            survival_probability(4, mu, t)
 
 
 class TestExpectedRebroadcasts:
@@ -193,6 +317,39 @@ class TestTreeAutocorrelation:
         with pytest.raises(ValueError, match="leaf index"):
             tree_autocorrelation(star_tree(3, 1.0), 4, 1.0)
 
+    @pytest.mark.parametrize("leaf", [1.0, np.float64(1.0), True, np.True_])
+    def test_rejects_non_integer_leaf(self, leaf):
+        with pytest.raises(ValueError, match="leaf index must be an integer"):
+            tree_autocorrelation(star_tree(3, 1.0), leaf, 1.0)
+
+    def test_rejects_nan_time(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            tree_autocorrelation(binary_tree(2), 1, [0.0, math.nan])
+
+    def test_matches_the_dense_spectrum_on_random_trees(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=200, deadline=None)
+        @hypothesis.given(random_trees(st), st.lists(st.floats(0.0, 20.0), min_size=1, max_size=6))
+        def check(arrays, times):
+            parent, height = arrays
+            tree = TreeModel(root=tree_from_parents(parent, height))
+            np.testing.assert_array_equal(tree.parent, parent)
+            np.testing.assert_array_equal(tree.height, height)
+            hypothesis.assume(tree.n_leaves >= 2)
+            w, v = numeric_spectrum(build_generator(space_from_tree(tree), 1.0))
+            modes = np.exp(np.multiply.outer(np.asarray(times), w))
+            for leaf in range(1, tree.n_leaves + 1):
+                np.testing.assert_allclose(
+                    tree_autocorrelation(tree, leaf, times),
+                    modes @ v[leaf - 1] ** 2,
+                    rtol=0,
+                    atol=1e-9,
+                )
+
+        check()
+
 
 class TestTreeModel:
     def test_rejects_child_at_or_above_parent_height(self):
@@ -211,17 +368,48 @@ class TestTreeModel:
 
     def test_leaf_count_of_every_subtree(self):
         tree = binary_tree(3)
-        leaf = tree.leaf(1)
-        assert tree.leaf_count(leaf) == 1
-        assert [tree.leaf_count(node) for node in tree.path_to_root(leaf)] == [2, 4, 8]
-        tree = caterpillar_tree(50, 0.1)
-        assert [tree.leaf_count(node) for node in tree.path_to_root(tree.leaf(1))] == list(
-            range(2, 51)
+        np.testing.assert_array_equal(
+            tree.parent, [-1, 0, 1, 2, 2, 1, 5, 5, 0, 8, 9, 9, 8, 12, 12]
         )
+        np.testing.assert_array_equal(
+            tree.leaf_counts, [8, 4, 2, 1, 1, 2, 1, 1, 4, 2, 1, 1, 2, 1, 1]
+        )
+        np.testing.assert_array_equal(tree.leaves, [3, 4, 6, 7, 10, 11, 13, 14])
+        assert [tree.leaf_counts[v] for v in path_to_root(tree, 1)] == [1, 2, 4, 8]
+        tree = caterpillar_tree(50, 0.1)
+        assert [tree.leaf_counts[v] for v in path_to_root(tree, 1)] == list(range(1, 51))
 
-    def test_leaf_count_of_a_node_outside_the_tree(self):
-        outside = binary_tree(2).root
-        assert binary_tree(3).leaf_count(outside) == 4
+    def test_caterpillar_arrays_match_the_nested_build(self):
+        n, mu = 7, 0.3
+        node = TreeNode(height=0.0)
+        for j in range(2, n + 1):
+            node = TreeNode(height=mu * (j - 1), children=(node, TreeNode(height=0.0)))
+        nested, direct = TreeModel(root=node), caterpillar_tree(n, mu)
+        for name in ("parent", "height", "leaf_counts", "leaves"):
+            np.testing.assert_array_equal(getattr(direct, name), getattr(nested, name))
+
+    def test_arrays_are_read_only_and_the_nested_root_is_dropped(self):
+        tree = binary_tree(2)
+        for values in (tree.parent, tree.height, tree.leaf_counts, tree.leaves):
+            assert not values.flags.writeable
+        assert not hasattr(tree, "root")
+
+    def test_a_shared_subtree_stands_for_two_copies(self):
+        pair = TreeNode(height=1.0, children=(TreeNode(height=0.0), TreeNode(height=0.0)))
+        shared = TreeModel(root=TreeNode(height=2.0, children=(pair, pair)))
+        np.testing.assert_array_equal(shared.parent, binary_tree(2).parent)
+        assert shared.n_leaves == 4
+
+    def test_single_node_tree(self):
+        tree = TreeModel(root=TreeNode(height=0.0))
+        assert tree.n_leaves == 1
+        assert tree_autocorrelation(tree, 1, 5.0) == 1.0
+
+    def test_rejects_nan_heights(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            TreeModel(root=TreeNode(height=math.nan, children=(TreeNode(height=0.0),)))
+        with pytest.raises(ValueError, match="below parent"):
+            TreeModel(root=TreeNode(height=1.0, children=(TreeNode(height=math.nan),)))
 
 
 class TestSpaceFromTree:
@@ -239,3 +427,63 @@ class TestSpaceFromTree:
     def test_caterpillar_requires_positive_mu(self):
         with pytest.raises(ValueError, match="positive"):
             caterpillar_tree(4, 0.0)
+
+    def test_caterpillar_rejects_nan_mu(self):
+        with pytest.raises(ValueError, match="positive"):
+            caterpillar_tree(4, math.nan)
+
+    def test_distances_of_a_deep_caterpillar_match_the_chain_row_by_row(self):
+        n, mu = 2000, 0.1
+        space = space_from_tree(caterpillar_tree(n, mu))
+        chain = uniform_chain(n)
+        assert space.size == n
+        assert space.horizon == mu * (n - 1)
+        for row, expected in zip(space.dist, chain.dist):
+            np.testing.assert_array_equal(row, mu * expected)
+
+
+class TestDeepCaterpillar:
+    """A caterpillar 10^4 levels deep: nothing may recurse once per level."""
+
+    n, mu = 10**4, 1e-3
+
+    def test_builds_and_prints(self):
+        tree = caterpillar_tree(self.n, self.mu)
+        assert tree.n_leaves == self.n
+        assert tree.parent.size == 2 * self.n - 1
+        assert repr(tree).startswith("TreeModel(")
+        hash(tree)
+
+    def test_end_leaves_match_the_chain(self):
+        tree = caterpillar_tree(self.n, self.mu)
+        spectrum = chain_spectrum(self.n, self.mu)
+        times = np.concatenate([[0.0], np.geomspace(1e-3, 1e3, 31)])
+        for leaf in (1, self.n):
+            np.testing.assert_allclose(
+                tree_autocorrelation(tree, leaf, times),
+                autocorrelation_chain(spectrum, leaf, times),
+                rtol=0,
+                atol=1e-12,
+            )
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux")
+def test_space_from_tree_peak_memory_stays_below_two_matrices():
+    # The leaf space of a 2000-level caterpillar holds one 32 MB matrix; it
+    # is filled in place and handed to UltrametricSpace without a copy. That
+    # raises the peak by about 1.15 matrices (the rest is the space's boolean
+    # checks); a second, read-only copy of the matrix reads 1.8-2.1.
+    probe = """
+import resource
+from ultradiffusion.spectral import caterpillar_tree, space_from_tree
+tree = caterpillar_tree(2000, 0.1)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+space = space_from_tree(tree)
+after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(space.size, space.dist.nbytes, (after - before) * 1024)
+"""
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    size, nbytes, rise = map(int, result.stdout.split())
+    assert size == 2000
+    assert rise < 1.5 * nbytes
