@@ -15,9 +15,9 @@ leave no partial files.
 from __future__ import annotations
 
 import argparse
+import math
 import re
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +27,6 @@ from .baselines import fit_linear
 from .fitting import (
     FitError,
     UltradiffusionParams,
-    decay_rate,
     exponential_model,
     fit_exponential,
     infer_params,
@@ -55,9 +54,13 @@ from .traces import (
 )
 from .ultrametric import build_from_trace, rescale_distances
 
-__all__ = ["CommandError", "RunConfig", "build_parser", "main"]
+__all__ = ["CommandError", "build_parser", "main"]
 
 MATRIX_EXPORT_CAP = 500
+# Errors bad data raises: a fit that cannot be made, parameters that cannot
+# be inferred. They fail a story (or the aggregate curve); anything else is a
+# bug and propagates.
+_DATA_ERRORS = (FitError, ValueError, FloatingPointError)
 
 
 class CommandError(Exception):
@@ -68,41 +71,20 @@ class CommandError(Exception):
         self.exit_code = exit_code
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Settings shared by the trace-processing subcommands."""
-
-    input_path: Path
-    out_dir: Path
-    grid_points: int = 200
-    offset: bool = False
-    mapping_mode: str = "roundtrip"
-    min_events: int = 50
-    rescale: bool = False
-    horizon: float | None = None
-    paper_prefactor: bool = False
-
-    def __post_init__(self) -> None:
-        if self.grid_points < 2:
-            raise CommandError(1, "grid points must be at least 2")
-        if self.min_events < 1:
-            raise CommandError(1, "minimum event count must be at least 1")
-        if self.horizon is not None and self.horizon <= 0:
+def _check_args(args: argparse.Namespace) -> None:
+    """Reject option values no run can use; options the subcommand lacks
+    are not checked."""
+    if args.grid_points < 2:
+        raise CommandError(1, "grid points must be at least 2")
+    if getattr(args, "min_events", 1) < 1:
+        raise CommandError(1, "minimum event count must be at least 1")
+    if getattr(args, "stories", 1) < 1:
+        raise CommandError(1, "need at least one story")
+    if args.horizon is not None:
+        if not math.isfinite(args.horizon):
+            raise CommandError(1, "horizon must be finite")
+        if args.horizon <= 0:
             raise CommandError(1, "horizon must be positive")
-
-
-def _config(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        input_path=Path(args.input),
-        out_dir=Path(args.out_dir),
-        grid_points=args.grid_points,
-        offset=args.offset,
-        mapping_mode=args.mapping,
-        min_events=args.min_events,
-        rescale=getattr(args, "rescale_distances", False),
-        horizon=args.horizon,
-        paper_prefactor=args.paper_prefactor,
-    )
 
 
 def _safe_name(story_id: str) -> str:
@@ -124,35 +106,36 @@ def _unique_names(story_ids: list[str]) -> dict[str, str]:
     return names
 
 
-def _load_qualifying(cfg: RunConfig):
-    traces = parse_trace_csv(cfg.input_path, horizon=cfg.horizon)
+def _load_qualifying(args: argparse.Namespace):
+    _check_args(args)
+    path = Path(args.input)
+    traces = parse_trace_csv(path, horizon=args.horizon)
     if not traces:
-        raise CommandError(1, f"{cfg.input_path}: input contains no stories")
+        raise CommandError(1, f"{path}: input contains no stories")
     kept = []
     for trace in traces:
-        if trace.count < cfg.min_events:
+        if trace.count < args.min_events:
             print(
                 f"skipping story {trace.story_id!r}: {trace.count} events "
-                f"is below the minimum of {cfg.min_events}",
+                f"is below the minimum of {args.min_events}",
                 file=sys.stderr,
             )
             continue
         kept.append(trace)
     if not kept:
         raise CommandError(
-            1, f"no stories pass the {cfg.min_events}-event filter"
+            1, f"no stories pass the {args.min_events}-event filter"
         )
     return kept
 
 
-def _fit_record(trace, cfg: RunConfig):
-    curve = empirical_curve(trace, grid_points=cfg.grid_points)
-    fit = fit_exponential(curve, offset=cfg.offset)
-    params = infer_params(fit, M=trace.count, mode=cfg.mapping_mode)
-    simulated = simulate_curve(params, curve.grid, paper_prefactor=cfg.paper_prefactor)
-    fitted = exponential_model(curve.grid, fit.h1, fit.h2, fit.h3)
+def _fit_curve(curve, M: int, args: argparse.Namespace):
+    """Fit `curve`, map the fit to chain parameters for `M` events and
+    simulate them: the fit record and the columns of its curve table."""
+    fit = fit_exponential(curve, offset=args.offset)
+    params = infer_params(fit, M=M, mode=args.mapping)
+    simulated = simulate_curve(params, curve.grid, paper_prefactor=args.paper_prefactor)
     record = {
-        "story_id": trace.story_id,
         "h1": fit.h1,
         "h2": fit.h2,
         "h3": fit.h3,
@@ -163,104 +146,82 @@ def _fit_record(trace, cfg: RunConfig):
         "mode": params.mode,
         "r2_simulated": r_squared(curve.values, simulated.values),
     }
-    return record, curve, fitted, simulated.values
+    fitted = exponential_model(curve.grid, fit.h1, fit.h2, fit.h3)
+    return record, (curve.grid, curve.values, fitted, simulated.values)
 
 
-def _run_each(traces, worker):
-    """Apply `worker` to each trace; return ({story_id: result}, sorted [(id, error)]).
+def _run_each(traces, worker, out_dir: Path):
+    """Apply `worker` to each trace; return [(file name, result)] in story-id order.
 
-    A story fails on the errors bad data raises (a fit that cannot be made,
-    parameters that cannot be inferred); any other exception is a bug and
-    propagates.
+    A story that raises one of the data errors fails: failures are printed
+    in story-id order, and when every story failed the run exits 2. Otherwise
+    `out_dir` is created.
     """
     results: dict[str, object] = {}
     failures: list[tuple[str, str]] = []
     for trace in traces:
         try:
             results[trace.story_id] = worker(trace)
-        except (FitError, ValueError, FloatingPointError) as err:
+        except _DATA_ERRORS as err:
             failures.append((trace.story_id, f"{type(err).__name__}: {err}"))
-    return results, sorted(failures)
-
-
-def cmd_fit(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    kept = _load_qualifying(cfg)
-    results, failures = _run_each(kept, lambda trace: _fit_record(trace, cfg))
-    for sid, message in failures:
+    for sid, message in sorted(failures):
         print(f"story {sid!r} failed: {message}", file=sys.stderr)
     if not results:
         raise CommandError(2, "every qualifying story failed to fit")
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir.mkdir(parents=True, exist_ok=True)
     order = sorted(results)
     names = _unique_names(order)
-    records = []
-    for sid in order:
-        record, curve, fitted, simulated = results[sid]
-        records.append(record)
-        write_fit_curve_tsv(
-            cfg.out_dir / f"{names[sid]}_curve.tsv",
-            curve.grid,
-            curve.values,
-            fitted,
-            simulated,
-        )
-    write_json(cfg.out_dir / "fits.json", records)
-    print(f"fitted {len(records)} of {len(kept)} stories -> {cfg.out_dir}")
+    return [(names[sid], results[sid]) for sid in order]
+
+
+def _fit_story(trace, args: argparse.Namespace):
+    curve = empirical_curve(trace, grid_points=args.grid_points)
+    record, columns = _fit_curve(curve, trace.count, args)
+    return {"story_id": trace.story_id, **record}, columns
+
+
+def cmd_fit(args: argparse.Namespace) -> int:
+    kept = _load_qualifying(args)
+    out = Path(args.out_dir)
+    done = _run_each(kept, lambda trace: _fit_story(trace, args), out)
+    for name, (_, columns) in done:
+        write_fit_curve_tsv(out / f"{name}_curve.tsv", *columns)
+    write_json(out / "fits.json", [record for _, (record, _) in done])
+    print(f"fitted {len(done)} of {len(kept)} stories -> {out}")
     return 0
 
 
 def cmd_aggregate(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    kept = _load_qualifying(cfg)
-    curves = [empirical_curve(t, grid_points=cfg.grid_points) for t in kept]
-    mean = aggregate_mean(curves, grid_points=cfg.grid_points)
+    kept = _load_qualifying(args)
+    curves = [empirical_curve(t, grid_points=args.grid_points) for t in kept]
+    mean = aggregate_mean(curves, grid_points=args.grid_points)
     try:
-        fit = fit_exponential(mean, offset=cfg.offset)
-        params = infer_params(fit, M=mean.saturation_count, mode=cfg.mapping_mode)
-    except (FitError, ValueError) as err:
+        record, columns = _fit_curve(mean, mean.saturation_count, args)
+    except _DATA_ERRORS as err:
         raise CommandError(2, f"aggregate curve: {err}") from err
-    simulated = simulate_curve(params, mean.grid, paper_prefactor=cfg.paper_prefactor)
-    fitted = exponential_model(mean.grid, fit.h1, fit.h2, fit.h3)
-    record = {
-        "story_id": "aggregate",
-        "n_stories": len(kept),
-        "h1": fit.h1,
-        "h2": fit.h2,
-        "h3": fit.h3,
-        "r2": fit.r2,
-        "t_N": params.t_N,
-        "mu": params.mu,
-        "M": params.M,
-        "mode": params.mode,
-        "r2_simulated": r_squared(mean.values, simulated.values),
-    }
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    write_fit_curve_tsv(
-        cfg.out_dir / "aggregate_curve.tsv", mean.grid, mean.values, fitted, simulated.values
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    write_fit_curve_tsv(out / "aggregate_curve.tsv", *columns)
+    write_json(
+        out / "aggregate_fit.json",
+        {"story_id": "aggregate", "n_stories": len(kept), **record},
     )
-    write_json(cfg.out_dir / "aggregate_fit.json", record)
-    print(f"aggregated {len(kept)} stories -> {cfg.out_dir}")
+    print(f"aggregated {len(kept)} stories -> {out}")
     return 0
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    if args.horizon is not None and args.horizon <= 0:
-        raise CommandError(1, "horizon must be positive")
-    if args.grid_points < 2:
-        raise CommandError(1, "grid points must be at least 2")
-    if args.stories < 1:
-        raise CommandError(1, "need at least one story")
+    _check_args(args)
     try:
+        children = np.random.SeedSequence(args.seed).spawn(args.stories)
         params = UltradiffusionParams(t_N=args.t_n, mu=args.mu, M=args.m_events)
+        traces = [
+            sample_events(params, seed=child, horizon=args.horizon, story_id=f"story_{k + 1:03d}")
+            for k, child in enumerate(children)
+        ]
     except ValueError as err:
         raise CommandError(1, str(err)) from err
-    span = 5.0 / decay_rate(params) if args.horizon is None else args.horizon
-    children = np.random.SeedSequence(args.seed).spawn(args.stories)
-    traces = [
-        sample_events(params, seed=child, horizon=span, story_id=f"story_{k + 1:03d}")
-        for k, child in enumerate(children)
-    ]
+    span = traces[0].horizon
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_trace_csv(out / "trace.csv", traces)
@@ -277,9 +238,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _compare_record(trace, cfg: RunConfig):
-    curve = empirical_curve(trace, grid_points=cfg.grid_points)
-    fit = fit_exponential(curve, offset=cfg.offset)
+def _compare_record(trace, args: argparse.Namespace):
+    curve = empirical_curve(trace, grid_points=args.grid_points)
+    fit = fit_exponential(curve, offset=args.offset)
     _, _, r2_lin = fit_linear(curve.grid, curve.values)
     record = {
         "story_id": trace.story_id,
@@ -292,56 +253,47 @@ def _compare_record(trace, cfg: RunConfig):
         "note": "",
     }
     try:
-        params = infer_params(fit, M=trace.count, mode=cfg.mapping_mode)
+        params = infer_params(fit, M=trace.count, mode=args.mapping)
     except ValueError as err:
         record["note"] = f"parameter mapping failed: {err}"
-        return record, None
-    simulated = simulate_curve(params, curve.grid, paper_prefactor=cfg.paper_prefactor)
+        return record, trace, None
+    simulated = simulate_curve(params, curve.grid, paper_prefactor=args.paper_prefactor)
     record["r2_simulated"] = r_squared(curve.values, simulated.values)
     record["t_N"] = params.t_N
     record["mu"] = params.mu
-    return record, params.mu
+    return record, trace, params.mu
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    kept = _load_qualifying(cfg)
-    results, failures = _run_each(kept, lambda trace: _compare_record(trace, cfg))
-    for sid, message in failures:
-        print(f"story {sid!r} failed: {message}", file=sys.stderr)
-    if not results:
-        raise CommandError(2, "every qualifying story failed to fit")
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    order = sorted(results)
-    names = _unique_names(order)
-    records = [results[sid][0] for sid in order]
-    write_json(cfg.out_dir / "comparison.json", records)
+    kept = _load_qualifying(args)
+    out = Path(args.out_dir)
+    done = _run_each(kept, lambda trace: _compare_record(trace, args), out)
+    write_json(out / "comparison.json", [record for _, (record, _, _) in done])
     if args.export_matrices:
-        by_id = {trace.story_id: trace for trace in kept}
-        for sid in order:
-            space = build_from_trace(by_id[sid])
-            if space.size > MATRIX_EXPORT_CAP:
+        for name, (_, trace, mu) in done:
+            sid = trace.story_id
+            # One state per distinct event time plus the no-rebroadcast state,
+            # counted before the n-by-n matrix is built.
+            states = np.unique(trace.events).size + 1
+            if states > MATRIX_EXPORT_CAP:
                 print(
-                    f"story {sid!r}: {space.size} states exceeds the "
+                    f"story {sid!r}: {states} states exceeds the "
                     f"{MATRIX_EXPORT_CAP}-state matrix export cap, skipping",
                     file=sys.stderr,
                 )
                 continue
-            if cfg.rescale:
+            space = build_from_trace(trace)
+            if args.rescale_distances:
                 space = rescale_distances(space)
-            write_distance_tsv(cfg.out_dir / f"{names[sid]}_distance.tsv", space)
-            mu = results[sid][1]
+            write_distance_tsv(out / f"{name}_distance.tsv", space)
             if mu is None:
                 print(
                     f"story {sid!r}: no inferred mu, skipping rate-matrix export",
                     file=sys.stderr,
                 )
                 continue
-            write_generator_tsv(
-                cfg.out_dir / f"{names[sid]}_generator.tsv",
-                build_generator(space, mu),
-            )
-    print(f"compared {len(records)} of {len(kept)} stories -> {cfg.out_dir}")
+            write_generator_tsv(out / f"{name}_generator.tsv", build_generator(space, mu))
+    print(f"compared {len(done)} of {len(kept)} stories -> {out}")
     return 0
 
 
@@ -499,10 +451,7 @@ def main(argv=None) -> int:
     except CommandError as err:
         print(f"error: {err}", file=sys.stderr)
         return err.exit_code
-    except TraceFormatError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as err:
+    except (TraceFormatError, FileNotFoundError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except (FitError, RuntimeError) as err:

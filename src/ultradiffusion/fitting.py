@@ -331,7 +331,15 @@ def sample_events(
     default horizon is five relaxation times.
     """
     rate = decay_rate(params)
-    span = 5.0 / rate if horizon is None else float(horizon)
+    if horizon is None:
+        span = 5.0 / rate if rate > 0 else math.inf
+        if span == math.inf:
+            raise ValueError(
+                f"decay rate t_N*e^(-mu*(t_N-1)) = {rate:g} underflows, so five "
+                "relaxation times is no finite horizon; give a horizon"
+            )
+    else:
+        span = float(horizon)
     if span <= 0:
         raise ValueError("horizon must be positive")
     amplitude = (params.t_N - 1) / params.t_N

@@ -34,10 +34,6 @@ __all__ = [
 ]
 
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.9g}"
-
-
 def _atomic_write(path, text: str) -> None:
     target = Path(path)
     fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=target.name + ".", suffix=".tmp")
@@ -53,28 +49,34 @@ def _atomic_write(path, text: str) -> None:
         raise
 
 
+def _write_table(path, header: list[str], rows, labels=None) -> None:
+    """Tab-separated table: the `header` line, then one line per row of the
+    2-D array `rows`, led by its entry of `labels` when given."""
+    first = "%.9g" if labels is None else "%s"
+    line = "\t".join([first] + ["%.9g"] * (len(header) - 1))
+    rows = np.asarray(rows, dtype=float).tolist()
+    if labels is not None:
+        rows = [[label, *row] for label, row in zip(labels, rows)]
+    lines = ["\t".join(header)]
+    lines.extend(line % tuple(row) for row in rows)
+    _atomic_write(path, "\n".join(lines) + "\n")
+
+
 def write_curve_tsv(path, curve: PopularityCurve) -> None:
     """Two-column table `t`, `p`."""
-    lines = ["t\tp"]
-    lines.extend(f"{_fmt(t)}\t{_fmt(p)}" for t, p in zip(curve.grid, curve.values))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _write_table(path, ["t", "p"], np.column_stack([curve.grid, curve.values]))
 
 
 def write_fit_curve_tsv(path, grid, observed, fitted, simulated=None) -> None:
     """Table `t`, `observed`, `fitted` and, when available, `simulated`."""
     grid = np.asarray(grid, dtype=float)
-    columns = [("observed", np.asarray(observed, dtype=float)),
-               ("fitted", np.asarray(fitted, dtype=float))]
+    columns = {"observed": observed, "fitted": fitted}
     if simulated is not None:
-        columns.append(("simulated", np.asarray(simulated, dtype=float)))
-    for name, col in columns:
-        if col.shape != grid.shape:
+        columns["simulated"] = simulated
+    for name, col in columns.items():
+        if np.shape(col) != grid.shape:
             raise ValueError(f"column {name!r} does not match the grid length")
-    lines = ["\t".join(["t"] + [name for name, _ in columns])]
-    for k, t in enumerate(grid):
-        row = [_fmt(t)] + [_fmt(col[k]) for _, col in columns]
-        lines.append("\t".join(row))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _write_table(path, ["t", *columns], np.column_stack([grid, *columns.values()]))
 
 
 def write_trace_csv(path, traces: Iterable[EventTrace]) -> None:
@@ -83,35 +85,29 @@ def write_trace_csv(path, traces: Iterable[EventTrace]) -> None:
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["story_id", "timestamp"])
     for trace in traces:
-        for t in trace.events:
-            writer.writerow([trace.story_id, _fmt(t)])
+        writer.writerows((trace.story_id, "%.9g" % t) for t in trace.events.tolist())
     _atomic_write(path, buffer.getvalue())
 
 
 def write_distance_tsv(path, space: UltrametricSpace) -> None:
     """Distance matrix with state labels on both axes."""
-    names = [f"X_{int(a) if float(a).is_integer() else _fmt(a)}" for a in space.labels]
-    lines = ["\t".join(["state"] + names)]
-    for name, row in zip(names, space.dist):
-        lines.append("\t".join([name] + [_fmt(v) for v in row]))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    names = [
+        ("X_%d" if a.is_integer() else "X_%.9g") % a
+        for a in np.asarray(space.labels, dtype=float).tolist()
+    ]
+    _write_table(path, ["state", *names], space.dist, labels=names)
 
 
 def write_generator_tsv(path, gen: Generator) -> None:
     """Rate matrix with 1-based state indices on both axes."""
-    n = gen.size
-    names = [f"state_{i}" for i in range(1, n + 1)]
-    lines = ["\t".join(["state"] + names)]
-    for name, row in zip(names, gen.rates):
-        lines.append("\t".join([name] + [_fmt(v) for v in row]))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    names = [f"state_{i}" for i in range(1, gen.size + 1)]
+    _write_table(path, ["state", *names], gen.rates, labels=names)
 
 
 def write_spectrum_tsv(path, eigenvalues) -> None:
     """Two-column table `j`, `lambda`, j counted from 1."""
-    lines = ["j\tlambda"]
-    lines.extend(f"{j}\t{_fmt(lam)}" for j, lam in enumerate(np.asarray(eigenvalues), start=1))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    eigenvalues = np.asarray(eigenvalues, dtype=float).reshape(-1, 1)
+    _write_table(path, ["j", "lambda"], eigenvalues, labels=range(1, len(eigenvalues) + 1))
 
 
 def write_trajectory_tsv(path, grid, trajectory) -> None:
@@ -120,10 +116,8 @@ def write_trajectory_tsv(path, grid, trajectory) -> None:
     traj = np.asarray(trajectory, dtype=float)
     if traj.ndim != 2 or traj.shape[0] != grid.size:
         raise ValueError("trajectory must have one row per grid time")
-    lines = ["\t".join(["t"] + [f"P_{i}" for i in range(1, traj.shape[1] + 1)])]
-    for t, row in zip(grid, traj):
-        lines.append("\t".join([_fmt(t)] + [_fmt(v) for v in row]))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    header = ["t"] + [f"P_{i}" for i in range(1, traj.shape[1] + 1)]
+    _write_table(path, header, np.column_stack([grid, traj]))
 
 
 def write_json(path, payload: Mapping | list) -> None:

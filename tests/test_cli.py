@@ -179,6 +179,14 @@ class TestAggregate:
         assert agg["r2"] == pytest.approx(fit["r2"], abs=1e-9)
         assert agg["M"] == 2 * fit["M"]
 
+    def test_aggregate_record_has_the_fit_keys_and_the_story_count(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["aggregate", "--input", str(FIXTURE), "--out-dir", str(out)]) == 0
+        record = json.loads((out / "aggregate_fit.json").read_text())
+        assert set(record) == FIT_KEYS | {"n_stories"}
+        assert record["story_id"] == "aggregate"
+        assert record["n_stories"] == 1
+
     def test_aggregate_curve_has_the_four_columns(self, tmp_path, capsys):
         csv = tmp_path / "in.csv"
         write_trace_csv(csv, [sampled_story("s1", seed=7), sampled_story("s2", seed=8)])
@@ -244,6 +252,19 @@ class TestSimulate:
         code = main(["simulate", "--out-dir", str(tmp_path / "o"), "--t-n", "1"])
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "options",
+        [["--t-n", "10000", "--mu", "0.1"], ["--t-n", "3", "--mu", "1e308"]],
+    )
+    def test_underflowing_decay_rate_is_an_input_error(self, tmp_path, capsys, options):
+        out = tmp_path / "o"
+        assert main(["simulate", "--out-dir", str(out), *options]) == 1
+        err = capsys.readouterr().err
+        assert "error: decay rate" in err
+        assert "underflows" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 class TestCompare:
     def test_saturating_verdict_on_the_fixture(self, tmp_path, capsys):
@@ -289,6 +310,22 @@ class TestCompare:
         assert "cap" in capsys.readouterr().err
         assert not list(out.glob("*_distance.tsv"))
         assert (out / "comparison.json").exists()
+
+    def test_state_cap_is_checked_before_the_matrix_is_built(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        def refuse(trace):
+            raise AssertionError(f"built the matrix of {trace.story_id}")
+
+        monkeypatch.setattr(cli, "build_from_trace", refuse)
+        out = tmp_path / "out"
+        code = main(
+            ["compare", "--input", str(FIXTURE), "--out-dir", str(out),
+             "--export-matrices"]
+        )
+        assert code == 0
+        # 1000 events at 977 distinct times, plus the no-rebroadcast state.
+        assert "978 states exceeds the 500-state" in capsys.readouterr().err
 
     def test_rescaled_export_has_unit_maximum(self, tmp_path, capsys):
         csv = tmp_path / "in.csv"
@@ -355,6 +392,41 @@ class TestArgumentHandling:
         )
         assert code == 1
 
+
+    # main() returning 1 means no exception escaped it, so no traceback.
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            (["--min-events", "0"], "minimum event count must be at least 1"),
+            (["--horizon", "0"], "horizon must be positive"),
+            (["--horizon", "-1"], "horizon must be positive"),
+            (["--horizon", "nan"], "horizon must be finite"),
+        ],
+    )
+    def test_bad_trace_option_is_an_input_error(self, tmp_path, capsys, options, message):
+        out = tmp_path / "o"
+        code = main(["fit", "--input", str(FIXTURE), "--out-dir", str(out), *options])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            (["--grid-points", "1"], "grid points must be at least 2"),
+            (["--stories", "0"], "need at least one story"),
+            (["--horizon", "inf"], "horizon must be finite"),
+        ],
+    )
+    def test_bad_simulate_option_is_an_input_error(self, tmp_path, capsys, options, message):
+        out = tmp_path / "o"
+        assert main(["simulate", "--out-dir", str(out), *options]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["fit", "aggregate", "compare"])
     def test_seed_is_not_a_trace_option(self, tmp_path, capsys, command):

@@ -515,6 +515,19 @@ class TestSampleEvents:
         assert trace.horizon == 3.0
         assert np.max(trace.events) <= 3.0
 
+    @pytest.mark.parametrize("t_N, mu", [(10_000, 0.1), (3, 1e308), (2, 740.0)])
+    def test_underflowing_decay_rate_has_no_default_horizon(self, t_N, mu):
+        # The rate is 0 or so small that five relaxation times overflow.
+        params = UltradiffusionParams(t_N=t_N, mu=mu, M=10)
+        with pytest.raises(ValueError, match="underflows"):
+            sample_events(params, seed=0)
+
+    def test_underflowing_decay_rate_samples_within_a_given_horizon(self):
+        # Nothing responds before the horizon, so every event sits on it.
+        params = UltradiffusionParams(t_N=10_000, mu=0.1, M=10)
+        trace = sample_events(params, seed=0, horizon=40.0)
+        assert np.all(trace.events == 40.0)
+
     def test_large_sample_follows_the_response_law(self):
         # Kolmogorov-Smirnov distance against the sampling law: the response
         # CDF below the horizon, with the never-responding share sitting

@@ -1,6 +1,10 @@
 """Table and JSON writers: formats, atomicity, determinism."""
 
+import csv
+import io
 import json
+import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -143,6 +147,86 @@ class TestMatrixTables:
     def test_trajectory_rejects_mismatched_rows(self, tmp_path):
         with pytest.raises(ValueError, match="one row per grid time"):
             write_trajectory_tsv(tmp_path / "traj.tsv", [1.0], np.zeros((2, 3)))
+
+
+def _g(x) -> str:
+    return f"{float(x):.9g}"
+
+
+def _reference_rows(header, rows, labels=None):
+    """Reference table text: every value formatted on its own by `_g`."""
+    lines = ["\t".join(header)]
+    for k, row in enumerate(rows):
+        cells = [_g(v) for v in row]
+        lines.append("\t".join(cells if labels is None else [str(labels[k])] + cells))
+    return "\n".join(lines) + "\n"
+
+
+# Values whose formatting is easy to get wrong, besides arbitrary floats.
+SPECIAL = [-0.0, 0.0, math.inf, -math.inf, math.nan, 5e-324, 2.5e-310, 1e16, 123456789.5]
+
+
+class TestAgainstPerValueFormatting:
+    """Every table writer matches `f"{x:.9g}"` applied value by value."""
+
+    def test_every_writer_matches_the_per_value_reference(self, tmp_path):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        value = st.one_of(st.floats(), st.sampled_from(SPECIAL))
+        shape = st.tuples(st.integers(1, 6), st.integers(1, 5))
+        table = shape.flatmap(
+            lambda nm: st.lists(
+                st.lists(value, min_size=nm[1], max_size=nm[1]), min_size=nm[0], max_size=nm[0]
+            )
+        )
+        path = tmp_path / "out"
+
+        # Stand-ins for curves, spaces, generators and traces: the real
+        # classes reject the non-finite values the formats must still handle.
+        @hypothesis.settings(max_examples=200, deadline=None)
+        @hypothesis.given(table, st.booleans())
+        def check(rows, with_simulated):
+            arr = np.array(rows, dtype=float)
+            n, m = arr.shape
+            col = arr[:, 0]
+
+            write_curve_tsv(path, SimpleNamespace(grid=col, values=arr[:, -1]))
+            expected = _reference_rows(["t", "p"], zip(col, arr[:, -1]))
+            assert path.read_text() == expected
+
+            simulated = arr[:, 0] if with_simulated else None
+            write_fit_curve_tsv(path, col, arr[:, -1], arr[:, m // 2], simulated)
+            header = ["t", "observed", "fitted"] + ["simulated"] * with_simulated
+            cols = [col, arr[:, -1], arr[:, m // 2]] + [simulated] * with_simulated
+            assert path.read_text() == _reference_rows(header, zip(*cols))
+
+            write_trajectory_tsv(path, col, arr)
+            header = ["t"] + [f"P_{i}" for i in range(1, m + 1)]
+            assert path.read_text() == _reference_rows(
+                header, [[t, *row] for t, row in zip(col, arr)]
+            )
+
+            write_spectrum_tsv(path, col)
+            expected = _reference_rows(["j", "lambda"], [[v] for v in col], range(1, n + 1))
+            assert path.read_text() == expected
+
+            square = np.resize(arr, (n, n))
+            labels = [f"X_{int(a) if float(a).is_integer() else _g(a)}" for a in col]
+            write_distance_tsv(path, SimpleNamespace(labels=col, dist=square))
+            assert path.read_text() == _reference_rows(["state", *labels], square, labels)
+
+            names = [f"state_{i}" for i in range(1, n + 1)]
+            write_generator_tsv(path, SimpleNamespace(size=n, rates=square))
+            assert path.read_text() == _reference_rows(["state", *names], square, names)
+
+            write_trace_csv(path, [SimpleNamespace(story_id="a,b", events=col)])
+            buffer = io.StringIO()
+            writer = csv.writer(buffer, lineterminator="\n")
+            writer.writerow(["story_id", "timestamp"])
+            writer.writerows(["a,b", _g(t)] for t in col)
+            assert path.read_text() == buffer.getvalue()
+
+        check()
 
 
 class TestJson:
