@@ -14,7 +14,6 @@ from ultradiffusion.generator import build_generator
 from ultradiffusion.oracle import ProbabilityVector, integrate_master_equation
 from ultradiffusion.spectral import (
     TreeModel,
-    TreeNode,
     autocorrelation_chain,
     caterpillar_tree,
     chain_spectrum,
@@ -36,7 +35,8 @@ def banner(title: str) -> None:
 
 
 def star_tree(n: int, height: float) -> TreeModel:
-    return TreeModel(TreeNode(height, tuple(TreeNode(0.0) for _ in range(n))))
+    # Trees are numbered in depth-first pre-order: the root, then its n leaves.
+    return TreeModel([-1] + [0] * n, [height] + [0.0] * n)
 
 
 def main() -> None:
@@ -93,12 +93,12 @@ def main() -> None:
           f"{np.max(np.abs(space.dist - 0.4 * chain.dist)):.3e}")
 
     banner("Binary tree: late-time power-law flavor")
-    def level(h: int) -> TreeNode:
-        if h == 0:
-            return TreeNode(0.0)
-        return TreeNode(float(h), (level(h - 1), level(h - 1)))
-
-    tree = TreeModel(level(3))
+    # Pre-order: each internal node at height h is followed by its left
+    # subtree, then its right one.
+    tree = TreeModel(
+        [-1, 0, 1, 2, 2, 1, 5, 5, 0, 8, 9, 9, 8, 12, 12],
+        [3.0, 2.0, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 2.0, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0],
+    )
     late = np.linspace(10.0, 40.0, 7)
     vals = tree_autocorrelation(tree, 1, late)
     print("depth-3 binary tree, unit level spacing, 8 leaves")

@@ -41,7 +41,6 @@ from .oracle import ProbabilityVector, integrate_master_equation, numeric_spectr
 from .spectral import (
     ChainSpectrum,
     TreeModel,
-    TreeNode,
     autocorrelation_chain,
     caterpillar_tree,
     chain_spectrum,
@@ -84,7 +83,6 @@ __all__ = [
     "ProbabilityVector",
     "TraceFormatError",
     "TreeModel",
-    "TreeNode",
     "TripleReport",
     "UltradiffusionParams",
     "UltrametricSpace",

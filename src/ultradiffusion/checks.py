@@ -6,9 +6,11 @@ against a dense eigensolver, closed-form relaxation against direct
 integration of dP/dt = eps*P, the survival identity, fit round trips,
 an end-to-end synthetic batch through the command-line driver, the
 documented universal-curve constants, the memoryless-process discriminator,
-and the hierarchical power-law regime. Each check reports the measured
-quantity, its tolerance, and its runtime against a budget; `run_all` is what
-the `oracle-check` subcommand executes.
+and the hierarchical power-law regime. Each check returns the measured
+quantity, whether it meets its tolerance, the runtime of its timed window and
+a detail line; `run_all` adds the name, tolerance and budget, judges the
+runtime against the budget and builds every CheckResult. It is what the
+`oracle-check` subcommand executes.
 """
 
 from __future__ import annotations
@@ -73,6 +75,11 @@ class CheckResult:
     detail: str = ""
 
 
+# What a check function returns: measured value, whether it is within the
+# tolerance (and any other pass condition), seconds in its timed window, detail.
+_Outcome = tuple[float, bool, float, str]
+
+
 def _matrix_text(labels, dist) -> str:
     names = [f"X_{int(a)}" for a in labels]
     width = max(len(n) for n in names) + 2
@@ -83,7 +90,7 @@ def _matrix_text(labels, dist) -> str:
     return "\n".join(rows)
 
 
-def _check_distance_matrix(tol: float, budget: float) -> CheckResult:
+def _check_distance_matrix(tol: float) -> _Outcome:
     trace = EventTrace(
         story_id="worked", events=np.array(WORKED_EVENTS), horizon=WORKED_HORIZON
     )
@@ -93,22 +100,13 @@ def _check_distance_matrix(tol: float, budget: float) -> CheckResult:
     elapsed = time.perf_counter() - start
     measured = float(np.max(np.abs(space.dist - WORKED_MATRIX)))
     labels_ok = np.array_equal(space.labels, np.array(WORKED_LABELS, dtype=float))
-    passed = labels_ok and measured <= tol and elapsed < budget
     detail = _matrix_text(space.labels, space.dist)
     if not labels_ok:
         detail += f"\nstate labels differ: {space.labels.tolist()}"
-    return CheckResult(
-        name="distance-matrix-reproduction",
-        passed=passed,
-        measured=measured,
-        tolerance=tol,
-        runtime_s=elapsed,
-        budget_s=budget,
-        detail=detail,
-    )
+    return measured, labels_ok and measured <= tol, elapsed, detail
 
 
-def _check_random_traces(tol: float, budget: float) -> CheckResult:
+def _check_random_traces(tol: float) -> _Outcome:
     rng = np.random.default_rng(20250816)
     start = time.perf_counter()
     failures = 0
@@ -126,20 +124,14 @@ def _check_random_traces(tol: float, budget: float) -> CheckResult:
             if not first_bad:
                 first_bad = f" first failure: trace {k}, {report.message}"
     elapsed = time.perf_counter() - start
-    passed = failures <= tol and elapsed < budget
-    return CheckResult(
-        name="random-trace-ultrametricity",
-        passed=passed,
-        measured=float(failures),
-        tolerance=tol,
-        runtime_s=elapsed,
-        budget_s=budget,
-        detail="1000 random traces, up to 200 events each, strong triangle "
-        "inequality over every triple (subdominant-ultrametric proof)." + first_bad,
+    detail = (
+        "1000 random traces, up to 200 events each, strong triangle "
+        "inequality over every triple (subdominant-ultrametric proof)." + first_bad
     )
+    return float(failures), failures <= tol, elapsed, detail
 
 
-def _check_chain_spectra(tol: float, budget: float) -> CheckResult:
+def _check_chain_spectra(tol: float) -> _Outcome:
     start = time.perf_counter()
     worst_resid = 0.0
     worst_eig = 0.0
@@ -156,23 +148,17 @@ def _check_chain_spectra(tol: float, budget: float) -> CheckResult:
             gap = np.max(np.abs(np.sort(spec.eigenvalues) - w))
             worst_eig = max(worst_eig, float(gap) / float(np.max(np.abs(w))))
     elapsed = time.perf_counter() - start
-    passed = worst_resid <= tol and worst_eig <= eig_tol and elapsed < budget
-    return CheckResult(
-        name="chain-spectrum-residuals",
-        passed=passed,
-        measured=worst_resid,
-        tolerance=tol,
-        runtime_s=elapsed,
-        budget_s=budget,
-        detail=f"residual scaled by max rate; t_N in 2..40, mu in {{0,0.1,1,5}}. "
-        f"Dense-eigensolver eigenvalue gap {worst_eig:.3e} (bound {eig_tol:g}).",
+    detail = (
+        f"residual scaled by max rate; t_N in 2..40, mu in {{0,0.1,1,5}}. "
+        f"Dense-eigensolver eigenvalue gap {worst_eig:.3e} (bound {eig_tol:g})."
     )
+    return worst_resid, worst_resid <= tol and worst_eig <= eig_tol, elapsed, detail
 
 
 _RELAXATION_CELLS = ((5, 0.1), (20, 0.1), (40, 0.1), (5, 1.0), (20, 1.0), (40, 1.0))
 
 
-def _check_master_equation(tol: float, budget: float) -> CheckResult:
+def _check_master_equation(tol: float) -> _Outcome:
     start = time.perf_counter()
     worst = 0.0
     long_windows = 0
@@ -194,21 +180,15 @@ def _check_master_equation(tol: float, budget: float) -> CheckResult:
                 closed = spectral.autocorrelation_chain(spec, i, grid)
                 worst = max(worst, float(np.max(np.abs(traj[:, i - 1] - closed))))
     elapsed = time.perf_counter() - start
-    passed = worst <= tol and elapsed < budget
-    return CheckResult(
-        name="master-equation-agreement",
-        passed=passed,
-        measured=worst,
-        tolerance=tol,
-        runtime_s=elapsed,
-        budget_s=budget,
-        detail="all start states, 100-point grids over five relaxation times; "
+    detail = (
+        "all start states, 100-point grids over five relaxation times; "
         f"{long_windows} cells also integrated to five slowest-mode times. "
-        "Probability conservation within 1e-9 is enforced by the integrator.",
+        "Probability conservation within 1e-9 is enforced by the integrator."
     )
+    return worst, worst <= tol, elapsed, detail
 
 
-def _check_survival_identity(tol: float, budget: float) -> CheckResult:
+def _check_survival_identity(tol: float) -> _Outcome:
     start = time.perf_counter()
     worst = 0.0
     for n, mu in _RELAXATION_CELLS:
@@ -219,20 +199,14 @@ def _check_survival_identity(tol: float, budget: float) -> CheckResult:
         via_spectrum = spectral.autocorrelation_chain(spec, n, t)
         worst = max(worst, float(np.max(np.abs(via_formula - via_spectrum))))
     elapsed = time.perf_counter() - start
-    passed = worst <= tol and elapsed < budget
-    return CheckResult(
-        name="survival-identity",
-        passed=passed,
-        measured=worst,
-        tolerance=tol,
-        runtime_s=elapsed,
-        budget_s=budget,
-        detail="survival_probability vs autocorrelation of the last state, "
-        "same (t_N, mu) cells as the integration check.",
+    detail = (
+        "survival_probability vs autocorrelation of the last state, "
+        "same (t_N, mu) cells as the integration check."
     )
+    return worst, worst <= tol, elapsed, detail
 
 
-def _check_fit_round_trip(tol: float, budget: float) -> CheckResult:
+def _check_fit_round_trip(tol: float) -> _Outcome:
     start = time.perf_counter()
     worst_h = 0.0
     worst_mu = 0.0
@@ -254,20 +228,14 @@ def _check_fit_round_trip(tol: float, budget: float) -> CheckResult:
             t_n_ok = t_n_ok and back.t_N == n
             worst_mu = max(worst_mu, abs(back.mu - mu) / mu)
     elapsed = time.perf_counter() - start
-    passed = worst_h <= tol and t_n_ok and worst_mu <= 0.01 and elapsed < budget
-    return CheckResult(
-        name="fit-round-trip",
-        passed=passed,
-        measured=worst_h,
-        tolerance=tol,
-        runtime_s=elapsed,
-        budget_s=budget,
-        detail=f"noiseless curves, t_N in {{5,50,500}}, mu in {{0.01,0.1,1}}; "
-        f"t_N exact: {t_n_ok}; worst relative mu error {worst_mu:.3e} (bound 0.01).",
+    detail = (
+        f"noiseless curves, t_N in {{5,50,500}}, mu in {{0.01,0.1,1}}; "
+        f"t_N exact: {t_n_ok}; worst relative mu error {worst_mu:.3e} (bound 0.01)."
     )
+    return worst_h, worst_h <= tol and t_n_ok and worst_mu <= 0.01, elapsed, detail
 
 
-def _check_end_to_end(tol: float, budget: float) -> CheckResult:
+def _check_end_to_end(tol: float) -> _Outcome:
     from . import cli  # imported here: cli imports this module at load time
 
     start = time.perf_counter()
@@ -289,53 +257,36 @@ def _check_end_to_end(tol: float, budget: float) -> CheckResult:
             records = json.loads((out_dir / "fits.json").read_text())
     elapsed = time.perf_counter() - start
     if code != 0 or len(records) != 1:
-        return CheckResult(
-            name="end-to-end-synthetic",
-            passed=False,
-            measured=float("nan"),
-            tolerance=tol,
-            runtime_s=elapsed,
-            budget_s=budget,
-            detail=f"fit subcommand exited {code} with {len(records)} records. "
-            f"Output: {chatter.getvalue().strip()}",
+        detail = (
+            f"fit subcommand exited {code} with {len(records)} records. "
+            f"Output: {chatter.getvalue().strip()}"
         )
+        return float("nan"), False, elapsed, detail
     rec = records[0]
     r2_sim = float(rec["r2_simulated"])
     t_n = int(rec["t_N"])
-    passed = r2_sim >= tol and t_n == END_TO_END_T_N and elapsed < budget
-    return CheckResult(
-        name="end-to-end-synthetic",
-        passed=passed,
-        measured=r2_sim,
-        tolerance=tol,
-        runtime_s=elapsed,
-        budget_s=budget,
-        detail=f"seed {END_TO_END_SEED}, M={END_TO_END_M}: recovered t_N={t_n} "
+    detail = (
+        f"seed {END_TO_END_SEED}, M={END_TO_END_M}: recovered t_N={t_n} "
         f"(want {END_TO_END_T_N}), r2(simulated vs observed)={r2_sim:.5f} "
-        f"(want >= {tol:g}).",
+        f"(want >= {tol:g})."
     )
+    return r2_sim, r2_sim >= tol and t_n == END_TO_END_T_N, elapsed, detail
 
 
-def _check_curve_constants(tol: float, budget: float) -> CheckResult:
+def _check_curve_constants(tol: float) -> _Outcome:
     start = time.perf_counter()
     value = float(fitting.exponential_model(100.0, 0.999, 0.017, 0.155))
     reference = 0.999 * (1.0 - math.exp(-1.7)) + 0.155
     elapsed = time.perf_counter() - start
     measured = abs(value - reference)
-    passed = measured <= tol and elapsed < budget
-    return CheckResult(
-        name="saturation-curve-constants",
-        passed=passed,
-        measured=measured,
-        tolerance=tol,
-        runtime_s=elapsed,
-        budget_s=budget,
-        detail=f"documented server-fit constants (h1=0.999, h2=0.017, h3=0.155) "
-        f"at t=100: {value:.12f}.",
+    detail = (
+        f"documented server-fit constants (h1=0.999, h2=0.017, h3=0.155) "
+        f"at t=100: {value:.12f}."
     )
+    return measured, measured <= tol, elapsed, detail
 
 
-def _check_poisson_discriminator(tol: float, budget: float) -> CheckResult:
+def _check_poisson_discriminator(tol: float) -> _Outcome:
     start = time.perf_counter()
     window = 10.0
     grid = uniform_grid(window, 200)
@@ -345,20 +296,14 @@ def _check_poisson_discriminator(tol: float, budget: float) -> CheckResult:
     r2_exp = fitting.fit_exponential(curve).r2
     elapsed = time.perf_counter() - start
     measured = r2_exp - r2_lin
-    passed = measured < tol and elapsed < budget
-    return CheckResult(
-        name="poisson-discriminator",
-        passed=passed,
-        measured=measured,
-        tolerance=tol,
-        runtime_s=elapsed,
-        budget_s=budget,
-        detail=f"exact line t/T0: linear r2={r2_lin:.12f}, saturating-exponential "
-        f"r2={r2_exp:.12f}; the difference must be strictly negative.",
+    detail = (
+        f"exact line t/T0: linear r2={r2_lin:.12f}, saturating-exponential "
+        f"r2={r2_exp:.12f}; the difference must be strictly negative."
     )
+    return measured, measured < tol, elapsed, detail
 
 
-def _check_power_law(tol: float, budget: float) -> CheckResult:
+def _check_power_law(tol: float) -> _Outcome:
     start = time.perf_counter()
     model = baselines.PowerLawModel(b=2, delta_h=1.0)
     t = np.geomspace(1e2, 1e4, 200)
@@ -368,18 +313,12 @@ def _check_power_law(tol: float, budget: float) -> CheckResult:
     gap = float(np.max(np.abs(result.series / result.asymptote - 1.0)))
     elapsed = time.perf_counter() - start
     measured = abs(slope + v) / v
-    passed = measured <= tol and gap <= 0.05 and elapsed < budget
-    return CheckResult(
-        name="power-law-regime",
-        passed=passed,
-        measured=measured,
-        tolerance=tol,
-        runtime_s=elapsed,
-        budget_s=budget,
-        detail=f"b=2, delta_h=1: log-log slope {slope:.5f} vs -v={-v:.5f}; "
+    detail = (
+        f"b=2, delta_h=1: log-log slope {slope:.5f} vs -v={-v:.5f}; "
         f"series-vs-asymptote gap {gap:.4f} (bound 0.05); "
-        f"truncation bound {result.truncation_bound:.2e}.",
+        f"truncation bound {result.truncation_bound:.2e}."
     )
+    return measured, measured <= tol and gap <= 0.05, elapsed, detail
 
 
 _CHECKS = (
@@ -399,12 +338,28 @@ CHECK_NAMES = tuple(name for name, _, _, _ in _CHECKS)
 
 
 def run_all(overrides: dict[str, float] | None = None) -> list[CheckResult]:
-    """Run every check in order. `overrides` replaces named tolerances."""
+    """Run every check in order. `overrides` replaces named tolerances.
+
+    A check passes when it meets its tolerance and its timed window stays
+    under its budget.
+    """
     overrides = dict(overrides or {})
     unknown = set(overrides) - set(CHECK_NAMES)
     if unknown:
         raise ValueError(f"unknown check name(s): {', '.join(sorted(unknown))}")
     results = []
     for name, tol, budget, func in _CHECKS:
-        results.append(func(overrides.get(name, tol), budget))
+        tol = overrides.get(name, tol)
+        measured, ok, elapsed, detail = func(tol)
+        results.append(
+            CheckResult(
+                name=name,
+                passed=ok and elapsed < budget,
+                measured=measured,
+                tolerance=tol,
+                runtime_s=elapsed,
+                budget_s=budget,
+                detail=detail,
+            )
+        )
     return results

@@ -34,7 +34,7 @@ class Generator:
         object.__setattr__(self, "mu", float(self.mu))
         if rates.ndim != 2 or rates.shape[0] != rates.shape[1]:
             raise ValueError(f"rates must be square, got {rates.shape}")
-        if self.mu < 0:
+        if not self.mu >= 0:
             raise ValueError("mu must be nonnegative")
         if not np.array_equal(rates, rates.T):
             raise ValueError("rates must be symmetric")
@@ -53,7 +53,7 @@ class Generator:
 
 def build_generator(space: UltrametricSpace, mu: float) -> Generator:
     """Generator over `space` with off-diagonal rates e^(-mu*d)."""
-    if mu < 0:
+    if not mu >= 0:
         raise ValueError("mu must be nonnegative")
     rates = space.dist * -mu
     np.exp(rates, out=rates)

@@ -30,10 +30,10 @@ class ProbabilityVector:
         object.__setattr__(self, "entries", entries)
         if entries.ndim != 1 or entries.size == 0:
             raise ValueError("entries must be a nonempty vector")
-        if np.min(entries) < -1e-12:
+        if not np.min(entries) >= -1e-12:
             raise ValueError("entries must be nonnegative")
         drift = abs(float(entries.sum()) - 1.0)
-        if drift > 1e-9:
+        if not drift <= 1e-9:
             raise ValueError(f"entries must sum to 1, off by {drift:g}")
 
     @classmethod
@@ -67,6 +67,8 @@ def integrate_master_equation(
     times = np.asarray(grid, dtype=float)
     if times.ndim != 1 or times.size == 0:
         raise ValueError("grid must be a nonempty vector of times")
+    if not np.all(np.isfinite(times)):
+        raise ValueError("grid times must be finite")
     if times[0] < 0 or np.any(np.diff(times) < 0):
         raise ValueError("grid times must be nonnegative and nondecreasing")
     if times[-1] == 0.0:

@@ -5,8 +5,8 @@ on a leaf's path to the root contributes one exponential mode to the leaf's
 return probability. With leaf counts N_0 = 1, N_1, ..., N_m along the path,
 P(t) = sum_k (1/N_{k-1} - 1/N_k) e^(-rate_k t) + 1/N_m: a hierarchy of time
 scales rather than a single rate. One kernel evaluates that sum for trees
-and chains alike. Trees are flat arrays in depth-first pre-order, so no
-routine recurses.
+and chains alike. A tree is given as two arrays, each node's parent and
+height, in depth-first pre-order, so no routine recurses.
 
 The unit-spaced chain of t_N states is the caterpillar with N_k = k. Its
 generator diagonalizes exactly: lambda(1) = 0 and, for 1 < j <= t_N,
@@ -32,7 +32,6 @@ from .ultrametric import UltrametricSpace
 __all__ = [
     "ChainSpectrum",
     "TreeModel",
-    "TreeNode",
     "autocorrelation_chain",
     "caterpillar_tree",
     "chain_spectrum",
@@ -140,25 +139,17 @@ def expected_rebroadcasts(params, t) -> np.ndarray | float:
     return params.M * (1.0 - survival_probability(params.t_N, params.mu, t))
 
 
-@dataclass(frozen=True)
-class TreeNode:
-    """One node of a rooted hierarchy; leaves have no children."""
-
-    height: float
-    children: tuple["TreeNode", ...] = ()
-
-
 @dataclass(frozen=True, eq=False, init=False)
 class TreeModel:
     """Rooted tree whose node heights set the hop rates e^(-height).
 
-    Nodes are numbered in depth-first pre-order, so the root is node 0 and
-    parents precede children: `parent[v]` (-1 at the root), `height[v]` and
-    `leaf_counts[v]` (the leaves under v). Leaves are numbered 1..N in that
-    order and `leaves[k - 1]` is the node of leaf k. Heights are nonnegative
-    and rise strictly from child to parent, so hop rates fall with the size
-    of the jump. `TreeModel(root)` flattens a nested TreeNode hierarchy and
-    keeps only the arrays; a subtree reached twice stands for two copies.
+    `TreeModel(parent, height)` takes the nodes numbered in depth-first
+    pre-order, so the root is node 0 and every subtree is a contiguous run
+    of indices after its root: `parent[v]` (-1 at the root) and `height[v]`.
+    It adds `leaf_counts[v]` (the leaves under v) and `leaves`: leaves are
+    numbered 1..N in that order and `leaves[k - 1]` is the node of leaf k.
+    Heights are nonnegative and fall strictly from parent to child, so hop
+    rates fall with the size of the jump.
     """
 
     parent: np.ndarray
@@ -166,41 +157,44 @@ class TreeModel:
     leaf_counts: np.ndarray
     leaves: np.ndarray
 
-    def __init__(self, root: TreeNode) -> None:
-        parent: list[int] = []
-        height: list[float] = []
-        stack = [(root, -1)]
-        while stack:
-            node, up = stack.pop()
-            if up >= 0 and not node.height < height[up]:
-                raise ValueError(
-                    f"child height {node.height!r} must be below parent {height[up]!r}"
-                )
-            if not node.height >= 0:
+    def __init__(self, parent, height) -> None:
+        up = np.asarray(parent)
+        height = np.asarray(height, dtype=float)
+        if up.ndim != 1 or up.dtype.kind not in "iu":
+            raise ValueError(
+                f"parent must be a vector of integer indices, got {up.dtype} of shape {up.shape}"
+            )
+        if height.shape != up.shape:
+            raise ValueError(f"parent has {up.size} nodes but height has {height.size}")
+        node = np.arange(up.size)
+        if up.size == 0 or up[0] != -1 or not np.all((up[1:] >= 0) & (up[1:] < node[1:])):
+            raise ValueError("parent[0] must be -1 and 0 <= parent[v] < v for every other node")
+        # Children follow their parent: one reverse pass sizes every subtree.
+        size = [1] * up.size
+        links = up.tolist()
+        for v in range(up.size - 1, 0, -1):
+            size[links[v]] += size[v]
+        size = np.array(size)
+        end = node + size
+        # Pre-order holds when each subtree [v, end[v]) lies inside its parent's.
+        if not np.all(end[1:] <= end[up[1:]]):
+            raise ValueError("nodes must be numbered in depth-first pre-order")
+        # Name the fault of the first bad node in pre-order, testing its
+        # height against its parent's before its sign.
+        below = np.append(True, height[1:] < height[up[1:]])
+        bad = np.flatnonzero(~(below & (height >= 0)))
+        if bad.size:
+            v = bad[0]
+            if below[v]:
                 raise ValueError("node heights must be nonnegative")
-            index = len(parent)
-            parent.append(up)
-            height.append(node.height)
-            stack.extend((child, index) for child in reversed(node.children))
-        self._set_arrays(np.array(parent), np.array(height, dtype=float))
-
-    @classmethod
-    def _from_arrays(cls, parent: np.ndarray, height: np.ndarray) -> TreeModel:
-        tree = object.__new__(cls)
-        tree._set_arrays(parent, height)
-        return tree
-
-    def _set_arrays(self, parent: np.ndarray, height: np.ndarray) -> None:
-        is_leaf = np.ones(parent.size, dtype=bool)
-        is_leaf[parent[1:]] = False
-        # Children follow their parent in pre-order: one reverse pass counts leaves.
-        counts = is_leaf.astype(int).tolist()
-        up = parent.tolist()
-        for v in range(len(up) - 1, 0, -1):
-            counts[up[v]] += counts[v]
-        object.__setattr__(self, "parent", _readonly(parent, dtype=int))
+            raise ValueError(
+                f"child height {height[v].item()!r} must be below parent {height[up[v]].item()!r}"
+            )
+        is_leaf = size == 1
+        before = np.concatenate([[0], np.cumsum(is_leaf)])   # leaves before index i
+        object.__setattr__(self, "parent", _readonly(up, dtype=int))
         object.__setattr__(self, "height", _readonly(height))
-        object.__setattr__(self, "leaf_counts", _readonly(counts, dtype=int))
+        object.__setattr__(self, "leaf_counts", _readonly(before[end] - before[node], dtype=int))
         object.__setattr__(self, "leaves", _readonly(np.flatnonzero(is_leaf), dtype=int))
 
     @property
@@ -246,7 +240,7 @@ def caterpillar_tree(n: int, mu: float) -> TreeModel:
     levels = np.arange(n, 1, -1)                   # spine node s is level n - s
     parent = np.concatenate([np.arange(-1, n - 2), [n - 2], n - np.arange(2, n + 1)])
     height = np.concatenate([mu * (levels - 1.0), np.zeros(n)])
-    return TreeModel._from_arrays(parent, height)
+    return TreeModel(parent, height)
 
 
 def space_from_tree(tree: TreeModel) -> UltrametricSpace:

@@ -108,18 +108,18 @@ class PopularityCurve:
             raise ValueError(f"grid has {grid.size} points but values has {values.size}")
         if grid.size == 0:
             raise ValueError("curve needs at least one grid point")
-        if grid[0] < 0:
+        if not grid[0] >= 0:
             raise ValueError("grid must start at a nonnegative time")
         steps = np.diff(grid)
         if grid.size > 1:
             if np.any(steps <= 0):
                 raise ValueError("grid must be strictly increasing")
             # Uniform spacing keeps downstream interpolation and fitting honest.
-            if np.max(steps) - np.min(steps) > 1e-6 * np.max(steps):
+            if not np.max(steps) - np.min(steps) <= 1e-6 * np.max(steps):
                 raise ValueError("grid must be uniformly spaced")
         if self.saturation_count < 1:
             raise ValueError("saturation count must be a positive integer")
-        if np.min(values) < 0 or np.max(values) > 1 + 1e-12:
+        if not (np.min(values) >= 0 and np.max(values) <= 1 + 1e-12):
             raise ValueError("curve values must lie in [0, 1]")
         if np.any(np.diff(values) < -1e-12):
             raise ValueError("curve values must be nondecreasing")

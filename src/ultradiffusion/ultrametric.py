@@ -160,6 +160,8 @@ def _first_violation(m: np.ndarray, tol: float) -> tuple[int, int, int] | None:
     tol 0 settles every tol >= 0. Otherwise an exact scan, row by row from
     i = 0, returns the first violating triple.
     """
+    if np.isnan(tol):
+        raise ValueError("tol must be a number, got nan")
     n = m.shape[0]
     if n < 3:
         return None

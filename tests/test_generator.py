@@ -119,8 +119,11 @@ class TestBuildGenerator:
         assert np.all(high[mask] <= low[mask])
 
     def test_negative_mu_is_rejected(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            build_generator(uniform_chain(3), mu=-0.1)
+        for mu in (-0.1, math.nan):
+            with pytest.raises(ValueError, match="nonnegative"):
+                build_generator(uniform_chain(3), mu=mu)
+            with pytest.raises(ValueError, match="nonnegative"):
+                Generator(rates=np.zeros((2, 2)), mu=mu)
 
     def test_underflowing_distances_warn(self):
         trace = EventTrace(
@@ -198,6 +201,13 @@ class TestRateUltrametricity:
         assert not report.ok
         assert report.triple == (0, 2, 1)
         assert report.message == "rate(0,2)=0.001 falls below min via state 1: 1"
+
+    def test_nan_tolerance_is_rejected(self):
+        # At tol nan no comparison holds, so the scan would pass any matrix.
+        for dist in ([[0, 1, 5], [1, 0, 1], [5, 1, 0]], [[0, 1], [1, 0]]):
+            gen = build_generator(space_of(dist), 1.0)
+            with pytest.raises(ValueError, match="tol must be a number"):
+                check_rate_ultrametricity(gen, tol=math.nan)
 
     def test_matches_the_reference_scan(self):
         hypothesis = pytest.importorskip("hypothesis")

@@ -13,7 +13,6 @@ from ultradiffusion.oracle import (
 )
 from ultradiffusion.spectral import (
     TreeModel,
-    TreeNode,
     autocorrelation_chain,
     chain_spectrum,
     space_from_tree,
@@ -37,8 +36,9 @@ class TestProbabilityVector:
             ProbabilityVector(entries=np.array([0.5, 0.6]))
 
     def test_rejects_negative_entries(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            ProbabilityVector(entries=np.array([1.5, -0.5]))
+        for entries in ([1.5, -0.5], [math.nan], [math.nan, 1.0]):
+            with pytest.raises(ValueError, match="nonnegative"):
+                ProbabilityVector(entries=np.array(entries))
 
 
 class TestIntegrateMasterEquation:
@@ -101,12 +101,11 @@ class TestIntegrateMasterEquation:
         assert np.min(traj) >= -1e-10
 
     def test_tree_solution_matches_the_oracle(self):
-        def level(h):
-            if h == 0:
-                return TreeNode(height=0.0)
-            return TreeNode(height=float(h), children=(level(h - 1), level(h - 1)))
-
-        tree = TreeModel(root=level(3))
+        # Depth-3 binary tree with unit level spacing, in pre-order.
+        tree = TreeModel(
+            [-1, 0, 1, 2, 2, 1, 5, 5, 0, 8, 9, 9, 8, 12, 12],
+            [3.0, 2.0, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 2.0, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0],
+        )
         gen = build_generator(space_from_tree(tree), mu=1.0)
         grid = np.linspace(0.2, 12.0, 30)
         p0 = ProbabilityVector.characteristic(8, 1)
@@ -124,6 +123,13 @@ class TestIntegrateMasterEquation:
         p0 = ProbabilityVector.characteristic(3, 1)
         with pytest.raises(ValueError, match="nondecreasing"):
             integrate_master_equation(gen, p0, np.array([2.0, 1.0]))
+
+    @pytest.mark.parametrize("grid", [[math.nan], [1.0, math.inf], [-math.inf, 1.0]])
+    def test_rejects_non_finite_grid_times(self, grid):
+        gen = build_generator(uniform_chain(3), mu=0.0)
+        p0 = ProbabilityVector.characteristic(3, 1)
+        with pytest.raises(ValueError, match="finite"):
+            integrate_master_equation(gen, p0, np.array(grid))
 
 
 class TestNumericSpectrum:

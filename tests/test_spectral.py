@@ -13,7 +13,6 @@ from ultradiffusion.generator import build_generator
 from ultradiffusion.oracle import numeric_spectrum
 from ultradiffusion.spectral import (
     TreeModel,
-    TreeNode,
     autocorrelation_chain,
     caterpillar_tree,
     chain_spectrum,
@@ -26,17 +25,34 @@ from ultradiffusion.ultrametric import uniform_chain
 
 
 def star_tree(n, height):
-    leaves = tuple(TreeNode(height=0.0) for _ in range(n))
-    return TreeModel(root=TreeNode(height=height, children=leaves))
+    return TreeModel([-1] + [0] * n, [height] + [0.0] * n)
 
 
 def binary_tree(depth):
-    def level(h):
-        if h == 0:
-            return TreeNode(height=0.0)
-        return TreeNode(height=float(h), children=(level(h - 1), level(h - 1)))
+    """Complete binary tree with unit level spacing, numbered in pre-order."""
+    parent, height = [], []
+    stack = [(-1, depth)]
+    while stack:
+        up, h = stack.pop()
+        parent.append(up)
+        height.append(float(h))
+        if h:
+            stack += [(len(parent) - 1, h - 1)] * 2
+    return TreeModel(parent, height)
 
-    return TreeModel(root=level(depth))
+
+def is_pre_order(parent):
+    """True when an iterative depth-first walk, children in index order,
+    visits the nodes as 0, 1, ..., n-1."""
+    children = [[] for _ in parent]
+    for v in range(1, len(parent)):
+        children[parent[v]].append(v)
+    order, stack = [], [0]
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        stack.extend(reversed(children[v]))
+    return order == list(range(len(parent)))
 
 
 def path_to_root(tree, leaf):
@@ -61,17 +77,6 @@ def dense_autocorrelation(spectrum, i, t):
     """Return probability through the full eigenvector row of state i."""
     weights = dense_chain_vectors(spectrum.t_N)[i - 1] ** 2
     return np.exp(np.multiply.outer(np.asarray(t, dtype=float), spectrum.eigenvalues)) @ weights
-
-
-def tree_from_parents(parent, height):
-    """Nested TreeNode hierarchy of pre-order parent and height arrays."""
-    children = [[] for _ in parent]
-    nodes = [None] * len(parent)
-    for v in range(len(parent) - 1, -1, -1):
-        nodes[v] = TreeNode(height=height[v], children=tuple(reversed(children[v])))
-        if parent[v] >= 0:
-            children[parent[v]].append(nodes[v])
-    return nodes[0]
 
 
 def random_trees(st):
@@ -334,7 +339,7 @@ class TestTreeAutocorrelation:
         @hypothesis.given(random_trees(st), st.lists(st.floats(0.0, 20.0), min_size=1, max_size=6))
         def check(arrays, times):
             parent, height = arrays
-            tree = TreeModel(root=tree_from_parents(parent, height))
+            tree = TreeModel(parent, height)
             np.testing.assert_array_equal(tree.parent, parent)
             np.testing.assert_array_equal(tree.height, height)
             hypothesis.assume(tree.n_leaves >= 2)
@@ -353,14 +358,59 @@ class TestTreeAutocorrelation:
 
 class TestTreeModel:
     def test_rejects_child_at_or_above_parent_height(self):
-        with pytest.raises(ValueError, match="below parent"):
-            TreeModel(
-                root=TreeNode(height=1.0, children=(TreeNode(height=1.0),))
-            )
+        with pytest.raises(ValueError, match=r"child height 1\.0 must be below parent 1\.0"):
+            TreeModel([-1, 0], [1.0, 1.0])
 
     def test_rejects_negative_heights(self):
         with pytest.raises(ValueError, match="nonnegative"):
-            TreeModel(root=TreeNode(height=-1.0))
+            TreeModel([-1], [-1.0])
+
+    def test_accepts_exactly_the_depth_first_pre_orders(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @st.composite
+        def parents(draw):
+            n = draw(st.integers(1, 12))
+            return [-1] + [draw(st.integers(0, v - 1)) for v in range(1, n)]
+
+        @hypothesis.settings(max_examples=500, deadline=None)
+        @hypothesis.given(parents())
+        def check(parent):
+            # Valid heights, so only the numbering can be refused.
+            height = [0.0] * len(parent)
+            for v in range(len(parent) - 1, 0, -1):
+                height[parent[v]] = max(height[parent[v]], height[v] + 1.0)
+            try:
+                tree = TreeModel(parent, height)
+            except ValueError as err:
+                assert "pre-order" in str(err)
+                assert not is_pre_order(parent)
+            else:
+                assert is_pre_order(parent)
+                assert tree.leaf_counts[0] == tree.n_leaves
+
+        check()
+
+    @pytest.mark.parametrize(
+        "parent, height, message",
+        [
+            ([0, 0], [1.0, 0.0], r"parent\[0\] must be -1"),
+            ([-1, 1], [1.0, 0.0], r"0 <= parent\[v\] < v"),
+            ([-1, 0, 3, 0], [2.0, 1.0, 0.0, 0.0], r"0 <= parent\[v\] < v"),
+            ([-1, -1], [1.0, 0.0], r"0 <= parent\[v\] < v"),
+            (np.array([], dtype=int), [], r"parent\[0\] must be -1"),
+            ([-1, 0], [1.0], "2 nodes but height has 1"),
+            ([-1, 0, 0], [1.0, 0.0], "3 nodes but height has 2"),
+            ([-1.0, 0.0], [1.0, 0.0], "integer indices"),
+            ([-1, 0.5], [1.0, 0.0], "integer indices"),
+            ([[-1, 0]], [[1.0, 0.0]], "integer indices"),
+            ([-1, 0, 0, 1], [2.0, 1.0, 0.0, 0.0], "pre-order"),
+        ],
+    )
+    def test_rejects_malformed_parent_arrays(self, parent, height, message):
+        with pytest.raises(ValueError, match=message):
+            TreeModel(parent, height)
 
     def test_counts_leaves(self):
         assert binary_tree(3).n_leaves == 8
@@ -379,37 +429,34 @@ class TestTreeModel:
         tree = caterpillar_tree(50, 0.1)
         assert [tree.leaf_counts[v] for v in path_to_root(tree, 1)] == list(range(1, 51))
 
-    def test_caterpillar_arrays_match_the_nested_build(self):
-        n, mu = 7, 0.3
-        node = TreeNode(height=0.0)
-        for j in range(2, n + 1):
-            node = TreeNode(height=mu * (j - 1), children=(node, TreeNode(height=0.0)))
-        nested, direct = TreeModel(root=node), caterpillar_tree(n, mu)
-        for name in ("parent", "height", "leaf_counts", "leaves"):
-            np.testing.assert_array_equal(getattr(direct, name), getattr(nested, name))
+    def test_caterpillar_arrays_are_the_spine_first_pre_order(self):
+        # Spine: levels 4, 3, 2 (nodes 0-2); leaves 1 and 2 under level 2,
+        # then leaf 3 under level 3 and leaf 4 under the root.
+        tree = caterpillar_tree(4, 0.5)
+        np.testing.assert_array_equal(tree.parent, [-1, 0, 1, 2, 2, 1, 0])
+        np.testing.assert_array_equal(tree.height, [1.5, 1.0, 0.5, 0.0, 0.0, 0.0, 0.0])
+        np.testing.assert_array_equal(tree.leaf_counts, [4, 3, 2, 1, 1, 1, 1])
+        np.testing.assert_array_equal(tree.leaves, [3, 4, 5, 6])
 
-    def test_arrays_are_read_only_and_the_nested_root_is_dropped(self):
-        tree = binary_tree(2)
+    def test_arrays_are_read_only(self):
+        parent, height = np.array([-1, 0, 0]), np.array([1.0, 0.0, 0.0])
+        tree = TreeModel(parent, height)
+        parent[1], height[0] = 5, 5.0
+        np.testing.assert_array_equal(tree.parent, [-1, 0, 0])
+        assert tree.height[0] == 1.0
         for values in (tree.parent, tree.height, tree.leaf_counts, tree.leaves):
             assert not values.flags.writeable
-        assert not hasattr(tree, "root")
-
-    def test_a_shared_subtree_stands_for_two_copies(self):
-        pair = TreeNode(height=1.0, children=(TreeNode(height=0.0), TreeNode(height=0.0)))
-        shared = TreeModel(root=TreeNode(height=2.0, children=(pair, pair)))
-        np.testing.assert_array_equal(shared.parent, binary_tree(2).parent)
-        assert shared.n_leaves == 4
 
     def test_single_node_tree(self):
-        tree = TreeModel(root=TreeNode(height=0.0))
+        tree = TreeModel([-1], [0.0])
         assert tree.n_leaves == 1
         assert tree_autocorrelation(tree, 1, 5.0) == 1.0
 
     def test_rejects_nan_heights(self):
         with pytest.raises(ValueError, match="nonnegative"):
-            TreeModel(root=TreeNode(height=math.nan, children=(TreeNode(height=0.0),)))
+            TreeModel([-1, 0], [math.nan, 0.0])
         with pytest.raises(ValueError, match="below parent"):
-            TreeModel(root=TreeNode(height=1.0, children=(TreeNode(height=math.nan),)))
+            TreeModel([-1, 0], [1.0, math.nan])
 
 
 class TestSpaceFromTree:

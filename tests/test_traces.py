@@ -1,5 +1,7 @@
 """Event trace parsing and popularity-curve construction."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -198,12 +200,13 @@ class TestPopularityCurve:
             )
 
     def test_rejects_irregular_grid(self):
-        with pytest.raises(ValueError, match="uniform"):
-            PopularityCurve(
-                grid=np.array([1.0, 2.0, 10.0]),
-                values=np.array([0.1, 0.2, 0.3]),
-                saturation_count=1,
-            )
+        for grid in ([1.0, 2.0, 10.0], [1.0, math.nan, 3.0], [1.0, 2.0, math.nan]):
+            with pytest.raises(ValueError, match="uniform"):
+                PopularityCurve(
+                    grid=np.array(grid),
+                    values=np.array([0.1, 0.2, 0.3]),
+                    saturation_count=1,
+                )
 
     def test_rejects_decreasing_values(self):
         with pytest.raises(ValueError, match="nondecreasing"):
@@ -214,12 +217,13 @@ class TestPopularityCurve:
             )
 
     def test_rejects_values_above_one(self):
-        with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            PopularityCurve(
-                grid=np.array([1.0, 2.0]),
-                values=np.array([0.5, 1.5]),
-                saturation_count=1,
-            )
+        for values in ([0.5, 1.5], [math.nan, 1.0], [0.5, math.nan]):
+            with pytest.raises(ValueError, match=r"\[0, 1\]"):
+                PopularityCurve(
+                    grid=np.array([1.0, 2.0]),
+                    values=np.array(values),
+                    saturation_count=1,
+                )
 
 
 class TestAggregateMean:

@@ -1,5 +1,6 @@
 """Ultrametric state spaces built from traces and model chains."""
 
+import math
 import subprocess
 import sys
 
@@ -215,6 +216,12 @@ class TestVerifyUltrametric:
         assert report == TripleReport(
             ok=False, triple=(0, 2, 1), message="d(1,3)=5 exceeds max(d(.,2))=1"
         )
+
+    def test_nan_tolerance_is_rejected(self):
+        # At tol nan no comparison holds, so the scan would pass any matrix.
+        for dist in ([[0, 1, 5], [1, 0, 1], [5, 1, 0]], [[0, 1], [1, 0]]):
+            with pytest.raises(ValueError, match="tol must be a number"):
+                verify_ultrametric(space_of(dist), tol=math.nan)
 
 
 class TestVerifyAtScale:
