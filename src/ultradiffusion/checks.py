@@ -337,19 +337,14 @@ _CHECKS = (
 CHECK_NAMES = tuple(name for name, _, _, _ in _CHECKS)
 
 
-def run_all(overrides: dict[str, float] | None = None) -> list[CheckResult]:
-    """Run every check in order. `overrides` replaces named tolerances.
+def run_all() -> list[CheckResult]:
+    """Run every check in order.
 
     A check passes when it meets its tolerance and its timed window stays
     under its budget.
     """
-    overrides = dict(overrides or {})
-    unknown = set(overrides) - set(CHECK_NAMES)
-    if unknown:
-        raise ValueError(f"unknown check name(s): {', '.join(sorted(unknown))}")
     results = []
     for name, tol, budget, func in _CHECKS:
-        tol = overrides.get(name, tol)
         measured, ok, elapsed, detail = func(tol)
         results.append(
             CheckResult(

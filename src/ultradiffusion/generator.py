@@ -23,19 +23,18 @@ __all__ = ["Generator", "build_generator", "check_rate_ultrametricity"]
 
 @dataclass(frozen=True)
 class Generator:
-    """Symmetric transition-rate matrix with zero row sums."""
+    """Symmetric transition-rate matrix with zero row sums.
+
+    It keeps no mu: `build_generator` checks the decay and bakes it into the rates.
+    """
 
     rates: np.ndarray
-    mu: float
 
     def __post_init__(self) -> None:
         rates = _readonly(self.rates)
         object.__setattr__(self, "rates", rates)
-        object.__setattr__(self, "mu", float(self.mu))
         if rates.ndim != 2 or rates.shape[0] != rates.shape[1]:
             raise ValueError(f"rates must be square, got {rates.shape}")
-        if not self.mu >= 0:
-            raise ValueError("mu must be nonnegative")
         if not np.array_equal(rates, rates.T):
             raise ValueError("rates must be symmetric")
         n = rates.shape[0]
@@ -67,7 +66,7 @@ def build_generator(space: UltrametricSpace, mu: float) -> Generator:
         )
     np.fill_diagonal(rates, -rates.sum(axis=1))
     rates.setflags(write=False)  # handed over as is, not copied
-    return Generator(rates=rates, mu=mu)
+    return Generator(rates=rates)
 
 
 def check_rate_ultrametricity(gen: Generator, tol: float = 0.0) -> TripleReport:

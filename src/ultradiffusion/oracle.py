@@ -14,6 +14,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .generator import Generator
+from .spectral import _check_index
 from .traces import _readonly
 
 __all__ = ["ProbabilityVector", "integrate_master_equation", "numeric_spectrum"]
@@ -39,29 +40,24 @@ class ProbabilityVector:
     @classmethod
     def characteristic(cls, n: int, state: int) -> "ProbabilityVector":
         """Unit mass on one state, numbered 1..n."""
-        if not 1 <= state <= n:
-            raise ValueError(f"state {state} outside 1..{n}")
         entries = np.zeros(n)
-        entries[state - 1] = 1.0
+        entries[_check_index(state, n, "state") - 1] = 1.0
         return cls(entries=entries)
 
 
-def integrate_master_equation(
-    gen: Generator,
-    p0,
-    grid,
-    rtol: float = 1e-8,
-    atol: float = 1e-9,
-) -> np.ndarray:
+def integrate_master_equation(gen: Generator, p0: ProbabilityVector, grid) -> np.ndarray:
     """Trajectory of dP/dt = rates @ P sampled at `grid`.
 
-    `p0` holds the distribution at t = 0; integration runs from 0 to the
-    last grid time and is sampled at the grid points (which need not include
-    0). Returns an array of shape (len(grid), n) whose rows each sum to 1
-    within 1e-9; a larger drift or an integrator failure raises with
-    diagnostics.
+    `p0` is the distribution at t = 0, a `ProbabilityVector` (so it is
+    nonnegative and sums to 1); anything else raises TypeError. Integration
+    runs from 0 to the last grid time and is sampled at the grid points
+    (which need not include 0). Returns an array of shape (len(grid), n)
+    whose rows each sum to 1 within 1e-9; a larger drift or an integrator
+    failure raises with diagnostics.
     """
-    start = p0.entries if isinstance(p0, ProbabilityVector) else np.asarray(p0, dtype=float)
+    if not isinstance(p0, ProbabilityVector):
+        raise TypeError(f"p0 must be a ProbabilityVector, got {type(p0).__name__}")
+    start = p0.entries
     if start.shape != (gen.size,):
         raise ValueError(f"p0 has shape {start.shape}, generator needs ({gen.size},)")
     times = np.asarray(grid, dtype=float)
@@ -84,8 +80,8 @@ def integrate_master_equation(
         start,
         method="RK45",
         t_eval=times,
-        rtol=rtol,
-        atol=atol,
+        rtol=1e-8,
+        atol=1e-9,
         first_step=first,
     )
     if not sol.success:

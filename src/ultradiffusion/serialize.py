@@ -30,7 +30,6 @@ __all__ = [
     "write_json",
     "write_spectrum_tsv",
     "write_trace_csv",
-    "write_trajectory_tsv",
 ]
 
 
@@ -67,12 +66,10 @@ def write_curve_tsv(path, curve: PopularityCurve) -> None:
     _write_table(path, ["t", "p"], np.column_stack([curve.grid, curve.values]))
 
 
-def write_fit_curve_tsv(path, grid, observed, fitted, simulated=None) -> None:
-    """Table `t`, `observed`, `fitted` and, when available, `simulated`."""
+def write_fit_curve_tsv(path, grid, observed, fitted, simulated) -> None:
+    """Table `t`, `observed`, `fitted`, `simulated`."""
     grid = np.asarray(grid, dtype=float)
-    columns = {"observed": observed, "fitted": fitted}
-    if simulated is not None:
-        columns["simulated"] = simulated
+    columns = {"observed": observed, "fitted": fitted, "simulated": simulated}
     for name, col in columns.items():
         if np.shape(col) != grid.shape:
             raise ValueError(f"column {name!r} does not match the grid length")
@@ -108,16 +105,6 @@ def write_spectrum_tsv(path, eigenvalues) -> None:
     """Two-column table `j`, `lambda`, j counted from 1."""
     eigenvalues = np.asarray(eigenvalues, dtype=float).reshape(-1, 1)
     _write_table(path, ["j", "lambda"], eigenvalues, labels=range(1, len(eigenvalues) + 1))
-
-
-def write_trajectory_tsv(path, grid, trajectory) -> None:
-    """Table `t`, `P_1` .. `P_N` for an integrated distribution."""
-    grid = np.asarray(grid, dtype=float)
-    traj = np.asarray(trajectory, dtype=float)
-    if traj.ndim != 2 or traj.shape[0] != grid.size:
-        raise ValueError("trajectory must have one row per grid time")
-    header = ["t"] + [f"P_{i}" for i in range(1, traj.shape[1] + 1)]
-    _write_table(path, header, np.column_stack([grid, traj]))
 
 
 def write_json(path, payload: Mapping | list) -> None:

@@ -4,12 +4,14 @@ On a rooted tree whose node heights set the hop rates e^(-h), every ancestor
 on a leaf's path to the root contributes one exponential mode to the leaf's
 return probability. With leaf counts N_0 = 1, N_1, ..., N_m along the path,
 P(t) = sum_k (1/N_{k-1} - 1/N_k) e^(-rate_k t) + 1/N_m: a hierarchy of time
-scales rather than a single rate. One kernel evaluates that sum for trees
-and chains alike. A tree is given as two arrays, each node's parent and
-height, in depth-first pre-order, so no routine recurses.
+scales rather than a single rate. One formula gives the rates and one kernel
+evaluates that sum, for trees and chains alike. A tree is given as two
+arrays, each node's parent and height, in depth-first pre-order, so no
+routine recurses.
 
-The unit-spaced chain of t_N states is the caterpillar with N_k = k. Its
-generator diagonalizes exactly: lambda(1) = 0 and, for 1 < j <= t_N,
+The unit-spaced chain of t_N states is the caterpillar with N_k = k and
+h_k = mu*(k-1). Its generator diagonalizes exactly: lambda(1) = 0 and, for
+1 < j <= t_N, lambda(j) is minus the rate of level j,
 
     lambda(j) = -((j-1)*e^(-mu*(j-1)) + sum_{i=j..t_N} e^(-mu*(i-1))),
 
@@ -64,12 +66,23 @@ def _path_modes(counts: np.ndarray, rates: np.ndarray, times: np.ndarray) -> np.
     return out if times.ndim else float(out)
 
 
+def _path_rates(counts: np.ndarray, hop: np.ndarray) -> np.ndarray:
+    """Rates N_k e^(-h_k) + sum_{i>k} (N_i - N_{i-1}) e^(-h_i) for k = 1..m, from
+    path counts N_0 = 1, ..., N_m and hop[k - 1] = e^(-h_k)."""
+    growth = (counts[1:] - counts[:-1]) * hop      # (N_i - N_{i-1}) e^(-h_i)
+    above = np.concatenate([np.cumsum(growth[::-1])[::-1][1:], [0.0]])
+    return counts[1:] * hop + above
+
+
 @dataclass(frozen=True)
 class ChainSpectrum:
-    """Closed-form eigensystem of the unit-spaced chain."""
+    """Closed-form eigensystem of the unit-spaced chain of t_N states.
+
+    Only the eigenvalues depend on the decay mu; the eigenvectors do not and
+    are built on request.
+    """
 
     t_N: int
-    mu: float
     eigenvalues: np.ndarray
 
     def __post_init__(self) -> None:
@@ -99,13 +112,10 @@ def _check_chain(t_N: int, mu: float) -> None:
 def chain_spectrum(t_N: int, mu: float) -> ChainSpectrum:
     """Exact spectrum of the generator over uniform_chain(t_N) at decay mu."""
     _check_chain(t_N, mu)
-    n = t_N
-    hop = np.exp(-mu * np.arange(n))        # hop[k] = e^(-mu*k)
-    tails = np.cumsum(hop[::-1])[::-1]      # tails[k] = sum_{i>=k} hop[i]
-    lam = np.zeros(n)
-    j = np.arange(2, n + 1)
-    lam[1:] = -((j - 1) * hop[j - 1] + tails[j - 1])
-    return ChainSpectrum(t_N=n, mu=float(mu), eigenvalues=lam)
+    # The path of leaf 1 climbs levels 2..t_N: N_0 = 1, N_k = k, h_k = mu*(k-1).
+    lam = np.zeros(t_N)
+    lam[1:] = -_path_rates(np.arange(1.0, t_N + 1), np.exp(-mu * np.arange(1, t_N)))
+    return ChainSpectrum(t_N=t_N, eigenvalues=lam)
 
 
 def autocorrelation_chain(spectrum: ChainSpectrum, i: int, t) -> np.ndarray | float:
@@ -220,10 +230,7 @@ def tree_autocorrelation(tree: TreeModel, leaf: int, t) -> np.ndarray | float:
     while path[-1]:                                # the root is node 0
         path.append(int(tree.parent[path[-1]]))
     counts = tree.leaf_counts[path].astype(float)
-    hop = np.exp(-tree.height[path[1:]])
-    growth = (counts[1:] - counts[:-1]) * hop      # (N_i - N_{i-1}) e^(-h_i)
-    above = np.concatenate([np.cumsum(growth[::-1])[::-1][1:], [0.0]])
-    return _path_modes(counts, counts[1:] * hop + above, times)
+    return _path_modes(counts, _path_rates(counts, np.exp(-tree.height[path[1:]])), times)
 
 
 def caterpillar_tree(n: int, mu: float) -> TreeModel:
@@ -259,8 +266,5 @@ def space_from_tree(tree: TreeModel) -> UltrametricSpace:
         dist[mid:hi, lo:mid] = height[up]
     dist.setflags(write=False)
     return UltrametricSpace(
-        labels=np.arange(1, n + 1, dtype=float),
-        horizon=float(tree.height[0]),
-        dist=dist,
-        multiplicity=np.ones(n, dtype=int),
+        labels=np.arange(1, n + 1, dtype=float), dist=dist, multiplicity=np.ones(n, dtype=int)
     )

@@ -110,6 +110,9 @@ class PopularityCurve:
             raise ValueError("curve needs at least one grid point")
         if not grid[0] >= 0:
             raise ValueError("grid must start at a nonnegative time")
+        # NaN, or an infinity before the last point, fails a spacing test below.
+        if math.isinf(grid[-1]):
+            raise ValueError("grid times must be finite")
         steps = np.diff(grid)
         if grid.size > 1:
             if np.any(steps <= 0):
@@ -135,8 +138,8 @@ def uniform_grid(horizon: float, grid_points: int) -> np.ndarray:
 
     The grid excludes zero and includes the horizon exactly.
     """
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
+    if not (math.isfinite(horizon) and horizon > 0):
+        raise ValueError("horizon must be positive and finite")
     if grid_points < 1:
         raise ValueError("grid_points must be at least 1")
     return horizon * (np.arange(1, grid_points + 1) / grid_points)

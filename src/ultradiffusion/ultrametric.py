@@ -36,14 +36,13 @@ class UltrametricSpace:
     """A finite state space with pairwise ultrametric distances.
 
     `labels` identifies the states (ascending; reverse-time subscripts for
-    trace-built spaces, plain indices for model chains), `dist` holds the
-    symmetric distance matrix, and `multiplicity` counts how many trace
-    events collapsed into each state (zero for the no-rebroadcast state,
-    one everywhere for model chains).
+    trace-built spaces, plain indices for model chains and trees), `dist`
+    holds the symmetric distance matrix, and `multiplicity` counts how many
+    trace events collapsed into each state (zero for the no-rebroadcast
+    state, one everywhere for model chains and trees).
     """
 
     labels: np.ndarray
-    horizon: float
     dist: np.ndarray
     multiplicity: np.ndarray
 
@@ -54,7 +53,6 @@ class UltrametricSpace:
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "dist", dist)
         object.__setattr__(self, "multiplicity", multiplicity)
-        object.__setattr__(self, "horizon", float(self.horizon))
         n = labels.size
         if n == 0:
             raise ValueError("state space needs at least one state")
@@ -107,7 +105,7 @@ def build_from_trace(trace: EventTrace) -> UltrametricSpace:
     later = np.maximum.outer(span - labels, span - labels)
     np.fill_diagonal(later, 0.0)
     later.setflags(write=False)  # handed over as is, not copied
-    return UltrametricSpace(labels=labels, horizon=span, dist=later, multiplicity=multiplicity)
+    return UltrametricSpace(labels=labels, dist=later, multiplicity=multiplicity)
 
 
 def uniform_chain(n: int) -> UltrametricSpace:
@@ -122,12 +120,7 @@ def uniform_chain(n: int) -> UltrametricSpace:
     dist = np.maximum.outer(idx, idx) - 1.0
     np.fill_diagonal(dist, 0.0)
     dist.setflags(write=False)
-    return UltrametricSpace(
-        labels=idx,
-        horizon=float(n - 1),
-        dist=dist,
-        multiplicity=np.ones(n, dtype=int),
-    )
+    return UltrametricSpace(labels=idx, dist=dist, multiplicity=np.ones(n, dtype=int))
 
 
 def rescale_distances(space: UltrametricSpace) -> UltrametricSpace:
@@ -140,10 +133,7 @@ def rescale_distances(space: UltrametricSpace) -> UltrametricSpace:
         return space
     top = float(np.max(space.dist))
     return UltrametricSpace(
-        labels=space.labels,
-        horizon=space.horizon,
-        dist=space.dist / top,
-        multiplicity=space.multiplicity,
+        labels=space.labels, dist=space.dist / top, multiplicity=space.multiplicity
     )
 
 

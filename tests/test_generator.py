@@ -49,7 +49,6 @@ def space_of(dist):
     n = len(dist)
     return UltrametricSpace(
         labels=np.arange(1.0, n + 1),
-        horizon=float(n),
         dist=np.array(dist, dtype=float),
         multiplicity=np.ones(n, dtype=int),
     )
@@ -122,8 +121,6 @@ class TestBuildGenerator:
         for mu in (-0.1, math.nan):
             with pytest.raises(ValueError, match="nonnegative"):
                 build_generator(uniform_chain(3), mu=mu)
-            with pytest.raises(ValueError, match="nonnegative"):
-                Generator(rates=np.zeros((2, 2)), mu=mu)
 
     def test_underflowing_distances_warn(self):
         trace = EventTrace(
@@ -143,28 +140,28 @@ class TestGeneratorInvariants:
     def test_rejects_asymmetric_rates(self):
         bad = np.array([[-1.0, 1.0], [2.0, -2.0]])
         with pytest.raises(ValueError, match="symmetric"):
-            Generator(rates=bad, mu=0.0)
+            Generator(rates=bad)
 
     def test_rejects_nonvanishing_row_sums(self):
         bad = np.array([[-1.0, 2.0], [2.0, -1.0]])
         with pytest.raises(ValueError, match="row sums"):
-            Generator(rates=bad, mu=0.0)
+            Generator(rates=bad)
 
     def test_rejects_negative_off_diagonal(self):
         bad = np.array([[1.0, -1.0], [-1.0, 1.0]])
         with pytest.raises(ValueError, match="nonnegative"):
-            Generator(rates=bad, mu=0.0)
+            Generator(rates=bad)
 
     def test_rejects_negative_off_diagonal_beside_negative_diagonal(self):
         # Rows sum to zero; the negative diagonal entries are allowed, the
         # negative rate between states 0 and 2 is not.
         bad = np.array([[-1.0, 2.0, -1.0], [2.0, -3.0, 1.0], [-1.0, 1.0, 0.0]])
         with pytest.raises(ValueError, match="nonnegative"):
-            Generator(rates=bad, mu=0.0)
+            Generator(rates=bad)
 
     def test_copies_a_writable_caller_matrix(self):
         rates = np.array([[-1.0, 1.0], [1.0, -1.0]])
-        gen = Generator(rates=rates, mu=0.0)
+        gen = Generator(rates=rates)
         rates[0, 1] = 5.0
         assert gen.rates[0, 1] == 1.0
 
@@ -197,7 +194,7 @@ class TestRateUltrametricity:
                 [0.001, 1.0, -1.001],
             ]
         )
-        report = check_rate_ultrametricity(Generator(rates=rates, mu=0.0))
+        report = check_rate_ultrametricity(Generator(rates=rates))
         assert not report.ok
         assert report.triple == (0, 2, 1)
         assert report.message == "rate(0,2)=0.001 falls below min via state 1: 1"
@@ -268,7 +265,7 @@ class TestRateUltrametricityAtScale:
         # above rate(0, 1), which breaks (0, 1, 5) and no earlier triple.
         dist[0, 5] = dist[5, 0] = dist[1, 5] / 2
         broken = UltrametricSpace(
-            labels=space.labels, horizon=space.horizon, dist=dist, multiplicity=space.multiplicity
+            labels=space.labels, dist=dist, multiplicity=space.multiplicity
         )
         gen = build_generator(broken, mu=0.001)
         r = gen.rates

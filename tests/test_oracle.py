@@ -31,6 +31,11 @@ class TestProbabilityVector:
         with pytest.raises(ValueError, match="outside"):
             ProbabilityVector.characteristic(4, 5)
 
+    @pytest.mark.parametrize("state", [True, 1.5, 2.0, "2"])
+    def test_rejects_non_integer_state(self, state):
+        with pytest.raises(ValueError, match="must be an integer"):
+            ProbabilityVector.characteristic(4, state)
+
     def test_rejects_unnormalized_entries(self):
         with pytest.raises(ValueError, match="sum to 1"):
             ProbabilityVector(entries=np.array([0.5, 0.6]))
@@ -116,7 +121,13 @@ class TestIntegrateMasterEquation:
     def test_rejects_mismatched_start_dimension(self):
         gen = build_generator(uniform_chain(3), mu=0.0)
         with pytest.raises(ValueError, match="shape"):
-            integrate_master_equation(gen, np.array([1.0, 0.0]), np.array([1.0]))
+            integrate_master_equation(gen, ProbabilityVector.characteristic(2, 1), np.array([1.0]))
+
+    @pytest.mark.parametrize("p0", [np.array([1.0, 0.0, 0.0]), [0.9, 0.0, 0.0], [1.5, -0.5, 0.0]])
+    def test_rejects_a_raw_start_array(self, p0):
+        gen = build_generator(uniform_chain(3), mu=0.0)
+        with pytest.raises(TypeError, match="ProbabilityVector"):
+            integrate_master_equation(gen, p0, np.array([1.0]))
 
     def test_rejects_descending_grid(self):
         gen = build_generator(uniform_chain(3), mu=0.0)
@@ -139,7 +150,7 @@ class TestNumericSpectrum:
         np.testing.assert_allclose(eigenvalues, [-3.0, -3.0, 0.0], atol=1e-12)
 
     def test_zero_generator_has_all_zero_eigenvalues(self):
-        gen = Generator(rates=np.zeros((4, 4)), mu=0.0)
+        gen = Generator(rates=np.zeros((4, 4)))
         eigenvalues, vectors = numeric_spectrum(gen)
         np.testing.assert_array_equal(eigenvalues, np.zeros(4))
         np.testing.assert_allclose(vectors.T @ vectors, np.eye(4), atol=1e-12)

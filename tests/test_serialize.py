@@ -19,7 +19,6 @@ from ultradiffusion.serialize import (
     write_json,
     write_spectrum_tsv,
     write_trace_csv,
-    write_trajectory_tsv,
 )
 from ultradiffusion.spectral import chain_spectrum
 from ultradiffusion.traces import EventTrace, PopularityCurve, parse_trace_csv
@@ -51,14 +50,9 @@ class TestCurveTables:
         assert lines[0] == "t\tobserved\tfitted\tsimulated"
         assert lines[1] == "1\t0.1\t0.15\t0.12"
 
-    def test_fit_curve_omits_simulated_column_when_absent(self, tmp_path):
-        path = tmp_path / "fit.tsv"
-        write_fit_curve_tsv(path, [1.0], [0.1], [0.15])
-        assert path.read_text().splitlines()[0] == "t\tobserved\tfitted"
-
     def test_fit_curve_rejects_ragged_columns(self, tmp_path):
         with pytest.raises(ValueError, match="fitted"):
-            write_fit_curve_tsv(tmp_path / "fit.tsv", [1.0, 2.0], [0.1, 0.2], [0.15])
+            write_fit_curve_tsv(tmp_path / "fit.tsv", [1.0, 2.0], [0.1, 0.2], [0.15], [0.1, 0.2])
 
     def test_nine_significant_digits(self, tmp_path):
         curve = PopularityCurve(
@@ -135,19 +129,6 @@ class TestMatrixTables:
         write_spectrum_tsv(path, spectrum.eigenvalues)
         assert path.read_text() == "j\tlambda\n1\t0\n2\t-3\n3\t-3\n"
 
-    def test_trajectory_has_one_probability_column_per_state(self, tmp_path):
-        path = tmp_path / "traj.tsv"
-        write_trajectory_tsv(
-            path, [0.5, 1.0], np.array([[0.6, 0.4], [0.55, 0.45]])
-        )
-        lines = path.read_text().splitlines()
-        assert lines[0] == "t\tP_1\tP_2"
-        assert lines[2] == "1\t0.55\t0.45"
-
-    def test_trajectory_rejects_mismatched_rows(self, tmp_path):
-        with pytest.raises(ValueError, match="one row per grid time"):
-            write_trajectory_tsv(tmp_path / "traj.tsv", [1.0], np.zeros((2, 3)))
-
 
 def _g(x) -> str:
     return f"{float(x):.9g}"
@@ -184,8 +165,8 @@ class TestAgainstPerValueFormatting:
         # Stand-ins for curves, spaces, generators and traces: the real
         # classes reject the non-finite values the formats must still handle.
         @hypothesis.settings(max_examples=200, deadline=None)
-        @hypothesis.given(table, st.booleans())
-        def check(rows, with_simulated):
+        @hypothesis.given(table)
+        def check(rows):
             arr = np.array(rows, dtype=float)
             n, m = arr.shape
             col = arr[:, 0]
@@ -194,17 +175,10 @@ class TestAgainstPerValueFormatting:
             expected = _reference_rows(["t", "p"], zip(col, arr[:, -1]))
             assert path.read_text() == expected
 
-            simulated = arr[:, 0] if with_simulated else None
-            write_fit_curve_tsv(path, col, arr[:, -1], arr[:, m // 2], simulated)
-            header = ["t", "observed", "fitted"] + ["simulated"] * with_simulated
-            cols = [col, arr[:, -1], arr[:, m // 2]] + [simulated] * with_simulated
+            cols = [col, arr[:, -1], arr[:, m // 2], arr[:, 0]]
+            write_fit_curve_tsv(path, *cols)
+            header = ["t", "observed", "fitted", "simulated"]
             assert path.read_text() == _reference_rows(header, zip(*cols))
-
-            write_trajectory_tsv(path, col, arr)
-            header = ["t"] + [f"P_{i}" for i in range(1, m + 1)]
-            assert path.read_text() == _reference_rows(
-                header, [[t, *row] for t, row in zip(col, arr)]
-            )
 
             write_spectrum_tsv(path, col)
             expected = _reference_rows(["j", "lambda"], [[v] for v in col], range(1, n + 1))

@@ -70,8 +70,9 @@ class TestUniformGrid:
         np.testing.assert_allclose(uniform_grid(7.0, 1), [7.0])
 
     def test_rejects_nonpositive_horizon(self):
-        with pytest.raises(ValueError, match="horizon"):
-            uniform_grid(0.0, 5)
+        for horizon in (0.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="horizon must be positive and finite"):
+                uniform_grid(horizon, 5)
 
 
 class TestParseTraceCsv:
@@ -207,6 +208,17 @@ class TestPopularityCurve:
                     values=np.array([0.1, 0.2, 0.3]),
                     saturation_count=1,
                 )
+
+    def test_rejects_non_finite_grid(self):
+        for grid in ([math.inf], [1.0, math.inf], [1.0, math.inf, math.inf]):
+            with pytest.raises(ValueError, match="finite"):
+                PopularityCurve(
+                    grid=np.array(grid), values=np.ones(len(grid)), saturation_count=1
+                )
+        with pytest.raises(ValueError, match="increasing"):
+            PopularityCurve(
+                grid=np.array([1.0, math.inf, 3.0]), values=np.ones(3), saturation_count=1
+            )
 
     def test_rejects_decreasing_values(self):
         with pytest.raises(ValueError, match="nondecreasing"):

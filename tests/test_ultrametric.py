@@ -57,7 +57,6 @@ def space_of(dist):
     n = len(dist)
     return UltrametricSpace(
         labels=np.arange(1.0, n + 1),
-        horizon=float(n),
         dist=np.array(dist, dtype=float),
         multiplicity=np.ones(n, dtype=int),
     )
@@ -151,7 +150,6 @@ class TestVerifyUltrametric:
     def test_reports_first_violating_triple(self):
         space = UltrametricSpace(
             labels=np.array([1.0, 2.0, 3.0]),
-            horizon=3.0,
             dist=np.array([[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]]),
             multiplicity=np.ones(3, dtype=int),
         )
@@ -163,7 +161,6 @@ class TestVerifyUltrametric:
     def test_two_state_space_always_passes(self):
         space = UltrametricSpace(
             labels=np.array([1.0, 2.0]),
-            horizon=2.0,
             dist=np.array([[0.0, 7.0], [7.0, 0.0]]),
             multiplicity=np.ones(2, dtype=int),
         )
@@ -172,7 +169,6 @@ class TestVerifyUltrametric:
     def test_tolerance_forgives_roundoff_sized_violations(self):
         space = UltrametricSpace(
             labels=np.array([1.0, 2.0, 3.0]),
-            horizon=3.0,
             dist=np.array(
                 [
                     [0.0, 1.0, 1.0 + 1e-12],
@@ -248,7 +244,7 @@ class TestVerifyAtScale:
         # No j < 1 exists, and k = 5 is the only state that breaks (0, 1, k).
         dist[0, 5] = dist[5, 0] = dist[1, 5] / 2
         broken = UltrametricSpace(
-            labels=space.labels, horizon=space.horizon, dist=dist, multiplicity=space.multiplicity
+            labels=space.labels, dist=dist, multiplicity=space.multiplicity
         )
         labels = space.labels
         assert verify_ultrametric(broken) == TripleReport(
@@ -264,7 +260,6 @@ class TestUltrametricSpaceInvariants:
         with pytest.raises(ValueError, match="symmetric"):
             UltrametricSpace(
                 labels=np.array([1.0, 2.0]),
-                horizon=2.0,
                 dist=np.array([[0.0, 1.0], [2.0, 0.0]]),
                 multiplicity=np.ones(2, dtype=int),
             )
@@ -273,7 +268,6 @@ class TestUltrametricSpaceInvariants:
         with pytest.raises(ValueError, match="diagonal"):
             UltrametricSpace(
                 labels=np.array([1.0, 2.0]),
-                horizon=2.0,
                 dist=np.array([[1.0, 1.0], [1.0, 0.0]]),
                 multiplicity=np.ones(2, dtype=int),
             )
@@ -282,7 +276,6 @@ class TestUltrametricSpaceInvariants:
         with pytest.raises(ValueError, match="positive"):
             UltrametricSpace(
                 labels=np.array([1.0, 2.0]),
-                horizon=2.0,
                 dist=np.zeros((2, 2)),
                 multiplicity=np.ones(2, dtype=int),
             )
@@ -291,7 +284,6 @@ class TestUltrametricSpaceInvariants:
         with pytest.raises(ValueError, match="ascending"):
             UltrametricSpace(
                 labels=np.array([2.0, 1.0]),
-                horizon=2.0,
                 dist=np.array([[0.0, 1.0], [1.0, 0.0]]),
                 multiplicity=np.ones(2, dtype=int),
             )
@@ -300,7 +292,7 @@ class TestUltrametricSpaceInvariants:
     def test_copies_a_writable_caller_matrix(self):
         dist = WORKED_MATRIX.copy()
         space = UltrametricSpace(
-            labels=np.arange(7.0), horizon=7.0, dist=dist, multiplicity=np.ones(7, dtype=int)
+            labels=np.arange(7.0), dist=dist, multiplicity=np.ones(7, dtype=int)
         )
         dist[0, 1] = dist[1, 0] = 99.0
         assert space.dist[0, 1] == 17.0
@@ -310,7 +302,6 @@ class TestUltrametricSpaceInvariants:
         space = build_from_trace(WORKED_TRACE)
         again = UltrametricSpace(
             labels=space.labels,
-            horizon=space.horizon,
             dist=space.dist,
             multiplicity=space.multiplicity,
         )
