@@ -9,7 +9,10 @@ by time t, sampled on a uniform grid. Curves are what the model layer fits.
 from __future__ import annotations
 
 import csv
+import io
+import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,6 +143,8 @@ def uniform_grid(horizon: float, grid_points: int) -> np.ndarray:
     """
     if not (math.isfinite(horizon) and horizon > 0):
         raise ValueError("horizon must be positive and finite")
+    if isinstance(grid_points, bool) or not isinstance(grid_points, numbers.Integral):
+        raise ValueError(f"grid_points must be an integer, got {grid_points!r}")
     if grid_points < 1:
         raise ValueError("grid_points must be at least 1")
     return horizon * (np.arange(1, grid_points + 1) / grid_points)
@@ -148,49 +153,38 @@ def uniform_grid(horizon: float, grid_points: int) -> np.ndarray:
 def parse_trace_csv(path, horizon: float | None = None) -> list[EventTrace]:
     """Read story traces from a CSV with header ``story_id,timestamp``.
 
-    Timestamps are decimal seconds since each story's submission. Rows may be
-    LF or CRLF terminated. Stories keep their order of first appearance. The
-    observation horizon of each story is its largest timestamp unless
-    `horizon` overrides it for every story.
+    Timestamps are decimal seconds since each story's submission. The file
+    may start with a UTF-8 byte-order mark; rows may end in LF, CRLF or CR;
+    blank lines are skipped and whitespace around a field is ignored. Fields
+    may be quoted as `csv` quotes them, so a story id can hold commas, quotes
+    or line ends. A story's rows need not be contiguous; stories keep their
+    order of first appearance. The observation horizon of each story is its
+    largest timestamp unless `horizon` overrides it for every story.
     """
-    order: list[str] = []
-    times: dict[str, list[float]] = {}
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
+    parts: dict[str, list[np.ndarray]] = {}
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        header = next(csv.reader(handle), None)
         if header is None:
             raise TraceFormatError(f"{path}: empty file")
         if [h.strip() for h in header] != ["story_id", "timestamp"]:
             raise TraceFormatError(
                 f"{path}: line 1: expected header 'story_id,timestamp', got {','.join(header)!r}"
             )
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 2:
-                raise TraceFormatError(f"{path}: line {lineno}: expected 2 fields, got {len(row)}")
-            story, raw = row[0].strip(), row[1].strip()
-            if not story:
-                raise TraceFormatError(f"{path}: line {lineno}: empty story_id")
-            try:
-                stamp = float(raw)
-            except ValueError:
-                raise TraceFormatError(
-                    f"{path}: line {lineno}: malformed timestamp {raw!r}"
-                ) from None
-            if not math.isfinite(stamp):
-                raise TraceFormatError(f"{path}: line {lineno}: timestamp {raw!r} is not finite")
-            if stamp < 0:
-                raise TraceFormatError(f"{path}: line {lineno}: negative timestamp {raw!r}")
-            if story not in times:
-                order.append(story)
-                times[story] = []
-            times[story].append(stamp)
-    if not order:
+        for stamps, runs in _chunks(path, handle):
+            start = 0
+            for story, count in runs:
+                parts.setdefault(story, []).append(stamps[start : start + count])
+                start += count
+    if not parts:
         raise TraceFormatError(f"{path}: no data rows")
     traces = []
-    for story in order:
-        events = np.sort(np.asarray(times[story], dtype=float))
+    for story, pieces in parts.items():
+        events = np.concatenate(pieces)
+        # A chunk's timestamps are freed once every story in it is copied out.
+        pieces.clear()
+        events.sort()
+        # Read-only and owning its data, so EventTrace keeps it uncopied.
+        events.setflags(write=False)
         span = float(events[-1]) if horizon is None else float(horizon)
         try:
             traces.append(EventTrace(story_id=story, events=events, horizon=span))
@@ -199,6 +193,100 @@ def parse_trace_csv(path, horizon: float | None = None) -> list[EventTrace]:
             # violates trace invariants; surface it as a format problem.
             raise TraceFormatError(f"{path}: {exc}") from None
     return traces
+
+
+# Characters read at a time, then up to the end of the line: a chunk's cells
+# are all the parser holds beyond the timestamps it keeps.
+_CHUNK_CHARS = 1 << 16
+# Every byte but the two separators of an unquoted record.
+_NOT_SEPARATORS = bytes(b for b in range(256) if b not in b",\n")
+
+
+def _chunks(path, handle):
+    """Yield (timestamps, story runs) for each chunk of records left in `handle`.
+
+    Unquoted lines split at their commas and line ends. From the first chunk
+    holding a quote on, `csv.reader` tokenizes the rest of the file, as many
+    records at a time as that chunk had lines, since a quoted field may hold
+    a comma or a line end.
+    """
+    lineno = 2
+    while text := handle.read(_CHUNK_CHARS):
+        if not text.endswith("\n"):
+            text += handle.readline()
+        if '"' in text:
+            lines = io.StringIO(text, newline="").readlines()
+            reader = csv.reader(itertools.chain(lines, handle))
+            while rows := list(itertools.islice(reader, len(lines))):
+                yield _checked_rows(path, lineno, rows)
+                lineno += len(rows)
+            return
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        if not text.endswith("\n"):
+            text += "\n"
+        count = text.count("\n")
+        checked = None
+        # With one comma per line the cells alternate story id and timestamp.
+        if text.encode().translate(None, _NOT_SEPARATORS) == b",\n" * count:
+            checked = _checked(text[:-1].replace("\n", ",").split(","))
+        # Otherwise blank lines, a wrong field count or a bad cell: check the
+        # chunk again record by record.
+        yield checked or _checked_rows(
+            path, lineno, [row.split(",") for row in text.split("\n")[:-1]]
+        )
+        lineno += count
+
+
+def _checked(cells: list[str]):
+    """(timestamps, story runs) of one chunk's cells, story id and timestamp
+    in turn, or None if a cell fails a check.
+
+    A story run is (stripped story id, number of consecutive rows).
+    """
+    try:
+        stamps = np.array(cells[1::2], dtype=float)
+    except ValueError:
+        return None
+    if not np.all(np.isfinite(stamps) & (stamps >= 0)):
+        return None
+    runs = [(key.strip(), len(list(group))) for key, group in itertools.groupby(cells[0::2])]
+    if not all(story for story, _ in runs):
+        return None
+    return stamps, runs
+
+
+def _checked_rows(path, lineno: int, rows: list[list[str]]):
+    """`_checked` for records given as field lists, numbered from `lineno`.
+
+    Blank records are dropped. If any record fails a check, the error of the
+    first bad one is raised.
+    """
+    kept = [
+        (number, row)
+        for number, row in enumerate(rows, start=lineno)
+        if len(row) > 1 or (row and row[0].strip())
+    ]
+    if all(len(row) == 2 for _, row in kept):
+        checked = _checked([cell for _, row in kept for cell in row])
+        if checked:
+            return checked
+    for lineno, row in kept:
+        if len(row) != 2:
+            raise TraceFormatError(f"{path}: line {lineno}: expected 2 fields, got {len(row)}")
+        story, raw = row[0].strip(), row[1].strip()
+        if not story:
+            raise TraceFormatError(f"{path}: line {lineno}: empty story_id")
+        try:
+            stamp = float(raw)
+        except ValueError:
+            raise TraceFormatError(
+                f"{path}: line {lineno}: malformed timestamp {raw!r}"
+            ) from None
+        if not math.isfinite(stamp):
+            raise TraceFormatError(f"{path}: line {lineno}: timestamp {raw!r} is not finite")
+        if stamp < 0:
+            raise TraceFormatError(f"{path}: line {lineno}: negative timestamp {raw!r}")
 
 
 def empirical_curve(trace: EventTrace, grid_points: int = 200) -> PopularityCurve:

@@ -1,10 +1,16 @@
 """Event trace parsing and popularity-curve construction."""
 
+import csv
 import math
+import subprocess
+import sys
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from ultradiffusion import traces
+from ultradiffusion.serialize import write_trace_csv
 from ultradiffusion.traces import (
     EventTrace,
     PopularityCurve,
@@ -20,6 +26,64 @@ def write_csv(path, rows):
     lines = ["story_id,timestamp"] + [f"{story},{stamp}" for story, stamp in rows]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
+
+
+def reference_parse_trace_csv(path, horizon=None):
+    """The row-at-a-time `csv.reader` parser the columnar one replaced."""
+    order: list[str] = []
+    times: dict[str, list[float]] = {}
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header is None:
+            raise TraceFormatError(f"{path}: empty file")
+        if [h.strip() for h in header] != ["story_id", "timestamp"]:
+            raise TraceFormatError(
+                f"{path}: line 1: expected header 'story_id,timestamp', got {','.join(header)!r}"
+            )
+        for lineno, row in enumerate(reader, start=2):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) != 2:
+                raise TraceFormatError(f"{path}: line {lineno}: expected 2 fields, got {len(row)}")
+            story, raw = row[0].strip(), row[1].strip()
+            if not story:
+                raise TraceFormatError(f"{path}: line {lineno}: empty story_id")
+            try:
+                stamp = float(raw)
+            except ValueError:
+                raise TraceFormatError(
+                    f"{path}: line {lineno}: malformed timestamp {raw!r}"
+                ) from None
+            if not math.isfinite(stamp):
+                raise TraceFormatError(f"{path}: line {lineno}: timestamp {raw!r} is not finite")
+            if stamp < 0:
+                raise TraceFormatError(f"{path}: line {lineno}: negative timestamp {raw!r}")
+            if story not in times:
+                order.append(story)
+                times[story] = []
+            times[story].append(stamp)
+    if not order:
+        raise TraceFormatError(f"{path}: no data rows")
+    traces = []
+    for story in order:
+        events = np.sort(np.asarray(times[story], dtype=float))
+        span = float(events[-1]) if horizon is None else float(horizon)
+        try:
+            traces.append(EventTrace(story_id=story, events=events, horizon=span))
+        except ValueError as exc:
+            # A zero timestamp or an override horizon below the last event
+            # violates trace invariants; surface it as a format problem.
+            raise TraceFormatError(f"{path}: {exc}") from None
+    return traces
+
+
+def parse_outcome(parse, path, horizon=None):
+    """Story ids, event lists and horizons, or the error message."""
+    try:
+        return [(t.story_id, t.events.tolist(), t.horizon) for t in parse(path, horizon)]
+    except TraceFormatError as exc:
+        return str(exc)
 
 
 class TestEventTrace:
@@ -74,6 +138,13 @@ class TestUniformGrid:
             with pytest.raises(ValueError, match="horizon must be positive and finite"):
                 uniform_grid(horizon, 5)
 
+    def test_rejects_non_integer_point_counts(self):
+        # A fractional count gave a grid past the horizon: [0.4, 0.8, 1.2].
+        for points in (2.5, True, np.float64(3)):
+            with pytest.raises(ValueError, match="grid_points must be an integer"):
+                uniform_grid(1.0, points)
+        np.testing.assert_allclose(uniform_grid(3.0, np.int64(3)), [1.0, 2.0, 3.0])
+
 
 class TestParseTraceCsv:
     def test_sorts_events_and_takes_horizon_from_last(self, tmp_path):
@@ -100,6 +171,22 @@ class TestParseTraceCsv:
         path.write_bytes(b"story_id,timestamp\r\ns1,1\r\ns1,2\r\n")
         (trace,) = parse_trace_csv(path)
         np.testing.assert_allclose(trace.events, [1.0, 2.0])
+
+    def test_byte_order_mark_is_ignored(self, tmp_path):
+        rows = [("s1", 1), ("s2", 2), ("s1", 3)]
+        plain = write_csv(tmp_path / "plain.csv", rows)
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert parse_outcome(parse_trace_csv, marked) == parse_outcome(parse_trace_csv, plain)
+
+    def test_quoted_story_ids_round_trip(self, tmp_path):
+        ids = ["a,b", 'say "hi"', "two\nlines"]
+        written = [EventTrace(story_id=i, events=[1.0, k + 2.0], horizon=9.0) for k, i in enumerate(ids)]
+        path = tmp_path / "t.csv"
+        write_trace_csv(path, written)
+        back = parse_trace_csv(path)
+        assert [t.story_id for t in back] == ids
+        assert [t.events.tolist() for t in back] == [t.events.tolist() for t in written]
 
     def test_negative_timestamp_is_named(self, tmp_path):
         path = write_csv(tmp_path / "t.csv", [("s1", -1)])
@@ -145,6 +232,107 @@ class TestParseTraceCsv:
         path = write_csv(tmp_path / "t.csv", [("s1", 5)])
         with pytest.raises(TraceFormatError, match="horizon"):
             parse_trace_csv(path, horizon=3.0)
+
+
+class TestAgainstTheReferenceParser:
+    """The columnar parser against `reference_parse_trace_csv`, with chunks
+    small enough that chunk boundaries fall inside the generated files."""
+
+    def test_same_traces_or_same_error(self, tmp_path):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        plain_ids = st.sampled_from(["a", "b", " a ", "b\t", "7", "c"])
+        quoted_ids = st.sampled_from(
+            ['"a"', '"x,y"', '"q""uote"', '"two\nlines"', '"cr\rid"', '" a "', 'p"q']
+        )
+        plain_stamps = st.one_of(
+            st.floats(0.001, 1e6).map(lambda x: "%.9g" % x),
+            st.sampled_from(["1", " 2 ", "3\t", "1_0", "1e3", "0", "-0"]),
+        )
+        bad_stamps = st.sampled_from(["-1", "-inf", "inf", "nan", "1e400", "abc", "", " "])
+
+        def rows(ids, stamps):
+            kinds = {
+                "good": st.tuples(ids, stamps).map(",".join),
+                "blank": st.sampled_from(["", " ", "\t "]),
+                "one field": ids,
+                "three fields": st.tuples(ids, stamps, stamps).map(",".join),
+                "empty id": st.tuples(st.sampled_from(["", "  "]), stamps).map(",".join),
+                "bad stamp": st.tuples(ids, bad_stamps).map(",".join),
+            }
+            # Mostly good rows, so that a file often reaches its later chunks.
+            return st.sampled_from(["good"] * 25 + list(kinds)).flatmap(kinds.__getitem__)
+
+        ends = st.sampled_from(["\n", "\r\n", "\r"])
+        bodies = st.one_of(
+            st.lists(st.tuples(rows(plain_ids, plain_stamps), ends), max_size=20),
+            st.lists(
+                st.tuples(
+                    rows(
+                        st.one_of(plain_ids, quoted_ids),
+                        st.one_of(plain_stamps, st.just('"4"')),
+                    ),
+                    ends,
+                ),
+                max_size=20,
+            ),
+        )
+
+        @hypothesis.settings(max_examples=400, deadline=None)
+        @hypothesis.given(
+            st.sampled_from(["", "\ufeff"]),
+            st.sampled_from(["story_id,timestamp"] * 8 + [" story_id , timestamp", "id,when"]),
+            bodies,
+            st.booleans(),
+            st.sampled_from([None, 50.0, 1e7]),
+            st.integers(1, 120),
+        )
+        # One field then three: the cells still pair up as numbers.
+        @hypothesis.example("", "story_id,timestamp", [("5", "\n"), ("6,7,8", "\n")], True, None, 40)
+        def check(bom, header, body, last_end, horizon, chunk):
+            text = bom + header + "\n" + "".join(row + end for row, end in body)
+            if body and not last_end:
+                text = text[: -len(body[-1][1])]
+            path = tmp_path / "t.csv"
+            path.write_text(text, encoding="utf-8", newline="")
+            with mock.patch.object(traces, "_CHUNK_CHARS", chunk):
+                ours = parse_outcome(parse_trace_csv, path, horizon)
+            assert ours == parse_outcome(reference_parse_trace_csv, path, horizon)
+
+        check()
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_parse_peak_memory_stays_below_the_file_size(tmp_path):
+    # The row-at-a-time parser held every timestamp as a Python float in a
+    # list: +4.6 MB on this 2.2 MB file. Chunks bound the text held at once.
+    rng = np.random.default_rng(0)
+    stories = [
+        EventTrace(story_id=f"story_{k:04d}", events=np.sort(rng.random(1000)) + 0.5, horizon=2.0)
+        for k in range(100)
+    ]
+    path = tmp_path / "big.csv"
+    write_trace_csv(path, stories)
+    # A child's ru_maxrss starts at its parent's peak, which hides a rise of a
+    # few MB under pytest; VmHWM is the peak of this process image alone.
+    probe = """
+import sys
+from ultradiffusion.traces import parse_trace_csv
+def peak():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+before = peak()
+traces = parse_trace_csv(sys.argv[1])
+after = peak()
+print(sum(t.count for t in traces), (after - before) * 1024)
+"""
+    result = subprocess.run(
+        [sys.executable, "-c", probe, str(path)], capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    rows, rise = map(int, result.stdout.split())
+    assert rows == 100_000
+    assert rise < path.stat().st_size
 
 
 class TestEmpiricalCurve:
