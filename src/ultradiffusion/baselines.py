@@ -16,6 +16,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .traces import _integer
+
 __all__ = [
     "PoissonModel",
     "PowerLawCurve",
@@ -114,9 +116,7 @@ class PowerLawModel:
     delta_h: float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.b, (int, np.integer)) or isinstance(self.b, bool):
-            raise ValueError("branching b must be an integer")
-        object.__setattr__(self, "b", int(self.b))
+        object.__setattr__(self, "b", _integer(self.b, "branching b"))
         object.__setattr__(self, "delta_h", float(self.delta_h))
         if self.b < 2:
             raise ValueError(f"branching b must be at least 2, got {self.b}")
@@ -164,10 +164,11 @@ def power_law_curve(model: PowerLawModel, t, terms: int = 60) -> PowerLawCurve:
             f"s = ln(b)/delta_h = {model.s:.4g} is not below 1: "
             "level weights decay too slowly for a power law"
         )
-    if terms < 1:
+    if _integer(terms, "terms") < 1:
         raise ValueError("terms must be at least 1")
     times = np.asarray(t, dtype=float)
-    if np.any(times <= 0):
+    # Written so that NaN fails too.
+    if not np.all(times > 0):
         raise ValueError("power-law evaluation needs strictly positive times")
     b, dh = model.b, model.delta_h
     q = b * math.exp(-dh)

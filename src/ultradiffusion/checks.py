@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import baselines, fitting, oracle, spectral, traces, ultrametric
+from . import baselines, cli, fitting, oracle, spectral, traces, ultrametric
 from .generator import build_generator
 from .serialize import write_trace_csv
 from .traces import EventTrace, PopularityCurve, uniform_grid
@@ -236,8 +236,6 @@ def _check_fit_round_trip(tol: float) -> _Outcome:
 
 
 def _check_end_to_end(tol: float) -> _Outcome:
-    from . import cli  # imported here: cli imports this module at load time
-
     start = time.perf_counter()
     params = fitting.UltradiffusionParams(
         t_N=END_TO_END_T_N, mu=END_TO_END_MU, M=END_TO_END_M

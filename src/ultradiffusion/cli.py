@@ -23,7 +23,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import checks
 from .baselines import fit_linear
 from .fitting import (
     FitError,
@@ -72,11 +71,11 @@ class CommandError(Exception):
         self.exit_code = exit_code
 
 
-def _check_args(args: argparse.Namespace) -> None:
+def _check_args(args: argparse.Namespace, fewest_points: int = 3) -> None:
     """Reject option values no run can use; options the subcommand lacks
-    are not checked."""
-    if args.grid_points < 2:
-        raise CommandError(1, "grid points must be at least 2")
+    are not checked. A fit needs three grid points; `simulate` takes two."""
+    if args.grid_points < fewest_points:
+        raise CommandError(1, f"grid points must be at least {fewest_points}")
     if getattr(args, "min_events", 1) < 1:
         raise CommandError(1, "minimum event count must be at least 1")
     if getattr(args, "stories", 1) < 1:
@@ -144,7 +143,7 @@ def _fit_curve(curve, M: int, args: argparse.Namespace):
         "t_N": params.t_N,
         "mu": params.mu,
         "M": params.M,
-        "mode": params.mode,
+        "mode": args.mapping,
         "r2_simulated": r_squared(curve.values, simulated.values),
     }
     fitted = exponential_model(curve.grid, fit.h1, fit.h2, fit.h3)
@@ -212,7 +211,7 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    _check_args(args)
+    _check_args(args, fewest_points=2)
     try:
         children = np.random.SeedSequence(args.seed).spawn(args.stories)
         params = UltradiffusionParams(t_N=args.t_n, mu=args.mu, M=args.m_events)
@@ -305,6 +304,10 @@ def _format_runtime(seconds: float) -> str:
 
 
 def cmd_oracle_check(args: argparse.Namespace) -> int:
+    # Imported here, so the other commands load neither the suite nor the
+    # ODE integrator behind it.
+    from . import checks
+
     results = checks.run_all()
     width = max(len(r.name) for r in results) + 2
     print(f"{'check':<{width}}{'measured':>13}{'tolerance':>11}{'runtime':>11}  verdict")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .traces import EventTrace, PopularityCurve
+from .traces import EventTrace, PopularityCurve, _integer
 
 __all__ = [
     "ExponentialFit",
@@ -64,22 +64,17 @@ class UltradiffusionParams:
     t_N: int
     mu: float
     M: int
-    mode: str = "roundtrip"
 
     def __post_init__(self) -> None:
-        if not isinstance(self.t_N, (int, np.integer)) or isinstance(self.t_N, bool):
-            raise ValueError("t_N must be an integer")
-        object.__setattr__(self, "t_N", int(self.t_N))
+        object.__setattr__(self, "t_N", _integer(self.t_N, "t_N"))
         object.__setattr__(self, "mu", float(self.mu))
-        object.__setattr__(self, "M", int(self.M))
+        object.__setattr__(self, "M", _integer(self.M, "M"))
         if self.t_N < 2:
             raise ValueError(f"t_N must be at least 2, got {self.t_N}")
         if not math.isfinite(self.mu) or self.mu < 0:
             raise ValueError(f"mu must be finite and nonnegative, got {self.mu}")
         if self.M < 1:
             raise ValueError("M must be a positive count")
-        if self.mode not in ("paper", "roundtrip"):
-            raise ValueError(f"unknown mapping mode {self.mode!r}")
 
 
 def exponential_model(t, h1: float, h2: float, h3: float = 0.0):
@@ -292,7 +287,7 @@ def infer_params(fit: ExponentialFit, M: int, mode: str = "roundtrip") -> Ultrad
         mu = math.log(t_N / fit.h1) / (t_N - 1)
     else:
         raise ValueError(f"unknown mapping mode {mode!r}")
-    return UltradiffusionParams(t_N=t_N, mu=mu, M=M, mode=mode)
+    return UltradiffusionParams(t_N=t_N, mu=mu, M=M)
 
 
 def decay_rate(params: UltradiffusionParams) -> float:

@@ -23,12 +23,11 @@ on request.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .traces import _readonly
+from .traces import _integer, _readonly
 from .ultrametric import UltrametricSpace
 
 __all__ = [
@@ -52,11 +51,10 @@ def _check_times(t) -> np.ndarray:
 
 
 def _check_index(index, n: int, what: str) -> int:
-    if isinstance(index, bool) or not isinstance(index, numbers.Integral):
-        raise ValueError(f"{what} index must be an integer, got {index!r}")
+    index = _integer(index, f"{what} index")
     if not 1 <= index <= n:
         raise ValueError(f"{what} index {index} outside 1..{n}")
-    return int(index)
+    return index
 
 
 def _path_modes(counts: np.ndarray, rates: np.ndarray, times: np.ndarray) -> np.ndarray | float:

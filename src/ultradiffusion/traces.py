@@ -48,6 +48,13 @@ def _readonly(values, dtype=float) -> np.ndarray:
     return out
 
 
+def _integer(value, what: str) -> int:
+    # A bool is an Integral but no count; 2.0 and 2.5 are never truncated.
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class EventTrace:
     """Rebroadcast times of one story, seconds since submission.
@@ -104,7 +111,9 @@ class PopularityCurve:
         values = _readonly(self.values)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "saturation_count", int(self.saturation_count))
+        object.__setattr__(
+            self, "saturation_count", _integer(self.saturation_count, "saturation count")
+        )
         if grid.ndim != 1 or values.ndim != 1:
             raise ValueError("grid and values must be one-dimensional")
         if grid.size != values.size:
@@ -143,9 +152,7 @@ def uniform_grid(horizon: float, grid_points: int) -> np.ndarray:
     """
     if not (math.isfinite(horizon) and horizon > 0):
         raise ValueError("horizon must be positive and finite")
-    if isinstance(grid_points, bool) or not isinstance(grid_points, numbers.Integral):
-        raise ValueError(f"grid_points must be an integer, got {grid_points!r}")
-    if grid_points < 1:
+    if _integer(grid_points, "grid_points") < 1:
         raise ValueError("grid_points must be at least 1")
     return horizon * (np.arange(1, grid_points + 1) / grid_points)
 
@@ -196,8 +203,12 @@ def parse_trace_csv(path, horizon: float | None = None) -> list[EventTrace]:
 
 
 # Characters read at a time, then up to the end of the line: a chunk's cells
-# are all the parser holds beyond the timestamps it keeps.
-_CHUNK_CHARS = 1 << 16
+# are all the parser holds beyond the timestamps it keeps. A chunk's Python
+# strings take several times its characters, so 32 Ki keeps the peak of a
+# fresh process parsing a 2.2 MB, 100k-row file about 2.0 MB above where it
+# started; 64 Ki read 2.3 MB, above the file's size. Both parse in the same
+# time.
+_CHUNK_CHARS = 1 << 15
 # Every byte but the two separators of an unquoted record.
 _NOT_SEPARATORS = bytes(b for b in range(256) if b not in b",\n")
 

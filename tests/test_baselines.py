@@ -188,5 +188,12 @@ class TestPowerLawCurve:
 
     def test_rejects_nonpositive_times(self):
         model = PowerLawModel(b=2, delta_h=1.0)
-        with pytest.raises(ValueError, match="positive times"):
-            power_law_curve(model, np.array([0.0, 1.0]))
+        for t in ([0.0, 1.0], [1.0, math.nan]):
+            with pytest.raises(ValueError, match="positive times"):
+                power_law_curve(model, np.array(t))
+
+    @pytest.mark.parametrize("terms", [2.5, 3.0, True])
+    def test_rejects_non_integer_terms(self, terms):
+        model = PowerLawModel(b=2, delta_h=1.0)
+        with pytest.raises(ValueError, match="terms must be an integer"):
+            power_law_curve(model, np.array([1.0]), terms=terms)

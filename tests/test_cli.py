@@ -117,6 +117,21 @@ class TestFit:
         assert code == 2
         assert "degenerates" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mapping", ["roundtrip", "paper"])
+    def test_fit_record_names_the_mapping(self, tmp_path, capsys, mapping):
+        # Times rescaled so the fitted rate h2 is about 0.9 per unit: the
+        # published mapping then reads t_N = 10 instead of degenerating.
+        story = sampled_story("s", seed=5)
+        rate = 50 * np.exp(-0.2 * 49)
+        csv = tmp_path / "s.csv"
+        lines = ["story_id,timestamp", *(f"s,{t * rate / 0.9:.9g}" for t in story.events)]
+        csv.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        code = main(["fit", "--input", str(csv), "--out-dir", str(out), "--mapping", mapping])
+        assert code == 0
+        (record,) = json.loads((out / "fits.json").read_text())
+        assert record["mode"] == mapping
+
     def test_story_names_are_sanitized_and_deduplicated(self, tmp_path, capsys):
         csv = tmp_path / "names.csv"
         write_trace_csv(
@@ -406,6 +421,20 @@ class TestArgumentHandling:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("command", ["fit", "aggregate", "compare"])
+    def test_two_grid_points_cannot_be_fitted(self, tmp_path, capsys, command):
+        out = tmp_path / "o"
+        code = main(
+            [command, "--input", str(FIXTURE), "--out-dir", str(out), "--grid-points", "2"]
+        )
+        assert code == 1
+        assert "error: grid points must be at least 3" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_simulate_takes_two_grid_points(self, tmp_path):
+        out = tmp_path / "o"
+        assert main(["simulate", "--out-dir", str(out), "--grid-points", "2"]) == 0
+        assert len((out / "model_curve.tsv").read_text().splitlines()) == 3
 
     # main() returning 1 means no exception escaped it, so no traceback.
     @pytest.mark.parametrize(
@@ -464,13 +493,18 @@ class TestEntryPoints:
 
     def test_import_leaves_scipy_cluster_unloaded(self):
         # The ultrametricity kernel imports scipy.cluster when a check runs,
-        # so importing the CLI does not pay for it.
-        probe = "import sys, ultradiffusion.cli; print('scipy.cluster' in sys.modules)"
+        # and only oracle-check imports the suite and its ODE integrator, so
+        # importing the CLI pays for none of them.
+        probe = (
+            "import sys, ultradiffusion.cli; print([name for name in "
+            "('scipy.cluster', 'scipy.integrate', 'ultradiffusion.checks') "
+            "if name in sys.modules])"
+        )
         result = subprocess.run(
             [sys.executable, "-c", probe], capture_output=True, text=True
         )
         assert result.returncode == 0, result.stderr
-        assert result.stdout.strip() == "False"
+        assert result.stdout.strip() == "[]"
 
     def test_console_script(self, tmp_path):
         # Call the entry point declared in pyproject.toml the way the wrapper

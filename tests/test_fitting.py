@@ -423,6 +423,15 @@ class TestUltradiffusionParams:
         with pytest.raises(ValueError, match="positive count"):
             UltradiffusionParams(t_N=5, mu=0.1, M=0)
 
+    @pytest.mark.parametrize("M", [1000.7, 1000.0, True])
+    def test_rejects_non_integer_saturation_count(self, M):
+        with pytest.raises(ValueError, match="M must be an integer"):
+            UltradiffusionParams(t_N=5, mu=0.1, M=M)
+
+    def test_accepts_numpy_integers(self):
+        params = UltradiffusionParams(t_N=np.int64(5), mu=0.1, M=np.int32(10))
+        assert (type(params.t_N), type(params.M)) == (int, int)
+
 
 class TestDecayRate:
     def test_matches_the_slowest_chain_mode(self):

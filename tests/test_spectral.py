@@ -2,8 +2,6 @@
 
 import dataclasses
 import math
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -513,23 +511,16 @@ class TestDeepCaterpillar:
             )
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux")
-def test_space_from_tree_peak_memory_stays_below_two_matrices():
+def test_space_from_tree_peak_memory_stays_below_two_matrices(peak_rise):
     # The leaf space of a 2000-level caterpillar holds one 32 MB matrix; it
     # is filled in place and handed to UltrametricSpace without a copy. That
-    # raises the peak by about 1.15 matrices (the rest is the space's boolean
+    # raises the peak by about 1.13 matrices (the rest is the space's boolean
     # checks); a second, read-only copy of the matrix reads 1.8-2.1.
-    probe = """
-import resource
-from ultradiffusion.spectral import caterpillar_tree, space_from_tree
-tree = caterpillar_tree(2000, 0.1)
-before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-space = space_from_tree(tree)
-after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-print(space.size, space.dist.nbytes, (after - before) * 1024)
-"""
-    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
-    assert result.returncode == 0, result.stderr
-    size, nbytes, rise = map(int, result.stdout.split())
+    size, nbytes, rise = peak_rise(
+        "from ultradiffusion.spectral import caterpillar_tree, space_from_tree\n"
+        "tree = caterpillar_tree(2000, 0.1)",
+        "space = space_from_tree(tree)",
+        "space.size, space.dist.nbytes",
+    )
     assert size == 2000
     assert rise < 1.5 * nbytes

@@ -2,8 +2,6 @@
 
 import csv
 import math
-import subprocess
-import sys
 from unittest import mock
 
 import numpy as np
@@ -302,8 +300,7 @@ class TestAgainstTheReferenceParser:
         check()
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
-def test_parse_peak_memory_stays_below_the_file_size(tmp_path):
+def test_parse_peak_memory_stays_below_the_file_size(tmp_path, peak_rise):
     # The row-at-a-time parser held every timestamp as a Python float in a
     # list: +4.6 MB on this 2.2 MB file. Chunks bound the text held at once.
     rng = np.random.default_rng(0)
@@ -313,24 +310,12 @@ def test_parse_peak_memory_stays_below_the_file_size(tmp_path):
     ]
     path = tmp_path / "big.csv"
     write_trace_csv(path, stories)
-    # A child's ru_maxrss starts at its parent's peak, which hides a rise of a
-    # few MB under pytest; VmHWM is the peak of this process image alone.
-    probe = """
-import sys
-from ultradiffusion.traces import parse_trace_csv
-def peak():
-    with open("/proc/self/status") as status:
-        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
-before = peak()
-traces = parse_trace_csv(sys.argv[1])
-after = peak()
-print(sum(t.count for t in traces), (after - before) * 1024)
-"""
-    result = subprocess.run(
-        [sys.executable, "-c", probe, str(path)], capture_output=True, text=True
+    rows, rise = peak_rise(
+        "from ultradiffusion.traces import parse_trace_csv",
+        "traces = parse_trace_csv(sys.argv[1])",
+        "sum(t.count for t in traces)",
+        str(path),
     )
-    assert result.returncode == 0, result.stderr
-    rows, rise = map(int, result.stdout.split())
     assert rows == 100_000
     assert rise < path.stat().st_size
 
@@ -406,6 +391,13 @@ class TestPopularityCurve:
         with pytest.raises(ValueError, match="increasing"):
             PopularityCurve(
                 grid=np.array([1.0, math.inf, 3.0]), values=np.ones(3), saturation_count=1
+            )
+
+    @pytest.mark.parametrize("count", [2.9, 2.0, True])
+    def test_rejects_non_integer_saturation_count(self, count):
+        with pytest.raises(ValueError, match="saturation count must be an integer"):
+            PopularityCurve(
+                grid=np.array([1.0, 2.0]), values=np.array([0.5, 1.0]), saturation_count=count
             )
 
     def test_rejects_decreasing_values(self):

@@ -1,8 +1,6 @@
 """Ultrametric state spaces built from traces and model chains."""
 
 import math
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -308,25 +306,19 @@ class TestUltrametricSpaceInvariants:
         assert again.dist is space.dist
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux")
-def test_build_from_trace_peak_memory_stays_below_two_matrices():
+def test_build_from_trace_peak_memory_stays_below_two_matrices(peak_rise):
     # A 3001-state trace space holds one 72 MB matrix. Building it once
     # raised the peak by three such matrices (the outer maximum, a read-only
-    # copy, and a masked off-diagonal copy for the positivity check).
-    probe = """
-import resource
-import numpy as np
-from ultradiffusion.traces import EventTrace
-from ultradiffusion.ultrametric import build_from_trace
-trace = EventTrace(story_id="s", events=np.arange(1.0, 3001.0), horizon=3001.0)
-before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-space = build_from_trace(trace)
-after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-print(space.size, space.dist.nbytes, (after - before) * 1024)
-"""
-    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
-    assert result.returncode == 0, result.stderr
-    size, nbytes, rise = map(int, result.stdout.split())
+    # copy, and a masked off-diagonal copy for the positivity check); now it
+    # reads about 1.13.
+    size, nbytes, rise = peak_rise(
+        "import numpy as np\n"
+        "from ultradiffusion.traces import EventTrace\n"
+        "from ultradiffusion.ultrametric import build_from_trace\n"
+        'trace = EventTrace(story_id="s", events=np.arange(1.0, 3001.0), horizon=3001.0)',
+        "space = build_from_trace(trace)",
+        "space.size, space.dist.nbytes",
+    )
     assert size == 3001
     assert rise < 2 * nbytes
 
