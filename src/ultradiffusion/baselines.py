@@ -16,6 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .fitting import r_squared
 from .traces import _integer
 
 __all__ = [
@@ -101,11 +102,7 @@ def fit_linear(t, values) -> tuple[float, float, float]:
     if x.shape != y.shape or x.ndim != 1 or x.size < 2:
         raise ValueError("need two equal-length vectors of at least 2 points")
     slope, intercept = np.polyfit(x, y, 1)
-    total = float(np.sum((y - y.mean()) ** 2))
-    if total == 0.0:
-        raise ValueError("values are constant, r_squared is undefined")
-    resid = float(np.sum((y - (slope * x + intercept)) ** 2))
-    return float(slope), float(intercept), 1.0 - resid / total
+    return float(slope), float(intercept), r_squared(y, slope * x + intercept)
 
 
 @dataclass(frozen=True)

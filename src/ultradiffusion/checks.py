@@ -90,7 +90,7 @@ def _matrix_text(labels, dist) -> str:
     return "\n".join(rows)
 
 
-def _check_distance_matrix(tol: float) -> _Outcome:
+def _check_distance_matrix(tolerance: float) -> _Outcome:
     trace = EventTrace(
         story_id="worked", events=np.array(WORKED_EVENTS), horizon=WORKED_HORIZON
     )
@@ -103,10 +103,10 @@ def _check_distance_matrix(tol: float) -> _Outcome:
     detail = _matrix_text(space.labels, space.dist)
     if not labels_ok:
         detail += f"\nstate labels differ: {space.labels.tolist()}"
-    return measured, labels_ok and measured <= tol, elapsed, detail
+    return measured, labels_ok and measured <= tolerance, elapsed, detail
 
 
-def _check_random_traces(tol: float) -> _Outcome:
+def _check_random_traces(tolerance: float) -> _Outcome:
     rng = np.random.default_rng(20250816)
     start = time.perf_counter()
     failures = 0
@@ -118,7 +118,7 @@ def _check_random_traces(tol: float) -> _Outcome:
         events = np.sort(horizon * (1.0 - rng.random(n_events)))
         trace = EventTrace(story_id=f"rand_{k}", events=events, horizon=horizon)
         space = ultrametric.build_from_trace(trace)
-        report = ultrametric.verify_ultrametric(space, tol=0.0)
+        report = ultrametric.verify_ultrametric(space)
         if not report.ok:
             failures += 1
             if not first_bad:
@@ -128,10 +128,10 @@ def _check_random_traces(tol: float) -> _Outcome:
         "1000 random traces, up to 200 events each, strong triangle "
         "inequality over every triple (subdominant-ultrametric proof)." + first_bad
     )
-    return float(failures), failures <= tol, elapsed, detail
+    return float(failures), failures <= tolerance, elapsed, detail
 
 
-def _check_chain_spectra(tol: float) -> _Outcome:
+def _check_chain_spectra(tolerance: float) -> _Outcome:
     start = time.perf_counter()
     worst_resid = 0.0
     worst_eig = 0.0
@@ -152,13 +152,13 @@ def _check_chain_spectra(tol: float) -> _Outcome:
         f"residual scaled by max rate; t_N in 2..40, mu in {{0,0.1,1,5}}. "
         f"Dense-eigensolver eigenvalue gap {worst_eig:.3e} (bound {eig_tol:g})."
     )
-    return worst_resid, worst_resid <= tol and worst_eig <= eig_tol, elapsed, detail
+    return worst_resid, worst_resid <= tolerance and worst_eig <= eig_tol, elapsed, detail
 
 
 _RELAXATION_CELLS = ((5, 0.1), (20, 0.1), (40, 0.1), (5, 1.0), (20, 1.0), (40, 1.0))
 
 
-def _check_master_equation(tol: float) -> _Outcome:
+def _check_master_equation(tolerance: float) -> _Outcome:
     start = time.perf_counter()
     worst = 0.0
     long_windows = 0
@@ -185,10 +185,10 @@ def _check_master_equation(tol: float) -> _Outcome:
         f"{long_windows} cells also integrated to five slowest-mode times. "
         "Probability conservation within 1e-9 is enforced by the integrator."
     )
-    return worst, worst <= tol, elapsed, detail
+    return worst, worst <= tolerance, elapsed, detail
 
 
-def _check_survival_identity(tol: float) -> _Outcome:
+def _check_survival_identity(tolerance: float) -> _Outcome:
     start = time.perf_counter()
     worst = 0.0
     for n, mu in _RELAXATION_CELLS:
@@ -203,10 +203,10 @@ def _check_survival_identity(tol: float) -> _Outcome:
         "survival_probability vs autocorrelation of the last state, "
         "same (t_N, mu) cells as the integration check."
     )
-    return worst, worst <= tol, elapsed, detail
+    return worst, worst <= tolerance, elapsed, detail
 
 
-def _check_fit_round_trip(tol: float) -> _Outcome:
+def _check_fit_round_trip(tolerance: float) -> _Outcome:
     start = time.perf_counter()
     worst_h = 0.0
     worst_mu = 0.0
@@ -232,10 +232,10 @@ def _check_fit_round_trip(tol: float) -> _Outcome:
         f"noiseless curves, t_N in {{5,50,500}}, mu in {{0.01,0.1,1}}; "
         f"t_N exact: {t_n_ok}; worst relative mu error {worst_mu:.3e} (bound 0.01)."
     )
-    return worst_h, worst_h <= tol and t_n_ok and worst_mu <= 0.01, elapsed, detail
+    return worst_h, worst_h <= tolerance and t_n_ok and worst_mu <= 0.01, elapsed, detail
 
 
-def _check_end_to_end(tol: float) -> _Outcome:
+def _check_end_to_end(tolerance: float) -> _Outcome:
     start = time.perf_counter()
     params = fitting.UltradiffusionParams(
         t_N=END_TO_END_T_N, mu=END_TO_END_MU, M=END_TO_END_M
@@ -266,12 +266,12 @@ def _check_end_to_end(tol: float) -> _Outcome:
     detail = (
         f"seed {END_TO_END_SEED}, M={END_TO_END_M}: recovered t_N={t_n} "
         f"(want {END_TO_END_T_N}), r2(simulated vs observed)={r2_sim:.5f} "
-        f"(want >= {tol:g})."
+        f"(want >= {tolerance:g})."
     )
-    return r2_sim, r2_sim >= tol and t_n == END_TO_END_T_N, elapsed, detail
+    return r2_sim, r2_sim >= tolerance and t_n == END_TO_END_T_N, elapsed, detail
 
 
-def _check_curve_constants(tol: float) -> _Outcome:
+def _check_curve_constants(tolerance: float) -> _Outcome:
     start = time.perf_counter()
     value = float(fitting.exponential_model(100.0, 0.999, 0.017, 0.155))
     reference = 0.999 * (1.0 - math.exp(-1.7)) + 0.155
@@ -281,10 +281,10 @@ def _check_curve_constants(tol: float) -> _Outcome:
         f"documented server-fit constants (h1=0.999, h2=0.017, h3=0.155) "
         f"at t=100: {value:.12f}."
     )
-    return measured, measured <= tol, elapsed, detail
+    return measured, measured <= tolerance, elapsed, detail
 
 
-def _check_poisson_discriminator(tol: float) -> _Outcome:
+def _check_poisson_discriminator(tolerance: float) -> _Outcome:
     start = time.perf_counter()
     window = 10.0
     grid = uniform_grid(window, 200)
@@ -298,10 +298,10 @@ def _check_poisson_discriminator(tol: float) -> _Outcome:
         f"exact line t/T0: linear r2={r2_lin:.12f}, saturating-exponential "
         f"r2={r2_exp:.12f}; the difference must be strictly negative."
     )
-    return measured, measured < tol, elapsed, detail
+    return measured, measured < tolerance, elapsed, detail
 
 
-def _check_power_law(tol: float) -> _Outcome:
+def _check_power_law(tolerance: float) -> _Outcome:
     start = time.perf_counter()
     model = baselines.PowerLawModel(b=2, delta_h=1.0)
     t = np.geomspace(1e2, 1e4, 200)
@@ -316,7 +316,7 @@ def _check_power_law(tol: float) -> _Outcome:
         f"series-vs-asymptote gap {gap:.4f} (bound 0.05); "
         f"truncation bound {result.truncation_bound:.2e}."
     )
-    return measured, measured <= tol and gap <= 0.05, elapsed, detail
+    return measured, measured <= tolerance and gap <= 0.05, elapsed, detail
 
 
 _CHECKS = (
@@ -342,14 +342,14 @@ def run_all() -> list[CheckResult]:
     under its budget.
     """
     results = []
-    for name, tol, budget, func in _CHECKS:
-        measured, ok, elapsed, detail = func(tol)
+    for name, tolerance, budget, func in _CHECKS:
+        measured, ok, elapsed, detail = func(tolerance)
         results.append(
             CheckResult(
                 name=name,
                 passed=ok and elapsed < budget,
                 measured=measured,
-                tolerance=tol,
+                tolerance=tolerance,
                 runtime_s=elapsed,
                 budget_s=budget,
                 detail=detail,

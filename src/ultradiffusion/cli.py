@@ -52,7 +52,7 @@ from .traces import (
     parse_trace_csv,
     uniform_grid,
 )
-from .ultrametric import build_from_trace, rescale_distances
+from .ultrametric import build_from_trace
 
 __all__ = ["CommandError", "build_parser", "main"]
 
@@ -133,8 +133,8 @@ def _fit_curve(curve, M: int, args: argparse.Namespace):
     """Fit `curve`, map the fit to chain parameters for `M` events and
     simulate them: the fit record and the columns of its curve table."""
     fit = fit_exponential(curve, offset=args.offset)
-    params = infer_params(fit, M=M, mode=args.mapping)
-    simulated = simulate_curve(params, curve.grid, paper_prefactor=args.paper_prefactor)
+    params = infer_params(fit, M=M)
+    simulated = simulate_curve(params, curve.grid)
     record = {
         "h1": fit.h1,
         "h2": fit.h2,
@@ -143,7 +143,6 @@ def _fit_curve(curve, M: int, args: argparse.Namespace):
         "t_N": params.t_N,
         "mu": params.mu,
         "M": params.M,
-        "mode": args.mapping,
         "r2_simulated": r_squared(curve.values, simulated.values),
     }
     fitted = exponential_model(curve.grid, fit.h1, fit.h2, fit.h3)
@@ -226,10 +225,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
     write_trace_csv(out / "trace.csv", traces)
     grid = uniform_grid(span, args.grid_points)
-    write_curve_tsv(
-        out / "model_curve.tsv",
-        simulate_curve(params, grid, paper_prefactor=args.paper_prefactor),
-    )
+    write_curve_tsv(out / "model_curve.tsv", simulate_curve(params, grid))
     write_spectrum_tsv(out / "spectrum.tsv", chain_spectrum(args.t_n, args.mu).eigenvalues)
     print(
         f"wrote {args.stories} stories x {args.m_events} events "
@@ -253,11 +249,11 @@ def _compare_record(trace, args: argparse.Namespace):
         "note": "",
     }
     try:
-        params = infer_params(fit, M=trace.count, mode=args.mapping)
+        params = infer_params(fit, M=trace.count)
     except ValueError as err:
         record["note"] = f"parameter mapping failed: {err}"
         return record, trace, None
-    simulated = simulate_curve(params, curve.grid, paper_prefactor=args.paper_prefactor)
+    simulated = simulate_curve(params, curve.grid)
     record["r2_simulated"] = r_squared(curve.values, simulated.values)
     record["t_N"] = params.t_N
     record["mu"] = params.mu
@@ -283,8 +279,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
                 )
                 continue
             space = build_from_trace(trace)
-            if args.rescale_distances:
-                space = rescale_distances(space)
             write_distance_tsv(out / f"{name}_distance.tsv", space)
             if mu is None:
                 print(
@@ -346,23 +340,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out-dir", required=True, help="directory for output tables")
         p.add_argument("--grid-points", type=int, default=200, help="curve grid size")
         p.add_argument("--offset", action="store_true", help="fit the additive constant h3")
-        p.add_argument(
-            "--mapping",
-            choices=("paper", "roundtrip"),
-            default="roundtrip",
-            help="variant of the (h1, h2) -> (t_N, mu) mapping",
-        )
         p.add_argument("--min-events", type=int, default=50, help="skip smaller stories")
         p.add_argument(
             "--horizon",
             type=float,
             default=None,
             help="observation window; default is each story's last event",
-        )
-        p.add_argument(
-            "--paper-prefactor",
-            action="store_true",
-            help="use the printed 1/t_N curve amplitude instead of (t_N-1)/t_N",
         )
 
     p_fit = sub.add_parser("fit", help="fit each story's curve and map parameters")
@@ -383,11 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument(
         "--horizon", type=float, default=None, help="window; default five relaxation times"
     )
-    p_sim.add_argument(
-        "--paper-prefactor",
-        action="store_true",
-        help="use the printed 1/t_N curve amplitude instead of (t_N-1)/t_N",
-    )
     p_sim.add_argument("--seed", type=int, default=0, help="base seed, split per story")
     p_sim.set_defaults(func=cmd_simulate)
 
@@ -399,11 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--export-matrices",
         action="store_true",
         help="also write per-story distance and rate matrices",
-    )
-    p_cmp.add_argument(
-        "--rescale-distances",
-        action="store_true",
-        help="rescale exported distances to a unit maximum",
     )
     p_cmp.set_defaults(func=cmd_compare)
 

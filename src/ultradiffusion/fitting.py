@@ -247,46 +247,32 @@ def fit_exponential(curve: PopularityCurve, offset: bool = False) -> Exponential
     return ExponentialFit(h1=float(h1), h2=h2, h3=float(h3), r2=r_squared(p, fitted))
 
 
-def infer_params(fit: ExponentialFit, M: int, mode: str = "roundtrip") -> UltradiffusionParams:
+def infer_params(fit: ExponentialFit, M: int) -> UltradiffusionParams:
     """Map fitted (h1, h2) onto model parameters (t_N, mu).
 
-    mode="roundtrip" (default) inverts the simulated curve, whose amplitude
-    is (t_N-1)/t_N and whose rate is t_N*e^(-mu*(t_N-1)): so
-    t_N = round(1/(1-h1)) and mu = ln(t_N/h2)/(t_N-1), clamped at mu >= 0.
-    mode="paper" uses the published mapping t_N = round(1/(1-h2)) and
-    mu = ln(t_N/h1)/(t_N-1); note that for slow decays (h2 near 0) it maps
-    everything to t_N near 1, which is rejected below.
+    Inverts the simulated curve, whose amplitude is (t_N-1)/t_N and whose
+    rate is t_N*e^(-mu*(t_N-1)): so t_N = round(1/(1-h1)) and
+    mu = ln(t_N/h2)/(t_N-1), clamped at mu >= 0. The published mapping
+    t_N = round(1/(1-h2)), mu = ln(t_N/h1)/(t_N-1) and the printed amplitude
+    1/t_N do not invert the curve this library simulates, so they are not
+    offered.
     """
-    if mode == "roundtrip":
-        if fit.h1 >= 1.0:
-            raise ValueError(
-                f"amplitude h1={fit.h1:.6g} must be below 1 to invert: "
-                "the model saturates at (t_N-1)/t_N"
-            )
-        raw = 1.0 / (1.0 - fit.h1)
-        t_N = round(raw)
-        if t_N < 2:
-            raise ValueError(f"mapped t_N={raw:.4g} rounds below 2: no chain this short")
-        if fit.h2 <= 0:
-            raise ValueError("decay rate h2 must be positive")
-        if fit.h2 >= t_N:
-            raise ValueError(
-                f"decay rate h2={fit.h2:.6g} is at least t_N={t_N}: mu would be negative"
-            )
-        mu = max(math.log(t_N / fit.h2) / (t_N - 1), 0.0)
-    elif mode == "paper":
-        if fit.h2 >= 1.0:
-            raise ValueError(f"h2={fit.h2:.6g} must be below 1 for the published mapping")
-        raw = 1.0 / (1.0 - fit.h2)
-        t_N = round(raw)
-        if t_N < 2:
-            raise ValueError(
-                f"mapped t_N={raw:.4g} rounds below 2: the published mapping "
-                "degenerates for slow decay rates"
-            )
-        mu = math.log(t_N / fit.h1) / (t_N - 1)
-    else:
-        raise ValueError(f"unknown mapping mode {mode!r}")
+    if fit.h1 >= 1.0:
+        raise ValueError(
+            f"amplitude h1={fit.h1:.6g} must be below 1 to invert: "
+            "the model saturates at (t_N-1)/t_N"
+        )
+    raw = 1.0 / (1.0 - fit.h1)
+    t_N = round(raw)
+    if t_N < 2:
+        raise ValueError(f"mapped t_N={raw:.4g} rounds below 2: no chain this short")
+    if fit.h2 <= 0:
+        raise ValueError("decay rate h2 must be positive")
+    if fit.h2 >= t_N:
+        raise ValueError(
+            f"decay rate h2={fit.h2:.6g} is at least t_N={t_N}: mu would be negative"
+        )
+    mu = max(math.log(t_N / fit.h2) / (t_N - 1), 0.0)
     return UltradiffusionParams(t_N=t_N, mu=mu, M=M)
 
 
@@ -295,19 +281,13 @@ def decay_rate(params: UltradiffusionParams) -> float:
     return params.t_N * math.exp(-params.mu * (params.t_N - 1))
 
 
-def simulate_curve(
-    params: UltradiffusionParams,
-    grid,
-    paper_prefactor: bool = False,
-) -> PopularityCurve:
+def simulate_curve(params: UltradiffusionParams, grid) -> PopularityCurve:
     """Model response curve p(t) = A*(1 - e^(-rate*t)) on `grid`.
 
-    The consistent amplitude is A = (t_N-1)/t_N, the never-responding share
-    being 1/t_N. `paper_prefactor` switches to the printed variant A = 1/t_N
-    kept for comparison with the published plots.
+    The amplitude is A = (t_N-1)/t_N, the never-responding share being 1/t_N.
     """
     times = np.asarray(grid, dtype=float)
-    amplitude = (1.0 / params.t_N) if paper_prefactor else ((params.t_N - 1) / params.t_N)
+    amplitude = (params.t_N - 1) / params.t_N
     values = amplitude * (1.0 - np.exp(-decay_rate(params) * times))
     return PopularityCurve(grid=times, values=values, saturation_count=params.M)
 

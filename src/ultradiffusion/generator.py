@@ -69,15 +69,15 @@ def build_generator(space: UltrametricSpace, mu: float) -> Generator:
     return Generator(rates=rates)
 
 
-def check_rate_ultrametricity(gen: Generator, tol: float = 0.0) -> TripleReport:
-    """Confirm rate(i, j) >= min(rate(i, k), rate(k, j)) - tol for distinct i, j, k.
+def check_rate_ultrametricity(gen: Generator) -> TripleReport:
+    """Confirm rate(i, j) >= min(rate(i, k), rate(k, j)) for distinct i, j, k.
 
     This is the strong triangle inequality of -rate (negation is exact in
     floating point), so the same kernel as `verify_ultrametric` proves it in
     O(n^2) or reports the first violation in lexicographic (i, j, k) order.
     """
     n = gen.size
-    triple = _first_violation(-gen.rates, tol)
+    triple = _first_violation(-gen.rates)
     if triple is None:
         return TripleReport(ok=True, triple=None, message=f"all {n} states rate-ultrametric")
     i, j, k = triple

@@ -100,16 +100,18 @@ class ChainSpectrum:
         return vec
 
 
-def _check_chain(t_N: int, mu: float) -> None:
+def _check_chain(t_N: int, mu: float) -> int:
+    t_N = _integer(t_N, "t_N")
     if t_N < 2:
         raise ValueError("t_N must be at least 2")
     if not mu >= 0:
         raise ValueError("mu must be nonnegative")
+    return t_N
 
 
 def chain_spectrum(t_N: int, mu: float) -> ChainSpectrum:
     """Exact spectrum of the generator over uniform_chain(t_N) at decay mu."""
-    _check_chain(t_N, mu)
+    t_N = _check_chain(t_N, mu)
     # The path of leaf 1 climbs levels 2..t_N: N_0 = 1, N_k = k, h_k = mu*(k-1).
     lam = np.zeros(t_N)
     lam[1:] = -_path_rates(np.arange(1.0, t_N + 1), np.exp(-mu * np.arange(1, t_N)))
@@ -135,7 +137,7 @@ def survival_probability(t_N: int, mu: float, t) -> np.ndarray | float:
     Single-mode closed form for the chain's last state:
     ((t_N-1)/t_N) * e^(-t * t_N * e^(-mu*(t_N-1))) + 1/t_N.
     """
-    _check_chain(t_N, mu)
+    t_N = _check_chain(t_N, mu)
     times = _check_times(t)
     rate = t_N * np.exp(-mu * (t_N - 1))
     out = ((t_N - 1) / t_N) * np.exp(-times * rate) + 1.0 / t_N
@@ -238,6 +240,7 @@ def caterpillar_tree(n: int, mu: float) -> TreeModel:
     then leaves 1 and 2 under level 2 and leaf j >= 3 under level j.
     Needs mu > 0 so heights increase strictly along every path.
     """
+    n = _integer(n, "n")
     if n < 2:
         raise ValueError("a chain encoding needs at least 2 leaves")
     if not mu > 0:

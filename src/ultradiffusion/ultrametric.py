@@ -19,13 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .traces import EventTrace, _readonly
+from .traces import EventTrace, _integer, _readonly
 
 __all__ = [
     "TripleReport",
     "UltrametricSpace",
     "build_from_trace",
-    "rescale_distances",
     "uniform_chain",
     "verify_ultrametric",
 ]
@@ -114,6 +113,7 @@ def uniform_chain(n: int) -> UltrametricSpace:
     This is the state space whose closed-form spectrum the model layer uses:
     the rate between states i < j is e^(-mu*(j-1)).
     """
+    n = _integer(n, "n")
     if n < 2:
         raise ValueError("a chain needs at least 2 states")
     idx = np.arange(1, n + 1, dtype=float)
@@ -123,22 +123,8 @@ def uniform_chain(n: int) -> UltrametricSpace:
     return UltrametricSpace(labels=idx, dist=dist, multiplicity=np.ones(n, dtype=int))
 
 
-def rescale_distances(space: UltrametricSpace) -> UltrametricSpace:
-    """Divide all distances by the largest one.
-
-    Useful for conditioning: rates e^(-mu*d) underflow when raw-second
-    distances reach the tens of thousands.
-    """
-    if space.size < 2:
-        return space
-    top = float(np.max(space.dist))
-    return UltrametricSpace(
-        labels=space.labels, dist=space.dist / top, multiplicity=space.multiplicity
-    )
-
-
-def _first_violation(m: np.ndarray, tol: float) -> tuple[int, int, int] | None:
-    """First (i, j, k) in lexicographic order with m[i, j] > max(m[i, k], m[k, j]) + tol.
+def _first_violation(m: np.ndarray) -> tuple[int, int, int] | None:
+    """First (i, j, k) in lexicographic order with m[i, j] > max(m[i, k], m[k, j]).
 
     Only triples of distinct indices count, so the diagonal of `m` is
     ignored; `m` must be symmetric. A symmetric matrix satisfies the strong
@@ -146,29 +132,26 @@ def _first_violation(m: np.ndarray, tol: float) -> tuple[int, int, int] | None:
     the single-linkage cophenetic matrix (Gower & Ross 1969; Rammal,
     Toulouse & Virasoro, Rev. Mod. Phys. 58, 765, 1986). That proof runs in
     O(n^2) on the ranks of the off-diagonal entries, which keep their order
-    exactly and are finite even where `m` holds infinities. Passing it at
-    tol 0 settles every tol >= 0. Otherwise an exact scan, row by row from
-    i = 0, returns the first violating triple.
+    exactly and are finite even where `m` holds infinities. When the proof
+    fails, an exact scan, row by row from i = 0, returns the first violating
+    triple.
     """
-    if np.isnan(tol):
-        raise ValueError("tol must be a number, got nan")
     n = m.shape[0]
     if n < 3:
         return None
-    if tol >= 0:
-        # Imported here: scipy.cluster is only needed once a check runs.
-        from scipy.cluster.hierarchy import linkage
-        from scipy.spatial.distance import squareform
+    # Imported here: scipy.cluster is only needed once a check runs.
+    from scipy.cluster.hierarchy import linkage
+    from scipy.spatial.distance import squareform
 
-        _, ranks = np.unique(squareform(m, checks=False), return_inverse=True)
-        merges = linkage(ranks.astype(float), "single").astype(np.int64)
-        # The subdominant ultrametric never exceeds the matrix, so the two are
-        # equal when their sums are; a merge at height h spans |A| * |B| pairs.
-        size = np.concatenate([np.ones(n, dtype=np.int64), merges[:, 3]])
-        if size[merges[:, 0]] * size[merges[:, 1]] @ merges[:, 2] == ranks.sum():
-            return None
+    _, ranks = np.unique(squareform(m, checks=False), return_inverse=True)
+    merges = linkage(ranks.astype(float), "single").astype(np.int64)
+    # The subdominant ultrametric never exceeds the matrix, so the two are
+    # equal when their sums are; a merge at height h spans |A| * |B| pairs.
+    size = np.concatenate([np.ones(n, dtype=np.int64), merges[:, 3]])
+    if size[merges[:, 0]] * size[merges[:, 1]] @ merges[:, 2] == ranks.sum():
+        return None
     for i in range(n):
-        bad = m[i][:, None] > np.maximum(m[i], m.T) + tol
+        bad = m[i][:, None] > np.maximum(m[i], m.T)
         bad[i, :] = False
         bad[:, i] = False
         np.fill_diagonal(bad, False)
@@ -178,8 +161,8 @@ def _first_violation(m: np.ndarray, tol: float) -> tuple[int, int, int] | None:
     return None
 
 
-def verify_ultrametric(space: UltrametricSpace, tol: float = 0.0) -> TripleReport:
-    """Check d(i, j) <= max(d(i, k), d(k, j)) + tol for distinct states i, j, k.
+def verify_ultrametric(space: UltrametricSpace) -> TripleReport:
+    """Check d(i, j) <= max(d(i, k), d(k, j)) for distinct states i, j, k.
 
     A space that equals its subdominant ultrametric passes in O(n^2);
     otherwise an exact scan reports the first violating triple in
@@ -189,7 +172,7 @@ def verify_ultrametric(space: UltrametricSpace, tol: float = 0.0) -> TripleRepor
     """
     dist = space.dist
     n = space.size
-    triple = _first_violation(dist, tol)
+    triple = _first_violation(dist)
     if triple is None:
         return TripleReport(ok=True, triple=None, message=f"all {n} states ultrametric")
     i, j, k = triple

@@ -359,41 +359,25 @@ class TestExponentialFitInvariants:
 class TestInferParams:
     def test_roundtrip_mapping_on_published_constants(self):
         fit = ExponentialFit(h1=0.999, h2=0.017, h3=0.155, r2=0.98)
-        params = infer_params(fit, M=1500, mode="roundtrip")
+        params = infer_params(fit, M=1500)
         assert params.t_N == 1000
         assert params.mu == pytest.approx(0.010993, abs=1e-5)
         assert params.M == 1500
 
-    def test_paper_mapping_degenerates_on_slow_decay(self):
-        fit = ExponentialFit(h1=0.999, h2=0.017, h3=0.155, r2=0.98)
-        with pytest.raises(ValueError, match="below 2"):
-            infer_params(fit, M=1500, mode="paper")
-
-    def test_paper_mapping_applies_published_formulas(self):
-        fit = ExponentialFit(h1=0.9, h2=0.98, h3=0.0, r2=0.99)
-        params = infer_params(fit, M=10, mode="paper")
-        assert params.t_N == 50
-        assert params.mu == pytest.approx(math.log(50.0 / 0.9) / 49.0)
-
     def test_roundtrip_rejects_amplitude_at_or_above_one(self):
         fit = ExponentialFit(h1=1.0, h2=0.1, h3=0.0, r2=0.9)
         with pytest.raises(ValueError, match="below 1"):
-            infer_params(fit, M=10, mode="roundtrip")
+            infer_params(fit, M=10)
 
     def test_roundtrip_rejects_tiny_amplitude(self):
         fit = ExponentialFit(h1=0.3, h2=0.1, h3=0.0, r2=0.9)
         with pytest.raises(ValueError, match="rounds below 2"):
-            infer_params(fit, M=10, mode="roundtrip")
+            infer_params(fit, M=10)
 
     def test_roundtrip_rejects_rate_at_or_above_t_n(self):
         fit = ExponentialFit(h1=0.5, h2=3.0, h3=0.0, r2=0.9)
         with pytest.raises(ValueError, match="negative"):
-            infer_params(fit, M=10, mode="roundtrip")
-
-    def test_unknown_mode_is_rejected(self):
-        fit = ExponentialFit(h1=0.5, h2=0.1, h3=0.0, r2=0.9)
-        with pytest.raises(ValueError, match="mode"):
-            infer_params(fit, M=10, mode="bayes")
+            infer_params(fit, M=10)
 
     @pytest.mark.parametrize("mu", [0.01, 0.1, 1.0])
     @pytest.mark.parametrize("t_N", [5, 50, 500])
@@ -401,7 +385,7 @@ class TestInferParams:
         params = UltradiffusionParams(t_N=t_N, mu=mu, M=100)
         grid = uniform_grid(5.0 / decay_rate(params), 200)
         fit = fit_exponential(simulate_curve(params, grid))
-        recovered = infer_params(fit, M=100, mode="roundtrip")
+        recovered = infer_params(fit, M=100)
         assert recovered.t_N == t_N
         assert recovered.mu == pytest.approx(mu, rel=0.01)
 
@@ -473,15 +457,6 @@ class TestSimulateCurve:
             gen, ProbabilityVector.characteristic(t_N, t_N), grid
         )
         assert np.max(np.abs(curve.values - (1.0 - traj[:, t_N - 1]))) <= 1e-6
-
-    def test_printed_prefactor_variant(self):
-        params = UltradiffusionParams(t_N=10, mu=0.1, M=10)
-        grid = uniform_grid(10.0, 15)
-        printed = simulate_curve(params, grid, paper_prefactor=True)
-        rate = decay_rate(params)
-        np.testing.assert_allclose(
-            printed.values, 0.1 * (1.0 - np.exp(-rate * grid))
-        )
 
     def test_values_do_not_depend_on_saturation_count(self):
         grid = uniform_grid(10.0, 15)

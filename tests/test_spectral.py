@@ -524,3 +524,21 @@ def test_space_from_tree_peak_memory_stays_below_two_matrices(peak_rise):
     )
     assert size == 2000
     assert rise < 1.5 * nbytes
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda n: chain_spectrum(n, 0.1), id="chain_spectrum"),
+        pytest.param(lambda n: caterpillar_tree(n, 0.1), id="caterpillar_tree"),
+        pytest.param(uniform_chain, id="uniform_chain"),
+        pytest.param(lambda n: survival_probability(n, 0.1, 1.0), id="survival_probability"),
+    ],
+)
+def test_level_count_must_be_an_integer(build):
+    # 3.0 is not truncated and True is no count, as everywhere else.
+    for bad in (2.5, 3.0, True):
+        with pytest.raises(ValueError, match="must be an integer"):
+            build(bad)
+    for good in (np.int64(5), np.int32(5)):
+        build(good)

@@ -1,7 +1,5 @@
 """Ultrametric state spaces built from traces and model chains."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -10,7 +8,6 @@ from ultradiffusion.ultrametric import (
     TripleReport,
     UltrametricSpace,
     build_from_trace,
-    rescale_distances,
     uniform_chain,
     verify_ultrametric,
 )
@@ -35,13 +32,13 @@ WORKED_MATRIX = np.array(
 )
 
 
-def reference_report(space, tol):
+def reference_report(space):
     """Plain scan of every ordered triple of distinct states, in lexicographic order."""
     d, labels, n = space.dist, space.labels, space.size
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                if len({i, j, k}) == 3 and d[i, j] > max(d[i, k], d[k, j]) + tol:
+                if len({i, j, k}) == 3 and d[i, j] > max(d[i, k], d[k, j]):
                     return TripleReport(
                         ok=False,
                         triple=(i, j, k),
@@ -164,7 +161,7 @@ class TestVerifyUltrametric:
         )
         assert verify_ultrametric(space).ok
 
-    def test_tolerance_forgives_roundoff_sized_violations(self):
+    def test_roundoff_sized_violations_fail(self):
         space = UltrametricSpace(
             labels=np.array([1.0, 2.0, 3.0]),
             dist=np.array(
@@ -177,16 +174,15 @@ class TestVerifyUltrametric:
             multiplicity=np.ones(3, dtype=int),
         )
         assert not verify_ultrametric(space).ok
-        assert verify_ultrametric(space, tol=1e-9).ok
 
     def test_matches_the_reference_scan(self):
         hypothesis = pytest.importorskip("hypothesis")
         st = hypothesis.strategies
 
         @hypothesis.settings(max_examples=300, deadline=None)
-        @hypothesis.given(small_spaces(st), st.sampled_from([0.0, 1e-9, 1.5, -0.5]))
-        def check(space, tol):
-            assert verify_ultrametric(space, tol) == reference_report(space, tol)
+        @hypothesis.given(small_spaces(st))
+        def check(space):
+            assert verify_ultrametric(space) == reference_report(space)
 
         check()
 
@@ -200,23 +196,15 @@ class TestVerifyUltrametric:
     @pytest.mark.parametrize("n", [1, 2])
     def test_fewer_than_three_states_pass_at_any_tolerance(self, n):
         space = space_of(np.ones((n, n)) - np.eye(n))
-        for tol in (-10.0, 0.0, 1.0):
-            assert verify_ultrametric(space, tol) == TripleReport(
-                ok=True, triple=None, message=f"all {n} states ultrametric"
-            )
+        assert verify_ultrametric(space) == TripleReport(
+            ok=True, triple=None, message=f"all {n} states ultrametric"
+        )
 
     def test_first_triple_and_message_are_exact(self):
         report = verify_ultrametric(space_of([[0, 1, 5], [1, 0, 1], [5, 1, 0]]))
         assert report == TripleReport(
             ok=False, triple=(0, 2, 1), message="d(1,3)=5 exceeds max(d(.,2))=1"
         )
-
-    def test_nan_tolerance_is_rejected(self):
-        # At tol nan no comparison holds, so the scan would pass any matrix.
-        for dist in ([[0, 1, 5], [1, 0, 1], [5, 1, 0]], [[0, 1], [1, 0]]):
-            with pytest.raises(ValueError, match="tol must be a number"):
-                verify_ultrametric(space_of(dist), tol=math.nan)
-
 
 class TestVerifyAtScale:
     """A 3001-state trace space: the scan would take minutes, the proof about a second."""
@@ -342,23 +330,3 @@ class TestUniformChain:
     def test_chains_pass_verification(self, n):
         assert verify_ultrametric(uniform_chain(n)).ok
 
-
-class TestRescaleDistances:
-    def test_largest_distance_becomes_one(self):
-        space = rescale_distances(build_from_trace(WORKED_TRACE))
-        assert np.max(space.dist) == 1.0
-        np.testing.assert_allclose(space.dist, WORKED_MATRIX / 17.0)
-
-    def test_labels_and_multiplicity_are_preserved(self):
-        before = build_from_trace(WORKED_TRACE)
-        after = rescale_distances(before)
-        np.testing.assert_array_equal(after.labels, before.labels)
-        np.testing.assert_array_equal(after.multiplicity, before.multiplicity)
-
-    def test_rescaling_preserves_ultrametricity(self):
-        rng = np.random.default_rng(5)
-        for k in range(20):
-            events = np.sort(1e5 * (1.0 - rng.random(40)))
-            trace = EventTrace(story_id=f"big{k}", events=events, horizon=1e5)
-            report = verify_ultrametric(rescale_distances(build_from_trace(trace)))
-            assert report.ok, report.message
