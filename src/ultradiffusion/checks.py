@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import baselines, cli, fitting, oracle, spectral, traces, ultrametric
+from . import baselines, cli, fitting, oracle, spectral, ultrametric
 from .generator import build_generator
 from .serialize import write_trace_csv
 from .traces import EventTrace, PopularityCurve, uniform_grid
@@ -174,14 +174,15 @@ def _check_master_equation(tolerance: float) -> _Outcome:
             long_windows += 1
         for window in windows:
             grid = uniform_grid(window, 100)
+            # Column i of the propagator is the trajectory from state i.
+            returns = np.diagonal(oracle.integrate_propagator(gen, grid), axis1=1, axis2=2)
             for i in range(1, n + 1):
-                p0 = oracle.ProbabilityVector.characteristic(n, i)
-                traj = oracle.integrate_master_equation(gen, p0, grid)
                 closed = spectral.autocorrelation_chain(spec, i, grid)
-                worst = max(worst, float(np.max(np.abs(traj[:, i - 1] - closed))))
+                worst = max(worst, float(np.max(np.abs(returns[:, i - 1] - closed))))
     elapsed = time.perf_counter() - start
     detail = (
-        "all start states, 100-point grids over five relaxation times; "
+        "all start states, integrated in one propagator solve per window; "
+        "100-point grids over five relaxation times; "
         f"{long_windows} cells also integrated to five slowest-mode times. "
         "Probability conservation within 1e-9 is enforced by the integrator."
     )

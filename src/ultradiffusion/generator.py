@@ -60,7 +60,8 @@ def build_generator(space: UltrametricSpace, mu: float) -> Generator:
     # Rates are never negative; zeros beyond the n on the diagonal underflowed.
     if np.count_nonzero(rates == 0) > space.size:
         warnings.warn(
-            "some rates underflowed to zero; consider rescaling distances",
+            "some rates underflowed to zero: e^(-mu*d) is 0 in double precision "
+            "once mu*d exceeds about 745",
             RuntimeWarning,
             stacklevel=2,
         )

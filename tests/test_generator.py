@@ -127,7 +127,7 @@ class TestBuildGenerator:
             story_id="wide", events=np.array([1.0, 1e5]), horizon=1e5
         )
         space = build_from_trace(trace)
-        with pytest.warns(RuntimeWarning, match="rescal"):
+        with pytest.warns(RuntimeWarning, match=r"once mu\*d exceeds about 745"):
             build_generator(space, mu=1.0)
 
     def test_build_is_deterministic(self):

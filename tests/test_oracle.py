@@ -9,6 +9,7 @@ from ultradiffusion.generator import Generator, build_generator
 from ultradiffusion.oracle import (
     ProbabilityVector,
     integrate_master_equation,
+    integrate_propagator,
     numeric_spectrum,
 )
 from ultradiffusion.spectral import (
@@ -118,6 +119,17 @@ class TestIntegrateMasterEquation:
         closed = tree_autocorrelation(tree, 1, grid)
         assert np.max(np.abs(traj[:, 0] - closed)) <= 1e-6
 
+    def test_short_trajectory_is_pinned(self):
+        gen = build_generator(uniform_chain(3), mu=0.2)
+        p0 = ProbabilityVector.characteristic(3, 1)
+        traj = integrate_master_equation(gen, p0, np.array([0.25, 1.0, 4.0]))
+        pinned = [
+            [0.7149507959137358, 0.15333954368306832, 0.13170966040319593],
+            [0.4053842000359176, 0.3059024965257338, 0.28871330343834856],
+            [0.3334358178877364, 0.33333787380869145, 0.3332263083035718],
+        ]
+        np.testing.assert_allclose(traj, pinned, rtol=0, atol=1e-12)
+
     def test_rejects_mismatched_start_dimension(self):
         gen = build_generator(uniform_chain(3), mu=0.0)
         with pytest.raises(ValueError, match="shape"):
@@ -141,6 +153,61 @@ class TestIntegrateMasterEquation:
         p0 = ProbabilityVector.characteristic(3, 1)
         with pytest.raises(ValueError, match="finite"):
             integrate_master_equation(gen, p0, np.array(grid))
+
+
+class TestIntegratePropagator:
+    def test_columns_are_distributions_and_the_diagonal_is_closed_form(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=40, deadline=None)
+        @hypothesis.given(st.integers(2, 12), st.floats(0.0, 2.0))
+        def check(n, mu):
+            spectrum = chain_spectrum(n, mu)
+            # Past t = 20 the stiff cells need too many explicit steps.
+            grid = np.linspace(0.1, min(5.0 / abs(spectrum.eigenvalues[1]), 20.0), 12)
+            prop = integrate_propagator(build_generator(uniform_chain(n), mu), grid)
+            assert prop.shape == (grid.size, n, n)
+            assert np.max(np.abs(prop.sum(axis=1) - 1.0)) <= 1e-9
+            # Symmetric rates with zero row sums give a symmetric P(t).
+            assert np.max(np.abs(prop - prop.transpose(0, 2, 1))) <= 1e-8
+            for i in range(1, n + 1):
+                closed = autocorrelation_chain(spectrum, i, grid)
+                assert np.max(np.abs(prop[:, i - 1, i - 1] - closed)) <= 1e-6
+
+        check()
+
+    def test_columns_match_single_start_integration(self):
+        gen = build_generator(uniform_chain(7), mu=0.3)
+        grid = np.linspace(0.2, 15.0, 30)
+        prop = integrate_propagator(gen, grid)
+        for i in range(1, 8):
+            single = integrate_master_equation(gen, ProbabilityVector.characteristic(7, i), grid)
+            np.testing.assert_allclose(prop[:, :, i - 1], single, rtol=0, atol=1e-7)
+
+    @pytest.mark.parametrize(
+        "grid", [[], [[1.0]], [math.nan], [1.0, math.inf], [-1.0, 1.0], [2.0, 1.0]]
+    )
+    def test_bad_grids_raise_as_for_a_single_start(self, grid):
+        gen = build_generator(uniform_chain(3), mu=0.1)
+        p0 = ProbabilityVector.characteristic(3, 1)
+        with pytest.raises(ValueError) as single:
+            integrate_master_equation(gen, p0, np.array(grid))
+        with pytest.raises(ValueError) as every:
+            integrate_propagator(gen, np.array(grid))
+        assert str(every.value) == str(single.value)
+
+    def test_drift_names_the_start_state(self):
+        # Row 3 loses 2e-6 per unit time, inside the generator's row-sum
+        # tolerance at a largest rate of 1e6, so column 3 drifts by 1e-8.
+        rates = np.array([[-1e6, 1e6, 0.0], [1e6, -1e6, 0.0], [0.0, 0.0, -2e-6]])
+        with pytest.raises(RuntimeError, match="drifted by .* from start state 3$"):
+            integrate_propagator(Generator(rates=rates), np.array([5e-3]))
+
+    def test_grid_ending_at_zero_returns_the_identity(self):
+        gen = build_generator(uniform_chain(4), mu=0.5)
+        prop = integrate_propagator(gen, np.array([0.0, 0.0]))
+        np.testing.assert_array_equal(prop, [np.eye(4), np.eye(4)])
 
 
 class TestNumericSpectrum:
