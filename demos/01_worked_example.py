@@ -3,8 +3,9 @@
 Six responses observed at times {1, 5, 6, 8, 12, 17} over a window of 17
 define seven states: one per distinct response time plus the silent state
 that never responds. The script prints the resulting distance matrix,
-verifies the strong triangle inequality exhaustively, and builds the
-symmetric rate matrix the relaxation dynamics run on.
+proves the strong triangle inequality for every triple by comparing the
+matrix with its subdominant ultrametric, and builds the symmetric rate matrix
+the relaxation dynamics run on.
 """
 
 import numpy as np
@@ -46,7 +47,7 @@ def main() -> None:
     report = verify_ultrametric(space)
     n = space.labels.size
     verdict = "all pass" if report.ok else report.message
-    print(f"exhaustive scan over all {n}^3 = {n**3} triples: {verdict}")
+    print(f"{n} states, every triple checked against the subdominant ultrametric: {verdict}")
 
     banner(f"Transition rates at mu = {MU}")
     gen = build_generator(space, MU)

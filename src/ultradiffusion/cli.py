@@ -71,11 +71,9 @@ class CommandError(Exception):
         self.exit_code = exit_code
 
 
-def _check_args(args: argparse.Namespace, fewest_points: int = 3) -> None:
+def _check_args(args: argparse.Namespace) -> None:
     """Reject option values no run can use; options the subcommand lacks
-    are not checked. A fit needs three grid points; `simulate` takes two."""
-    if args.grid_points < fewest_points:
-        raise CommandError(1, f"grid points must be at least {fewest_points}")
+    are not checked."""
     if getattr(args, "min_events", 1) < 1:
         raise CommandError(1, "minimum event count must be at least 1")
     if getattr(args, "stories", 1) < 1:
@@ -174,7 +172,7 @@ def _run_each(traces, worker, out_dir: Path):
 
 
 def _fit_story(trace, args: argparse.Namespace):
-    curve = empirical_curve(trace, grid_points=args.grid_points)
+    curve = empirical_curve(trace)
     record, columns = _fit_curve(curve, trace.count, args)
     return {"story_id": trace.story_id, **record}, columns
 
@@ -192,8 +190,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 def cmd_aggregate(args: argparse.Namespace) -> int:
     kept = _load_qualifying(args)
-    curves = [empirical_curve(t, grid_points=args.grid_points) for t in kept]
-    mean = aggregate_mean(curves, grid_points=args.grid_points)
+    mean = aggregate_mean([empirical_curve(t) for t in kept])
     try:
         record, columns = _fit_curve(mean, mean.saturation_count, args)
     except _DATA_ERRORS as err:
@@ -210,7 +207,7 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    _check_args(args, fewest_points=2)
+    _check_args(args)
     try:
         children = np.random.SeedSequence(args.seed).spawn(args.stories)
         params = UltradiffusionParams(t_N=args.t_n, mu=args.mu, M=args.m_events)
@@ -224,8 +221,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_trace_csv(out / "trace.csv", traces)
-    grid = uniform_grid(span, args.grid_points)
-    write_curve_tsv(out / "model_curve.tsv", simulate_curve(params, grid))
+    write_curve_tsv(out / "model_curve.tsv", simulate_curve(params, uniform_grid(span)))
     write_spectrum_tsv(out / "spectrum.tsv", chain_spectrum(args.t_n, args.mu).eigenvalues)
     print(
         f"wrote {args.stories} stories x {args.m_events} events "
@@ -235,7 +231,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _compare_record(trace, args: argparse.Namespace):
-    curve = empirical_curve(trace, grid_points=args.grid_points)
+    curve = empirical_curve(trace)
     fit = fit_exponential(curve, offset=args.offset)
     _, _, r2_lin = fit_linear(curve.grid, curve.values)
     record = {
@@ -338,7 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_trace_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--input", required=True, help="event CSV with header story_id,timestamp")
         p.add_argument("--out-dir", required=True, help="directory for output tables")
-        p.add_argument("--grid-points", type=int, default=200, help="curve grid size")
         p.add_argument("--offset", action="store_true", help="fit the additive constant h3")
         p.add_argument("--min-events", type=int, default=50, help="skip smaller stories")
         p.add_argument(
@@ -362,7 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--mu", type=float, default=0.1, help="distance decay mu")
     p_sim.add_argument("--m-events", type=int, default=1000, help="events per story")
     p_sim.add_argument("--stories", type=int, default=1, help="number of stories")
-    p_sim.add_argument("--grid-points", type=int, default=200, help="curve grid size")
     p_sim.add_argument(
         "--horizon", type=float, default=None, help="window; default five relaxation times"
     )

@@ -4,8 +4,9 @@ The rate between distinct states is e^(-mu*d(i, j)); each diagonal entry is
 minus its row's off-diagonal sum, so probability is conserved. Because rates
 are a decreasing function of an ultrametric distance, they inherit the dual
 inequality rate(i, j) >= min(rate(i, k), rate(k, j)), which
-`check_rate_ultrametricity` checks with the same O(n^2) kernel as
-`ultrametric.verify_ultrametric`, reporting the first violating triple.
+`check_rate_ultrametricity` checks with the same kernel as
+`ultrametric.verify_ultrametric`: an O(n^2) proof, and when it fails, a scan
+of the one row the proof names, reporting the first violating triple.
 """
 
 from __future__ import annotations
@@ -75,7 +76,8 @@ def check_rate_ultrametricity(gen: Generator) -> TripleReport:
 
     This is the strong triangle inequality of -rate (negation is exact in
     floating point), so the same kernel as `verify_ultrametric` proves it in
-    O(n^2) or reports the first violation in lexicographic (i, j, k) order.
+    O(n^2) or scans only the first row the proof fails on, reporting the
+    first violation in lexicographic (i, j, k) order.
     """
     n = gen.size
     triple = _first_violation(-gen.rates)

@@ -145,7 +145,7 @@ class PopularityCurve:
         return float(self.grid[-1])
 
 
-def uniform_grid(horizon: float, grid_points: int) -> np.ndarray:
+def uniform_grid(horizon: float, grid_points: int = 200) -> np.ndarray:
     """Uniform sampling times k*horizon/n for k = 1..n.
 
     The grid excludes zero and includes the horizon exactly.

@@ -9,8 +9,9 @@ which is what makes a hierarchy of relaxation time scales possible.
 
 `verify_ultrametric` (and `generator.check_rate_ultrametricity`, on negated
 rates) proves that inequality for every triple in O(n^2) by comparing the
-matrix with its subdominant ultrametric. Only when the proof fails does an
-exact scan run, to report the lexicographically first violating (i, j, k).
+matrix with its subdominant ultrametric. When the proof fails, the first row
+that exceeds that ultrametric is the first violating row, and a scan of that
+one row reports the lexicographically first violating (i, j, k).
 """
 
 from __future__ import annotations
@@ -132,43 +133,43 @@ def _first_violation(m: np.ndarray) -> tuple[int, int, int] | None:
     the single-linkage cophenetic matrix (Gower & Ross 1969; Rammal,
     Toulouse & Virasoro, Rev. Mod. Phys. 58, 765, 1986). That proof runs in
     O(n^2) on the ranks of the off-diagonal entries, which keep their order
-    exactly and are finite even where `m` holds infinities. When the proof
-    fails, an exact scan, row by row from i = 0, returns the first violating
-    triple.
+    exactly and are finite even where `m` holds infinities. A row holds a
+    violation exactly when it exceeds the subdominant ultrametric somewhere,
+    so when the proof fails only the first such row is scanned for (j, k).
     """
     n = m.shape[0]
     if n < 3:
         return None
     # Imported here: scipy.cluster is only needed once a check runs.
-    from scipy.cluster.hierarchy import linkage
+    from scipy.cluster.hierarchy import cophenet, linkage
     from scipy.spatial.distance import squareform
 
     _, ranks = np.unique(squareform(m, checks=False), return_inverse=True)
-    merges = linkage(ranks.astype(float), "single").astype(np.int64)
+    tree = linkage(ranks.astype(float), "single")
+    merges = tree.astype(np.int64)
     # The subdominant ultrametric never exceeds the matrix, so the two are
     # equal when their sums are; a merge at height h spans |A| * |B| pairs.
     size = np.concatenate([np.ones(n, dtype=np.int64), merges[:, 3]])
     if size[merges[:, 0]] * size[merges[:, 1]] @ merges[:, 2] == ranks.sum():
         return None
-    for i in range(n):
-        bad = m[i][:, None] > np.maximum(m[i], m.T)
-        bad[i, :] = False
-        bad[:, i] = False
-        np.fill_diagonal(bad, False)
-        if bad.any():
-            j, k = np.argwhere(bad)[0]
-            return i, int(j), int(k)
-    return None
+    # If m[i, j] > U[i, j], the subdominant ultrametric, then the first p on the
+    # minimax path i -> j with m[i, p] > U[i, j] and the node before p violate it.
+    i = int(np.argmax(squareform(cophenet(tree) != ranks).any(axis=1)))
+    bad = m[i][:, None] > np.maximum(m[i], m.T)
+    bad[i, :] = bad[:, i] = False
+    np.fill_diagonal(bad, False)
+    j, k = np.argwhere(bad)[0]
+    return i, int(j), int(k)
 
 
 def verify_ultrametric(space: UltrametricSpace) -> TripleReport:
     """Check d(i, j) <= max(d(i, k), d(k, j)) for distinct states i, j, k.
 
     A space that equals its subdominant ultrametric passes in O(n^2);
-    otherwise an exact scan reports the first violating triple in
-    lexicographic (i, j, k) order. Symmetry, zero diagonal, and positivity
-    are enforced when the space is built, so only the triangle structure is
-    checked here.
+    otherwise only the first row that exceeds it is scanned, which gives the
+    first violating triple in lexicographic (i, j, k) order. Symmetry, zero
+    diagonal, and positivity are enforced when the space is built, so only
+    the triangle structure is checked here.
     """
     dist = space.dist
     n = space.size

@@ -269,14 +269,29 @@ class TestCompare:
     def test_memoryless_verdict_on_evenly_spaced_events(self, tmp_path, capsys):
         csv = write_linear_story(tmp_path / "line.csv")
         out = tmp_path / "out"
-        code = main(
-            ["compare", "--input", str(csv), "--out-dir", str(out),
-             "--grid-points", "120"]
-        )
+        code = main(["compare", "--input", str(csv), "--out-dir", str(out)])
         assert code == 0
         (record,) = json.loads((out / "comparison.json").read_text())
         assert record["verdict"] == "memoryless"
         assert record["r2_linear"] > record["r2_exponential"]
+
+    def test_story_whose_fit_cannot_be_inverted_is_kept_with_a_note(
+        self, tmp_path, capsys
+    ):
+        csv = write_linear_story(tmp_path / "line.csv")
+        out = tmp_path / "out"
+        code = main(
+            ["compare", "--input", str(csv), "--out-dir", str(out), "--export-matrices"]
+        )
+        assert code == 0
+        (record,) = json.loads((out / "comparison.json").read_text())
+        assert record["note"].startswith("parameter mapping failed:")
+        assert record["t_N"] is None
+        assert record["mu"] is None
+        assert record["r2_simulated"] is None
+        assert (out / "line_distance.tsv").exists()
+        assert not (out / "line_generator.tsv").exists()
+        assert "no inferred mu" in capsys.readouterr().err
 
     def test_matrix_export_writes_distance_and_rates(self, tmp_path, capsys):
         csv = tmp_path / "in.csv"
@@ -381,6 +396,10 @@ class TestArgumentHandling:
             ("compare", "--paper-prefactor"),
             ("simulate", "--paper-prefactor"),
             ("compare", "--rescale-distances"),
+            ("fit", "--grid-points"),
+            ("aggregate", "--grid-points"),
+            ("compare", "--grid-points"),
+            ("simulate", "--grid-points"),
         ],
     )
     def test_removed_option_is_an_input_error(self, tmp_path, capsys, command, option):
@@ -389,28 +408,6 @@ class TestArgumentHandling:
         assert main([command, *inputs, "--out-dir", str(out), option]) == 1
         assert f"unrecognized arguments: {option}" in capsys.readouterr().err
         assert not out.exists()
-
-    def test_bad_grid_points_is_an_input_error(self, tmp_path, capsys):
-        code = main(
-            ["fit", "--input", str(FIXTURE), "--out-dir", str(tmp_path / "o"),
-             "--grid-points", "1"]
-        )
-        assert code == 1
-
-    @pytest.mark.parametrize("command", ["fit", "aggregate", "compare"])
-    def test_two_grid_points_cannot_be_fitted(self, tmp_path, capsys, command):
-        out = tmp_path / "o"
-        code = main(
-            [command, "--input", str(FIXTURE), "--out-dir", str(out), "--grid-points", "2"]
-        )
-        assert code == 1
-        assert "error: grid points must be at least 3" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_simulate_takes_two_grid_points(self, tmp_path):
-        out = tmp_path / "o"
-        assert main(["simulate", "--out-dir", str(out), "--grid-points", "2"]) == 0
-        assert len((out / "model_curve.tsv").read_text().splitlines()) == 3
 
     # main() returning 1 means no exception escaped it, so no traceback.
     @pytest.mark.parametrize(
@@ -434,7 +431,7 @@ class TestArgumentHandling:
     @pytest.mark.parametrize(
         "options, message",
         [
-            (["--grid-points", "1"], "grid points must be at least 2"),
+            (["--m-events", "0"], "M must be a positive count"),
             (["--stories", "0"], "need at least one story"),
             (["--horizon", "inf"], "horizon must be finite"),
         ],

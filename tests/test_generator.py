@@ -1,6 +1,7 @@
 """Rate-matrix construction over ultrametric spaces."""
 
 import math
+import time
 import warnings
 
 import numpy as np
@@ -232,7 +233,8 @@ class TestRateUltrametricity:
 
 
 class TestRateUltrametricityAtScale:
-    """A 3001-state trace generator: the scan would take minutes, the proof about a second."""
+    """A 3001-state trace generator: the proof, and the scan of the one row it
+    names when it fails, each take about a second."""
 
     @staticmethod
     def big_space():
@@ -264,4 +266,26 @@ class TestRateUltrametricityAtScale:
             ok=False,
             triple=(0, 1, 5),
             message=f"rate(0,1)={r[0, 1]:g} falls below min via state 5: {r[1, 5]:g}",
+        )
+
+    def test_one_changed_pair_in_a_late_row_is_found_quickly(self):
+        space = self.big_space()
+        dist = space.dist.copy()
+        # Cutting d(2998, 3000) to a third raises rate(2998, 3000) above
+        # rate(2998, 2999), which breaks (2998, 2999, 3000); every earlier row
+        # still passes.
+        dist[2998, 3000] = dist[3000, 2998] = dist[2998, 3000] / 3
+        broken = UltrametricSpace(
+            labels=space.labels, dist=dist, multiplicity=space.multiplicity
+        )
+        gen = build_generator(broken, mu=0.001)
+        r = gen.rates
+        start = time.process_time()
+        report = check_rate_ultrametricity(gen)
+        assert time.process_time() - start < 10.0
+        assert report == TripleReport(
+            ok=False,
+            triple=(2998, 2999, 3000),
+            message=f"rate(2998,2999)={r[2998, 2999]:g} falls below "
+            f"min via state 3000: {r[3000, 2999]:g}",
         )

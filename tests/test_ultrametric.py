@@ -1,5 +1,7 @@
 """Ultrametric state spaces built from traces and model chains."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -207,7 +209,8 @@ class TestVerifyUltrametric:
         )
 
 class TestVerifyAtScale:
-    """A 3001-state trace space: the scan would take minutes, the proof about a second."""
+    """A 3001-state trace space: the proof, and the scan of the one row it
+    names when it fails, each take about a second."""
 
     @staticmethod
     def big_space():
@@ -238,6 +241,27 @@ class TestVerifyAtScale:
             triple=(0, 1, 5),
             message=f"d({labels[0]:g},{labels[1]:g})={dist[0, 1]:g} exceeds "
             f"max(d(.,{labels[5]:g}))={dist[1, 5]:g}",
+        )
+
+    def test_one_changed_pair_in_a_late_row_is_found_quickly(self):
+        space = self.big_space()
+        dist = space.dist.copy()
+        # Row i holds d(i, j) = T - label of min(i, j), so cutting d(2998, 3000)
+        # to a third breaks (2998, 2999, 3000) and leaves every earlier row
+        # intact: a row scan from i = 0 would sweep 2998 clean rows first.
+        dist[2998, 3000] = dist[3000, 2998] = dist[2998, 3000] / 3
+        broken = UltrametricSpace(
+            labels=space.labels, dist=dist, multiplicity=space.multiplicity
+        )
+        labels = space.labels
+        start = time.process_time()
+        report = verify_ultrametric(broken)
+        assert time.process_time() - start < 10.0
+        assert report == TripleReport(
+            ok=False,
+            triple=(2998, 2999, 3000),
+            message=f"d({labels[2998]:g},{labels[2999]:g})={dist[2998, 2999]:g} exceeds "
+            f"max(d(.,{labels[3000]:g}))={dist[3000, 2999]:g}",
         )
 
 
