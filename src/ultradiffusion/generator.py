@@ -5,8 +5,9 @@ minus its row's off-diagonal sum, so probability is conserved. Because rates
 are a decreasing function of an ultrametric distance, they inherit the dual
 inequality rate(i, j) >= min(rate(i, k), rate(k, j)), which
 `check_rate_ultrametricity` checks with the same kernel as
-`ultrametric.verify_ultrametric`: an O(n^2) proof, and when it fails, a scan
-of the one row the proof names, reporting the first violating triple.
+`ultrametric.verify_ultrametric`: an exact O(n^2 log n) proof that compares
+and counts the negated rates themselves, and when it fails, a scan of the one
+row that the ranks of the rates name, reporting the first violating triple.
 """
 
 from __future__ import annotations
@@ -41,8 +42,10 @@ class Generator:
         n = rates.shape[0]
         if np.count_nonzero(rates < 0) > np.count_nonzero(np.diagonal(rates) < 0):
             raise ValueError("off-diagonal rates must be nonnegative")
-        drift = np.max(np.abs(rates.sum(axis=1))) if n else 0.0
         largest = max(float(rates.max()), -float(rates.min())) if n else 0.0
+        if largest == np.inf:
+            raise ValueError("rates must be finite")
+        drift = np.max(np.abs(rates.sum(axis=1))) if n else 0.0
         if drift > 1e-12 * max(1.0, largest) * max(1, n):
             raise ValueError(f"row sums must vanish, worst drift {drift:g}")
 
@@ -52,9 +55,14 @@ class Generator:
 
 
 def build_generator(space: UltrametricSpace, mu: float) -> Generator:
-    """Generator over `space` with off-diagonal rates e^(-mu*d)."""
+    """Generator over `space` with off-diagonal rates e^(-mu*d).
+
+    mu = 0 is refused when a distance is infinite: e^(-0*inf) is undefined.
+    """
     if not mu >= 0:
         raise ValueError("mu must be nonnegative")
+    if mu == 0 and space.dist.max() == np.inf:
+        raise ValueError("mu = 0 leaves the rate e^(-mu*d) undefined at an infinite distance")
     rates = space.dist * -mu
     np.exp(rates, out=rates)
     np.fill_diagonal(rates, 0.0)
@@ -76,7 +84,7 @@ def check_rate_ultrametricity(gen: Generator) -> TripleReport:
 
     This is the strong triangle inequality of -rate (negation is exact in
     floating point), so the same kernel as `verify_ultrametric` proves it in
-    O(n^2) or scans only the first row the proof fails on, reporting the
+    O(n^2 log n) or scans only the first row the proof fails on, reporting the
     first violation in lexicographic (i, j, k) order.
     """
     n = gen.size

@@ -8,10 +8,12 @@ way satisfy the strong triangle inequality d(x, y) <= max(d(x, z), d(z, y)),
 which is what makes a hierarchy of relaxation time scales possible.
 
 `verify_ultrametric` (and `generator.check_rate_ultrametricity`, on negated
-rates) proves that inequality for every triple in O(n^2) by comparing the
-matrix with its subdominant ultrametric. When the proof fails, the first row
-that exceeds that ultrametric is the first violating row, and a scan of that
-one row reports the lexicographically first violating (i, j, k).
+rates) proves that inequality for every triple in O(n^2 log n): the matrix
+passes exactly when it equals its subdominant ultrametric, and the proof
+compares and counts the entries themselves, so it is exact. When the proof
+fails, the ranks of the entries name the first row that exceeds that
+ultrametric, which is the first violating row, and a scan of that one row
+reports the lexicographically first violating (i, j, k).
 """
 
 from __future__ import annotations
@@ -128,14 +130,15 @@ def _first_violation(m: np.ndarray) -> tuple[int, int, int] | None:
     """First (i, j, k) in lexicographic order with m[i, j] > max(m[i, k], m[k, j]).
 
     Only triples of distinct indices count, so the diagonal of `m` is
-    ignored; `m` must be symmetric. A symmetric matrix satisfies the strong
-    triangle inequality exactly when it equals its subdominant ultrametric,
-    the single-linkage cophenetic matrix (Gower & Ross 1969; Rammal,
-    Toulouse & Virasoro, Rev. Mod. Phys. 58, 765, 1986). That proof runs in
-    O(n^2) on the ranks of the off-diagonal entries, which keep their order
-    exactly and are finite even where `m` holds infinities. A row holds a
-    violation exactly when it exceeds the subdominant ultrametric somewhere,
-    so when the proof fails only the first such row is scanned for (j, k).
+    ignored; `m` must be symmetric with no NaN or -inf. A symmetric matrix
+    satisfies the strong triangle inequality exactly when it equals its
+    subdominant ultrametric U, the single-linkage cophenetic matrix (Gower &
+    Ross 1969; Rammal, Toulouse & Virasoro, Rev. Mod. Phys. 58, 765, 1986).
+    The proof runs in O(n^2 log n) on the off-diagonal values themselves, by
+    comparing and counting only, so it is exact. A row holds a violation
+    exactly when it exceeds U somewhere, so when the proof fails, the ranks
+    of the values (`cophenet` takes no negative heights) name the first such
+    row, and only that row is scanned for (j, k).
     """
     n = m.shape[0]
     if n < 3:
@@ -144,17 +147,26 @@ def _first_violation(m: np.ndarray) -> tuple[int, int, int] | None:
     from scipy.cluster.hierarchy import cophenet, linkage
     from scipy.spatial.distance import squareform
 
-    _, ranks = np.unique(squareform(m, checks=False), return_inverse=True)
-    tree = linkage(ranks.astype(float), "single")
-    merges = tree.astype(np.int64)
-    # The subdominant ultrametric never exceeds the matrix, so the two are
-    # equal when their sums are; a merge at height h spans |A| * |B| pairs.
-    size = np.concatenate([np.ones(n, dtype=np.int64), merges[:, 3]])
-    if size[merges[:, 0]] * size[merges[:, 1]] @ merges[:, 2] == ranks.sum():
+    values = squareform(m, checks=False)
+    # linkage takes finite values only; ranks keep their order exactly.
+    if values.max() == np.inf:
+        values = np.unique(values, return_inverse=True)[1].astype(float)
+    tree = linkage(values, "single")
+    # Rows come in nondecreasing height h, and the merge of A and B spans
+    # |A| * |B| pairs, so at the last row of each height `merged` counts the
+    # pairs with U <= h. U <= m, so no more values than that are <= h; when
+    # that many are at every height, m <= h and U <= h hold for the same
+    # pairs, and m = U. Heights are entries of `values`: only counts are added.
+    size = np.concatenate([np.ones(n, dtype=np.int64), tree[:, 3].astype(np.int64)])
+    merges = tree[:, :2].astype(np.int64)
+    merged = np.cumsum(size[merges[:, 0]] * size[merges[:, 1]])
+    if np.all(np.searchsorted(np.sort(values), tree[:, 2], "right") >= merged):
         return None
-    # If m[i, j] > U[i, j], the subdominant ultrametric, then the first p on the
-    # minimax path i -> j with m[i, p] > U[i, j] and the node before p violate it.
-    i = int(np.argmax(squareform(cophenet(tree) != ranks).any(axis=1)))
+    # If m[i, j] > U[i, j], then the first p on the minimax path i -> j with
+    # m[i, p] > U[i, j] and the node before p violate the inequality.
+    ranks = np.unique(values, return_inverse=True)[1]
+    exceeds = cophenet(linkage(ranks.astype(float), "single")) != ranks
+    i = int(np.argmax(squareform(exceeds).any(axis=1)))
     bad = m[i][:, None] > np.maximum(m[i], m.T)
     bad[i, :] = bad[:, i] = False
     np.fill_diagonal(bad, False)
@@ -165,7 +177,7 @@ def _first_violation(m: np.ndarray) -> tuple[int, int, int] | None:
 def verify_ultrametric(space: UltrametricSpace) -> TripleReport:
     """Check d(i, j) <= max(d(i, k), d(k, j)) for distinct states i, j, k.
 
-    A space that equals its subdominant ultrametric passes in O(n^2);
+    A space that equals its subdominant ultrametric passes in O(n^2 log n);
     otherwise only the first row that exceeds it is scanned, which gives the
     first violating triple in lexicographic (i, j, k) order. Symmetry, zero
     diagonal, and positivity are enforced when the space is built, so only

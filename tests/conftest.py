@@ -3,7 +3,10 @@
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+
+from ultradiffusion.ultrametric import UltrametricSpace
 
 # A child's ru_maxrss starts at its parent's peak, which hides a rise of tens
 # of MB under pytest; VmHWM is the peak of this process image alone.
@@ -40,3 +43,40 @@ def peak_rise():
         return [int(value) for value in result.stdout.split()]
 
     return run
+
+
+@pytest.fixture
+def dendrogram_spaces():
+    """A hypothesis strategy for spaces of 1-12 states cut from a random dendrogram.
+
+    Merge heights are drawn from {1, 2, 3, inf, 5e-324, the largest double},
+    so ties are common, and the states are permuted. Half the draws then
+    overwrite one symmetric pair with a value from the same set, which may
+    or may not break the strong triangle inequality.
+    """
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    values = st.sampled_from([1.0, 2.0, 3.0, np.inf, 5e-324, np.finfo(float).max])
+
+    @st.composite
+    def spaces(draw):
+        n = draw(st.integers(1, 12))
+        cluster = np.arange(n)
+        dist = np.zeros((n, n))
+        for height in sorted(draw(st.lists(values, min_size=n - 1, max_size=n - 1))):
+            alive = st.sampled_from(sorted(set(cluster.tolist())))
+            a, b = draw(st.lists(alive, min_size=2, max_size=2, unique=True))
+            dist[np.ix_(cluster == a, cluster == b)] = height
+            dist[np.ix_(cluster == b, cluster == a)] = height
+            cluster[cluster == b] = a
+        if n > 1 and draw(st.booleans()):
+            i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+            dist[i, j] = dist[j, i] = draw(values)
+        order = draw(st.permutations(range(n)))
+        return UltrametricSpace(
+            labels=np.arange(1.0, n + 1),
+            dist=dist[np.ix_(order, order)],
+            multiplicity=np.ones(n, dtype=int),
+        )
+
+    return spaces()

@@ -123,6 +123,14 @@ class TestBuildGenerator:
             with pytest.raises(ValueError, match="nonnegative"):
                 build_generator(uniform_chain(3), mu=mu)
 
+    def test_zero_mu_with_an_infinite_distance_is_refused_by_name(self):
+        # e^(-0 * inf) is NaN, which the rate matrix would only refuse as asymmetric.
+        space = space_of([[0, np.inf, np.inf], [np.inf, 0, 1], [np.inf, 1, 0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="mu = 0 leaves .* undefined at an infinite distance"):
+                build_generator(space, mu=0.0)
+
     def test_underflowing_distances_warn(self):
         trace = EventTrace(
             story_id="wide", events=np.array([1.0, 1e5]), horizon=1e5
@@ -147,6 +155,16 @@ class TestGeneratorInvariants:
         bad = np.array([[-1.0, 2.0], [2.0, -1.0]])
         with pytest.raises(ValueError, match="row sums"):
             Generator(rates=bad)
+
+    @pytest.mark.parametrize("diagonal", [-np.inf, -1.0])
+    def test_rejects_an_infinite_rate(self, diagonal):
+        # Its row sums are NaN or inf, and the drift bound scales with the
+        # largest rate, so no row-sum test could refuse it.
+        bad = np.array([[diagonal, np.inf, 1.0], [np.inf, diagonal, 1.0], [1.0, 1.0, -2.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="rates must be finite"):
+                Generator(rates=bad)
 
     def test_rejects_negative_off_diagonal(self):
         bad = np.array([[1.0, -1.0], [-1.0, 1.0]])
@@ -210,6 +228,18 @@ class TestRateUltrametricity:
             small_spaces(st),
             st.sampled_from([0.5, 250.0]),
         )
+        def check(space, mu):
+            gen = quiet_generator(space, mu)
+            assert check_rate_ultrametricity(gen) == reference_report(gen)
+
+        check()
+
+    def test_dendrogram_spaces_match_the_reference_scan(self, dendrogram_spaces):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=300, deadline=None)
+        @hypothesis.given(dendrogram_spaces, st.sampled_from([0.5, 250.0]))
         def check(space, mu):
             gen = quiet_generator(space, mu)
             assert check_rate_ultrametricity(gen) == reference_report(gen)

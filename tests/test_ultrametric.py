@@ -1,6 +1,7 @@
 """Ultrametric state spaces built from traces and model chains."""
 
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -188,6 +189,31 @@ class TestVerifyUltrametric:
 
         check()
 
+    def test_dendrogram_spaces_match_the_reference_scan(self, dendrogram_spaces):
+        # Uniform entries almost always fail; these mostly pass, so they reach
+        # the proof's counting as well as the failing row's scan.
+        hypothesis = pytest.importorskip("hypothesis")
+
+        @hypothesis.settings(max_examples=300, deadline=None)
+        @hypothesis.given(dendrogram_spaces)
+        def check(space):
+            assert verify_ultrametric(space) == reference_report(space)
+
+        check()
+
+    def test_largest_double_beside_infinity(self):
+        # Infinite entries are ranked before linkage; the largest double must
+        # keep its order below inf without an overflow warning.
+        big = np.finfo(float).max
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            passing = verify_ultrametric(space_of([[0, big, np.inf], [big, 0, np.inf], [np.inf, np.inf, 0]]))
+            failing = verify_ultrametric(space_of([[0, np.inf, big], [np.inf, 0, big], [big, big, 0]]))
+        assert passing == TripleReport(ok=True, triple=None, message="all 3 states ultrametric")
+        assert failing == TripleReport(
+            ok=False, triple=(0, 1, 2), message="d(1,2)=inf exceeds max(d(.,3))=1.79769e+308"
+        )
+
     def test_infinite_distances(self):
         assert verify_ultrametric(space_of([[0, np.inf, np.inf], [np.inf, 0, 1], [np.inf, 1, 0]])).ok
         report = verify_ultrametric(space_of([[0, 1, np.inf], [1, 0, 1], [np.inf, 1, 0]]))
@@ -263,6 +289,36 @@ class TestVerifyAtScale:
             message=f"d({labels[2998]:g},{labels[2999]:g})={dist[2998, 2999]:g} exceeds "
             f"max(d(.,{labels[3000]:g}))={dist[3000, 2999]:g}",
         )
+
+
+def test_verify_peak_memory_stays_below_one_and_a_half_matrices(peak_rise):
+    # The 3001-state trace space holds one 72 MB matrix. The proof copies
+    # its upper triangle and sorts a second copy, about one matrix in all;
+    # ranking the values as well raised the peak by 3.1 matrices.
+    size, nbytes, rise = peak_rise(
+        "import numpy as np\n"
+        "from ultradiffusion.traces import EventTrace\n"
+        "from ultradiffusion.ultrametric import build_from_trace, uniform_chain, verify_ultrametric\n"
+        "events = np.sort(1000.0 * (1.0 - np.random.default_rng(7).random(3000)))\n"
+        'space = build_from_trace(EventTrace(story_id="big", events=events, horizon=1000.0))\n'
+        "verify_ultrametric(uniform_chain(3))",
+        "assert verify_ultrametric(space).ok",
+        "space.size, space.dist.nbytes",
+    )
+    assert size == 3001
+    assert rise < 1.5 * nbytes
+
+
+def test_single_linkage_takes_negative_values_and_keeps_them_as_heights():
+    # The proof rests on three properties of scipy's single linkage: it takes
+    # the negated rates (<= 0, -0.0 included), its rows come in nondecreasing
+    # height, and each height is one of the input values, not a sum of them.
+    from scipy.cluster.hierarchy import linkage
+
+    values = -np.random.default_rng(3).choice([0.0, 5e-324, 0.25, 1.0, 7.0], size=66)
+    tree = linkage(values, "single")
+    assert np.all(np.diff(tree[:, 2]) >= 0)
+    assert np.isin(tree[:, 2], values).all()
 
 
 class TestUltrametricSpaceInvariants:
