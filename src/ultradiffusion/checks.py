@@ -212,22 +212,28 @@ def _check_fit_round_trip(tolerance: float) -> _Outcome:
     worst_h = 0.0
     worst_mu = 0.0
     t_n_ok = True
-    for n in (5, 50, 500):
-        for mu in (0.01, 0.1, 1.0):
-            params = fitting.UltradiffusionParams(t_N=n, mu=mu, M=1000)
-            rate = fitting.decay_rate(params)
-            grid = uniform_grid(5.0 / rate, 200)
-            curve = fitting.simulate_curve(params, grid)
-            fit = fitting.fit_exponential(curve)
-            h1_true = (n - 1) / n
-            worst_h = max(
-                worst_h,
-                abs(fit.h1 - h1_true) / h1_true,
-                abs(fit.h2 - rate) / rate,
-            )
-            back = fitting.infer_params(fit, M=1000)
-            t_n_ok = t_n_ok and back.t_N == n
-            worst_mu = max(worst_mu, abs(back.mu - mu) / mu)
+    cells = [
+        fitting.UltradiffusionParams(t_N=n, mu=mu, M=1000)
+        for n in (5, 50, 500)
+        for mu in (0.01, 0.1, 1.0)
+    ]
+    curves = [
+        fitting.simulate_curve(params, uniform_grid(5.0 / fitting.decay_rate(params), 200))
+        for params in cells
+    ]
+    for params, fit in zip(cells, fitting.fit_exponentials(curves)):
+        if isinstance(fit, Exception):
+            raise fit
+        n, mu, rate = params.t_N, params.mu, fitting.decay_rate(params)
+        h1_true = (n - 1) / n
+        worst_h = max(
+            worst_h,
+            abs(fit.h1 - h1_true) / h1_true,
+            abs(fit.h2 - rate) / rate,
+        )
+        back = fitting.infer_params(fit, M=1000)
+        t_n_ok = t_n_ok and back.t_N == n
+        worst_mu = max(worst_mu, abs(back.mu - mu) / mu)
     elapsed = time.perf_counter() - start
     detail = (
         f"noiseless curves, t_N in {{5,50,500}}, mu in {{0.01,0.1,1}}; "

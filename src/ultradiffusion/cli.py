@@ -29,6 +29,7 @@ from .fitting import (
     UltradiffusionParams,
     exponential_model,
     fit_exponential,
+    fit_exponentials,
     infer_params,
     r_squared,
     sample_events,
@@ -127,10 +128,9 @@ def _load_qualifying(args: argparse.Namespace):
     return kept
 
 
-def _fit_curve(curve, M: int, args: argparse.Namespace):
-    """Fit `curve`, map the fit to chain parameters for `M` events and
-    simulate them: the fit record and the columns of its curve table."""
-    fit = fit_exponential(curve, offset=args.offset)
+def _fit_record(curve, fit, M: int):
+    """Map `fit` of `curve` to chain parameters for `M` events and simulate
+    them: the fit record and the columns of its curve table."""
     params = infer_params(fit, M=M)
     simulated = simulate_curve(params, curve.grid)
     record = {
@@ -147,18 +147,32 @@ def _fit_curve(curve, M: int, args: argparse.Namespace):
     return record, (curve.grid, curve.values, fitted, simulated.values)
 
 
-def _run_each(traces, worker, out_dir: Path):
-    """Apply `worker` to each trace; return [(file name, result)] in story-id order.
+def _run_each(traces, worker, offset: bool, out_dir: Path):
+    """Fit every trace's curve, all in one call, and apply `worker` to each
+    (trace, curve, fit); return [(file name, result)] in story-id order.
 
-    A story that raises one of the data errors fails: failures are printed
-    in story-id order, and when every story failed the run exits 2. Otherwise
-    `out_dir` is created.
+    A story fails when its curve cannot be built, the fitter refuses the
+    curve, or `worker` raises one of the data errors: failures are printed
+    in story-id order, and when every story failed the run exits 2.
+    Otherwise `out_dir` is created.
     """
-    results: dict[str, object] = {}
-    failures: list[tuple[str, str]] = []
+    curves: list = []
     for trace in traces:
         try:
-            results[trace.story_id] = worker(trace)
+            curves.append(empirical_curve(trace))
+        except _DATA_ERRORS as err:
+            curves.append(err)
+    built = [curve for curve in curves if not isinstance(curve, Exception)]
+    fits = iter(fit_exponentials(built, offset=offset))
+    results: dict[str, object] = {}
+    failures: list[tuple[str, str]] = []
+    for trace, curve in zip(traces, curves):
+        # A curve or fit that is an error fails its story, as if raised here.
+        fit = curve if isinstance(curve, Exception) else next(fits)
+        try:
+            if isinstance(fit, Exception):
+                raise fit
+            results[trace.story_id] = worker(trace, curve, fit)
         except _DATA_ERRORS as err:
             failures.append((trace.story_id, f"{type(err).__name__}: {err}"))
     for sid, message in sorted(failures):
@@ -171,16 +185,15 @@ def _run_each(traces, worker, out_dir: Path):
     return [(names[sid], results[sid]) for sid in order]
 
 
-def _fit_story(trace, args: argparse.Namespace):
-    curve = empirical_curve(trace)
-    record, columns = _fit_curve(curve, trace.count, args)
+def _fit_story(trace, curve, fit):
+    record, columns = _fit_record(curve, fit, trace.count)
     return {"story_id": trace.story_id, **record}, columns
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
     kept = _load_qualifying(args)
     out = Path(args.out_dir)
-    done = _run_each(kept, lambda trace: _fit_story(trace, args), out)
+    done = _run_each(kept, _fit_story, args.offset, out)
     for name, (_, columns) in done:
         write_fit_curve_tsv(out / f"{name}_curve.tsv", *columns)
     write_json(out / "fits.json", [record for _, (record, _) in done])
@@ -192,7 +205,8 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
     kept = _load_qualifying(args)
     mean = aggregate_mean([empirical_curve(t) for t in kept])
     try:
-        record, columns = _fit_curve(mean, mean.saturation_count, args)
+        fit = fit_exponential(mean, offset=args.offset)
+        record, columns = _fit_record(mean, fit, mean.saturation_count)
     except _DATA_ERRORS as err:
         raise CommandError(2, f"aggregate curve: {err}") from err
     out = Path(args.out_dir)
@@ -230,9 +244,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _compare_record(trace, args: argparse.Namespace):
-    curve = empirical_curve(trace)
-    fit = fit_exponential(curve, offset=args.offset)
+def _compare_record(trace, curve, fit):
     _, _, r2_lin = fit_linear(curve.grid, curve.values)
     record = {
         "story_id": trace.story_id,
@@ -259,7 +271,7 @@ def _compare_record(trace, args: argparse.Namespace):
 def cmd_compare(args: argparse.Namespace) -> int:
     kept = _load_qualifying(args)
     out = Path(args.out_dir)
-    done = _run_each(kept, lambda trace: _compare_record(trace, args), out)
+    done = _run_each(kept, _compare_record, args.offset, out)
     write_json(out / "comparison.json", [record for _, (record, _, _) in done])
     if args.export_matrices:
         for name, (_, trace, mu) in done:

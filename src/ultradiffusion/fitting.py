@@ -5,14 +5,18 @@ variable projection (Golub & Pereyra 1973): h1 and h3 enter linearly, so
 for each decay rate they are solved in closed form and the least-squares
 problem shrinks to one dimension, the rate. That profile is scanned on a
 fixed grid and refined to machine precision, all on a normalized time axis,
-so the result does not depend on whether t is in seconds or weeks. Fitted
-constants map onto model parameters: the chain length t_N and the distance
-decay mu.
+so the result does not depend on whether t is in seconds or weeks.
+`fit_exponentials` fits a batch of curves in one call: curves of one length
+are scanned a few at a time and then polished together, by masked vector
+steps over the curves still moving, each by the rules a lone curve follows,
+so every curve gets bit for bit its lone fit. Fitted constants map onto
+model parameters: the chain length t_N and the distance decay mu.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +30,7 @@ __all__ = [
     "decay_rate",
     "exponential_model",
     "fit_exponential",
+    "fit_exponentials",
     "infer_params",
     "r_squared",
     "sample_events",
@@ -100,6 +105,12 @@ def r_squared(observed, predicted) -> float:
 # covers, four a decade: from a curve indistinguishable from a straight line
 # (k = 1e-6) to one that saturates within the first 1/10^4 of the window.
 _RATES = np.geomspace(1e-6, 1e4, 41)
+# Curves fitted together at most, and per block of the rate scan within:
+# the polish's (curves x points) temporaries of 128 200-point curves and the
+# scan's (curves x rates x points) ones of 4 stay in cache; those of 1000
+# and of 100 curves do not.
+_FIT_BLOCK = 128
+_SCAN_BLOCK = 4
 # Largest offset below 1, where h3 is held when its free value reaches 1.
 _H3_MAX = float(np.nextafter(1.0, 0.0))
 # Refinement stops after a move of k by less than this fraction, or after
@@ -109,65 +120,194 @@ _MAX_POLISH = 60
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.einsum("ij,ij->i", a, b)
+    return np.einsum("...i,...i->...", a, b)
 
 
 def _profile(rates: np.ndarray, x: np.ndarray, p: np.ndarray, offset: bool):
-    """Best linear constants at each normalized rate k, by variable projection.
+    """Each curve's best rate among `rates`, by variable projection.
 
-    For fixed k the model h1*b + h3 with b = 1 - e^(-k*x) is linear in h1 and
-    h3, which are solved in closed form under h1 >= 0 and 0 <= h3 < 1.
-    Returns arrays (h1, h3, residual sum of squares, Gauss-Newton step in k),
-    one entry per rate. h1 = 0 marks a rate where no positive amplitude
-    fits, which only an offset held at 1 allows. The step is Kaufman's for
-    variable projection (BIT 15, 49, 1975): the model's k-derivative
-    h1*x*e^(-k*x), less its projection on the columns solved for, regressed
-    against the residual.
+    `x` and `p` hold one curve per row, and `rates` the normalized rates k
+    tried on each (curves x rates, or one row for every curve). For fixed k
+    the model h1*b + h3 with b = 1 - e^(-k*x) is linear in h1 and h3, which
+    are solved in closed form under h1 >= 0 and 0 <= h3 < 1. Returns arrays
+    (index of the rate with the least residual sum of squares, h1, h3, that
+    sum, Gauss-Newton step in k from that rate), one entry per curve. h1 = 0
+    marks a rate where no positive amplitude fits, which only an offset held
+    at 1 allows. The step is Kaufman's for variable projection (BIT 15, 49,
+    1975): the model's k-derivative h1*x*e^(-k*x), less its projection on
+    the columns solved for, regressed against the residual. Every entry is
+    computed from its curve's row alone, in the same operations whatever the
+    other rows hold.
     """
-    kx = rates[:, None] * x
-    basis = -np.expm1(-kx)  # keeps its digits as k -> 0
+    column = p[:, :, None]
+    decay_arg = rates[:, :, None] * -x[:, None, :]
+    basis = -np.expm1(decay_arg)  # keeps its digits as k -> 0
     bb = _rowdot(basis, basis)  # > 0: the last point has x = 1
-    bp = basis @ p
+    bp = (basis @ column)[..., 0]
     if offset:
-        pm = float(p.mean())
-        bm = basis.mean(axis=1)
-        centered = basis - bm[:, None]
+        pm = p.mean(axis=1, keepdims=True)
+        bm = basis.mean(axis=2)
+        centered = basis - bm[..., None]
         cc = _rowdot(centered, centered)
-        cp = centered @ p
+        cp = (centered @ column)[..., 0]
         # The free solution is h1 = cp/cc, h3 = pm - h1*bm. Test its bounds
         # without dividing, so collinear columns (cc -> 0) give no inf or NaN.
         low = cp * bm > pm * cc
         high = cp * bm < (pm - _H3_MAX) * cc
         free = (cp > 0) & ~low & ~high
-        h1 = np.divide(cp, cc, out=np.zeros_like(cp), where=free)
+        h1 = np.divide(cp, cc, out=np.zeros(cp.shape), where=free)
         # Outside [0, 1) the offset is held at the nearer bound and h1 solved
         # alone; inside, the clip only absorbs rounding.
         h3 = np.where(low, 0.0, np.where(high, _H3_MAX, np.clip(pm - h1 * bm, 0.0, _H3_MAX)))
-        h1 = np.where(low | high, (bp - h3 * x.size * bm) / bb, h1)
+        h1 = np.where(low | high, (bp - h3 * x.shape[1] * bm) / bb, h1)
         # A nonpositive amplitude means the best fit with h1 >= 0 has h1 = 0.
         none = h1 <= 0
         h1[none] = 0.0
-        h3[none] = min(max(pm, 0.0), _H3_MAX)
+        h3 = np.where(none, np.clip(pm, 0.0, _H3_MAX), h3)
         # p - h3 - h1*b, written so that it is exactly centered for free rows.
         shift = np.where(free, 0.0, pm - h3 - h1 * bm)
-        resid = (p - pm) - h1[:, None] * centered + shift[:, None]
+        resid = (p - pm)[:, None, :] - h1[..., None] * centered + shift[..., None]
     else:
         # h1 > 0: a nondecreasing, nonconstant curve ends above 0.
-        free = np.zeros(rates.size, dtype=bool)
         h1 = bp / bb
-        h3 = np.zeros(rates.size)
-        resid = p - h1[:, None] * basis
-    slope = h1[:, None] * x * np.exp(-kx)
+        h3 = np.zeros(bb.shape)
+        resid = p[:, None, :] - h1[..., None] * basis
+    cost = _rowdot(resid, resid)
+    # Only the best rate of each curve needs its step.
+    best = cost.argmin(axis=1)
+    at = (np.arange(best.size), best) if rates.shape[1] > 1 else (slice(None), 0)
+    h1, basis, bb, resid = h1[at], basis[at], bb[at], resid[at]
+    slope = h1[:, None] * x * np.exp(decay_arg[at])
     # With h3 free, projecting off b and the constant is projecting the
     # centered slope off the centered b; otherwise h1 alone is solved.
     along = slope - basis * (_rowdot(basis, slope) / bb)[:, None]
-    if free.any():
+    if offset and (free := free[at]).any():
+        centered, cc = centered[at][free], cc[at][free]
         centered_slope = slope[free] - slope[free].mean(axis=1, keepdims=True)
-        scale = _rowdot(centered[free], centered_slope) / cc[free]
-        along[free] = centered_slope - centered[free] * scale[:, None]
+        scale = _rowdot(centered, centered_slope) / cc
+        along[free] = centered_slope - centered * scale[:, None]
     jj = _rowdot(along, along)
-    step = np.divide(_rowdot(along, resid), jj, out=np.zeros_like(jj), where=jj > 0)
-    return h1, h3, _rowdot(resid, resid), step
+    step = np.divide(_rowdot(along, resid), jj, out=np.zeros(jj.shape), where=jj > 0)
+    return best, h1, h3[at], cost[at], step
+
+
+def _fit_rows(x: np.ndarray, p: np.ndarray, offset: bool):
+    """Normalized rates k and constants h1, h3 that fit each row of `p`
+    sampled at the row of `x` beside it, whose last entry is 1.
+
+    The profile is scanned on `_RATES` a few rows at a time. Then every row
+    is polished at once, by masked vector steps over the rows still moving,
+    each row by exactly the rules a lone row would follow.
+    """
+    rows = x.shape[0]
+    best = np.empty(rows, dtype=np.intp)
+    h1, h3, cost, step = (np.empty(rows) for _ in range(4))
+    for start in range(0, rows, _SCAN_BLOCK):
+        block = slice(start, start + _SCAN_BLOCK)
+        best[block], h1[block], h3[block], cost[block], step[block] = _profile(
+            _RATES[None, :], x[block], p[block], offset
+        )
+    k = _RATES[best]
+    lo = _RATES[np.maximum(best - 1, 0)]
+    hi = _RATES[np.minimum(best + 1, _RATES.size - 1)]
+    # The state of the rows still moving: their indices, k and its fitted
+    # constants, residual sum, step and bracket. dk and ds are the changes
+    # in k and in the step over a row's last move; dk is NaN before its
+    # first move and after a back-off, where no secant is taken. A row is
+    # done once its trial cannot move k, or after a move, made or tried, at
+    # the rounding level of the profile.
+    live = np.arange(rows)
+    dk, ds = np.full(rows, np.nan), np.zeros(rows)
+    done = np.zeros(rows, dtype=bool)
+    out = np.empty((3, rows))
+    for _ in range(_MAX_POLISH):
+        # Gauss-Newton converges only linearly on a curve the model misses;
+        # a secant on the step, a function of k with its root at the
+        # optimum, makes it superlinear.
+        slope = ds / dk
+        move = np.divide(-step, slope, out=step.copy(), where=slope < 0)
+        trial = np.minimum(np.maximum(k + move, lo), hi)
+        done |= trial == k
+        stopped = np.count_nonzero(done)
+        if stopped:
+            out[:, live] = k, h1, h3
+            if stopped == live.size:
+                return out
+            keep = ~done
+            live, k, h1, h3, cost, step, lo, hi, trial, x, p = (
+                v[keep] for v in (live, k, h1, h3, cost, step, lo, hi, trial, x, p)
+            )
+        _, t_h1, t_h3, t_cost, t_step = _profile(trial[:, None], x, p, offset)
+        dk = trial - k
+        done = np.abs(dk) <= _K_RTOL * k
+        ds = t_step - step
+        # Near the optimum the residual sum stops resolving k before the
+        # step does, so a shorter step also counts as progress. Otherwise
+        # the trial overshot: back off towards k.
+        back = (t_cost >= cost) & (np.abs(t_step) >= np.abs(step))
+        if np.count_nonzero(back):
+            for moved, kept in ((trial, k), (t_h1, h1), (t_h3, h3), (t_cost, cost),
+                                (t_step, dk / 2), (dk, np.nan)):
+                np.copyto(moved, kept, where=back)
+        k, h1, h3, cost, step = trial, t_h1, t_h3, t_cost, t_step
+    out[:, live] = k, h1, h3
+    return out
+
+
+def _fit_block(curves: Sequence[PopularityCurve], offset: bool) -> list:
+    """`fit_exponentials` on curves of one length, at least 3 points each."""
+    t = np.array([curve.grid for curve in curves])
+    p = np.array([curve.values for curve in curves])
+    top = np.maximum(1.0, np.abs(p).max(axis=1))
+    moves = p.max(axis=1) - p.min(axis=1) > 1e-14 * top
+    fits: list = [None] * len(curves)
+    for n in np.flatnonzero(~moves):
+        fits[n] = FitError("no dynamics to fit: curve is constant")
+    if not moves.any():
+        return fits
+    t, p = t[moves], p[moves]
+    span = t[:, -1:]
+    with np.errstate(under="ignore"):
+        k, h1, h3 = _fit_rows(t / span, p, offset)
+    h2 = k / span[:, 0]
+    # r_squared, one row per curve.
+    fitted = exponential_model(t, h1[:, None], h2[:, None], h3[:, None])
+    total = ((p - p.mean(axis=1, keepdims=True)) ** 2).sum(axis=1)
+    r2 = 1.0 - ((p - fitted) ** 2).sum(axis=1) / total
+    fitted_rows = np.flatnonzero(moves).tolist()
+    for n, *constants in zip(fitted_rows, *(v.tolist() for v in (h1, h2, h3, r2))):
+        try:
+            fits[n] = ExponentialFit(*constants)
+        except ValueError as err:
+            fits[n] = err
+    return fits
+
+
+def fit_exponentials(
+    curves: Sequence[PopularityCurve], offset: bool = False
+) -> list[ExponentialFit | FitError | ValueError]:
+    """Fit every curve of `curves` as `fit_exponential` fits one, in one call.
+
+    Returns one entry per curve, in order: its `ExponentialFit`, or the
+    error that refuses it (a `FitError` for fewer than 3 points or a
+    constant curve, a `ValueError` when the fitted constants are no valid
+    `ExponentialFit`), so one bad curve never fails the rest. Curves of
+    equal length are fitted together, up to 128 at a time, and each result
+    is bit for bit the one the curve gets when fitted alone.
+    """
+    results: list = [None] * len(curves)
+    groups: dict[int, list[int]] = {}
+    for n, curve in enumerate(curves):
+        if curve.grid.size < 3:
+            results[n] = FitError("need at least 3 points to fit")
+        else:
+            groups.setdefault(curve.grid.size, []).append(n)
+    for group in groups.values():
+        for start in range(0, len(group), _FIT_BLOCK):
+            members = group[start : start + _FIT_BLOCK]
+            for n, fit in zip(members, _fit_block([curves[n] for n in members], offset)):
+                results[n] = fit
+    return results
 
 
 def fit_exponential(curve: PopularityCurve, offset: bool = False) -> ExponentialFit:
@@ -200,51 +340,15 @@ def fit_exponential(curve: PopularityCurve, offset: bool = False) -> Exponential
     profile evaluations on sampled curves. Deterministic, and rescaling the
     time axis by c rescales h2 by 1/c and changes nothing else. A straight
     line, the family's k -> 0 limit, fits at k = 1e-6 with r2 a little
-    below the line's.
+    below the line's. This is the one-curve call of `fit_exponentials`,
+    which scans a batch four curves at a time and polishes up to 128
+    together, by masked vector steps over the curves still moving; each
+    curve follows the same rules and gets the same bits as here.
     """
-    t = curve.grid
-    p = curve.values
-    if t.size < 3:
-        raise FitError("need at least 3 points to fit")
-    if float(np.max(p) - np.min(p)) <= 1e-14 * max(1.0, float(np.max(np.abs(p)))):
-        raise FitError("no dynamics to fit: curve is constant")
-    span = float(t[-1])
-    x = t / span
-
-    with np.errstate(under="ignore"):
-        h1s, h3s, costs, steps = _profile(_RATES, x, p, offset)
-        i = int(np.argmin(costs))
-        lo, hi = _RATES[max(i - 1, 0)], _RATES[min(i + 1, _RATES.size - 1)]
-        k, h1, h3, cost, step = _RATES[i], h1s[i], h3s[i], costs[i], steps[i]
-        k_prev = s_prev = None
-        for _ in range(_MAX_POLISH):
-            # Gauss-Newton converges only linearly on a curve the model misses;
-            # a secant on the step, a function of k with its root at the
-            # optimum, makes it superlinear.
-            move = step
-            if k_prev is not None and (slope := (step - s_prev) / (k - k_prev)) < 0:
-                move = -step / slope
-            trial = min(max(k + move, lo), hi)
-            if trial == k:
-                break
-            t_h1, t_h3, t_cost, t_step = (v[0] for v in _profile(np.array([trial]), x, p, offset))
-            # A move this small is at the rounding level of the profile: the
-            # last one made or tried.
-            small = abs(trial - k) <= _K_RTOL * k
-            # Near the optimum the residual sum stops resolving k before the
-            # step does, so a shorter step also counts as progress.
-            if t_cost >= cost and abs(t_step) >= abs(step):
-                if small:
-                    break
-                step, k_prev = (trial - k) / 2, None  # overshot: back off towards k
-                continue
-            k_prev, s_prev = k, step
-            k, h1, h3, cost, step = trial, t_h1, t_h3, t_cost, t_step
-            if small:
-                break
-    h2 = float(k) / span
-    fitted = exponential_model(t, float(h1), h2, float(h3))
-    return ExponentialFit(h1=float(h1), h2=h2, h3=float(h3), r2=r_squared(p, fitted))
+    (fit,) = fit_exponentials([curve], offset)
+    if isinstance(fit, Exception):
+        raise fit
+    return fit
 
 
 def infer_params(fit: ExponentialFit, M: int) -> UltradiffusionParams:

@@ -85,10 +85,11 @@ def check_rate_ultrametricity(gen: Generator) -> TripleReport:
     This is the strong triangle inequality of -rate (negation is exact in
     floating point), so the same kernel as `verify_ultrametric` proves it in
     O(n^2 log n) or scans only the first row the proof fails on, reporting the
-    first violation in lexicographic (i, j, k) order.
+    first violation in lexicographic (i, j, k) order. The kernel negates its
+    condensed copy of the rates, so no negated n-by-n matrix is made.
     """
     n = gen.size
-    triple = _first_violation(-gen.rates)
+    triple = _first_violation(gen.rates, negate=True)
     if triple is None:
         return TripleReport(ok=True, triple=None, message=f"all {n} states rate-ultrametric")
     i, j, k = triple

@@ -126,14 +126,18 @@ def uniform_chain(n: int) -> UltrametricSpace:
     return UltrametricSpace(labels=idx, dist=dist, multiplicity=np.ones(n, dtype=int))
 
 
-def _first_violation(m: np.ndarray) -> tuple[int, int, int] | None:
+def _first_violation(m: np.ndarray, negate: bool = False) -> tuple[int, int, int] | None:
     """First (i, j, k) in lexicographic order with m[i, j] > max(m[i, k], m[k, j]).
 
-    Only triples of distinct indices count, so the diagonal of `m` is
-    ignored; `m` must be symmetric with no NaN or -inf. A symmetric matrix
-    satisfies the strong triangle inequality exactly when it equals its
-    subdominant ultrametric U, the single-linkage cophenetic matrix (Gower &
-    Ross 1969; Rammal, Toulouse & Virasoro, Rev. Mod. Phys. 58, 765, 1986).
+    With `negate`, the same for -m, but no negated copy of `m` is made: only
+    the condensed values are negated, and the failing row is scanned for
+    m[i, j] < min(m[i, k], m[k, j]), which is the same inequality, since
+    negation is exact. Only triples of distinct indices count, so the
+    diagonal of `m` is ignored; `m` must be symmetric with no NaN, and with
+    no -inf (+inf with `negate`). A symmetric matrix satisfies the strong
+    triangle inequality exactly when it equals its subdominant ultrametric
+    U, the single-linkage cophenetic matrix (Gower & Ross 1969; Rammal,
+    Toulouse & Virasoro, Rev. Mod. Phys. 58, 765, 1986).
     The proof runs in O(n^2 log n) on the off-diagonal values themselves, by
     comparing and counting only, so it is exact. A row holds a violation
     exactly when it exceeds U somewhere, so when the proof fails, the ranks
@@ -148,6 +152,8 @@ def _first_violation(m: np.ndarray) -> tuple[int, int, int] | None:
     from scipy.spatial.distance import squareform
 
     values = squareform(m, checks=False)
+    if negate:
+        np.negative(values, out=values)
     # linkage takes finite values only; ranks keep their order exactly.
     if values.max() == np.inf:
         values = np.unique(values, return_inverse=True)[1].astype(float)
@@ -167,7 +173,11 @@ def _first_violation(m: np.ndarray) -> tuple[int, int, int] | None:
     ranks = np.unique(values, return_inverse=True)[1]
     exceeds = cophenet(linkage(ranks.astype(float), "single")) != ranks
     i = int(np.argmax(squareform(exceeds).any(axis=1)))
-    bad = m[i][:, None] > np.maximum(m[i], m.T)
+    row = m[i]
+    if negate:
+        bad = row[:, None] < np.minimum(row, m.T)
+    else:
+        bad = row[:, None] > np.maximum(row, m.T)
     bad[i, :] = bad[:, i] = False
     np.fill_diagonal(bad, False)
     j, k = np.argwhere(bad)[0]

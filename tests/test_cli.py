@@ -136,12 +136,37 @@ class TestStoryFailures:
 
     @pytest.mark.parametrize("command", ["fit", "compare"])
     def test_programming_errors_propagate(self, tmp_path, monkeypatch, command):
-        def broken(curve, offset=False):
+        def broken(curves, offset=False):
             raise TypeError("broken fitter")
 
-        monkeypatch.setattr(cli, "fit_exponential", broken)
+        monkeypatch.setattr(cli, "fit_exponentials", broken)
         with pytest.raises(TypeError, match="broken fitter"):
             main([command, "--input", str(FIXTURE), "--out-dir", str(tmp_path / "o")])
+
+    @pytest.mark.parametrize(
+        "command, result", [("fit", "fits.json"), ("compare", "comparison.json")]
+    )
+    def test_a_story_the_batch_refuses_fails_alone(self, tmp_path, capsys, command, result):
+        # Under a common horizon, sixty events at t = 1 make a constant
+        # curve: the batched fitter refuses it in place, and the stories
+        # fitted beside it come out as they do without it.
+        stories = [sampled_story("s1", seed=41), sampled_story("s2", seed=43)]
+        horizon = f"{max(story.horizon for story in stories):.9g}"
+        alone, mixed = tmp_path / "alone.csv", tmp_path / "mixed.csv"
+        write_trace_csv(alone, stories)
+        mixed.write_text(alone.read_text() + "".join("flat,1.0\n" for _ in range(60)))
+        outs = []
+        for csv in (alone, mixed):
+            outs.append(tmp_path / csv.stem)
+            argv = [command, "--input", str(csv), "--out-dir", str(outs[-1])]
+            assert main([*argv, "--horizon", horizon]) == 0
+        err = capsys.readouterr().err
+        assert "story 'flat' failed: FitError: no dynamics to fit: curve is constant\n" in err
+        files = sorted(path.name for path in outs[0].iterdir())
+        assert result in files
+        assert sorted(path.name for path in outs[1].iterdir()) == files
+        for name in files:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 class TestAggregate:

@@ -1,6 +1,7 @@
 """Saturation-curve fitting, parameter inference, and event sampling."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -15,6 +16,7 @@ from ultradiffusion.fitting import (
     decay_rate,
     exponential_model,
     fit_exponential,
+    fit_exponentials,
     infer_params,
     r_squared,
     sample_events,
@@ -336,6 +338,74 @@ class TestAgainstTheReferenceFitter:
             assert fit.r2 < fit_linear(grid, line.values)[2]
 
         check()
+
+
+def bits(fit):
+    """A fit's constants as exact bit patterns, or its error's type and message."""
+    if isinstance(fit, Exception):
+        return type(fit).__name__, str(fit)
+    return tuple(float(v).hex() for v in (fit.h1, fit.h2, fit.h3, fit.r2))
+
+
+class TestFitExponentials:
+    """The batched fitter: each curve's result, whatever fits beside it."""
+
+    @pytest.mark.parametrize("offset", [False, True])
+    def test_each_result_is_the_lone_fit_whatever_its_neighbours(self, offset):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @st.composite
+        def curve(draw):
+            kind = draw(st.sampled_from(["model", "model", "steps", "constant", "short", "long"]))
+            n = {"short": 2, "long": 41}.get(kind, 30)
+            grid = uniform_grid(draw(st.floats(1e-3, 1e6)), n)
+            if kind == "constant":
+                values = np.full(n, draw(st.floats(0.0, 1.0)))
+            elif kind == "steps":
+                values = np.sort(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+            else:
+                k, h1 = draw(st.floats(1e-3, 50.0)), draw(st.floats(0.2, 0.95))
+                noise = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal(n)
+                values = exponential_model(grid, h1, k / grid[-1]) + 1e-2 * noise
+                values = np.maximum.accumulate(np.clip(values, 0.0, 1.0))
+            return PopularityCurve(grid=grid, values=values, saturation_count=n)
+
+        # Stacks from one curve to past two scan blocks of four.
+        @hypothesis.settings(max_examples=100, deadline=None)
+        @hypothesis.given(st.lists(curve(), min_size=1, max_size=9))
+        def check(curves):
+            batch = fit_exponentials(curves, offset)
+            assert len(batch) == len(curves)
+            for curve, fit in zip(curves, batch):
+                (alone,) = fit_exponentials([curve], offset)
+                assert bits(fit) == bits(alone)
+                if curve.grid.size < 3:
+                    assert bits(fit) == ("FitError", "need at least 3 points to fit")
+                elif np.ptp(curve.values) == 0:
+                    assert bits(fit) == ("FitError", "no dynamics to fit: curve is constant")
+                if isinstance(fit, Exception):
+                    with pytest.raises(type(fit), match=re.escape(str(fit))):
+                        fit_exponential(curve, offset)
+                else:
+                    assert bits(fit_exponential(curve, offset)) == bits(fit)
+
+        check()
+
+    def test_stacks_past_one_fit_block_match_the_lone_fits(self):
+        # 300 sampled stories: three blocks of at most 128 curves, each
+        # scanned four curves at a time.
+        curves = [
+            empirical_curve(
+                sample_events(UltradiffusionParams(t_N=40 + s % 20, mu=0.1, M=300), seed=s)
+            )
+            for s in range(300)
+        ]
+        batch = fit_exponentials(curves)
+        assert [bits(fit) for fit in batch] == [bits(fit_exponential(c)) for c in curves]
+
+    def test_empty_stack_fits_nothing(self):
+        assert fit_exponentials([]) == []
 
 
 class TestExponentialFitInvariants:

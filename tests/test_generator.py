@@ -319,3 +319,24 @@ class TestRateUltrametricityAtScale:
             message=f"rate(2998,2999)={r[2998, 2999]:g} falls below "
             f"min via state 3000: {r[3000, 2999]:g}",
         )
+
+
+def test_check_rate_peak_memory_stays_below_one_and_a_half_matrices(peak_rise):
+    # The 3001-state trace space and its generator hold two 72 MB matrices.
+    # The proof negates a condensed copy of the rates and sorts a second
+    # copy, about one matrix in all; negating the whole rate matrix first
+    # raised the peak by 2.1 matrices.
+    size, nbytes, rise = peak_rise(
+        "import numpy as np\n"
+        "from ultradiffusion.generator import build_generator, check_rate_ultrametricity\n"
+        "from ultradiffusion.traces import EventTrace\n"
+        "from ultradiffusion.ultrametric import build_from_trace, uniform_chain\n"
+        "events = np.sort(1000.0 * (1.0 - np.random.default_rng(7).random(3000)))\n"
+        'space = build_from_trace(EventTrace(story_id="big", events=events, horizon=1000.0))\n'
+        "gen = build_generator(space, 0.001)\n"
+        "check_rate_ultrametricity(build_generator(uniform_chain(3), 0.1))",
+        "assert check_rate_ultrametricity(gen).ok",
+        "gen.size, gen.rates.nbytes",
+    )
+    assert size == 3001
+    assert rise < 1.5 * nbytes
