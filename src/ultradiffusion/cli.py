@@ -6,10 +6,13 @@ synthetic traces from given parameters, `compare` scores the saturating
 exponential against a straight line (the memoryless-arrivals signature), and
 `oracle-check` runs the pinned self-check suite and prints its report.
 
-Exit codes: 0 success, 1 input error, 2 numerical failure, 3 self-check
-failure. Given the same inputs and seed, re-runs write byte-identical files;
-outputs are written to a temporary name and renamed, so interrupted runs
-leave no partial files.
+Exit codes: 0 success, 1 input error (bad options or data, an unreadable or
+undecodable input, an unusable output directory), 2 numerical failure, 3
+self-check failure; `main` alone maps an escaping error to its code and one
+`error:` line. A story whose curve cannot be built or fitted is reported and
+left out, in `aggregate` too. Given the same inputs and seed, re-runs write
+byte-identical files; outputs are written to a temporary name and renamed,
+so interrupted runs leave no partial files.
 """
 
 from __future__ import annotations
@@ -46,13 +49,7 @@ from .serialize import (
     write_trace_csv,
 )
 from .spectral import chain_spectrum
-from .traces import (
-    TraceFormatError,
-    aggregate_mean,
-    empirical_curve,
-    parse_trace_csv,
-    uniform_grid,
-)
+from .traces import aggregate_mean, empirical_curve, parse_trace_csv, uniform_grid
 from .ultrametric import build_from_trace
 
 __all__ = ["CommandError", "build_parser", "main"]
@@ -107,12 +104,8 @@ def _unique_names(story_ids: list[str]) -> dict[str, str]:
 
 def _load_qualifying(args: argparse.Namespace):
     _check_args(args)
-    path = Path(args.input)
-    traces = parse_trace_csv(path, horizon=args.horizon)
-    if not traces:
-        raise CommandError(1, f"{path}: input contains no stories")
     kept = []
-    for trace in traces:
+    for trace in parse_trace_csv(Path(args.input), horizon=args.horizon):
         if trace.count < args.min_events:
             print(
                 f"skipping story {trace.story_id!r}: {trace.count} events "
@@ -147,6 +140,24 @@ def _fit_record(curve, fit, M: int):
     return record, (curve.grid, curve.values, fitted, simulated.values)
 
 
+def _curves(traces):
+    """[(trace, curve)] of the traces whose curve can be built, and
+    {story id: error} of the others."""
+    built, failed = [], {}
+    for trace in traces:
+        try:
+            built.append((trace, empirical_curve(trace)))
+        except _DATA_ERRORS as err:
+            failed[trace.story_id] = err
+    return built, failed
+
+
+def _report(failed) -> None:
+    for sid in sorted(failed):
+        err = failed[sid]
+        print(f"story {sid!r} failed: {type(err).__name__}: {err}", file=sys.stderr)
+
+
 def _run_each(traces, worker, offset: bool, out_dir: Path):
     """Fit every trace's curve, all in one call, and apply `worker` to each
     (trace, curve, fit); return [(file name, result)] in story-id order.
@@ -156,27 +167,18 @@ def _run_each(traces, worker, offset: bool, out_dir: Path):
     in story-id order, and when every story failed the run exits 2.
     Otherwise `out_dir` is created.
     """
-    curves: list = []
-    for trace in traces:
-        try:
-            curves.append(empirical_curve(trace))
-        except _DATA_ERRORS as err:
-            curves.append(err)
-    built = [curve for curve in curves if not isinstance(curve, Exception)]
-    fits = iter(fit_exponentials(built, offset=offset))
+    built, failed = _curves(traces)
+    fits = fit_exponentials([curve for _, curve in built], offset=offset)
     results: dict[str, object] = {}
-    failures: list[tuple[str, str]] = []
-    for trace, curve in zip(traces, curves):
-        # A curve or fit that is an error fails its story, as if raised here.
-        fit = curve if isinstance(curve, Exception) else next(fits)
+    for (trace, curve), fit in zip(built, fits):
         try:
+            # A fit that is an error fails its story, as if raised here.
             if isinstance(fit, Exception):
                 raise fit
             results[trace.story_id] = worker(trace, curve, fit)
         except _DATA_ERRORS as err:
-            failures.append((trace.story_id, f"{type(err).__name__}: {err}"))
-    for sid, message in sorted(failures):
-        print(f"story {sid!r} failed: {message}", file=sys.stderr)
+            failed[trace.story_id] = err
+    _report(failed)
     if not results:
         raise CommandError(2, "every qualifying story failed to fit")
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -202,9 +204,10 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 
 def cmd_aggregate(args: argparse.Namespace) -> int:
-    kept = _load_qualifying(args)
-    mean = aggregate_mean([empirical_curve(t) for t in kept])
+    built, failed = _curves(_load_qualifying(args))
+    _report(failed)
     try:
+        mean = aggregate_mean([curve for _, curve in built])
         fit = fit_exponential(mean, offset=args.offset)
         record, columns = _fit_record(mean, fit, mean.saturation_count)
     except _DATA_ERRORS as err:
@@ -214,28 +217,26 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
     write_fit_curve_tsv(out / "aggregate_curve.tsv", *columns)
     write_json(
         out / "aggregate_fit.json",
-        {"story_id": "aggregate", "n_stories": len(kept), **record},
+        {"story_id": "aggregate", "n_stories": len(built), **record},
     )
-    print(f"aggregated {len(kept)} stories -> {out}")
+    print(f"aggregated {len(built)} stories -> {out}")
     return 0
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     _check_args(args)
-    try:
-        children = np.random.SeedSequence(args.seed).spawn(args.stories)
-        params = UltradiffusionParams(t_N=args.t_n, mu=args.mu, M=args.m_events)
-        traces = [
-            sample_events(params, seed=child, horizon=args.horizon, story_id=f"story_{k + 1:03d}")
-            for k, child in enumerate(children)
-        ]
-    except ValueError as err:
-        raise CommandError(1, str(err)) from err
+    children = np.random.SeedSequence(args.seed).spawn(args.stories)
+    params = UltradiffusionParams(t_N=args.t_n, mu=args.mu, M=args.m_events)
+    traces = [
+        sample_events(params, seed=child, horizon=args.horizon, story_id=f"story_{k + 1:03d}")
+        for k, child in enumerate(children)
+    ]
     span = traces[0].horizon
+    model = simulate_curve(params, uniform_grid(span))
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_trace_csv(out / "trace.csv", traces)
-    write_curve_tsv(out / "model_curve.tsv", simulate_curve(params, uniform_grid(span)))
+    write_curve_tsv(out / "model_curve.tsv", model)
     write_spectrum_tsv(out / "spectrum.tsv", chain_spectrum(args.t_n, args.mu).eigenvalues)
     print(
         f"wrote {args.stories} stories x {args.m_events} events "
@@ -257,24 +258,21 @@ def _compare_record(trace, curve, fit):
         "note": "",
     }
     try:
-        params = infer_params(fit, M=trace.count)
+        fitted, _ = _fit_record(curve, fit, trace.count)
     except ValueError as err:
         record["note"] = f"parameter mapping failed: {err}"
-        return record, trace, None
-    simulated = simulate_curve(params, curve.grid)
-    record["r2_simulated"] = r_squared(curve.values, simulated.values)
-    record["t_N"] = params.t_N
-    record["mu"] = params.mu
-    return record, trace, params.mu
+    else:
+        record.update({key: fitted[key] for key in ("r2_simulated", "t_N", "mu")})
+    return record, trace
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
     kept = _load_qualifying(args)
     out = Path(args.out_dir)
     done = _run_each(kept, _compare_record, args.offset, out)
-    write_json(out / "comparison.json", [record for _, (record, _, _) in done])
+    write_json(out / "comparison.json", [record for _, (record, _) in done])
     if args.export_matrices:
-        for name, (_, trace, mu) in done:
+        for name, (record, trace) in done:
             sid = trace.story_id
             # One state per distinct event time plus the no-rebroadcast state,
             # counted before the n-by-n matrix is built.
@@ -288,13 +286,13 @@ def cmd_compare(args: argparse.Namespace) -> int:
                 continue
             space = build_from_trace(trace)
             write_distance_tsv(out / f"{name}_distance.tsv", space)
-            if mu is None:
+            if record["mu"] is None:
                 print(
                     f"story {sid!r}: no inferred mu, skipping rate-matrix export",
                     file=sys.stderr,
                 )
                 continue
-            write_generator_tsv(out / f"{name}_generator.tsv", build_generator(space, mu))
+            write_generator_tsv(out / f"{name}_generator.tsv", build_generator(space, record["mu"]))
     print(f"compared {len(done)} of {len(kept)} stories -> {out}")
     return 0
 
@@ -405,15 +403,12 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
-    except CommandError as err:
+    except (CommandError, ValueError, OSError, RuntimeError) as err:
+        # Bad values and unusable paths are input errors, FitError numerical.
         print(f"error: {err}", file=sys.stderr)
-        return err.exit_code
-    except (TraceFormatError, FileNotFoundError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except (FitError, RuntimeError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+        if isinstance(err, CommandError):
+            return err.exit_code
+        return 2 if isinstance(err, RuntimeError) else 1
 
 
 if __name__ == "__main__":

@@ -370,8 +370,6 @@ def infer_params(fit: ExponentialFit, M: int) -> UltradiffusionParams:
     t_N = round(raw)
     if t_N < 2:
         raise ValueError(f"mapped t_N={raw:.4g} rounds below 2: no chain this short")
-    if fit.h2 <= 0:
-        raise ValueError("decay rate h2 must be positive")
     if fit.h2 >= t_N:
         raise ValueError(
             f"decay rate h2={fit.h2:.6g} is at least t_N={t_N}: mu would be negative"

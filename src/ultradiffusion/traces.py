@@ -169,19 +169,23 @@ def parse_trace_csv(path, horizon: float | None = None) -> list[EventTrace]:
     largest timestamp unless `horizon` overrides it for every story.
     """
     parts: dict[str, list[np.ndarray]] = {}
-    with open(path, newline="", encoding="utf-8-sig") as handle:
-        header = next(csv.reader(handle), None)
-        if header is None:
-            raise TraceFormatError(f"{path}: empty file")
-        if [h.strip() for h in header] != ["story_id", "timestamp"]:
-            raise TraceFormatError(
-                f"{path}: line 1: expected header 'story_id,timestamp', got {','.join(header)!r}"
-            )
-        for stamps, runs in _chunks(path, handle):
-            start = 0
-            for story, count in runs:
-                parts.setdefault(story, []).append(stamps[start : start + count])
-                start += count
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
+            header = next(csv.reader(handle), None)
+            if header is None:
+                raise TraceFormatError(f"{path}: empty file")
+            if [h.strip() for h in header] != ["story_id", "timestamp"]:
+                raise TraceFormatError(
+                    f"{path}: line 1: expected header 'story_id,timestamp', "
+                    f"got {','.join(header)!r}"
+                )
+            for stamps, runs in _chunks(path, handle):
+                start = 0
+                for story, count in runs:
+                    parts.setdefault(story, []).append(stamps[start : start + count])
+                    start += count
+    except UnicodeDecodeError as err:
+        raise TraceFormatError(f"{path}: not UTF-8 text: {err.reason}") from None
     if not parts:
         raise TraceFormatError(f"{path}: no data rows")
     traces = []

@@ -104,10 +104,7 @@ def build_from_trace(trace: EventTrace) -> UltrametricSpace:
     # the no-rebroadcast state at subscript T with multiplicity zero.
     labels = np.concatenate([(span - distinct)[::-1], [span]])
     multiplicity = np.concatenate([counts[::-1], [0]])
-    later = np.maximum.outer(span - labels, span - labels)
-    np.fill_diagonal(later, 0.0)
-    later.setflags(write=False)  # handed over as is, not copied
-    return UltrametricSpace(labels=labels, dist=later, multiplicity=multiplicity)
+    return _max_space(labels, span - labels, multiplicity)
 
 
 def uniform_chain(n: int) -> UltrametricSpace:
@@ -120,10 +117,15 @@ def uniform_chain(n: int) -> UltrametricSpace:
     if n < 2:
         raise ValueError("a chain needs at least 2 states")
     idx = np.arange(1, n + 1, dtype=float)
-    dist = np.maximum.outer(idx, idx) - 1.0
+    return _max_space(idx, idx - 1.0, np.ones(n, dtype=int))
+
+
+def _max_space(labels, heights, multiplicity) -> UltrametricSpace:
+    """Space with d(i, j) = max(heights[i], heights[j]) for i != j."""
+    dist = np.maximum.outer(heights, heights)
     np.fill_diagonal(dist, 0.0)
-    dist.setflags(write=False)
-    return UltrametricSpace(labels=idx, dist=dist, multiplicity=np.ones(n, dtype=int))
+    dist.setflags(write=False)  # handed over as is, not copied
+    return UltrametricSpace(labels=labels, dist=dist, multiplicity=multiplicity)
 
 
 def _first_violation(m: np.ndarray, negate: bool = False) -> tuple[int, int, int] | None:

@@ -203,6 +203,22 @@ class TestAggregate:
         assert record["story_id"] == "aggregate"
         assert record["n_stories"] == 1
 
+    def test_a_story_whose_curve_cannot_be_built_fails_alone(self, tmp_path, capsys):
+        # Events at 5e-324 leave no room for a uniform grid below them, so
+        # the story is reported and left out, as `fit` leaves it out.
+        alone, mixed = tmp_path / "alone.csv", tmp_path / "mixed.csv"
+        write_trace_csv(alone, [sampled_story("s1", seed=7)])
+        mixed.write_text(alone.read_text() + "".join("tiny,5e-324\n" for _ in range(60)))
+        outs = [tmp_path / "out_alone", tmp_path / "out_mixed"]
+        for csv, out in zip((alone, mixed), outs):
+            assert main(["aggregate", "--input", str(csv), "--out-dir", str(out)]) == 0
+        err = capsys.readouterr().err
+        assert "story 'tiny' failed: ValueError: grid must be strictly increasing\n" in err
+        assert "Traceback" not in err
+        for name in ("aggregate_fit.json", "aggregate_curve.tsv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+        assert json.loads((outs[1] / "aggregate_fit.json").read_text())["n_stories"] == 1
+
     def test_aggregate_curve_has_the_four_columns(self, tmp_path, capsys):
         csv = tmp_path / "in.csv"
         write_trace_csv(csv, [sampled_story("s1", seed=7), sampled_story("s2", seed=8)])
@@ -317,6 +333,21 @@ class TestCompare:
         assert (out / "line_distance.tsv").exists()
         assert not (out / "line_generator.tsv").exists()
         assert "no inferred mu" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("offset", [[], ["--offset"]], ids=["plain", "offset"])
+    def test_mapped_fields_equal_the_fit_records(self, tmp_path, capsys, offset):
+        csv = tmp_path / "in.csv"
+        write_trace_csv(csv, [sampled_story(f"s{k}", seed=k) for k in range(4)])
+        records = {}
+        for command, result in (("fit", "fits.json"), ("compare", "comparison.json")):
+            out = tmp_path / command
+            assert main([command, "--input", str(csv), "--out-dir", str(out), *offset]) == 0
+            records[command] = json.loads((out / result).read_text())
+        ids = [[r["story_id"] for r in rows] for rows in records.values()]
+        assert ids == [["s0", "s1", "s2", "s3"]] * 2
+        for fit, compared in zip(records["fit"], records["compare"]):
+            for key in ("t_N", "mu", "r2_simulated"):
+                assert compared[key] == fit[key]
 
     def test_matrix_export_writes_distance_and_rates(self, tmp_path, capsys):
         csv = tmp_path / "in.csv"
@@ -459,6 +490,8 @@ class TestArgumentHandling:
             (["--m-events", "0"], "M must be a positive count"),
             (["--stories", "0"], "need at least one story"),
             (["--horizon", "inf"], "horizon must be finite"),
+            # Too short for a model-curve grid: fails before trace.csv is written.
+            (["--horizon", "5e-324"], "grid must be strictly increasing"),
         ],
     )
     def test_bad_simulate_option_is_an_input_error(self, tmp_path, capsys, options, message):
@@ -468,6 +501,41 @@ class TestArgumentHandling:
         assert f"error: {message}" in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "kind, message",
+        [("directory", "Is a directory"), ("non-UTF-8", "not UTF-8 text")],
+    )
+    def test_unreadable_input_is_an_input_error(self, tmp_path, capsys, kind, message):
+        path = tmp_path / "in.csv"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"story_id,timestamp\ns\xff,1.0\n")
+        out = tmp_path / "o"
+        assert main(["fit", "--input", str(path), "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command", ["fit", "aggregate", "compare", "simulate", "oracle-check"]
+    )
+    def test_out_dir_naming_a_file_is_an_input_error(
+        self, tmp_path, monkeypatch, capsys, command
+    ):
+        monkeypatch.setattr(checks, "run_all", lambda: [dataclasses.replace(FAILING, passed=True)])
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n")
+        inputs = {"simulate": ["--m-events", "50"], "oracle-check": []}.get(
+            command, ["--input", str(FIXTURE)]
+        )
+        assert main([command, *inputs, "--out-dir", str(taken)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "File exists" in err
+        assert "Traceback" not in err
+        assert taken.read_text() == "kept\n"
 
     @pytest.mark.parametrize("command", ["fit", "aggregate", "compare"])
     def test_seed_is_not_a_trace_option(self, tmp_path, capsys, command):

@@ -2,6 +2,7 @@
 
 import csv
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -230,6 +231,22 @@ class TestParseTraceCsv:
         path = write_csv(tmp_path / "t.csv", [("s1", 5)])
         with pytest.raises(TraceFormatError, match="horizon"):
             parse_trace_csv(path, horizon=3.0)
+
+    @pytest.mark.parametrize(
+        "head, tail",
+        [
+            (b"\xffstory_id,timestamp\n", b""),
+            (b"story_id,timestamp\n", b"s\xff,2\n"),
+            (b'story_id,timestamp\n"s1",1\n', b'"s\xff",2\n'),
+        ],
+        ids=["header", "later chunk", "quoted"],
+    )
+    def test_undecodable_bytes_are_a_format_error_naming_the_file(self, tmp_path, head, tail):
+        path = tmp_path / "t.csv"
+        # Enough rows that the bad byte of `tail` is read in a later chunk.
+        path.write_bytes(head + b"s1,1\n" * 20000 + tail)
+        with pytest.raises(TraceFormatError, match=f"^{re.escape(str(path))}: not UTF-8 text"):
+            parse_trace_csv(path)
 
 
 class TestAgainstTheReferenceParser:
