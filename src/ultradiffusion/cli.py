@@ -13,6 +13,13 @@ self-check failure; `main` alone maps an escaping error to its code and one
 left out, in `aggregate` too. Given the same inputs and seed, re-runs write
 byte-identical files; outputs are written to a temporary name and renamed,
 so interrupted runs leave no partial files.
+
+`fit` and `compare` run a pass as one block: the parsed stories' curves are
+the rows of a (stories x grid points) grid array and a values array
+(`curve_block`), one `fit_block` call fits them all, and the simulated
+curves and their r_squared are array expressions over the block. Only
+`infer_params`, and `compare`'s straight line, run story by story. Each
+story's outputs are byte for byte those of handling it alone.
 """
 
 from __future__ import annotations
@@ -30,11 +37,11 @@ from .baselines import fit_linear
 from .fitting import (
     FitError,
     UltradiffusionParams,
+    decay_rate,
     exponential_model,
+    fit_block,
     fit_exponential,
-    fit_exponentials,
     infer_params,
-    r_squared,
     sample_events,
     simulate_curve,
 )
@@ -49,7 +56,13 @@ from .serialize import (
     write_trace_csv,
 )
 from .spectral import chain_spectrum
-from .traces import aggregate_mean, empirical_curve, parse_trace_csv, uniform_grid
+from .traces import (
+    PopularityCurve,
+    aggregate_mean,
+    curve_block,
+    parse_trace_csv,
+    uniform_grid,
+)
 from .ultrametric import build_from_trace
 
 __all__ = ["CommandError", "build_parser", "main"]
@@ -121,35 +134,45 @@ def _load_qualifying(args: argparse.Namespace):
     return kept
 
 
-def _fit_record(curve, fit, M: int):
-    """Map `fit` of `curve` to chain parameters for `M` events and simulate
-    them: the fit record and the columns of its curve table."""
-    params = infer_params(fit, M=M)
-    simulated = simulate_curve(params, curve.grid)
-    record = {
-        "h1": fit.h1,
-        "h2": fit.h2,
-        "h3": fit.h3,
-        "r2": fit.r2,
-        "t_N": params.t_N,
-        "mu": params.mu,
-        "M": params.M,
-        "r2_simulated": r_squared(curve.values, simulated.values),
-    }
-    fitted = exponential_model(curve.grid, fit.h1, fit.h2, fit.h3)
-    return record, (curve.grid, curve.values, fitted, simulated.values)
+def _map_fits(grid, observed, counts, fits):
+    """Map each fit of a curve block to chain parameters and simulate them.
 
-
-def _curves(traces):
-    """[(trace, curve)] of the traces whose curve can be built, and
-    {story id: error} of the others."""
-    built, failed = [], {}
-    for trace in traces:
+    Row n of `grid` and `observed` is a curve of `counts[n]` events and
+    `fits[n]` its fit, or the error that refuses it. Returns (outcomes,
+    simulated). Per row, the outcome is that error, or a pair: the fit
+    record, and either the mapped fields (`t_N`, `mu`, `M`, `r2_simulated`)
+    or the ValueError that refuses the mapping. `simulated` is the block of
+    simulated curves, a row meaningful where its fit has a mapping.
+    `infer_params` maps each fit alone; the simulated curves and their
+    r_squared are block expressions that do, entry for entry, the
+    operations of `simulate_curve` and `r_squared`.
+    """
+    outcomes: list = []
+    mapped, rates, amplitudes = [], [], []
+    for n, fit in enumerate(fits):
+        if isinstance(fit, Exception):
+            outcomes.append(fit)
+            continue
+        record = {"h1": fit.h1, "h2": fit.h2, "h3": fit.h3, "r2": fit.r2}
         try:
-            built.append((trace, empirical_curve(trace)))
-        except _DATA_ERRORS as err:
-            failed[trace.story_id] = err
-    return built, failed
+            params = infer_params(fit, M=counts[n])
+        except ValueError as err:
+            outcomes.append((record, err))
+            continue
+        mapping = {"t_N": params.t_N, "mu": params.mu, "M": params.M}
+        outcomes.append((record, mapping))
+        mapped.append(n)
+        rates.append(decay_rate(params))
+        amplitudes.append((params.t_N - 1) / params.t_N)
+    simulated = np.full(grid.shape, np.nan)
+    rate, amplitude = np.array(rates)[:, None], np.array(amplitudes)[:, None]
+    simulated[mapped] = model = amplitude * (1.0 - np.exp(-rate * grid[mapped]))
+    obs = observed[mapped]
+    total = ((obs - obs.mean(axis=1, keepdims=True)) ** 2).sum(axis=1)
+    r2_simulated = 1.0 - ((obs - model) ** 2).sum(axis=1) / total
+    for n, r2 in zip(mapped, r2_simulated.tolist()):
+        outcomes[n][1]["r2_simulated"] = r2
+    return outcomes, simulated
 
 
 def _report(failed) -> None:
@@ -158,24 +181,36 @@ def _report(failed) -> None:
         print(f"story {sid!r} failed: {type(err).__name__}: {err}", file=sys.stderr)
 
 
+def _curve_rows(traces):
+    """The traces whose curve can be built, the grid and observed blocks of
+    their curves, one row each, and {story id: error} of the others."""
+    grid, observed, faults = curve_block(traces)
+    built = [n for n, fault in enumerate(faults) if fault is None]
+    failed = {trace.story_id: fault for trace, fault in zip(traces, faults) if fault}
+    return [traces[n] for n in built], grid[built], observed[built], failed
+
+
 def _run_each(traces, worker, offset: bool, out_dir: Path):
-    """Fit every trace's curve, all in one call, and apply `worker` to each
-    (trace, curve, fit); return [(file name, result)] in story-id order.
+    """Fit and map every trace's curve, all as one block, and apply `worker`
+    to each (trace, grid row, observed row, fit record, mapping) whose fit
+    `_map_fits` made. Returns [(file name, block row, result)] in story-id
+    order, and the block as (grid, observed, fitted, simulated).
 
     A story fails when its curve cannot be built, the fitter refuses the
     curve, or `worker` raises one of the data errors: failures are printed
     in story-id order, and when every story failed the run exits 2.
     Otherwise `out_dir` is created.
     """
-    built, failed = _curves(traces)
-    fits = fit_exponentials([curve for _, curve in built], offset=offset)
-    results: dict[str, object] = {}
-    for (trace, curve), fit in zip(built, fits):
+    built, grid, observed, failed = _curve_rows(traces)
+    fits, fitted = fit_block(grid, observed, offset=offset)
+    outcomes, simulated = _map_fits(grid, observed, [trace.count for trace in built], fits)
+    results: dict[str, tuple] = {}
+    for row, (trace, outcome) in enumerate(zip(built, outcomes)):
         try:
             # A fit that is an error fails its story, as if raised here.
-            if isinstance(fit, Exception):
-                raise fit
-            results[trace.story_id] = worker(trace, curve, fit)
+            if isinstance(outcome, Exception):
+                raise outcome
+            results[trace.story_id] = row, worker(trace, grid[row], observed[row], *outcome)
         except _DATA_ERRORS as err:
             failed[trace.story_id] = err
     _report(failed)
@@ -184,40 +219,51 @@ def _run_each(traces, worker, offset: bool, out_dir: Path):
     out_dir.mkdir(parents=True, exist_ok=True)
     order = sorted(results)
     names = _unique_names(order)
-    return [(names[sid], results[sid]) for sid in order]
+    return [(names[sid], *results[sid]) for sid in order], (grid, observed, fitted, simulated)
 
 
-def _fit_story(trace, curve, fit):
-    record, columns = _fit_record(curve, fit, trace.count)
-    return {"story_id": trace.story_id, **record}, columns
+def _fit_story(trace, grid, observed, record, mapping):
+    if isinstance(mapping, Exception):
+        raise mapping
+    return {"story_id": trace.story_id, **record, **mapping}
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
     kept = _load_qualifying(args)
     out = Path(args.out_dir)
-    done = _run_each(kept, _fit_story, args.offset, out)
-    for name, (_, columns) in done:
-        write_fit_curve_tsv(out / f"{name}_curve.tsv", *columns)
-    write_json(out / "fits.json", [record for _, (record, _) in done])
+    done, block = _run_each(kept, _fit_story, args.offset, out)
+    for name, row, _ in done:
+        write_fit_curve_tsv(out / f"{name}_curve.tsv", *(part[row] for part in block))
+    write_json(out / "fits.json", [record for _, _, record in done])
     print(f"fitted {len(done)} of {len(kept)} stories -> {out}")
     return 0
 
 
 def cmd_aggregate(args: argparse.Namespace) -> int:
-    built, failed = _curves(_load_qualifying(args))
+    built, grid, observed, failed = _curve_rows(_load_qualifying(args))
     _report(failed)
     try:
-        mean = aggregate_mean([curve for _, curve in built])
+        mean = aggregate_mean([
+            PopularityCurve(grid=g, values=v, saturation_count=trace.count)
+            for trace, g, v in zip(built, grid, observed)
+        ])
         fit = fit_exponential(mean, offset=args.offset)
-        record, columns = _fit_record(mean, fit, mean.saturation_count)
+        ((record, mapping),), simulated = _map_fits(
+            mean.grid[None], mean.values[None], [mean.saturation_count], [fit]
+        )
+        if isinstance(mapping, Exception):
+            raise mapping
     except _DATA_ERRORS as err:
         raise CommandError(2, f"aggregate curve: {err}") from err
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_fit_curve_tsv(out / "aggregate_curve.tsv", *columns)
+    fitted = exponential_model(mean.grid, fit.h1, fit.h2, fit.h3)
+    write_fit_curve_tsv(
+        out / "aggregate_curve.tsv", mean.grid, mean.values, fitted, simulated[0]
+    )
     write_json(
         out / "aggregate_fit.json",
-        {"story_id": "aggregate", "n_stories": len(built), **record},
+        {"story_id": "aggregate", "n_stories": len(built), **record, **mapping},
     )
     print(f"aggregated {len(built)} stories -> {out}")
     return 0
@@ -245,34 +291,32 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _compare_record(trace, curve, fit):
-    _, _, r2_lin = fit_linear(curve.grid, curve.values)
-    record = {
+def _compare_record(trace, grid, observed, record, mapping):
+    _, _, r2_lin = fit_linear(grid, observed)
+    compared = {
         "story_id": trace.story_id,
-        "r2_exponential": fit.r2,
+        "r2_exponential": record["r2"],
         "r2_linear": r2_lin,
         "r2_simulated": None,
         "t_N": None,
         "mu": None,
-        "verdict": "saturating" if fit.r2 > r2_lin else "memoryless",
+        "verdict": "saturating" if record["r2"] > r2_lin else "memoryless",
         "note": "",
     }
-    try:
-        fitted, _ = _fit_record(curve, fit, trace.count)
-    except ValueError as err:
-        record["note"] = f"parameter mapping failed: {err}"
+    if isinstance(mapping, Exception):
+        compared["note"] = f"parameter mapping failed: {mapping}"
     else:
-        record.update({key: fitted[key] for key in ("r2_simulated", "t_N", "mu")})
-    return record, trace
+        compared.update({key: mapping[key] for key in ("r2_simulated", "t_N", "mu")})
+    return compared, trace
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
     kept = _load_qualifying(args)
     out = Path(args.out_dir)
-    done = _run_each(kept, _compare_record, args.offset, out)
-    write_json(out / "comparison.json", [record for _, (record, _) in done])
+    done, _ = _run_each(kept, _compare_record, args.offset, out)
+    write_json(out / "comparison.json", [record for _, _, (record, _) in done])
     if args.export_matrices:
-        for name, (record, trace) in done:
+        for name, _, (record, trace) in done:
             sid = trace.story_id
             # One state per distinct event time plus the no-rebroadcast state,
             # counted before the n-by-n matrix is built.
@@ -308,6 +352,10 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
     # ODE integrator behind it.
     from . import checks
 
+    # Made first, so an unusable --out-dir fails before the suite runs.
+    out = None if args.out_dir is None else Path(args.out_dir)
+    if out is not None:
+        out.mkdir(parents=True, exist_ok=True)
     results = checks.run_all()
     width = max(len(r.name) for r in results) + 2
     print(f"{'check':<{width}}{'measured':>13}{'tolerance':>11}{'runtime':>11}  verdict")
@@ -324,9 +372,7 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
             print(f"\n{r.name}: {r.detail}")
     n_pass = sum(r.passed for r in results)
     print(f"\n{n_pass}/{len(results)} checks passed")
-    if args.out_dir is not None:
-        out = Path(args.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
+    if out is not None:
         rows = [dataclasses.asdict(r) for r in results]
         for row in rows:
             del row["detail"]

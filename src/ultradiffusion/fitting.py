@@ -6,11 +6,13 @@ for each decay rate they are solved in closed form and the least-squares
 problem shrinks to one dimension, the rate. That profile is scanned on a
 fixed grid and refined to machine precision, all on a normalized time axis,
 so the result does not depend on whether t is in seconds or weeks.
-`fit_exponentials` fits a batch of curves in one call: curves of one length
-are scanned a few at a time and then polished together, by masked vector
-steps over the curves still moving, each by the rules a lone curve follows,
-so every curve gets bit for bit its lone fit. Fitted constants map onto
-model parameters: the chain length t_N and the distance decay mu.
+`fit_block` fits a block of curves, one per row of a grid array and a values
+array, in one call; `fit_exponentials` stacks a list of curves into such
+blocks. The curves are scanned a few at a time and then polished together,
+by masked vector steps over the curves still moving, each by the rules a
+lone curve follows, so every curve gets bit for bit its lone fit. Fitted
+constants map onto model parameters: the chain length t_N and the distance
+decay mu.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ __all__ = [
     "UltradiffusionParams",
     "decay_rate",
     "exponential_model",
+    "fit_block",
     "fit_exponential",
     "fit_exponentials",
     "infer_params",
@@ -254,28 +257,26 @@ def _fit_rows(x: np.ndarray, p: np.ndarray, offset: bool):
     return out
 
 
-def _fit_block(curves: Sequence[PopularityCurve], offset: bool) -> list:
-    """`fit_exponentials` on curves of one length, at least 3 points each."""
-    t = np.array([curve.grid for curve in curves])
-    p = np.array([curve.values for curve in curves])
+def _fit_chunk(t: np.ndarray, p: np.ndarray, offset: bool, fitted: np.ndarray) -> list:
+    """`fit_block` on at most `_FIT_BLOCK` curves of at least 3 points,
+    writing the model values of the curves it fits into their rows of
+    `fitted`."""
+    fits: list = [FitError("no dynamics to fit: curve is constant") for _ in p]
     top = np.maximum(1.0, np.abs(p).max(axis=1))
-    moves = p.max(axis=1) - p.min(axis=1) > 1e-14 * top
-    fits: list = [None] * len(curves)
-    for n in np.flatnonzero(~moves):
-        fits[n] = FitError("no dynamics to fit: curve is constant")
-    if not moves.any():
+    moves = np.flatnonzero(p.max(axis=1) - p.min(axis=1) > 1e-14 * top)
+    if not moves.size:
         return fits
-    t, p = t[moves], p[moves]
+    if moves.size < len(p):
+        t, p = t[moves], p[moves]
     span = t[:, -1:]
     with np.errstate(under="ignore"):
         k, h1, h3 = _fit_rows(t / span, p, offset)
     h2 = k / span[:, 0]
     # r_squared, one row per curve.
-    fitted = exponential_model(t, h1[:, None], h2[:, None], h3[:, None])
+    fitted[moves] = model = exponential_model(t, h1[:, None], h2[:, None], h3[:, None])
     total = ((p - p.mean(axis=1, keepdims=True)) ** 2).sum(axis=1)
-    r2 = 1.0 - ((p - fitted) ** 2).sum(axis=1) / total
-    fitted_rows = np.flatnonzero(moves).tolist()
-    for n, *constants in zip(fitted_rows, *(v.tolist() for v in (h1, h2, h3, r2))):
+    r2 = 1.0 - ((p - model) ** 2).sum(axis=1) / total
+    for n, *constants in zip(moves.tolist(), *(v.tolist() for v in (h1, h2, h3, r2))):
         try:
             fits[n] = ExponentialFit(*constants)
         except ValueError as err:
@@ -283,30 +284,52 @@ def _fit_block(curves: Sequence[PopularityCurve], offset: bool) -> list:
     return fits
 
 
+def fit_block(grid, values, offset: bool = False):
+    """Fit every row of a curve block as `fit_exponential` fits one curve.
+
+    `grid` and `values` are (curves x points) arrays, row n the grid times
+    and values of curve n. Returns (fits, fitted). `fits` holds per curve
+    its `ExponentialFit`, or the error that refuses it (a `FitError` for
+    fewer than 3 points or a constant curve, a `ValueError` when the fitted
+    constants are no valid `ExponentialFit`), so one bad curve never fails
+    the rest. `fitted` is the (curves x points) array of each curve's model
+    values at the fitted constants, NaN in the rows of constant curves and
+    of curves too short to fit. The curves are fitted up to 128 at a time,
+    and each gets bit for bit its lone fit.
+    """
+    grid = np.asarray(grid, dtype=float)
+    values = np.asarray(values, dtype=float)
+    if grid.ndim != 2 or grid.shape != values.shape:
+        raise ValueError("grid and values must be 2-D arrays of one shape")
+    fitted = np.full(grid.shape, np.nan)
+    if grid.shape[1] < 3:
+        return [FitError("need at least 3 points to fit") for _ in grid], fitted
+    fits: list = []
+    for start in range(0, len(grid), _FIT_BLOCK):
+        block = slice(start, start + _FIT_BLOCK)
+        fits += _fit_chunk(grid[block], values[block], offset, fitted[block])
+    return fits, fitted
+
+
 def fit_exponentials(
     curves: Sequence[PopularityCurve], offset: bool = False
 ) -> list[ExponentialFit | FitError | ValueError]:
     """Fit every curve of `curves` as `fit_exponential` fits one, in one call.
 
-    Returns one entry per curve, in order: its `ExponentialFit`, or the
-    error that refuses it (a `FitError` for fewer than 3 points or a
-    constant curve, a `ValueError` when the fitted constants are no valid
-    `ExponentialFit`), so one bad curve never fails the rest. Curves of
-    equal length are fitted together, up to 128 at a time, and each result
-    is bit for bit the one the curve gets when fitted alone.
+    Returns one entry per curve, in order: its `ExponentialFit` or the error
+    that refuses it, as `fit_block` gives them. Curves of equal length are
+    stacked into one block for `fit_block`, and each result is bit for bit
+    the one the curve gets when fitted alone.
     """
     results: list = [None] * len(curves)
     groups: dict[int, list[int]] = {}
     for n, curve in enumerate(curves):
-        if curve.grid.size < 3:
-            results[n] = FitError("need at least 3 points to fit")
-        else:
-            groups.setdefault(curve.grid.size, []).append(n)
-    for group in groups.values():
-        for start in range(0, len(group), _FIT_BLOCK):
-            members = group[start : start + _FIT_BLOCK]
-            for n, fit in zip(members, _fit_block([curves[n] for n in members], offset)):
-                results[n] = fit
+        groups.setdefault(curve.grid.size, []).append(n)
+    for members in groups.values():
+        grid = np.array([curves[n].grid for n in members])
+        values = np.array([curves[n].values for n in members])
+        for n, fit in zip(members, fit_block(grid, values, offset)[0]):
+            results[n] = fit
     return results
 
 

@@ -1,9 +1,11 @@
 """Plot-ready table and JSON output.
 
-Every writer renders the full file content in memory, writes it to a
-temporary file in the destination directory, and renames it into place, so a
-failure partway through never leaves a truncated file behind. Floats are
-formatted with 9 significant digits, which makes re-runs byte-identical.
+Every writer renders the full file content in memory, a table's body with
+one `%` format over all its cells, encodes it as UTF-8 whatever the locale
+(the encoding the trace parser reads), writes the bytes to a temporary file
+in the destination directory, and renames it into place, so a failure
+partway through never leaves a truncated file behind. Floats are formatted
+with 9 significant digits, which makes re-runs byte-identical.
 """
 
 from __future__ import annotations
@@ -34,11 +36,15 @@ __all__ = [
 
 
 def _atomic_write(path, text: str) -> None:
+    data = memoryview(text.encode("utf-8"))
     target = Path(path)
     fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=target.name + ".", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", newline="") as handle:
-            handle.write(text)
+        try:
+            while data:
+                data = data[os.write(fd, data) :]
+        finally:
+            os.close(fd)
         os.replace(tmp, target)
     except BaseException:
         try:
@@ -50,15 +56,17 @@ def _atomic_write(path, text: str) -> None:
 
 def _write_table(path, header: list[str], rows, labels=None) -> None:
     """Tab-separated table: the `header` line, then one line per row of the
-    2-D array `rows`, led by its entry of `labels` when given."""
+    2-D array `rows`, led by its entry of `labels` when given. The body is
+    one `%` format over every cell."""
+    rows = np.asarray(rows, dtype=float)
     first = "%.9g" if labels is None else "%s"
-    line = "\t".join([first] + ["%.9g"] * (len(header) - 1))
-    rows = np.asarray(rows, dtype=float).tolist()
-    if labels is not None:
-        rows = [[label, *row] for label, row in zip(labels, rows)]
-    lines = ["\t".join(header)]
-    lines.extend(line % tuple(row) for row in rows)
-    _atomic_write(path, "\n".join(lines) + "\n")
+    line = "\t".join([first] + ["%.9g"] * (len(header) - 1)) + "\n"
+    if labels is None:
+        cells = rows.ravel().tolist()
+    else:
+        cells = [cell for label, row in zip(labels, rows.tolist()) for cell in (label, *row)]
+    body = (line * len(rows)) % tuple(cells)
+    _atomic_write(path, "\t".join(header) + "\n" + body)
 
 
 def write_curve_tsv(path, curve: PopularityCurve) -> None:

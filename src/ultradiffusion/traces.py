@@ -4,6 +4,10 @@ A trace records when one story (a post, a paper, a package) received each of
 its rebroadcasts: votes, comments, downloads, measured in seconds since
 submission. A popularity curve is the cumulative fraction of rebroadcasts seen
 by time t, sampled on a uniform grid. Curves are what the model layer fits.
+`curve_block` builds the curves of many traces at once, as one (traces x grid
+points) array of grid times and one of values, checked row by row by the
+validator every `PopularityCurve` passes; `empirical_curve` is its one-trace
+call.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import io
 import itertools
 import math
 import numbers
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +27,7 @@ __all__ = [
     "PopularityCurve",
     "TraceFormatError",
     "aggregate_mean",
+    "curve_block",
     "empirical_curve",
     "parse_trace_csv",
     "uniform_grid",
@@ -120,24 +126,9 @@ class PopularityCurve:
             raise ValueError(f"grid has {grid.size} points but values has {values.size}")
         if grid.size == 0:
             raise ValueError("curve needs at least one grid point")
-        if not grid[0] >= 0:
-            raise ValueError("grid must start at a nonnegative time")
-        # NaN, or an infinity before the last point, fails a spacing test below.
-        if math.isinf(grid[-1]):
-            raise ValueError("grid times must be finite")
-        steps = np.diff(grid)
-        if grid.size > 1:
-            if np.any(steps <= 0):
-                raise ValueError("grid must be strictly increasing")
-            # Uniform spacing keeps downstream interpolation and fitting honest.
-            if not np.max(steps) - np.min(steps) <= 1e-6 * np.max(steps):
-                raise ValueError("grid must be uniformly spaced")
-        if self.saturation_count < 1:
-            raise ValueError("saturation count must be a positive integer")
-        if not (np.min(values) >= 0 and np.max(values) <= 1 + 1e-12):
-            raise ValueError("curve values must lie in [0, 1]")
-        if np.any(np.diff(values) < -1e-12):
-            raise ValueError("curve values must be nondecreasing")
+        (fault,) = _row_faults(grid[None], values[None], np.array([self.saturation_count]))
+        if fault:
+            raise ValueError(fault)
 
     @property
     def horizon(self) -> float:
@@ -145,16 +136,80 @@ class PopularityCurve:
         return float(self.grid[-1])
 
 
+_SPACING_FAULTS = ("grid must be strictly increasing", "grid must be uniformly spaced")
+# What each check a curve must pass refuses, in the order they are tried.
+_CURVE_FAULTS = (
+    "grid must start at a nonnegative time",
+    "grid times must be finite",
+    *_SPACING_FAULTS,
+    "saturation count must be a positive integer",
+    "curve values must lie in [0, 1]",
+    "curve values must be nondecreasing",
+)
+
+
+def _spacing_faults(grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of `grid` not strictly increasing, and rows not uniformly spaced."""
+    if grid.shape[1] < 2:
+        return (np.zeros(len(grid), dtype=bool),) * 2
+    # NaN or infinite times make NaN steps, which fail the uniform-spacing
+    # test; the warnings they raise on the way are silenced.
+    with np.errstate(invalid="ignore"):
+        steps = np.diff(grid, axis=1)
+        top = steps.max(axis=1)
+        # Uniform spacing keeps downstream interpolation and fitting honest.
+        uneven = ~(top - steps.min(axis=1) <= 1e-6 * top)
+    return (steps <= 0).any(axis=1), uneven
+
+
+def _row_faults(grid: np.ndarray, values: np.ndarray, counts: np.ndarray) -> list:
+    """What refuses each curve of a block, or None for a sound one.
+
+    Row n of the 2-D arrays `grid` and `values`, at least one column wide,
+    is a curve of `counts[n]` events. The checks, their order and their
+    wording are those of `PopularityCurve`, which runs this on its one row.
+    """
+    failing = np.stack([
+        ~(grid[:, 0] >= 0),
+        np.isinf(grid[:, -1]),
+        *_spacing_faults(grid),
+        counts < 1,
+        ~((values.min(axis=1) >= 0) & (values.max(axis=1) <= 1 + 1e-12)),
+        (np.diff(values, axis=1) < -1e-12).any(axis=1),
+    ])
+    first = failing.argmax(axis=0).tolist()
+    return [
+        _CURVE_FAULTS[k] if bad else None
+        for k, bad in zip(first, failing.any(axis=0).tolist())
+    ]
+
+
+def _uniform_grids(horizons: np.ndarray, grid_points) -> np.ndarray:
+    """The times k*horizon/n for k = 1..n of each horizon, one row each."""
+    if _integer(grid_points, "grid_points") < 1:
+        raise ValueError("grid_points must be at least 1")
+    return horizons[:, None] * (np.arange(1, grid_points + 1) / grid_points)
+
+
+def _too_short(horizon: float, grid_points: int) -> ValueError:
+    return ValueError(
+        f"horizon {horizon!r} is too short to split into {grid_points} uniform grid points"
+    )
+
+
 def uniform_grid(horizon: float, grid_points: int = 200) -> np.ndarray:
     """Uniform sampling times k*horizon/n for k = 1..n.
 
-    The grid excludes zero and includes the horizon exactly.
+    The grid excludes zero and includes the horizon exactly. A horizon so
+    small (subnormal) that the times round to repeated or unevenly spaced
+    values is refused.
     """
     if not (math.isfinite(horizon) and horizon > 0):
         raise ValueError("horizon must be positive and finite")
-    if _integer(grid_points, "grid_points") < 1:
-        raise ValueError("grid_points must be at least 1")
-    return horizon * (np.arange(1, grid_points + 1) / grid_points)
+    grid = _uniform_grids(np.array([horizon], dtype=float), grid_points)
+    if any(bad[0] for bad in _spacing_faults(grid)):
+        raise _too_short(float(horizon), grid_points)
+    return grid[0]
 
 
 def parse_trace_csv(path, horizon: float | None = None) -> list[EventTrace]:
@@ -304,16 +359,45 @@ def _checked_rows(path, lineno: int, rows: list[list[str]]):
             raise TraceFormatError(f"{path}: line {lineno}: negative timestamp {raw!r}")
 
 
+def curve_block(traces: Sequence[EventTrace], grid_points: int = 200):
+    """Step curves of cumulative event fraction of many traces, as one block.
+
+    Returns (grid, values, faults): (traces x grid_points) arrays whose row
+    n holds the grid times and values of `empirical_curve(traces[n])`, bit
+    for bit, and per trace None or the ValueError that `empirical_curve`
+    raises for it, which leaves its row meaningless. The grids are one
+    expression over the horizons, each trace takes one `searchsorted`, and
+    the rows are checked as `PopularityCurve` checks one curve.
+    """
+    horizons = np.array([trace.horizon for trace in traces], dtype=float)
+    grid = _uniform_grids(horizons, grid_points)
+    values = np.empty(grid.shape)
+    counts = np.array([trace.count for trace in traces], dtype=np.intp)
+    for n, trace in enumerate(traces):
+        values[n] = np.searchsorted(trace.events, grid[n], side="right")
+    values /= counts[:, None]
+    faults: list = []
+    for span, fault in zip(horizons.tolist(), _row_faults(grid, values, counts)):
+        if fault in _SPACING_FAULTS:
+            # A trace's horizon is finite and positive, so its grid fails only
+            # by spacing, where `uniform_grid` refuses the horizon.
+            faults.append(_too_short(span, grid_points))
+        else:
+            faults.append(fault and ValueError(fault))
+    return grid, values, faults
+
+
 def empirical_curve(trace: EventTrace, grid_points: int = 200) -> PopularityCurve:
     """Step curve of cumulative event fraction on a uniform grid.
 
     The value at grid time t is (number of events <= t) / M with M the
     trace's total event count, so the curve is right-continuous and ends at
-    exactly 1.0 at the horizon.
+    exactly 1.0 at the horizon. The one-trace call of `curve_block`.
     """
-    grid = uniform_grid(trace.horizon, grid_points)
-    counts = np.searchsorted(trace.events, grid, side="right")
-    return PopularityCurve(grid=grid, values=counts / trace.count, saturation_count=trace.count)
+    (grid,), (values,), (fault,) = curve_block([trace], grid_points)
+    if fault:
+        raise fault
+    return PopularityCurve(grid=grid, values=values, saturation_count=trace.count)
 
 
 def aggregate_mean(curves: list[PopularityCurve], grid_points: int = 200) -> PopularityCurve:

@@ -12,8 +12,19 @@ import pytest
 
 from ultradiffusion import checks, cli
 from ultradiffusion.cli import main
-from ultradiffusion.fitting import UltradiffusionParams, sample_events
-from ultradiffusion.serialize import write_trace_csv
+from ultradiffusion.baselines import fit_linear
+from ultradiffusion.fitting import (
+    FitError,
+    UltradiffusionParams,
+    exponential_model,
+    fit_exponential,
+    infer_params,
+    r_squared,
+    sample_events,
+    simulate_curve,
+)
+from ultradiffusion.serialize import write_fit_curve_tsv, write_json, write_trace_csv
+from ultradiffusion.traces import empirical_curve, parse_trace_csv
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 FIXTURE = REPO_ROOT / "data" / "synthetic_t50_mu02.csv"
@@ -136,10 +147,10 @@ class TestStoryFailures:
 
     @pytest.mark.parametrize("command", ["fit", "compare"])
     def test_programming_errors_propagate(self, tmp_path, monkeypatch, command):
-        def broken(curves, offset=False):
+        def broken(grid, values, offset=False):
             raise TypeError("broken fitter")
 
-        monkeypatch.setattr(cli, "fit_exponentials", broken)
+        monkeypatch.setattr(cli, "fit_block", broken)
         with pytest.raises(TypeError, match="broken fitter"):
             main([command, "--input", str(FIXTURE), "--out-dir", str(tmp_path / "o")])
 
@@ -167,6 +178,108 @@ class TestStoryFailures:
         assert sorted(path.name for path in outs[1].iterdir()) == files
         for name in files:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+def per_story_reference(traces, command, offset, out):
+    """What `fit` or `compare` writes when every story is handled alone:
+    fit_exponential -> infer_params -> simulate_curve -> write_fit_curve_tsv.
+    Writes the files into `out`; returns the failure report."""
+    results, failed = {}, {}
+    for trace in traces:
+        sid = trace.story_id
+        try:
+            curve = empirical_curve(trace)
+            fit = fit_exponential(curve, offset)
+        except (FitError, ValueError) as err:
+            failed[sid] = err
+            continue
+        try:
+            params = infer_params(fit, M=trace.count)
+        except ValueError as err:
+            mapped = err
+        else:
+            simulated = simulate_curve(params, curve.grid)
+            mapped = {
+                "t_N": params.t_N,
+                "mu": params.mu,
+                "M": params.M,
+                "r2_simulated": r_squared(curve.values, simulated.values),
+            }
+        if command == "fit":
+            if isinstance(mapped, Exception):
+                failed[sid] = mapped
+                continue
+            fitted = exponential_model(curve.grid, fit.h1, fit.h2, fit.h3)
+            columns = (curve.grid, curve.values, fitted, simulated.values)
+            record = {"story_id": sid, "h1": fit.h1, "h2": fit.h2, "h3": fit.h3,
+                      "r2": fit.r2, **mapped}
+        else:
+            _, _, r2_lin = fit_linear(curve.grid, curve.values)
+            columns = None
+            record = {
+                "story_id": sid, "r2_exponential": fit.r2, "r2_linear": r2_lin,
+                "r2_simulated": None, "t_N": None, "mu": None,
+                "verdict": "saturating" if fit.r2 > r2_lin else "memoryless", "note": "",
+            }
+            if isinstance(mapped, Exception):
+                record["note"] = f"parameter mapping failed: {mapped}"
+            else:
+                record.update({key: mapped[key] for key in ("r2_simulated", "t_N", "mu")})
+        results[sid] = record, columns
+    out.mkdir()
+    for sid, (_, columns) in sorted(results.items()):
+        if columns:
+            write_fit_curve_tsv(out / f"{sid}_curve.tsv", *columns)
+    result = "fits.json" if command == "fit" else "comparison.json"
+    write_json(out / result, [results[sid][0] for sid in sorted(results)])
+    return "".join(
+        f"story {sid!r} failed: {type(err).__name__}: {err}\n"
+        for sid, err in sorted(failed.items())
+    )
+
+
+class TestBlockPass:
+    """`fit` and `compare` run every story as one block, and write what
+    handling each story alone writes, byte for byte."""
+
+    @pytest.mark.parametrize("command", ["fit", "compare"])
+    @pytest.mark.parametrize("offset", [False, True], ids=["plain", "offset"])
+    @pytest.mark.parametrize("override", [False, True], ids=["own", "common"])
+    def test_outputs_equal_the_per_story_reference(
+        self, tmp_path, capsys, command, offset, override
+    ):
+        stories = [sampled_story(f"s{k}", seed=60 + k, m=80 + 40 * k) for k in range(5)]
+        csv = write_linear_story(tmp_path / "in.csv")  # h1 >= 1: no mapping
+        rows = [f"{s.story_id},{t:.9g}\n" for s in stories for t in s.events]
+        rows += ["flat,1.0\n"] * 60  # constant under the common horizon
+        rows += ["tiny,5e-324\n"] * 60  # horizon too short for a grid
+        rows += ["one,3.0\n"]  # a 1-event story
+        rows += ["tied,2.0\n"] * 20 + ["tied,1.5\n"] * 20  # tied at the horizon
+        with csv.open("a") as fh:
+            fh.writelines(rows)
+        options = ["--min-events", "1", *(["--offset"] if offset else [])]
+        horizon = None
+        if override:
+            horizon = 2 * max(trace.horizon for trace in parse_trace_csv(csv))
+            options += ["--horizon", repr(horizon)]
+        got = tmp_path / "got"
+        assert main([command, "--input", str(csv), "--out-dir", str(got), *options]) == 0
+        err = capsys.readouterr().err
+        want = tmp_path / "want"
+        report = per_story_reference(parse_trace_csv(csv, horizon), command, offset, want)
+        assert err == report
+        # Every kind of refusal met the block: a horizon too short for a grid
+        # or, under the common horizon, constant curves; and an amplitude
+        # h1 >= 1, which fails the story in `fit` and is a note in `compare`.
+        assert ("too short to split" in report) != override
+        assert ("no dynamics to fit" in report) == override
+        result = "fits.json" if command == "fit" else "comparison.json"
+        records = json.loads((got / result).read_text())
+        assert {f"s{k}" for k in range(5)} <= {r["story_id"] for r in records}
+        assert "amplitude h1=" in (report if command == "fit" else json.dumps(records))
+        assert sorted(p.name for p in got.iterdir()) == sorted(p.name for p in want.iterdir())
+        for path in want.iterdir():
+            assert (got / path.name).read_bytes() == path.read_bytes(), path.name
 
 
 class TestAggregate:
@@ -213,7 +326,10 @@ class TestAggregate:
         for csv, out in zip((alone, mixed), outs):
             assert main(["aggregate", "--input", str(csv), "--out-dir", str(out)]) == 0
         err = capsys.readouterr().err
-        assert "story 'tiny' failed: ValueError: grid must be strictly increasing\n" in err
+        assert (
+            "story 'tiny' failed: ValueError: horizon 5e-324 is too short to split "
+            "into 200 uniform grid points\n"
+        ) in err
         assert "Traceback" not in err
         for name in ("aggregate_fit.json", "aggregate_curve.tsv"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
@@ -491,7 +607,7 @@ class TestArgumentHandling:
             (["--stories", "0"], "need at least one story"),
             (["--horizon", "inf"], "horizon must be finite"),
             # Too short for a model-curve grid: fails before trace.csv is written.
-            (["--horizon", "5e-324"], "grid must be strictly increasing"),
+            (["--horizon", "5e-324"], "horizon 5e-324 is too short to split into 200"),
         ],
     )
     def test_bad_simulate_option_is_an_input_error(self, tmp_path, capsys, options, message):
@@ -525,7 +641,13 @@ class TestArgumentHandling:
     def test_out_dir_naming_a_file_is_an_input_error(
         self, tmp_path, monkeypatch, capsys, command
     ):
-        monkeypatch.setattr(checks, "run_all", lambda: [dataclasses.replace(FAILING, passed=True)])
+        suite_runs = []
+
+        def run_all():
+            suite_runs.append(1)
+            return [dataclasses.replace(FAILING, passed=True)]
+
+        monkeypatch.setattr(checks, "run_all", run_all)
         taken = tmp_path / "taken"
         taken.write_text("kept\n")
         inputs = {"simulate": ["--m-events", "50"], "oracle-check": []}.get(
@@ -536,6 +658,9 @@ class TestArgumentHandling:
         assert err.startswith("error: ") and "File exists" in err
         assert "Traceback" not in err
         assert taken.read_text() == "kept\n"
+        # oracle-check makes its --out-dir before it runs the suite.
+        assert suite_runs == []
+        assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("command", ["fit", "aggregate", "compare"])
     def test_seed_is_not_a_trace_option(self, tmp_path, capsys, command):

@@ -15,6 +15,7 @@ from ultradiffusion.fitting import (
     UltradiffusionParams,
     decay_rate,
     exponential_model,
+    fit_block,
     fit_exponential,
     fit_exponentials,
     infer_params,
@@ -406,6 +407,43 @@ class TestFitExponentials:
 
     def test_empty_stack_fits_nothing(self):
         assert fit_exponentials([]) == []
+
+
+class TestFitBlock:
+    """The block fitter: rows of a grid and a values array, one call."""
+
+    @pytest.mark.parametrize("offset", [False, True])
+    def test_rows_get_the_list_fits_and_their_model_values(self, offset):
+        curves = [
+            empirical_curve(
+                sample_events(UltradiffusionParams(t_N=30 + 5 * s, mu=0.1, M=150), seed=s)
+            )
+            for s in range(5)
+        ]
+        flat = PopularityCurve(grid=curves[0].grid, values=np.full(200, 0.5), saturation_count=2)
+        curves.insert(2, flat)
+        fits, fitted = fit_block([c.grid for c in curves], [c.values for c in curves], offset)
+        listed = fit_exponentials(curves, offset)
+        assert [bits(fit) for fit in fits] == [bits(fit) for fit in listed]
+        assert bits(fits[2]) == ("FitError", "no dynamics to fit: curve is constant")
+        assert np.isnan(fitted[2]).all()
+        for curve, fit, row in zip(curves, fits, fitted):
+            if not isinstance(fit, Exception):
+                model = exponential_model(curve.grid, fit.h1, fit.h2, fit.h3)
+                assert row.tobytes() == model.tobytes()
+
+    def test_rows_too_short_are_refused(self):
+        fits, fitted = fit_block(np.ones((2, 2)).cumsum(axis=1), np.full((2, 2), 0.5))
+        assert [bits(fit) for fit in fits] == [("FitError", "need at least 3 points to fit")] * 2
+        assert fitted.shape == (2, 2) and np.isnan(fitted).all()
+
+    def test_an_empty_block_fits_nothing(self):
+        fits, fitted = fit_block(np.empty((0, 200)), np.empty((0, 200)))
+        assert fits == [] and fitted.shape == (0, 200)
+
+    def test_rejects_arrays_of_different_shapes(self):
+        with pytest.raises(ValueError, match="2-D arrays of one shape"):
+            fit_block(np.ones((2, 5)), np.ones((2, 4)))
 
 
 class TestExponentialFitInvariants:

@@ -4,11 +4,16 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import ultradiffusion
 from ultradiffusion.fitting import UltradiffusionParams, sample_events
 from ultradiffusion.generator import build_generator
 from ultradiffusion.serialize import (
@@ -201,6 +206,35 @@ class TestAgainstPerValueFormatting:
             assert path.read_text() == buffer.getvalue()
 
         check()
+
+
+def test_files_are_utf8_whatever_the_locale(tmp_path):
+    # Under the C locale, outside UTF-8 mode, Python's default text encoding
+    # is ASCII; the parser reads UTF-8, so the writers must write it.
+    path = tmp_path / "trace.csv"
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from ultradiffusion.serialize import write_trace_csv\n"
+        "from ultradiffusion.traces import EventTrace, parse_trace_csv\n"
+        "write_trace_csv(sys.argv[1], [EventTrace('caf\\u00e9', np.array([1.0, 2.5]), 2.5)])\n"
+        "(trace,) = parse_trace_csv(sys.argv[1])\n"
+        "assert (trace.story_id, trace.events.tolist()) == ('caf\\u00e9', [1.0, 2.5])\n"
+    )
+    env = dict(
+        os.environ,
+        LC_ALL="C",
+        PYTHONCOERCECLOCALE="0",
+        PYTHONPATH=str(Path(ultradiffusion.__file__).parent.parent),
+    )
+    result = subprocess.run(
+        [sys.executable, "-X", "utf8=0", "-c", script, str(path)],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert path.read_bytes() == "story_id,timestamp\ncaf\u00e9,1\ncaf\u00e9,2.5\n".encode()
 
 
 class TestJson:

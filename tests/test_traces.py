@@ -15,6 +15,7 @@ from ultradiffusion.traces import (
     PopularityCurve,
     TraceFormatError,
     aggregate_mean,
+    curve_block,
     empirical_curve,
     parse_trace_csv,
     uniform_grid,
@@ -136,6 +137,17 @@ class TestUniformGrid:
         for horizon in (0.0, math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="horizon must be positive and finite"):
                 uniform_grid(horizon, 5)
+
+    @pytest.mark.parametrize("horizon", [5e-324, 1e-320])
+    def test_rejects_a_horizon_too_short_for_its_points(self, horizon):
+        # Subnormal horizons round the times to repeated (5e-324) or
+        # unevenly spaced (1e-320) values.
+        message = f"horizon {horizon!r} is too short to split into 200 uniform grid points"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            uniform_grid(horizon)
+
+    def test_short_horizon_is_enough_for_one_point(self):
+        assert uniform_grid(5e-324, 1).tolist() == [5e-324]
 
     def test_rejects_non_integer_point_counts(self):
         # A fractional count gave a grid past the horizon: [0.4, 0.8, 1.2].
@@ -375,6 +387,78 @@ class TestEmpiricalCurve:
         trace = EventTrace(story_id="s", events=np.array([2.0, 4.0]), horizon=4.0)
         curve = empirical_curve(trace, grid_points=2)
         np.testing.assert_allclose(curve.values, [0.5, 1.0])
+
+
+class TestCurveBlock:
+    """The block builder: each row is the trace's lone curve, bit for bit."""
+
+    def test_rows_are_the_lone_curves_bit_for_bit(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @st.composite
+        def trace(draw):
+            kind = draw(st.sampled_from(["spread", "tied", "one", "override", "tiny"]))
+            if kind == "tiny":
+                # Subnormal: too short for most grids.
+                span = draw(st.one_of(
+                    st.sampled_from([5e-324, 1e-320, 2e-310]), st.floats(5e-324, 1e-305)
+                ))
+                return EventTrace("tiny", np.full(draw(st.integers(1, 5)), span), span)
+            span = draw(st.floats(1e-3, 1e6))
+            count = 1 if kind == "one" else draw(st.integers(2, 40))
+            events = np.sort(span * np.array(draw(
+                st.lists(st.floats(1e-9, 1.0), min_size=count, max_size=count)
+            )))
+            if kind == "tied":
+                # Several events exactly at the horizon.
+                events[-draw(st.integers(1, count)):] = span
+            if kind == "override":
+                # A --horizon beyond the last event.
+                return EventTrace(kind, events, span * draw(st.floats(1.0, 10.0)))
+            return EventTrace(kind, events, float(events[-1]))
+
+        @hypothesis.settings(max_examples=200, deadline=None)
+        @hypothesis.given(st.integers(1, 60), st.lists(trace(), min_size=1, max_size=8))
+        def check(points, batch):
+            grid, values, faults = curve_block(batch, points)
+            assert grid.shape == values.shape == (len(batch), points)
+            assert len(faults) == len(batch)
+            for n, trace in enumerate(batch):
+                try:
+                    lone = empirical_curve(trace, points)
+                except ValueError as err:
+                    assert (type(faults[n]), str(faults[n])) == (type(err), str(err))
+                    continue
+                assert faults[n] is None
+                # The formulas of the earlier per-trace builder.
+                times = trace.horizon * (np.arange(1, points + 1) / points)
+                fraction = np.searchsorted(trace.events, times, side="right") / trace.count
+                assert grid[n].tobytes() == lone.grid.tobytes() == times.tobytes()
+                assert values[n].tobytes() == lone.values.tobytes() == fraction.tobytes()
+
+        check()
+
+    def test_a_horizon_too_short_fails_its_row_alone(self):
+        good = EventTrace("good", np.array([1.0, 2.0, 4.0]), 4.0)
+        tiny = EventTrace("tiny", np.array([5e-324]), 5e-324)
+        grid, values, faults = curve_block([good, tiny, good])
+        assert faults[0] is None and faults[2] is None
+        message = "horizon 5e-324 is too short to split into 200 uniform grid points"
+        assert str(faults[1]) == message
+        np.testing.assert_array_equal(values[0], empirical_curve(good).values)
+        with pytest.raises(ValueError, match=re.escape(str(faults[1]))):
+            empirical_curve(tiny)
+
+    def test_no_traces_make_an_empty_block(self):
+        grid, values, faults = curve_block([], 7)
+        assert grid.shape == values.shape == (0, 7)
+        assert faults == []
+
+    def test_rejects_a_bad_point_count(self):
+        trace = EventTrace("s", np.array([1.0]), 1.0)
+        with pytest.raises(ValueError, match="grid_points must be at least 1"):
+            curve_block([trace], 0)
 
 
 class TestPopularityCurve:
