@@ -126,7 +126,7 @@ def _check_random_traces(tolerance: float) -> _Outcome:
     elapsed = time.perf_counter() - start
     detail = (
         "1000 random traces, up to 200 events each, strong triangle "
-        "inequality over every triple (subdominant-ultrametric proof)." + first_bad
+        "inequality over every triple (adjacent-gap proof in the matrix order)." + first_bad
     )
     return float(failures), failures <= tolerance, elapsed, detail
 

@@ -29,6 +29,7 @@ import dataclasses
 import math
 import re
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -336,7 +337,13 @@ def cmd_compare(args: argparse.Namespace) -> int:
                     file=sys.stderr,
                 )
                 continue
-            write_generator_tsv(out / f"{name}_generator.tsv", build_generator(space, record["mu"]))
+            # One line per story that warns, naming it, with no source location.
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                gen = build_generator(space, record["mu"])
+            for warning in caught:
+                print(f"story {sid!r}: {warning.message}", file=sys.stderr)
+            write_generator_tsv(out / f"{name}_generator.tsv", gen)
     print(f"compared {len(done)} of {len(kept)} stories -> {out}")
     return 0
 

@@ -5,9 +5,11 @@ minus its row's off-diagonal sum, so probability is conserved. Because rates
 are a decreasing function of an ultrametric distance, they inherit the dual
 inequality rate(i, j) >= min(rate(i, k), rate(k, j)), which
 `check_rate_ultrametricity` checks with the same kernel as
-`ultrametric.verify_ultrametric`: an exact O(n^2 log n) proof that compares
-and counts the negated rates themselves, and when it fails, a scan of the one
-row that the ranks of the rates name, reporting the first violating triple.
+`ultrametric.verify_ultrametric`: an exact O(n^2) proof that compares the
+rates in their own order, taking min where distances take max, tries the
+leaf order of one linkage only if that fails, and when both fail scans the
+one row that the ranks of the rates name, reporting the first violating
+triple.
 """
 
 from __future__ import annotations
@@ -84,9 +86,11 @@ def check_rate_ultrametricity(gen: Generator) -> TripleReport:
 
     This is the strong triangle inequality of -rate (negation is exact in
     floating point), so the same kernel as `verify_ultrametric` proves it in
-    O(n^2 log n) or scans only the first row the proof fails on, reporting the
-    first violation in lexicographic (i, j, k) order. The kernel negates its
-    condensed copy of the rates, so no negated n-by-n matrix is made.
+    O(n^2) in the rates' own order, where every generator of a space this
+    library builds is, or scans only the first row the proof fails on,
+    reporting the first violation in lexicographic (i, j, k) order. The
+    kernel takes min where it takes max on distances, so no negated n-by-n
+    matrix is made.
     """
     n = gen.size
     triple = _first_violation(gen.rates, negate=True)

@@ -8,16 +8,22 @@ way satisfy the strong triangle inequality d(x, y) <= max(d(x, z), d(z, y)),
 which is what makes a hierarchy of relaxation time scales possible.
 
 `verify_ultrametric` (and `generator.check_rate_ultrametricity`, on negated
-rates) proves that inequality for every triple in O(n^2 log n): the matrix
-passes exactly when it equals its subdominant ultrametric, and the proof
-compares and counts the entries themselves, so it is exact. When the proof
-fails, the ranks of the entries name the first row that exceeds that
-ultrametric, which is the first violating row, and a scan of that one row
-reports the lexicographically first violating (i, j, k).
+rates) proves that inequality for every triple in O(n^2): the matrix passes
+when, in its own order, every entry above the first off-diagonal is the
+larger of its left neighbour and the adjacent gap that closes it,
+d(i, j) = max(d(i, j - 1), d(j - 1, j)). Every space this module builds, and
+every tree space, is in such an order; any other matrix is tried once more
+in the leaf order of its single-linkage dendrogram, which an ultrametric
+always passes. The proof
+compares entries only, so it is exact. When it fails, the ranks of the
+entries name the first row that exceeds the subdominant ultrametric, which
+is the first violating row, and a scan of that one row reports the
+lexicographically first violating (i, j, k).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,29 +134,77 @@ def _max_space(labels, heights, multiplicity) -> UltrametricSpace:
     return UltrametricSpace(labels=labels, dist=dist, multiplicity=multiplicity)
 
 
+# Entries per block of the order proof, so its temporaries stay near 2 MB
+# at any n. A block has at most min(n, max(1, _BLOCK_ENTRIES // n)) <= _SIDE
+# rows.
+_SIDE = 512
+_BLOCK_ENTRIES = _SIDE * _SIDE
+
+
+@functools.cache
+def _upper() -> np.ndarray:
+    """The _SIDE-square mask on and above the diagonal, 256 kB, made on
+    first use: a process that proves nothing does not hold it."""
+    return ~np.tri(_SIDE, k=-1, dtype=bool)
+
+
+def _holds_in_order(m: np.ndarray, order: np.ndarray | None, join) -> bool:
+    """Whether m[i, j] == join(m[i, j - 1], m[j - 1, j]) for all i < j - 1,
+    with the states taken in `order` (None: their own order).
+
+    When it holds, every entry is the `join` of the adjacent gaps
+    m[k, k + 1], i <= k < j, between its two indices, so m is an ultrametric
+    (with `np.minimum`, -m is). Rows are checked a fixed block at a time, and
+    through `order` only the block's rows are gathered, then its columns.
+    """
+    n = m.shape[0]
+    gaps = np.diagonal(m, 1) if order is None else m[order[:-1], order[1:]]
+    step = max(1, _BLOCK_ENTRIES // n)
+    for top in range(0, n - 2, step):
+        rows = slice(top, min(top + step, n - 2))
+        if order is None:
+            block = m[rows, top + 1 :]
+        else:
+            block = m[order[rows]][:, order[top + 1 :]]
+        # bad[a, b] compares m[i, j] with i = top + a and j = top + 2 + b, so
+        # the entries with j >= i + 2 are those with b >= a.
+        bad = block[:, 1:] != join(block[:, :-1], gaps[top + 1 :])
+        height = bad.shape[0]
+        if bad[:, height:].any() or (bad[:, :height] & _upper()[:height, :height]).any():
+            return False
+    return True
+
+
 def _first_violation(m: np.ndarray, negate: bool = False) -> tuple[int, int, int] | None:
     """First (i, j, k) in lexicographic order with m[i, j] > max(m[i, k], m[k, j]).
 
-    With `negate`, the same for -m, but no negated copy of `m` is made: only
-    the condensed values are negated, and the failing row is scanned for
+    With `negate`, the same for -m, without negating anything: the proof
+    takes `min` where it takes `max`, and the failing row is scanned for
     m[i, j] < min(m[i, k], m[k, j]), which is the same inequality, since
     negation is exact. Only triples of distinct indices count, so the
     diagonal of `m` is ignored; `m` must be symmetric with no NaN, and with
-    no -inf (+inf with `negate`). A symmetric matrix satisfies the strong
-    triangle inequality exactly when it equals its subdominant ultrametric
-    U, the single-linkage cophenetic matrix (Gower & Ross 1969; Rammal,
-    Toulouse & Virasoro, Rev. Mod. Phys. 58, 765, 1986).
-    The proof runs in O(n^2 log n) on the off-diagonal values themselves, by
-    comparing and counting only, so it is exact. A row holds a violation
-    exactly when it exceeds U somewhere, so when the proof fails, the ranks
-    of the values (`cophenet` takes no negative heights) name the first such
-    row, and only that row is scanned for (j, k).
+    no -inf (+inf with `negate`).
+    A symmetric matrix is an ultrametric exactly when, in some order of its
+    states, m[i, j] = max(m[i, j - 1], m[j - 1, j]) for every i < j - 1:
+    each entry is then the largest adjacent gap between its indices, and an
+    ultrametric satisfies the identity in the leaf order of its
+    single-linkage dendrogram (Gower & Ross 1969; Rammal, Toulouse &
+    Virasoro, Rev. Mod. Phys. 58, 765, 1986). The proof checks the identity
+    in O(n^2) in the matrix's own order, where every space this library
+    builds already is, and only if that fails in the leaf order of one
+    linkage. It compares entries only, so it is exact. When both fail, the
+    ranks of the values (`cophenet` takes no negative heights) name the
+    first row that exceeds the subdominant ultrametric, which is the first
+    violating row, and only that row is scanned for (j, k).
     """
     n = m.shape[0]
     if n < 3:
         return None
-    # Imported here: scipy.cluster is only needed once a check runs.
-    from scipy.cluster.hierarchy import cophenet, linkage
+    join = np.minimum if negate else np.maximum
+    if _holds_in_order(m, None, join):
+        return None
+    # Imported here: scipy.cluster is only needed once the own order fails.
+    from scipy.cluster.hierarchy import cophenet, leaves_list, linkage
     from scipy.spatial.distance import squareform
 
     values = squareform(m, checks=False)
@@ -160,15 +214,9 @@ def _first_violation(m: np.ndarray, negate: bool = False) -> tuple[int, int, int
     if values.max() == np.inf:
         values = np.unique(values, return_inverse=True)[1].astype(float)
     tree = linkage(values, "single")
-    # Rows come in nondecreasing height h, and the merge of A and B spans
-    # |A| * |B| pairs, so at the last row of each height `merged` counts the
-    # pairs with U <= h. U <= m, so no more values than that are <= h; when
-    # that many are at every height, m <= h and U <= h hold for the same
-    # pairs, and m = U. Heights are entries of `values`: only counts are added.
-    size = np.concatenate([np.ones(n, dtype=np.int64), tree[:, 3].astype(np.int64)])
-    merges = tree[:, :2].astype(np.int64)
-    merged = np.cumsum(size[merges[:, 0]] * size[merges[:, 1]])
-    if np.all(np.searchsorted(np.sort(values), tree[:, 2], "right") >= merged):
+    # leaves_list refuses negative heights; the leaf order needs the merges only.
+    tree[:, 2] = np.arange(n - 1)
+    if _holds_in_order(m, leaves_list(tree), join):
         return None
     # If m[i, j] > U[i, j], then the first p on the minimax path i -> j with
     # m[i, p] > U[i, j] and the node before p violate the inequality.
@@ -189,9 +237,10 @@ def _first_violation(m: np.ndarray, negate: bool = False) -> tuple[int, int, int
 def verify_ultrametric(space: UltrametricSpace) -> TripleReport:
     """Check d(i, j) <= max(d(i, k), d(k, j)) for distinct states i, j, k.
 
-    A space that equals its subdominant ultrametric passes in O(n^2 log n);
-    otherwise only the first row that exceeds it is scanned, which gives the
-    first violating triple in lexicographic (i, j, k) order. Symmetry, zero
+    A space that is an ultrametric in its own order passes in O(n^2), any
+    other ultrametric after one linkage; otherwise only the first row that
+    exceeds the subdominant ultrametric is scanned, which gives the first
+    violating triple in lexicographic (i, j, k) order. Symmetry, zero
     diagonal, and positivity are enforced when the space is built, so only
     the triangle structure is checked here.
     """

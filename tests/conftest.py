@@ -6,7 +6,9 @@ import sys
 import numpy as np
 import pytest
 
-from ultradiffusion.ultrametric import UltrametricSpace
+from ultradiffusion.spectral import caterpillar_tree, space_from_tree
+from ultradiffusion.traces import EventTrace
+from ultradiffusion.ultrametric import UltrametricSpace, build_from_trace, uniform_chain
 
 # A child's ru_maxrss starts at its parent's peak, which hides a rise of tens
 # of MB under pytest; VmHWM is the peak of this process image alone.
@@ -46,13 +48,33 @@ def peak_rise():
 
 
 @pytest.fixture
+def built_space():
+    """`build(kind, n)`: a space of n states as the library builds it, from a
+    trace with tied events, as a uniform chain, or as the leaves of a
+    caterpillar tree. 600 states take two row blocks of the order proof."""
+
+    def build(kind: str, n: int) -> UltrametricSpace:
+        if kind == "trace":
+            # Each event time twice: n - 1 distinct times and the silent state.
+            events = np.sort(np.repeat(n * np.random.default_rng(n).random(n - 1), 2))
+            return build_from_trace(EventTrace(story_id="t", events=events, horizon=float(n)))
+        if kind == "chain":
+            return uniform_chain(n)
+        return space_from_tree(caterpillar_tree(n, 0.1))
+
+    return build
+
+
+@pytest.fixture
 def dendrogram_spaces():
     """A hypothesis strategy for spaces of 1-12 states cut from a random dendrogram.
 
     Merge heights are drawn from {1, 2, 3, inf, 5e-324, the largest double},
-    so ties are common, and the states are permuted. Half the draws then
-    overwrite one symmetric pair with a value from the same set, which may
-    or may not break the strong triangle inequality.
+    so ties are common. Half the draws then overwrite one symmetric pair
+    with a value from the same set, which may or may not break the strong
+    triangle inequality. About half the draws keep the states in the
+    dendrogram's leaf order, where an ultrametric proves in its own order;
+    the others permute them, so the proof needs the order of a linkage.
     """
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
@@ -61,18 +83,22 @@ def dendrogram_spaces():
     @st.composite
     def spaces(draw):
         n = draw(st.integers(1, 12))
-        cluster = np.arange(n)
+        # Each cluster's states in leaf order: merging appends one to the other.
+        leaves = {c: [c] for c in range(n)}
         dist = np.zeros((n, n))
         for height in sorted(draw(st.lists(values, min_size=n - 1, max_size=n - 1))):
-            alive = st.sampled_from(sorted(set(cluster.tolist())))
+            alive = st.sampled_from(sorted(leaves))
             a, b = draw(st.lists(alive, min_size=2, max_size=2, unique=True))
-            dist[np.ix_(cluster == a, cluster == b)] = height
-            dist[np.ix_(cluster == b, cluster == a)] = height
-            cluster[cluster == b] = a
+            dist[np.ix_(leaves[a], leaves[b])] = height
+            dist[np.ix_(leaves[b], leaves[a])] = height
+            leaves[a] += leaves.pop(b)
         if n > 1 and draw(st.booleans()):
             i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
             dist[i, j] = dist[j, i] = draw(values)
-        order = draw(st.permutations(range(n)))
+        if draw(st.booleans()):
+            order = leaves.popitem()[1]
+        else:
+            order = draw(st.permutations(range(n)))
         return UltrametricSpace(
             labels=np.arange(1.0, n + 1),
             dist=dist[np.ix_(order, order)],

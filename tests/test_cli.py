@@ -505,6 +505,29 @@ class TestCompare:
         # 1000 events at 977 distinct times, plus the no-rebroadcast state.
         assert "978 states exceeds the 500-state" in capsys.readouterr().err
 
+    def test_each_underflowing_story_is_named_on_one_line(self, tmp_path, capsys):
+        # Stretching time a thousandfold makes mu*d pass 745 in two stories.
+        sim = tmp_path / "sim"
+        assert main(["simulate", "--out-dir", str(sim), "--t-n", "50", "--mu", "0.1",
+                     "--m-events", "200", "--stories", "3", "--seed", "7"]) == 0
+        header, *rows = (sim / "trace.csv").read_text().splitlines()
+        stretched = [f"{sid},{float(t) * 1000!r}" for sid, t in (r.split(",") for r in rows)]
+        csv = tmp_path / "stretched.csv"
+        csv.write_text("\n".join([header, *stretched]) + "\n")
+        capsys.readouterr()
+        code = main(["compare", "--input", str(csv), "--out-dir", str(tmp_path / "out"),
+                     "--min-events", "10", "--export-matrices"])
+        assert code == 0
+        underflow = (
+            "some rates underflowed to zero: e^(-mu*d) is 0 in double precision "
+            "once mu*d exceeds about 745"
+        )
+        assert capsys.readouterr().err.splitlines() == [
+            f"story 'story_001': {underflow}",
+            "story 'story_002': no inferred mu, skipping rate-matrix export",
+            f"story 'story_003': {underflow}",
+        ]
+
 
 FAILING = checks.CheckResult(
     name="survival-identity",

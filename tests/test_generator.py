@@ -62,11 +62,27 @@ def quiet_generator(space, mu):
         return build_generator(space, mu)
 
 
+def signed_zero_rates(gen, upper, lower):
+    """`gen` with its zero rates set to `upper` above the diagonal and to
+    `lower` below it.
+
+    -0.0 == 0.0, so the rates stay symmetric, and a proof that only
+    compares them must reach the reference scan's report.
+    """
+    rates = gen.rates.copy()
+    zero = rates == 0
+    rates[np.triu(zero, 1)] = upper
+    rates[np.tril(zero, -1)] = lower
+    return Generator(rates=rates)
+
+
 def small_spaces(st):
     """Spaces of 1-12 states over a few distances, so ties are common.
 
     Each starts ultrametric, d(i, j) = max(level_i, level_j), and then has a
-    few symmetric pairs overwritten, which may or may not break it.
+    few symmetric pairs overwritten, which may or may not break it. Half the
+    draws sort the levels in descending order, as in a trace space, so an
+    ultrametric proves in its own order.
     """
     values = st.sampled_from([1.0, 2.0, 3.0, 4.0, np.inf])
 
@@ -74,6 +90,8 @@ def small_spaces(st):
     def spaces(draw):
         n = draw(st.integers(1, 12))
         levels = np.array(draw(st.lists(values, min_size=n, max_size=n)))
+        if draw(st.booleans()):
+            levels = np.sort(levels)[::-1]
         dist = np.maximum.outer(levels, levels)
         pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), values)
         for i, j, v in draw(st.lists(pairs, max_size=2 * n)):
@@ -222,14 +240,14 @@ class TestRateUltrametricity:
         hypothesis = pytest.importorskip("hypothesis")
         st = hypothesis.strategies
 
-        # At mu = 250 the rates at distance 3 and beyond underflow to zero.
+        # At mu = 250 the rates at distance 3 and beyond underflow to zero,
+        # which are then written as 0.0 or -0.0.
+        zeros = st.sampled_from([0.0, -0.0])
+
         @hypothesis.settings(max_examples=300, deadline=None)
-        @hypothesis.given(
-            small_spaces(st),
-            st.sampled_from([0.5, 250.0]),
-        )
-        def check(space, mu):
-            gen = quiet_generator(space, mu)
+        @hypothesis.given(small_spaces(st), st.sampled_from([0.5, 250.0]), zeros, zeros)
+        def check(space, mu, upper, lower):
+            gen = signed_zero_rates(quiet_generator(space, mu), upper, lower)
             assert check_rate_ultrametricity(gen) == reference_report(gen)
 
         check()
@@ -238,10 +256,12 @@ class TestRateUltrametricity:
         hypothesis = pytest.importorskip("hypothesis")
         st = hypothesis.strategies
 
+        zeros = st.sampled_from([0.0, -0.0])
+
         @hypothesis.settings(max_examples=300, deadline=None)
-        @hypothesis.given(dendrogram_spaces, st.sampled_from([0.5, 250.0]))
-        def check(space, mu):
-            gen = quiet_generator(space, mu)
+        @hypothesis.given(dendrogram_spaces, st.sampled_from([0.5, 250.0]), zeros, zeros)
+        def check(space, mu, upper, lower):
+            gen = signed_zero_rates(quiet_generator(space, mu), upper, lower)
             assert check_rate_ultrametricity(gen) == reference_report(gen)
 
         check()
@@ -323,9 +343,10 @@ class TestRateUltrametricityAtScale:
 
 def test_check_rate_peak_memory_stays_below_one_and_a_half_matrices(peak_rise):
     # The 3001-state trace space and its generator hold two 72 MB matrices.
-    # The proof negates a condensed copy of the rates and sorts a second
-    # copy, about one matrix in all; negating the whole rate matrix first
-    # raised the peak by 2.1 matrices.
+    # The proof in the rates' own order leaves the peak where it was; the
+    # proof that negated a condensed copy of the rates and sorted a second
+    # copy raised it by 1.06 rate matrices, and negating the whole rate
+    # matrix first by 2.1.
     size, nbytes, rise = peak_rise(
         "import numpy as np\n"
         "from ultradiffusion.generator import build_generator, check_rate_ultrametricity\n"
@@ -340,3 +361,36 @@ def test_check_rate_peak_memory_stays_below_one_and_a_half_matrices(peak_rise):
     )
     assert size == 3001
     assert rise < 1.5 * nbytes
+
+
+def test_passing_proof_leaves_the_peak_within_a_tenth_of_a_matrix(peak_rise):
+    # The proof takes min where verify_ultrametric takes max, on a block of
+    # rows at a time, so it negates nothing; the rise reads 0, against 1.06
+    # rate matrices for the proof by linkage and sort.
+    size, nbytes, rise = peak_rise(
+        "import numpy as np\n"
+        "from ultradiffusion.generator import build_generator, check_rate_ultrametricity\n"
+        "from ultradiffusion.traces import EventTrace\n"
+        "from ultradiffusion.ultrametric import build_from_trace, uniform_chain\n"
+        "events = np.sort(1000.0 * (1.0 - np.random.default_rng(7).random(3000)))\n"
+        'space = build_from_trace(EventTrace(story_id="big", events=events, horizon=1000.0))\n'
+        "gen = build_generator(space, 0.001)\n"
+        "check_rate_ultrametricity(build_generator(uniform_chain(3), 0.1))",
+        "assert check_rate_ultrametricity(gen).ok",
+        "gen.size, gen.rates.nbytes",
+    )
+    assert size == 3001
+    assert rise < 0.1 * nbytes
+
+
+@pytest.mark.parametrize("n", [3, 40, 600])
+@pytest.mark.parametrize("kind", ["trace", "chain", "caterpillar"])
+def test_built_generators_prove_in_their_own_order(kind, n, built_space, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the proof fell back to a linkage")
+
+    monkeypatch.setattr("scipy.cluster.hierarchy.linkage", refuse)
+    gen = build_generator(built_space(kind, n), 0.05)
+    assert check_rate_ultrametricity(gen) == TripleReport(
+        ok=True, triple=None, message=f"all {gen.size} states rate-ultrametric"
+    )

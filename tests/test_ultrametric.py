@@ -64,7 +64,9 @@ def small_spaces(st):
     """Spaces of 1-12 states over a few distances, so ties are common.
 
     Each starts ultrametric, d(i, j) = max(level_i, level_j), and then has a
-    few symmetric pairs overwritten, which may or may not break it.
+    few symmetric pairs overwritten, which may or may not break it. Half the
+    draws sort the levels in descending order, as in a trace space, so an
+    ultrametric proves in its own order.
     """
     values = st.sampled_from([1.0, 2.0, 3.0, 4.0, np.inf])
 
@@ -72,6 +74,8 @@ def small_spaces(st):
     def spaces(draw):
         n = draw(st.integers(1, 12))
         levels = np.array(draw(st.lists(values, min_size=n, max_size=n)))
+        if draw(st.booleans()):
+            levels = np.sort(levels)[::-1]
         dist = np.maximum.outer(levels, levels)
         pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), values)
         for i, j, v in draw(st.lists(pairs, max_size=2 * n)):
@@ -191,7 +195,8 @@ class TestVerifyUltrametric:
 
     def test_dendrogram_spaces_match_the_reference_scan(self, dendrogram_spaces):
         # Uniform entries almost always fail; these mostly pass, so they reach
-        # the proof's counting as well as the failing row's scan.
+        # the proof in their own order and in a linkage's leaf order as well
+        # as the failing row's scan.
         hypothesis = pytest.importorskip("hypothesis")
 
         @hypothesis.settings(max_examples=300, deadline=None)
@@ -292,9 +297,10 @@ class TestVerifyAtScale:
 
 
 def test_verify_peak_memory_stays_below_one_and_a_half_matrices(peak_rise):
-    # The 3001-state trace space holds one 72 MB matrix. The proof copies
-    # its upper triangle and sorts a second copy, about one matrix in all;
-    # ranking the values as well raised the peak by 3.1 matrices.
+    # The 3001-state trace space holds one 72 MB matrix. Its proof in its
+    # own order leaves the peak where it was; the proof that copied the
+    # upper triangle and sorted a second copy raised it by 1.06 matrices,
+    # and ranking the values as well by 3.1 matrices.
     size, nbytes, rise = peak_rise(
         "import numpy as np\n"
         "from ultradiffusion.traces import EventTrace\n"
@@ -309,16 +315,56 @@ def test_verify_peak_memory_stays_below_one_and_a_half_matrices(peak_rise):
     assert rise < 1.5 * nbytes
 
 
+def test_passing_proof_leaves_the_peak_within_a_tenth_of_a_matrix(peak_rise):
+    # The own-order proof holds a block of rows at a time, about 2 MB
+    # against the 72 MB matrix of the 3001-state trace space; the rise
+    # reads 0, against 1.06 matrices for the proof by linkage and sort.
+    size, nbytes, rise = peak_rise(
+        "import numpy as np\n"
+        "from ultradiffusion.traces import EventTrace\n"
+        "from ultradiffusion.ultrametric import build_from_trace, uniform_chain, verify_ultrametric\n"
+        "events = np.sort(1000.0 * (1.0 - np.random.default_rng(7).random(3000)))\n"
+        'space = build_from_trace(EventTrace(story_id="big", events=events, horizon=1000.0))\n'
+        "verify_ultrametric(uniform_chain(3))",
+        "assert verify_ultrametric(space).ok",
+        "space.size, space.dist.nbytes",
+    )
+    assert size == 3001
+    assert rise < 0.1 * nbytes
+
+
+@pytest.mark.parametrize("n", [3, 40, 600])
+@pytest.mark.parametrize("kind", ["trace", "chain", "caterpillar"])
+def test_built_spaces_prove_in_their_own_order(kind, n, built_space, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the proof fell back to a linkage")
+
+    monkeypatch.setattr("scipy.cluster.hierarchy.linkage", refuse)
+    space = built_space(kind, n)
+    assert verify_ultrametric(space) == TripleReport(
+        ok=True, triple=None, message=f"all {space.size} states ultrametric"
+    )
+
+
 def test_single_linkage_takes_negative_values_and_keeps_them_as_heights():
-    # The proof rests on three properties of scipy's single linkage: it takes
-    # the negated rates (<= 0, -0.0 included), its rows come in nondecreasing
-    # height, and each height is one of the input values, not a sum of them.
-    from scipy.cluster.hierarchy import linkage
+    # When a matrix fails in its own order, the proof hands scipy's single
+    # linkage the negated rates (<= 0, -0.0 included) and takes the leaf
+    # order of its merges, in which every merged cluster is one run. The
+    # locator compares heights with values, so its rows must come in
+    # nondecreasing height, each one of the input values, not a sum of them.
+    from scipy.cluster.hierarchy import leaves_list, linkage
 
     values = -np.random.default_rng(3).choice([0.0, 5e-324, 0.25, 1.0, 7.0], size=66)
     tree = linkage(values, "single")
     assert np.all(np.diff(tree[:, 2]) >= 0)
     assert np.isin(tree[:, 2], values).all()
+    tree[:, 2] = np.arange(len(tree))
+    position = np.argsort(leaves_list(tree))
+    members = [[k] for k in range(12)]
+    for a, b in tree[:, :2].astype(int):
+        members.append(members[a] + members[b])
+        at = position[members[-1]]
+        assert at.max() - at.min() + 1 == len(at)
 
 
 class TestUltrametricSpaceInvariants:
