@@ -57,13 +57,7 @@ from .serialize import (
     write_trace_csv,
 )
 from .spectral import chain_spectrum
-from .traces import (
-    PopularityCurve,
-    aggregate_mean,
-    curve_block,
-    parse_trace_csv,
-    uniform_grid,
-)
+from .traces import _block_curve, aggregate_mean, curve_block, parse_trace_csv, uniform_grid
 from .ultrametric import build_from_trace
 
 __all__ = ["CommandError", "build_parser", "main"]
@@ -245,8 +239,7 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
     _report(failed)
     try:
         mean = aggregate_mean([
-            PopularityCurve(grid=g, values=v, saturation_count=trace.count)
-            for trace, g, v in zip(built, grid, observed)
+            _block_curve(g, v, trace.count) for trace, g, v in zip(built, grid, observed)
         ])
         fit = fit_exponential(mean, offset=args.offset)
         ((record, mapping),), simulated = _map_fits(
@@ -329,7 +322,16 @@ def cmd_compare(args: argparse.Namespace) -> int:
                     file=sys.stderr,
                 )
                 continue
-            space = build_from_trace(trace)
+            try:
+                space = build_from_trace(trace)
+            except ValueError as err:
+                # An event so close to 0 that T - t rounds to T gives two
+                # states one subscript; the story's other outputs stand.
+                print(
+                    f"story {sid!r}: state space refused ({err}), skipping matrix export",
+                    file=sys.stderr,
+                )
+                continue
             write_distance_tsv(out / f"{name}_distance.tsv", space)
             if record["mu"] is None:
                 print(

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .traces import _integer, _readonly
-from .ultrametric import UltrametricSpace
+from .ultrametric import UltrametricSpace, _built_space
 
 __all__ = [
     "ChainSpectrum",
@@ -265,7 +265,7 @@ def space_from_tree(tree: TreeModel) -> UltrametricSpace:
         hi = start[up] + counts[up]
         dist[lo:mid, mid:hi] = height[up]
         dist[mid:hi, lo:mid] = height[up]
-    dist.setflags(write=False)
-    return UltrametricSpace(
-        labels=np.arange(1, n + 1, dtype=float), dist=dist, multiplicity=np.ones(n, dtype=int)
-    )
+    # Every pair is filled on both sides, off the diagonal, with the height
+    # of an internal node, which `TreeModel` holds above its child's, >= 0:
+    # the matrix is symmetric, zero on the diagonal and positive off it.
+    return _built_space(np.arange(1, n + 1, dtype=float), dist, np.ones(n, dtype=int))

@@ -54,6 +54,16 @@ def _readonly(values, dtype=float) -> np.ndarray:
     return out
 
 
+def _unchecked(cls, **fields):
+    """An instance of the frozen dataclass `cls` with `fields` set as given,
+    for a builder whose values are valid by construction: `__post_init__`
+    and its checks do not run."""
+    made = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(made, name, value)
+    return made
+
+
 def _integer(value, what: str) -> int:
     # A bool is an Integral but no count; 2.0 and 2.5 are never truncated.
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
@@ -182,6 +192,14 @@ def _row_faults(grid: np.ndarray, values: np.ndarray, counts: np.ndarray) -> lis
         _CURVE_FAULTS[k] if bad else None
         for k, bad in zip(first, failing.any(axis=0).tolist())
     ]
+
+
+def _block_curve(grid: np.ndarray, values: np.ndarray, count: int) -> PopularityCurve:
+    """The curve of a `curve_block` row that passed its checks, of `count`
+    events, built without checking it again."""
+    return _unchecked(
+        PopularityCurve, grid=_readonly(grid), values=_readonly(values), saturation_count=count
+    )
 
 
 def _uniform_grids(horizons: np.ndarray, grid_points) -> np.ndarray:
@@ -397,7 +415,7 @@ def empirical_curve(trace: EventTrace, grid_points: int = 200) -> PopularityCurv
     (grid,), (values,), (fault,) = curve_block([trace], grid_points)
     if fault:
         raise fault
-    return PopularityCurve(grid=grid, values=values, saturation_count=trace.count)
+    return _block_curve(grid, values, trace.count)
 
 
 def aggregate_mean(curves: list[PopularityCurve], grid_points: int = 200) -> PopularityCurve:

@@ -7,18 +7,22 @@ T - min(a, b): the later of the two original event times. Distances built this
 way satisfy the strong triangle inequality d(x, y) <= max(d(x, z), d(z, y)),
 which is what makes a hierarchy of relaxation time scales possible.
 
-`verify_ultrametric` (and `generator.check_rate_ultrametricity`, on negated
-rates) proves that inequality for every triple in O(n^2): the matrix passes
-when, in its own order, every entry above the first off-diagonal is the
-larger of its left neighbour and the adjacent gap that closes it,
-d(i, j) = max(d(i, j - 1), d(j - 1, j)). Every space this module builds, and
-every tree space, is in such an order; any other matrix is tried once more
-in the leaf order of its single-linkage dendrogram, which an ultrametric
-always passes. The proof
-compares entries only, so it is exact. When it fails, the ranks of the
-entries name the first row that exceeds the subdominant ultrametric, which
-is the first violating row, and a scan of that one row reports the
-lexicographically first violating (i, j, k).
+`verify_ultrametric` proves that inequality for every triple in O(n^2), and
+`generator.check_rate_ultrametricity` proves its dual on rates, taking min
+where distances take max: the matrix passes when, in its own order, every
+entry above the first off-diagonal is the larger of its left neighbour and
+the adjacent gap that closes it, d(i, j) = max(d(i, j - 1), d(j - 1, j)).
+Every space this module builds, and every tree space, is in such an order;
+any other matrix is tried once more in the leaf order of its single-linkage
+dendrogram, which an ultrametric always passes. The proof compares entries
+only, so it is exact. When it fails, the ranks of the entries name the
+first row that exceeds the subdominant ultrametric, which is the first
+violating row, and a scan of that one row reports the lexicographically
+first violating (i, j, k).
+
+`UltrametricSpace(...)` checks a matrix from outside the library in O(n^2).
+The builders here and `spectral.space_from_tree` make a matrix that passes
+those checks by construction, so they check only their O(n) inputs.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .traces import EventTrace, _integer, _readonly
+from .traces import EventTrace, _integer, _readonly, _unchecked
 
 __all__ = [
     "TripleReport",
@@ -48,6 +52,12 @@ class UltrametricSpace:
     holds the symmetric distance matrix, and `multiplicity` counts how many
     trace events collapsed into each state (zero for the no-rebroadcast
     state, one everywhere for model chains and trees).
+
+    The constructor takes a matrix from outside the library and checks it in
+    O(n^2): symmetric, zero on the diagonal, positive off it. The library's
+    own builders (`build_from_trace`, `uniform_chain`,
+    `spectral.space_from_tree`) make a matrix that is all three by
+    construction, so they check only their O(n) inputs and skip it.
     """
 
     labels: np.ndarray
@@ -66,8 +76,7 @@ class UltrametricSpace:
             raise ValueError("state space needs at least one state")
         if labels.ndim != 1 or multiplicity.shape != (n,):
             raise ValueError("labels and multiplicity must be one-dimensional and aligned")
-        if n > 1 and np.any(np.diff(labels) <= 0):
-            raise ValueError("labels must be strictly ascending")
+        _check_ascending(labels)
         if dist.shape != (n, n):
             raise ValueError(f"distance matrix must be {n}x{n}, got {dist.shape}")
         if np.any(np.diagonal(dist) != 0):
@@ -81,6 +90,24 @@ class UltrametricSpace:
     @property
     def size(self) -> int:
         return int(self.labels.size)
+
+
+def _check_ascending(labels: np.ndarray) -> None:
+    if (labels[1:] - labels[:-1] <= 0).any():
+        raise ValueError("labels must be strictly ascending")
+
+
+def _built_space(labels, dist: np.ndarray, multiplicity) -> UltrametricSpace:
+    """The space of a builder whose labels ascend and whose `dist`, its own,
+    is symmetric, zero on the diagonal and positive off it: the fields are
+    set without the constructor's O(n^2) checks."""
+    dist.setflags(write=False)  # handed over as is, not copied
+    return _unchecked(
+        UltrametricSpace,
+        labels=_readonly(labels),
+        dist=dist,
+        multiplicity=_readonly(multiplicity, dtype=int),
+    )
 
 
 @dataclass(frozen=True)
@@ -104,11 +131,14 @@ def build_from_trace(trace: EventTrace) -> UltrametricSpace:
     records how many merged. An event at exactly t = T is allowed and yields
     subscript 0.
     """
-    span = trace.horizon
-    distinct, counts = np.unique(trace.events, return_counts=True)
+    span, events = trace.horizon, trace.events
+    # Events are sorted: each distinct time starts where one differs from the
+    # time before it, and its ties run up to the next start.
+    edges = np.flatnonzero(np.concatenate([[True], events[1:] != events[:-1], [True]]))
+    counts = edges[1:] - edges[:-1]
     # Ascending event times map to descending subscripts; reverse, then append
     # the no-rebroadcast state at subscript T with multiplicity zero.
-    labels = np.concatenate([(span - distinct)[::-1], [span]])
+    labels = np.concatenate([(span - events[edges[:-1]])[::-1], [span]])
     multiplicity = np.concatenate([counts[::-1], [0]])
     return _max_space(labels, span - labels, multiplicity)
 
@@ -127,11 +157,20 @@ def uniform_chain(n: int) -> UltrametricSpace:
 
 
 def _max_space(labels, heights, multiplicity) -> UltrametricSpace:
-    """Space with d(i, j) = max(heights[i], heights[j]) for i != j."""
+    """Space with d(i, j) = max(heights[i], heights[j]) for i != j.
+
+    The outer maximum is symmetric and the diagonal is set to zero, so of
+    the constructor's checks only two remain, both O(n) and in its order:
+    the labels ascend, and, since the finite heights of a trace or a chain
+    give max(h_i, h_j) > 0 at every i != j exactly when at most one of them
+    is <= 0, the distances are positive.
+    """
+    _check_ascending(labels)
+    if np.count_nonzero(heights <= 0) > 1:
+        raise ValueError("distances between distinct states must be positive")
     dist = np.maximum.outer(heights, heights)
     np.fill_diagonal(dist, 0.0)
-    dist.setflags(write=False)  # handed over as is, not copied
-    return UltrametricSpace(labels=labels, dist=dist, multiplicity=multiplicity)
+    return _built_space(labels, dist, multiplicity)
 
 
 # Entries per block of the order proof, so its temporaries stay near 2 MB

@@ -8,9 +8,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from ultradiffusion import checks, cli
+from ultradiffusion import checks, cli, traces
 from ultradiffusion.cli import main
 from ultradiffusion.baselines import fit_linear
 from ultradiffusion.fitting import (
@@ -335,6 +336,21 @@ class TestAggregate:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
         assert json.loads((outs[1] / "aggregate_fit.json").read_text())["n_stories"] == 1
 
+    def test_curves_are_checked_once_in_the_block_and_once_for_the_mean(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        csv = tmp_path / "in.csv"
+        write_trace_csv(csv, [sampled_story(f"s{k}", seed=k) for k in range(3)])
+        checked, row_faults = [], traces._row_faults
+
+        def counted(grid, *rest):
+            checked.append(len(grid))
+            return row_faults(grid, *rest)
+
+        monkeypatch.setattr(traces, "_row_faults", counted)
+        assert main(["aggregate", "--input", str(csv), "--out-dir", str(tmp_path / "out")]) == 0
+        assert checked == [3, 1]
+
     def test_aggregate_curve_has_the_four_columns(self, tmp_path, capsys):
         csv = tmp_path / "in.csv"
         write_trace_csv(csv, [sampled_story("s1", seed=7), sampled_story("s2", seed=8)])
@@ -504,6 +520,38 @@ class TestCompare:
         assert code == 0
         # 1000 events at 977 distinct times, plus the no-rebroadcast state.
         assert "978 states exceeds the 500-state" in capsys.readouterr().err
+
+    def test_a_story_whose_space_cannot_be_built_skips_only_its_export(
+        self, tmp_path, capsys
+    ):
+        # Under --horizon 1000, T - t rounds to T for an event at 1e-14, so
+        # story b's state space is refused; its record and the other
+        # stories' matrices are still written.
+        rng = np.random.default_rng(1)
+        rows = ["story_id,timestamp"]
+        for sid in "abc":
+            events = np.sort(rng.exponential(100.0, 60))
+            if sid == "b":
+                events[0] = 1e-14
+            rows += [f"{sid},{float(t)!r}" for t in events]
+        csv = tmp_path / "in.csv"
+        csv.write_text("\n".join(rows) + "\n")
+        out = tmp_path / "out"
+        code = main(["compare", "--input", str(csv), "--out-dir", str(out), "--min-events",
+                     "10", "--horizon", "1000", "--export-matrices"])
+        assert code == 0
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if "'b'" in line] == [
+            "story 'b': state space refused (labels must be strictly ascending), "
+            "skipping matrix export"
+        ]
+        assert [r["story_id"] for r in json.loads((out / "comparison.json").read_text())] == [
+            "a", "b", "c"
+        ]
+        assert sorted(path.name for path in out.glob("*_distance.tsv")) == [
+            "a_distance.tsv", "c_distance.tsv"
+        ]
+        assert not list(out.glob("b_*"))
 
     def test_each_underflowing_story_is_named_on_one_line(self, tmp_path, capsys):
         # Stretching time a thousandfold makes mu*d pass 745 in two stories.

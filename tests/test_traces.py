@@ -388,6 +388,21 @@ class TestEmpiricalCurve:
         curve = empirical_curve(trace, grid_points=2)
         np.testing.assert_allclose(curve.values, [0.5, 1.0])
 
+    def test_the_block_row_is_checked_once_and_passes_the_public_checks(self):
+        # curve_block has checked the row, so the curve is made without a
+        # second check; the public constructor still takes it unchanged.
+        trace = EventTrace(story_id="s", events=np.array([1.0, 5.0, 5.0, 17.0]), horizon=17.0)
+        with mock.patch.object(traces, "_row_faults", wraps=traces._row_faults) as faults:
+            curve = empirical_curve(trace, grid_points=17)
+        assert faults.call_count == 1
+        again = PopularityCurve(
+            grid=curve.grid, values=curve.values, saturation_count=curve.saturation_count
+        )
+        assert np.array_equal(again.grid, curve.grid)
+        assert np.array_equal(again.values, curve.values)
+        assert again.saturation_count == curve.saturation_count == 4
+        assert not curve.grid.flags.writeable and not curve.values.flags.writeable
+
 
 class TestCurveBlock:
     """The block builder: each row is the trace's lone curve, bit for bit."""

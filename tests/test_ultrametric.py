@@ -1,11 +1,14 @@
 """Ultrametric state spaces built from traces and model chains."""
 
+import re
 import time
 import warnings
 
 import numpy as np
 import pytest
 
+from ultradiffusion import ultrametric
+from ultradiffusion.spectral import TreeModel, space_from_tree
 from ultradiffusion.traces import EventTrace
 from ultradiffusion.ultrametric import (
     TripleReport,
@@ -420,21 +423,183 @@ class TestUltrametricSpaceInvariants:
         assert again.dist is space.dist
 
 
-def test_build_from_trace_peak_memory_stays_below_two_matrices(peak_rise):
-    # A 3001-state trace space holds one 72 MB matrix. Building it once
-    # raised the peak by three such matrices (the outer maximum, a read-only
-    # copy, and a masked off-diagonal copy for the positivity check); now it
-    # reads about 1.13.
-    size, nbytes, rise = peak_rise(
-        "import numpy as np\n"
-        "from ultradiffusion.traces import EventTrace\n"
-        "from ultradiffusion.ultrametric import build_from_trace\n"
-        'trace = EventTrace(story_id="s", events=np.arange(1.0, 3001.0), horizon=3001.0)',
-        "space = build_from_trace(trace)",
-        "space.size, space.dist.nbytes",
+def checked_again(space):
+    """`space` passed through the public constructor and its O(n^2) checks."""
+    again = UltrametricSpace(
+        labels=space.labels, dist=space.dist, multiplicity=space.multiplicity
     )
-    assert size == 3001
-    assert rise < 2 * nbytes
+    for field in ("labels", "dist", "multiplicity"):
+        assert np.array_equal(getattr(again, field), getattr(space, field))
+        assert getattr(again, field).dtype == getattr(space, field).dtype
+    return again
+
+
+def reference_trace_space(trace):
+    """The trace space built with `np.unique` and the public constructor."""
+    span = trace.horizon
+    distinct, counts = np.unique(trace.events, return_counts=True)
+    labels = np.concatenate([(span - distinct)[::-1], [span]])
+    dist = np.maximum.outer(span - labels, span - labels)
+    np.fill_diagonal(dist, 0.0)
+    return UltrametricSpace(
+        labels=labels, dist=dist, multiplicity=np.concatenate([counts[::-1], [0]])
+    )
+
+
+class TestBuiltSpacesPassThePublicConstructor:
+    """The builders skip the constructor's O(n^2) checks; each space they
+    make must pass them unchanged."""
+
+    def test_trace_spaces(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        # Ties are common; 1e-14 and 5e-324 sit so near 0 that T - t rounds
+        # to T, and T - 1e-13 and T itself sit at the horizon.
+        horizons = st.sampled_from([1.0, 17.0, 1000.0, 1e300])
+        offsets = st.sampled_from([0.0, 1e-13, 0.5, 3.0, "tiny", "smallest"])
+
+        @st.composite
+        def traces(draw):
+            horizon = draw(horizons)
+            times = []
+            for offset in draw(st.lists(offsets, min_size=1, max_size=12)):
+                if offset == "tiny":
+                    times.append(1e-14)
+                elif offset == "smallest":
+                    times.append(5e-324)
+                else:
+                    times.append(max(horizon - offset * horizon / 17.0, 1e-14))
+            return EventTrace(story_id="h", events=np.sort(times), horizon=horizon)
+
+        @hypothesis.settings(max_examples=300, deadline=None)
+        @hypothesis.given(traces())
+        def check(trace):
+            try:
+                reference = reference_trace_space(trace)
+            except ValueError as err:
+                with pytest.raises(ValueError, match=f"^{re.escape(str(err))}$"):
+                    build_from_trace(trace)
+                return
+            space = checked_again(build_from_trace(trace))
+            for field in ("labels", "dist", "multiplicity"):
+                assert np.array_equal(getattr(space, field), getattr(reference, field))
+
+        check()
+
+    @pytest.mark.parametrize("n", [2, 3, 17, 200])
+    def test_uniform_chains(self, n):
+        space = checked_again(uniform_chain(n))
+        levels = np.arange(n, dtype=float)
+        expected = np.maximum.outer(levels, levels)
+        np.fill_diagonal(expected, 0.0)
+        assert np.array_equal(space.dist, expected)
+
+    def test_tree_spaces(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @st.composite
+        def trees(draw):
+            # Each new node hangs below a node of positive height on the path
+            # from the root to the node before it, which keeps the numbering
+            # in pre-order and the heights falling.
+            parent, height, path = [-1], [draw(st.sampled_from([1.0, 7.0, 1e300]))], [0]
+            for v in range(1, draw(st.integers(1, 16))):
+                up = draw(st.sampled_from([u for u in path if height[u] > 0]))
+                parent.append(up)
+                height.append(height[up] * draw(st.sampled_from([0.0, 0.5, 0.75])))
+                path = path[: path.index(up) + 1] + [v]
+            return TreeModel(np.array(parent), np.array(height))
+
+        @hypothesis.settings(max_examples=300, deadline=None)
+        @hypothesis.given(trees())
+        def check(tree):
+            space = checked_again(space_from_tree(tree))
+            # d(x, y) is the height of the lowest common ancestor.
+            ancestors = []
+            for leaf in tree.leaves.tolist():
+                chain = [leaf]
+                while chain[-1]:
+                    chain.append(int(tree.parent[chain[-1]]))
+                ancestors.append(chain)
+            for a, first in enumerate(ancestors):
+                for b, second in enumerate(ancestors):
+                    meet = next(v for v in first if v in second)
+                    expected = 0.0 if a == b else tree.height[meet]
+                    assert space.dist[a, b] == expected
+
+        check()
+
+    @pytest.mark.parametrize(
+        "events", [[1e-14], [5e-324], [1e-14, 5.0], [5e-324, 1e-14, 999.0]]
+    )
+    def test_events_that_round_to_the_silent_state_refuse_by_their_labels(self, events):
+        # T - t rounds to T, so two states share subscript T and their
+        # distance is 0: the labels are refused first, as the constructor
+        # refuses them.
+        trace = EventTrace(story_id="a", events=np.array(events), horizon=1000.0)
+        with pytest.raises(ValueError, match="^labels must be strictly ascending$"):
+            build_from_trace(trace)
+
+    @pytest.mark.parametrize(
+        "labels, heights",
+        [
+            ([1.0, 2.0, 3.0], [1.0, 0.0, -0.0]),
+            ([1.0, 2.0, 3.0], [-1.0, 2.0, 0.0]),
+            ([1.0, 1.0, 3.0], [0.0, 0.0, 1.0]),
+            ([1.0, 2.0, 3.0], [2.0, 1.0, 0.0]),
+        ],
+    )
+    def test_max_space_refuses_in_its_inputs_what_the_constructor_refuses(
+        self, labels, heights
+    ):
+        # A trace or chain never reaches the height check, since its labels
+        # ascend to T and only T has height 0; the check is pinned here,
+        # against the constructor on the same outer maximum.
+        labels, heights = np.array(labels), np.array(heights)
+        dist = np.maximum.outer(heights, heights)
+        np.fill_diagonal(dist, 0.0)
+        ones = np.ones(3, dtype=int)
+        try:
+            expected = UltrametricSpace(labels=labels, dist=dist, multiplicity=ones)
+        except ValueError as err:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(err))}$"):
+                ultrametric._max_space(labels, heights, ones)
+        else:
+            assert np.array_equal(ultrametric._max_space(labels, heights, ones).dist, expected.dist)
+
+
+@pytest.mark.parametrize(
+    "setup, build, states",
+    [
+        (
+            "from ultradiffusion.traces import EventTrace\n"
+            "from ultradiffusion.ultrametric import build_from_trace\n"
+            'trace = EventTrace(story_id="s", events=np.arange(1.0, 3001.0), horizon=3001.0)',
+            "space = build_from_trace(trace)",
+            3001,
+        ),
+        (
+            "from ultradiffusion.spectral import caterpillar_tree, space_from_tree\n"
+            "tree = caterpillar_tree(3000, 0.1)",
+            "space = space_from_tree(tree)",
+            3000,
+        ),
+    ],
+    ids=["trace", "caterpillar"],
+)
+def test_build_peak_memory_stays_within_a_twentieth_over_one_matrix(
+    peak_rise, setup, build, states
+):
+    # A 3000-state space holds one 72 MB matrix, and its builders make it
+    # valid by construction, so building it raises the peak by that matrix
+    # alone. A second O(n^2) check of it, whose positivity count makes a
+    # bool copy of the matrix, reads 1.129.
+    size, nbytes, rise = peak_rise(
+        "import numpy as np\n" + setup, build, "space.size, space.dist.nbytes"
+    )
+    assert size == states
+    assert rise < 1.05 * nbytes
 
 
 class TestUniformChain:
