@@ -137,10 +137,12 @@ def _check_chain_spectra(tolerance: float) -> _Outcome:
     worst_eig = 0.0
     eig_tol = 1e-9
     for n in range(2, 41):
+        chain = ultrametric.uniform_chain(n)
+        # Only the eigenvalues depend on mu; the eigenvectors are built on each read.
+        vecs = spectral.chain_spectrum(n, 0.0).eigenvectors
         for mu in (0.0, 0.1, 1.0, 5.0):
-            gen = build_generator(ultrametric.uniform_chain(n), mu)
+            gen = build_generator(chain, mu)
             spec = spectral.chain_spectrum(n, mu)
-            vecs = spec.eigenvectors  # built on each read
             resid = gen.rates @ vecs - vecs * spec.eigenvalues
             scale = float(np.max(np.abs(gen.rates)))
             worst_resid = max(worst_resid, float(np.max(np.abs(resid))) / scale)

@@ -10,6 +10,11 @@ rates in their own order, taking min where distances take max, tries the
 leaf order of one linkage only if that fails, and when both fail scans the
 one row that the ranks of the rates name, reporting the first violating
 triple.
+
+`Generator(rates=...)` checks a matrix from outside the library in O(n^2):
+square, symmetric, nonnegative and finite off the diagonal, zero row sums.
+`build_generator` makes rates with all four properties by construction and
+hands them over unchecked.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .traces import _readonly
+from .traces import _readonly, _unchecked
 from .ultrametric import TripleReport, UltrametricSpace, _first_violation
 
 __all__ = ["Generator", "build_generator", "check_rate_ultrametricity"]
@@ -29,7 +34,9 @@ __all__ = ["Generator", "build_generator", "check_rate_ultrametricity"]
 class Generator:
     """Symmetric transition-rate matrix with zero row sums.
 
-    It keeps no mu: `build_generator` checks the decay and bakes it into the rates.
+    It keeps no mu: `build_generator` checks the decay and bakes it into the
+    rates. The constructor checks rates from outside the library in O(n^2);
+    `build_generator` makes rates that pass by construction and skips it.
     """
 
     rates: np.ndarray
@@ -60,6 +67,10 @@ def build_generator(space: UltrametricSpace, mu: float) -> Generator:
     """Generator over `space` with off-diagonal rates e^(-mu*d).
 
     mu = 0 is refused when a distance is infinite: e^(-0*inf) is undefined.
+    The rates are valid by construction, so `Generator`'s checks are not
+    run: e^(-mu*d) is elementwise on a symmetric `dist`, so the rates are
+    symmetric; off the diagonal they lie in [0, 1]; and each diagonal entry
+    is minus its row's off-diagonal sum, so row sums vanish to rounding.
     """
     if not mu >= 0:
         raise ValueError("mu must be nonnegative")
@@ -78,7 +89,7 @@ def build_generator(space: UltrametricSpace, mu: float) -> Generator:
         )
     np.fill_diagonal(rates, -rates.sum(axis=1))
     rates.setflags(write=False)  # handed over as is, not copied
-    return Generator(rates=rates)
+    return _unchecked(Generator, rates=rates)
 
 
 def check_rate_ultrametricity(gen: Generator) -> TripleReport:

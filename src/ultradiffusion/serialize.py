@@ -10,8 +10,6 @@ with 9 significant digits, which makes re-runs byte-identical.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import os
 import tempfile
@@ -85,13 +83,21 @@ def write_fit_curve_tsv(path, grid, observed, fitted, simulated) -> None:
 
 
 def write_trace_csv(path, traces: Iterable[EventTrace]) -> None:
-    """Event table with header `story_id,timestamp`, one row per event."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["story_id", "timestamp"])
+    """Event table with header `story_id,timestamp`, one row per event.
+
+    A story id holding a comma, a double quote, CR or LF is written in
+    double quotes with its quotes doubled, so `parse_trace_csv` reads it
+    back; any other id is written as it is. A story's rows are one `%`
+    format over its timestamps.
+    """
+    parts = ["story_id,timestamp\n"]
     for trace in traces:
-        writer.writerows((trace.story_id, "%.9g" % t) for t in trace.events.tolist())
-    _atomic_write(path, buffer.getvalue())
+        story = str(trace.story_id)
+        if not set(story).isdisjoint(',"\r\n'):
+            story = '"' + story.replace('"', '""') + '"'
+        events = trace.events.tolist()
+        parts.append((story.replace("%", "%%") + ",%.9g\n") * len(events) % tuple(events))
+    _atomic_write(path, "".join(parts))
 
 
 def write_distance_tsv(path, space: UltrametricSpace) -> None:

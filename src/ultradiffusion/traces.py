@@ -78,6 +78,11 @@ class EventTrace:
     Events are sorted ascending, strictly positive, and never exceed the
     observation horizon. Ties are legal: simultaneous events stay distinct
     here and are only collapsed when a state space is built from the trace.
+
+    The constructor checks its events in O(n), in one pass for a valid
+    trace: comparing neighbours and the two ends against 0 and the horizon.
+    Only a trace that fails runs the checks one at a time, to name the first
+    fault.
     """
 
     story_id: str
@@ -88,30 +93,46 @@ class EventTrace:
         if not self.story_id:
             raise ValueError("story_id must be nonempty")
         events = _readonly(self.events)
+        horizon = float(self.horizon)
         object.__setattr__(self, "events", events)
-        object.__setattr__(self, "horizon", float(self.horizon))
-        if not math.isfinite(self.horizon) or self.horizon <= 0:
-            raise ValueError(f"story {self.story_id}: horizon must be positive and finite")
-        if events.ndim != 1:
-            raise ValueError(f"story {self.story_id}: events must be one-dimensional")
-        if events.size == 0:
-            raise ValueError(f"story {self.story_id}: trace needs at least one event")
-        if not np.all(np.isfinite(events)):
-            raise ValueError(f"story {self.story_id}: event times must be finite")
-        if np.any(np.diff(events) < 0):
-            raise ValueError(f"story {self.story_id}: events must be sorted ascending")
-        if events[0] <= 0:
-            raise ValueError(f"story {self.story_id}: event times must be positive")
-        if events[-1] > self.horizon:
-            raise ValueError(
-                f"story {self.story_id}: event at t={events[-1]!r} exceeds "
-                f"horizon {self.horizon!r}"
-            )
+        object.__setattr__(self, "horizon", horizon)
+        # A NaN fails every comparison and the ends bound every event in
+        # (0, horizon], so these tests also imply finiteness.
+        if not (
+            events.ndim == 1
+            and events.size
+            and 0 < horizon < math.inf
+            and events[0] > 0
+            and events[-1] <= horizon
+            and (events[1:] >= events[:-1]).all()
+        ):
+            raise ValueError(f"story {self.story_id}: {_trace_fault(events, horizon)}")
 
     @property
     def count(self) -> int:
         """Number of recorded events."""
         return int(self.events.size)
+
+
+def _trace_fault(events: np.ndarray, horizon: float) -> str:
+    """What refuses a trace's events and horizon, the checks tried in turn.
+
+    Called on a trace that fails `EventTrace`'s one-pass test, so one of
+    them fails.
+    """
+    if not math.isfinite(horizon) or horizon <= 0:
+        return "horizon must be positive and finite"
+    if events.ndim != 1:
+        return "events must be one-dimensional"
+    if events.size == 0:
+        return "trace needs at least one event"
+    if not np.all(np.isfinite(events)):
+        return "event times must be finite"
+    if np.any(np.diff(events) < 0):
+        return "events must be sorted ascending"
+    if events[0] <= 0:
+        return "event times must be positive"
+    return f"event at t={events[-1]!r} exceeds horizon {horizon!r}"
 
 
 @dataclass(frozen=True)

@@ -97,17 +97,15 @@ def _check_ascending(labels: np.ndarray) -> None:
         raise ValueError("labels must be strictly ascending")
 
 
-def _built_space(labels, dist: np.ndarray, multiplicity) -> UltrametricSpace:
-    """The space of a builder whose labels ascend and whose `dist`, its own,
-    is symmetric, zero on the diagonal and positive off it: the fields are
-    set without the constructor's O(n^2) checks."""
-    dist.setflags(write=False)  # handed over as is, not copied
-    return _unchecked(
-        UltrametricSpace,
-        labels=_readonly(labels),
-        dist=dist,
-        multiplicity=_readonly(multiplicity, dtype=int),
-    )
+def _built_space(labels, dist, multiplicity) -> UltrametricSpace:
+    """The space of a builder whose labels ascend and whose `dist` is
+    symmetric, zero on the diagonal and positive off it: the fields are set
+    without the constructor's O(n^2) checks. The three arrays are the
+    builder's own, fresh, of float, float and int dtype, so they are made
+    read-only in place, not copied."""
+    for values in (labels, dist, multiplicity):
+        values.setflags(write=False)
+    return _unchecked(UltrametricSpace, labels=labels, dist=dist, multiplicity=multiplicity)
 
 
 @dataclass(frozen=True)
@@ -209,7 +207,8 @@ def _holds_in_order(m: np.ndarray, order: np.ndarray | None, join) -> bool:
         # the entries with j >= i + 2 are those with b >= a.
         bad = block[:, 1:] != join(block[:, :-1], gaps[top + 1 :])
         height = bad.shape[0]
-        if bad[:, height:].any() or (bad[:, :height] & _upper()[:height, :height]).any():
+        bad[:, :height] &= _upper()[:height, :height]
+        if bad.any():
             return False
     return True
 

@@ -203,6 +203,72 @@ class TestGeneratorInvariants:
         assert gen.rates[0, 1] == 1.0
 
 
+def checked_generator(gen, space, mu):
+    """`gen = build_generator(space, mu)` passed through the public
+    constructor and its O(n^2) checks, and compared with e^(-mu*d)."""
+    rates = gen.rates
+    assert not rates.flags.writeable and rates.base is None
+    assert Generator(rates=rates).rates is rates
+    off = ~np.eye(space.size, dtype=bool)
+    with np.errstate(over="ignore"):  # mu times the largest double
+        assert np.array_equal(rates[off], np.exp(-mu * space.dist[off]))
+    assert np.array_equal(np.diagonal(rates), -np.where(off, rates, 0.0).sum(axis=1))
+
+
+class TestBuiltGeneratorsPassThePublicConstructor:
+    """`build_generator` skips `Generator`'s O(n^2) checks; every generator
+    it makes must pass them unchanged."""
+
+    MUS = [0.0, 0.1, 1.0, 800.0]  # 800 underflows every distance >= 1
+
+    def test_dendrogram_spaces(self, dendrogram_spaces):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=300, deadline=None)
+        @hypothesis.given(dendrogram_spaces, st.sampled_from(self.MUS))
+        def check(space, mu):
+            if mu == 0 and np.isinf(space.dist).any():
+                with pytest.raises(ValueError, match="^mu = 0 leaves the rate"):
+                    build_generator(space, mu)
+                return
+            checked_generator(quiet_generator(space, mu), space, mu)
+
+        check()
+
+    def test_trace_spaces_with_ties(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        times = st.sampled_from([1e-14, 0.5, 1.0, 3.0, 16.0, 17.0])
+
+        @hypothesis.settings(max_examples=200, deadline=None)
+        @hypothesis.given(st.lists(times, min_size=1, max_size=12), st.sampled_from(self.MUS))
+        def check(events, mu):
+            trace = EventTrace(story_id="h", events=np.sort(events), horizon=17.0)
+            space = build_from_trace(trace)
+            checked_generator(quiet_generator(space, mu), space, mu)
+
+        check()
+
+    @pytest.mark.parametrize("n", [2, 3, 40, 200])
+    @pytest.mark.parametrize("mu", MUS)
+    def test_chains(self, n, mu):
+        space = uniform_chain(n)
+        if mu == 800.0:
+            with pytest.warns(RuntimeWarning, match="underflowed"):
+                gen = build_generator(space, mu)
+        else:
+            gen = build_generator(space, mu)
+        checked_generator(gen, space, mu)
+
+    def test_an_infinite_distance(self):
+        space = space_of([[0, np.inf, np.inf], [np.inf, 0, 1], [np.inf, 1, 0]])
+        with pytest.warns(RuntimeWarning, match="underflowed"):
+            gen = build_generator(space, 0.5)
+        checked_generator(gen, space, 0.5)
+        assert gen.rates[0, 1] == 0.0 and gen.rates[1, 2] == math.exp(-0.5)
+
+
 class TestRateUltrametricity:
     @pytest.mark.parametrize("n", [2, 5, 20, 50])
     def test_chain_generators_pass(self, n):

@@ -105,6 +105,38 @@ class TestTraceRoundTrip:
         write_trace_csv(path_b, [WORKED_TRACE])
         assert path_a.read_bytes() == path_b.read_bytes()
 
+    def test_any_story_id_round_trips(self, tmp_path):
+        # The parser strips whitespace around a field, so ids are drawn
+        # without CR or LF at either end. An id without a bare CR is written
+        # as `csv` writes it.
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        ids = st.text(',"%\r\nab', min_size=1, max_size=8).filter(lambda s: s.strip() == s)
+
+        @hypothesis.settings(max_examples=300, deadline=None)
+        @hypothesis.given(st.lists(ids, min_size=1, max_size=4, unique=True))
+        @hypothesis.example(["a\rb"])
+        @hypothesis.example(["%s", "50%", "%%"])
+        def check(names):
+            stories = [
+                EventTrace(story_id=name, events=np.array([0.5, 1.0 + k]), horizon=1.0 + k)
+                for k, name in enumerate(names)
+            ]
+            path = tmp_path / "trace.csv"
+            write_trace_csv(path, stories)
+            back = parse_trace_csv(path)
+            assert [(t.story_id, t.events.tolist()) for t in back] == [
+                (t.story_id, t.events.tolist()) for t in stories
+            ]
+            if not any("\r" in name for name in names):
+                buffer = io.StringIO()
+                writer = csv.writer(buffer, lineterminator="\n")
+                writer.writerow(["story_id", "timestamp"])
+                writer.writerows([t.story_id, "%.9g" % v] for t in stories for v in t.events)
+                assert path.read_text() == buffer.getvalue()
+
+        check()
+
     def test_no_temporary_files_left_behind(self, tmp_path):
         path = tmp_path / "trace.csv"
         write_trace_csv(path, [WORKED_TRACE])

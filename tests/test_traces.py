@@ -126,6 +126,79 @@ class TestEventTrace:
             trace.events[0] = 9.0
 
 
+def reference_trace_fault(story_id, events, horizon):
+    """The message of the first check a trace fails, tried one at a time in
+    turn, or None for a trace that passes them all."""
+    events = np.array(events, dtype=float)
+    horizon = float(horizon)
+    if not math.isfinite(horizon) or horizon <= 0:
+        return f"story {story_id}: horizon must be positive and finite"
+    if events.ndim != 1:
+        return f"story {story_id}: events must be one-dimensional"
+    if events.size == 0:
+        return f"story {story_id}: trace needs at least one event"
+    if not np.all(np.isfinite(events)):
+        return f"story {story_id}: event times must be finite"
+    if np.any(np.diff(events) < 0):
+        return f"story {story_id}: events must be sorted ascending"
+    if events[0] <= 0:
+        return f"story {story_id}: event times must be positive"
+    if events[-1] > horizon:
+        return f"story {story_id}: event at t={events[-1]!r} exceeds horizon {horizon!r}"
+    return None
+
+
+class TestEventTraceAgainstTheOrderedChecks:
+    """`EventTrace` accepts a valid trace in one pass and runs its checks one
+    at a time only for a trace that fails; it must accept exactly what the
+    ordered checks accept and refuse the rest with their message."""
+
+    def test_same_verdict_and_message(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        odd = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.2250738585072014e-308, -1.0]
+        times = st.floats(1e-3, 10.0) | st.sampled_from([1.0, 2.0, 3.0, 5e-324])
+        horizons = st.floats(1.0, 20.0) | st.sampled_from([*odd, 1.0, 3.0, 10.0, 1e300]) | st.floats()
+
+        @st.composite
+        def inputs(draw):
+            values = draw(st.lists(times, max_size=8))
+            if draw(st.sampled_from([True, True, True, False])):
+                values.sort()
+            # One odd value, NaN included, anywhere in the trace.
+            if values and draw(st.sampled_from([True, False, False])):
+                values[draw(st.integers(0, len(values) - 1))] = draw(st.sampled_from(odd))
+            shape = draw(st.sampled_from(["1-d"] * 6 + ["0-d", "2-d"]))
+            if shape == "0-d":
+                events = np.array(values[0] if values else 1.0)
+            elif shape == "2-d":
+                events = np.array(values, dtype=float).reshape(1, -1)
+            else:
+                events = np.array(values, dtype=float)
+            return events, draw(horizons)
+
+        @hypothesis.settings(max_examples=500, deadline=None)
+        @hypothesis.given(inputs())
+        @hypothesis.example((np.array([1.0, math.nan, 2.0]), 3.0))
+        @hypothesis.example((np.array([-0.0, 1.0]), 3.0))
+        @hypothesis.example((np.array([5e-324, 3.0]), 3.0))
+        @hypothesis.example((np.array([1.0, 3.0]), math.nan))
+        @hypothesis.example((np.array(2.0), 3.0))
+        @hypothesis.example((np.array([]), 3.0))
+        def check(case):
+            events, horizon = case
+            expected = reference_trace_fault("s", events, horizon)
+            if expected is not None:
+                with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+                    EventTrace(story_id="s", events=events, horizon=horizon)
+                return
+            trace = EventTrace(story_id="s", events=events, horizon=horizon)
+            assert trace.events is not events and not trace.events.flags.writeable
+            assert np.array_equal(trace.events, events) and trace.horizon == float(horizon)
+
+        check()
+
+
 class TestUniformGrid:
     def test_excludes_zero_and_ends_at_horizon(self):
         np.testing.assert_allclose(uniform_grid(4.0, 4), [1.0, 2.0, 3.0, 4.0])

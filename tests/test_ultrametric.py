@@ -1,5 +1,6 @@
 """Ultrametric state spaces built from traces and model chains."""
 
+import functools
 import re
 import time
 import warnings
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from ultradiffusion import ultrametric
+from ultradiffusion.generator import build_generator, check_rate_ultrametricity
 from ultradiffusion.spectral import TreeModel, space_from_tree
 from ultradiffusion.traces import EventTrace
 from ultradiffusion.ultrametric import (
@@ -349,6 +351,38 @@ def test_built_spaces_prove_in_their_own_order(kind, n, built_space, monkeypatch
     )
 
 
+def test_small_blocks_give_the_same_proof_and_report(dendrogram_spaces):
+    # Shrinking the row blocks makes every space of four or more states take
+    # several blocks of one to a few rows, each with its leading square masked.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(dendrogram_spaces, st.integers(1, 4))
+    def check(space, side):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # rates that underflow
+            gen = build_generator(space, 0.5)
+        verdicts = [
+            ultrametric._holds_in_order(space.dist, None, np.maximum),
+            ultrametric._holds_in_order(gen.rates, None, np.minimum),
+        ]
+        reports = [verify_ultrametric(space), check_rate_ultrametricity(gen)]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ultrametric, "_SIDE", side)
+            patch.setattr(ultrametric, "_BLOCK_ENTRIES", side * side)
+            # A fresh cache, so the small mask is made and dropped with the patch.
+            patch.setattr(ultrametric, "_upper", functools.cache(ultrametric._upper.__wrapped__))
+            assert verdicts == [
+                ultrametric._holds_in_order(space.dist, None, np.maximum),
+                ultrametric._holds_in_order(gen.rates, None, np.minimum),
+            ]
+            assert reports == [verify_ultrametric(space), check_rate_ultrametricity(gen)]
+        assert reports[0] == reference_report(space)
+
+    check()
+
+
 def test_single_linkage_takes_negative_values_and_keeps_them_as_heights():
     # When a matrix fails in its own order, the proof hands scipy's single
     # linkage the negated rates (<= 0, -0.0 included) and takes the leaf
@@ -424,13 +458,19 @@ class TestUltrametricSpaceInvariants:
 
 
 def checked_again(space):
-    """`space` passed through the public constructor and its O(n^2) checks."""
+    """`space` passed through the public constructor and its O(n^2) checks.
+
+    A builder hands over arrays that are read-only and own their data, so
+    the constructor keeps each one as it is.
+    """
     again = UltrametricSpace(
         labels=space.labels, dist=space.dist, multiplicity=space.multiplicity
     )
     for field in ("labels", "dist", "multiplicity"):
-        assert np.array_equal(getattr(again, field), getattr(space, field))
-        assert getattr(again, field).dtype == getattr(space, field).dtype
+        built = getattr(space, field)
+        assert not built.flags.writeable and built.base is None
+        assert getattr(again, field) is built
+    assert space.labels.dtype == float and space.multiplicity.dtype == int
     return again
 
 
