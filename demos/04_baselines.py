@@ -1,22 +1,15 @@
 """Two reference regimes: memoryless growth and hierarchical power laws.
 
-A homogeneous Poisson process grows linearly in expectation, so a linear
-fit beats the saturating exponential on such data; that contrast is the
-discriminator. Deep uniform trees relax as a power law t^(-v) whose
-exponent follows from the branching factor and level spacing.
+Memoryless (Poisson) arrivals land uniformly on the observation window, so
+their event curve is the straight line t/T0 and a linear fit beats the
+saturating exponential on it; that contrast is the discriminator. Deep
+uniform trees relax as a power law t^(-v) whose exponent follows from the
+branching factor and level spacing.
 """
 
 import numpy as np
 
-from ultradiffusion.baselines import (
-    PoissonModel,
-    PowerLawModel,
-    fit_linear,
-    loglog_slope,
-    poisson_event_probability,
-    poisson_pmf,
-    power_law_curve,
-)
+from ultradiffusion.baselines import PowerLawModel, fit_linear, loglog_slope, power_law_curve
 from ultradiffusion.fitting import fit_exponential
 from ultradiffusion.traces import PopularityCurve, uniform_grid
 
@@ -26,22 +19,14 @@ def banner(title: str) -> None:
 
 
 def main() -> None:
-    banner("Poisson counting statistics")
-    model = PoissonModel(rho=2.0, T0=1.0)
-    t = 1.5
-    probs = poisson_pmf(model, np.arange(6), t)
-    print(f"rate rho = {model.rho} per unit time; P(k events by t = {t}):")
-    print("  " + "  ".join(f"k={k}: {p:.4f}" for k, p in enumerate(probs)))
-    print(f"sum over k = 0..5: {probs.sum():.4f} (tail beyond 5 is the rest)")
-
     banner("Memoryless growth is linear, not saturating")
     window = 10.0
     grid = uniform_grid(window, 200)
-    line = poisson_event_probability(PoissonModel(rho=1.0, T0=window), grid)
+    line = grid / window
     curve = PopularityCurve(grid=grid, values=line, saturation_count=1)
     slope, intercept, r2_lin = fit_linear(grid, line)
     r2_exp = fit_exponential(curve).r2
-    print(f"normalized Poisson curve on (0, {window:g}]: value = t/{window:g}")
+    print(f"memoryless event curve on (0, {window:g}]: value = t/{window:g}")
     print(f"linear fit:                r2 = {r2_lin:.12f}")
     print(f"saturating-exponential fit: r2 = {r2_exp:.12f}")
     verdict = "memoryless" if r2_lin > r2_exp else "saturating"

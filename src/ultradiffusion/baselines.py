@@ -1,11 +1,11 @@
 """Reference processes the saturation model is judged against.
 
-Two foils. A memoryless (Poisson) arrival process, whose event-time curve
-grows linearly in t rather than saturating, and which a linear fit therefore
-explains strictly better. And a self-similar hierarchy with branching b and
-level spacing delta_h, whose relaxation is a geometric series of exponentials
-that sums to a power law t^(-v) over a wide window instead of a single
-exponential.
+Two foils. Memoryless (Poisson) arrivals land uniformly on the observation
+window, so their event curve is the straight line t/T0, which `fit_linear`
+explains strictly better than a saturating exponential. And a self-similar
+hierarchy with branching b and level spacing delta_h, whose relaxation is a
+geometric series of exponentials that sums to a power law t^(-v) over a wide
+window instead of a single exponential.
 """
 
 from __future__ import annotations
@@ -20,79 +20,12 @@ from .fitting import r_squared
 from .traces import _integer
 
 __all__ = [
-    "PoissonModel",
     "PowerLawCurve",
     "PowerLawModel",
     "fit_linear",
     "loglog_slope",
-    "poisson_event_probability",
-    "poisson_expected",
-    "poisson_pmf",
     "power_law_curve",
 ]
-
-
-@dataclass(frozen=True)
-class PoissonModel:
-    """Constant-rate arrivals: rate rho, observation window T0."""
-
-    rho: float
-    T0: float
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.rho) or self.rho <= 0:
-            raise ValueError(f"rate rho must be positive, got {self.rho}")
-        if not math.isfinite(self.T0) or self.T0 <= 0:
-            raise ValueError(f"window T0 must be positive, got {self.T0}")
-
-
-_lgamma = np.vectorize(math.lgamma, otypes=[float])
-
-
-def poisson_pmf(model: PoissonModel, k, t):
-    """P[N(t) = k] for counts k, evaluated in log space.
-
-    Supports broadcasting of k against t. k must be nonnegative integers.
-    At t = 0 the count is 0 with probability 1.
-    """
-    karr = np.asarray(k)
-    if not np.issubdtype(karr.dtype, np.integer):
-        kfloat = np.asarray(k, dtype=float)
-        if np.any(kfloat != np.floor(kfloat)):
-            raise ValueError("counts k must be integers")
-        karr = kfloat.astype(np.int64)
-    if np.any(karr < 0):
-        raise ValueError("counts k must be nonnegative")
-    tarr = np.asarray(t, dtype=float)
-    if np.any(tarr < 0) or not np.all(np.isfinite(tarr)):
-        raise ValueError("times must be finite and nonnegative")
-    karr, tarr = np.broadcast_arrays(karr, tarr)
-    mean = model.rho * tarr
-    out = np.zeros(karr.shape, dtype=float)
-    live = mean > 0
-    # exp(k*ln(mean) - mean - ln(k!)) avoids overflow for large counts.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logpmf = karr * np.log(np.where(live, mean, 1.0)) - mean - _lgamma(karr + 1)
-    out[live] = np.exp(logpmf[live])
-    out[~live] = (karr[~live] == 0).astype(float)
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
-def poisson_expected(model: PoissonModel, t):
-    """E[N(t)] = rho*t."""
-    return model.rho * np.asarray(t, dtype=float)
-
-
-def poisson_event_probability(model: PoissonModel, t):
-    """Share of window-T0 events that landed by time t: exactly t/T0.
-
-    Arrival times of a constant-rate process are uniform on the window, so
-    the expected event curve is linear, not saturating. Values above 1
-    (t past T0) are reported as is; the curve is only meaningful on [0, T0].
-    """
-    return np.asarray(t, dtype=float) / model.T0
 
 
 def fit_linear(t, values) -> tuple[float, float, float]:

@@ -219,11 +219,10 @@ def _check_fit_round_trip(tolerance: float) -> _Outcome:
         for n in (5, 50, 500)
         for mu in (0.01, 0.1, 1.0)
     ]
-    curves = [
-        fitting.simulate_curve(params, uniform_grid(5.0 / fitting.decay_rate(params), 200))
-        for params in cells
-    ]
-    for params, fit in zip(cells, fitting.fit_exponentials(curves)):
+    grid = np.array([uniform_grid(5.0 / fitting.decay_rate(p), 200) for p in cells])
+    values = [fitting.simulate_curve(p, row).values for p, row in zip(cells, grid)]
+    fits, _ = fitting.fit_block(grid, values)
+    for params, fit in zip(cells, fits):
         if isinstance(fit, Exception):
             raise fit
         n, mu, rate = params.t_N, params.mu, fitting.decay_rate(params)

@@ -17,9 +17,10 @@ so interrupted runs leave no partial files.
 `fit` and `compare` run a pass as one block: the parsed stories' curves are
 the rows of a (stories x grid points) grid array and a values array
 (`curve_block`), one `fit_block` call fits them all, and the simulated
-curves and their r_squared are array expressions over the block. Only
-`infer_params`, and `compare`'s straight line, run story by story. Each
-story's outputs are byte for byte those of handling it alone.
+curves and their r_squared are computed on the block by the functions that
+`simulate_curve` and `r_squared` call on one row. Only `infer_params`, and
+`compare`'s straight line, run story by story. Each story's outputs are byte
+for byte those of handling it alone. `aggregate` averages the same block.
 """
 
 from __future__ import annotations
@@ -38,7 +39,8 @@ from .baselines import fit_linear
 from .fitting import (
     FitError,
     UltradiffusionParams,
-    decay_rate,
+    _r_squared_rows,
+    _simulated_rows,
     exponential_model,
     fit_block,
     fit_exponential,
@@ -57,7 +59,7 @@ from .serialize import (
     write_trace_csv,
 )
 from .spectral import chain_spectrum
-from .traces import _block_curve, aggregate_mean, curve_block, parse_trace_csv, uniform_grid
+from .traces import aggregate_mean, curve_block, parse_trace_csv, uniform_grid
 from .ultrametric import build_from_trace
 
 __all__ = ["CommandError", "build_parser", "main"]
@@ -139,11 +141,10 @@ def _map_fits(grid, observed, counts, fits):
     or the ValueError that refuses the mapping. `simulated` is the block of
     simulated curves, a row meaningful where its fit has a mapping.
     `infer_params` maps each fit alone; the simulated curves and their
-    r_squared are block expressions that do, entry for entry, the
-    operations of `simulate_curve` and `r_squared`.
+    r_squared are computed on the block of mapped rows at once.
     """
     outcomes: list = []
-    mapped, rates, amplitudes = [], [], []
+    mapped, inferred = [], []
     for n, fit in enumerate(fits):
         if isinstance(fit, Exception):
             outcomes.append(fit)
@@ -157,14 +158,10 @@ def _map_fits(grid, observed, counts, fits):
         mapping = {"t_N": params.t_N, "mu": params.mu, "M": params.M}
         outcomes.append((record, mapping))
         mapped.append(n)
-        rates.append(decay_rate(params))
-        amplitudes.append((params.t_N - 1) / params.t_N)
+        inferred.append(params)
     simulated = np.full(grid.shape, np.nan)
-    rate, amplitude = np.array(rates)[:, None], np.array(amplitudes)[:, None]
-    simulated[mapped] = model = amplitude * (1.0 - np.exp(-rate * grid[mapped]))
-    obs = observed[mapped]
-    total = ((obs - obs.mean(axis=1, keepdims=True)) ** 2).sum(axis=1)
-    r2_simulated = 1.0 - ((obs - model) ** 2).sum(axis=1) / total
+    simulated[mapped] = model = _simulated_rows(inferred, grid[mapped])
+    r2_simulated = _r_squared_rows(observed[mapped], model)
     for n, r2 in zip(mapped, r2_simulated.tolist()):
         outcomes[n][1]["r2_simulated"] = r2
     return outcomes, simulated
@@ -238,9 +235,7 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
     built, grid, observed, failed = _curve_rows(_load_qualifying(args))
     _report(failed)
     try:
-        mean = aggregate_mean([
-            _block_curve(g, v, trace.count) for trace, g, v in zip(built, grid, observed)
-        ])
+        mean = aggregate_mean(grid, observed, [trace.count for trace in built])
         fit = fit_exponential(mean, offset=args.offset)
         ((record, mapping),), simulated = _map_fits(
             mean.grid[None], mean.values[None], [mean.saturation_count], [fit]

@@ -7,18 +7,16 @@ problem shrinks to one dimension, the rate. That profile is scanned on a
 fixed grid and refined to machine precision, all on a normalized time axis,
 so the result does not depend on whether t is in seconds or weeks.
 `fit_block` fits a block of curves, one per row of a grid array and a values
-array, in one call; `fit_exponentials` stacks a list of curves into such
-blocks. The curves are scanned a few at a time and then polished together,
-by masked vector steps over the curves still moving, each by the rules a
-lone curve follows, so every curve gets bit for bit its lone fit. Fitted
-constants map onto model parameters: the chain length t_N and the distance
-decay mu.
+array, in one call, and `fit_exponential` is its one-curve call. The curves
+are scanned a few at a time and then polished together, by masked vector
+steps over the curves still moving, each by the rules a lone curve follows,
+so every curve gets bit for bit its lone fit. Fitted constants map onto
+model parameters: the chain length t_N and the distance decay mu.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +31,6 @@ __all__ = [
     "exponential_model",
     "fit_block",
     "fit_exponential",
-    "fit_exponentials",
     "infer_params",
     "r_squared",
     "sample_events",
@@ -98,10 +95,15 @@ def r_squared(observed, predicted) -> float:
         raise ValueError("observed and predicted must be vectors of equal length")
     if obs.size < 2:
         raise ValueError("r_squared needs at least 2 points")
-    total = float(np.sum((obs - obs.mean()) ** 2))
-    if total == 0.0:
+    return float(_r_squared_rows(obs[None], pred[None])[0])
+
+
+def _r_squared_rows(observed: np.ndarray, predicted: np.ndarray) -> np.ndarray:
+    """`r_squared` of each row of two (curves x points) arrays."""
+    total = ((observed - observed.mean(axis=1, keepdims=True)) ** 2).sum(axis=1)
+    if not total.all():
         raise ValueError("observed values are constant, r_squared is undefined")
-    return 1.0 - float(np.sum((obs - pred) ** 2)) / total
+    return 1.0 - ((observed - predicted) ** 2).sum(axis=1) / total
 
 
 # Normalised decay rates k = h2*T (T the last grid time) that the coarse grid
@@ -272,10 +274,8 @@ def _fit_chunk(t: np.ndarray, p: np.ndarray, offset: bool, fitted: np.ndarray) -
     with np.errstate(under="ignore"):
         k, h1, h3 = _fit_rows(t / span, p, offset)
     h2 = k / span[:, 0]
-    # r_squared, one row per curve.
     fitted[moves] = model = exponential_model(t, h1[:, None], h2[:, None], h3[:, None])
-    total = ((p - p.mean(axis=1, keepdims=True)) ** 2).sum(axis=1)
-    r2 = 1.0 - ((p - model) ** 2).sum(axis=1) / total
+    r2 = _r_squared_rows(p, model)
     for n, *constants in zip(moves.tolist(), *(v.tolist() for v in (h1, h2, h3, r2))):
         try:
             fits[n] = ExponentialFit(*constants)
@@ -311,28 +311,6 @@ def fit_block(grid, values, offset: bool = False):
     return fits, fitted
 
 
-def fit_exponentials(
-    curves: Sequence[PopularityCurve], offset: bool = False
-) -> list[ExponentialFit | FitError | ValueError]:
-    """Fit every curve of `curves` as `fit_exponential` fits one, in one call.
-
-    Returns one entry per curve, in order: its `ExponentialFit` or the error
-    that refuses it, as `fit_block` gives them. Curves of equal length are
-    stacked into one block for `fit_block`, and each result is bit for bit
-    the one the curve gets when fitted alone.
-    """
-    results: list = [None] * len(curves)
-    groups: dict[int, list[int]] = {}
-    for n, curve in enumerate(curves):
-        groups.setdefault(curve.grid.size, []).append(n)
-    for members in groups.values():
-        grid = np.array([curves[n].grid for n in members])
-        values = np.array([curves[n].values for n in members])
-        for n, fit in zip(members, fit_block(grid, values, offset)[0]):
-            results[n] = fit
-    return results
-
-
 def fit_exponential(curve: PopularityCurve, offset: bool = False) -> ExponentialFit:
     """Least-squares fit of h1*(1 - e^(-h2*t)) (+ h3 when `offset`) to a curve.
 
@@ -363,12 +341,12 @@ def fit_exponential(curve: PopularityCurve, offset: bool = False) -> Exponential
     profile evaluations on sampled curves. Deterministic, and rescaling the
     time axis by c rescales h2 by 1/c and changes nothing else. A straight
     line, the family's k -> 0 limit, fits at k = 1e-6 with r2 a little
-    below the line's. This is the one-curve call of `fit_exponentials`,
-    which scans a batch four curves at a time and polishes up to 128
-    together, by masked vector steps over the curves still moving; each
-    curve follows the same rules and gets the same bits as here.
+    below the line's. This is the one-curve call of `fit_block`, which
+    scans a block four curves at a time and polishes up to 128 together, by
+    masked vector steps over the curves still moving; each curve follows
+    the same rules and gets the same bits as here.
     """
-    (fit,) = fit_exponentials([curve], offset)
+    (fit,), _ = fit_block(curve.grid[None], curve.values[None], offset)
     if isinstance(fit, Exception):
         raise fit
     return fit
@@ -412,9 +390,15 @@ def simulate_curve(params: UltradiffusionParams, grid) -> PopularityCurve:
     The amplitude is A = (t_N-1)/t_N, the never-responding share being 1/t_N.
     """
     times = np.asarray(grid, dtype=float)
-    amplitude = (params.t_N - 1) / params.t_N
-    values = amplitude * (1.0 - np.exp(-decay_rate(params) * times))
+    (values,) = _simulated_rows([params], times[None])
     return PopularityCurve(grid=times, values=values, saturation_count=params.M)
+
+
+def _simulated_rows(params: list[UltradiffusionParams], grid: np.ndarray) -> np.ndarray:
+    """`simulate_curve`'s values of each `params[n]` on row n of `grid`."""
+    amplitude = np.array([(p.t_N - 1) / p.t_N for p in params])[:, None]
+    rate = np.array([decay_rate(p) for p in params])[:, None]
+    return amplitude * (1.0 - np.exp(-rate * grid))
 
 
 def sample_events(

@@ -87,12 +87,16 @@ def write_trace_csv(path, traces: Iterable[EventTrace]) -> None:
 
     A story id holding a comma, a double quote, CR or LF is written in
     double quotes with its quotes doubled, so `parse_trace_csv` reads it
-    back; any other id is written as it is. A story's rows are one `%`
-    format over its timestamps.
+    back; any other id is written as it is. An id with whitespace at either
+    end is refused with a ValueError before anything is written, since the
+    parser strips that whitespace and would read the story back under
+    another id. A story's rows are one `%` format over its timestamps.
     """
     parts = ["story_id,timestamp\n"]
     for trace in traces:
         story = str(trace.story_id)
+        if story != story.strip():
+            raise ValueError(f"story id {story!r} has whitespace at an end, which parsing strips")
         if not set(story).isdisjoint(',"\r\n'):
             story = '"' + story.replace('"', '""') + '"'
         events = trace.events.tolist()

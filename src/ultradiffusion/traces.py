@@ -7,7 +7,7 @@ by time t, sampled on a uniform grid. Curves are what the model layer fits.
 `curve_block` builds the curves of many traces at once, as one (traces x grid
 points) array of grid times and one of values, checked row by row by the
 validator every `PopularityCurve` passes; `empirical_curve` is its one-trace
-call.
+call, and `aggregate_mean` averages such a block into one curve.
 """
 
 from __future__ import annotations
@@ -213,14 +213,6 @@ def _row_faults(grid: np.ndarray, values: np.ndarray, counts: np.ndarray) -> lis
         _CURVE_FAULTS[k] if bad else None
         for k, bad in zip(first, failing.any(axis=0).tolist())
     ]
-
-
-def _block_curve(grid: np.ndarray, values: np.ndarray, count: int) -> PopularityCurve:
-    """The curve of a `curve_block` row that passed its checks, of `count`
-    events, built without checking it again."""
-    return _unchecked(
-        PopularityCurve, grid=_readonly(grid), values=_readonly(values), saturation_count=count
-    )
 
 
 def _uniform_grids(horizons: np.ndarray, grid_points) -> np.ndarray:
@@ -431,30 +423,42 @@ def empirical_curve(trace: EventTrace, grid_points: int = 200) -> PopularityCurv
 
     The value at grid time t is (number of events <= t) / M with M the
     trace's total event count, so the curve is right-continuous and ends at
-    exactly 1.0 at the horizon. The one-trace call of `curve_block`.
+    exactly 1.0 at the horizon. The one-trace call of `curve_block`, whose
+    checks the curve has passed, so they are not run again.
     """
     (grid,), (values,), (fault,) = curve_block([trace], grid_points)
     if fault:
         raise fault
-    return _block_curve(grid, values, trace.count)
-
-
-def aggregate_mean(curves: list[PopularityCurve], grid_points: int = 200) -> PopularityCurve:
-    """Pointwise mean of several curves on a shared uniform grid.
-
-    Each member is linearly interpolated onto a uniform grid over
-    [0, max horizon], holding its first value to the left of its support and
-    its last value beyond its own horizon. Means are computed with exactly
-    rounded summation, so the result does not depend on input order. The
-    aggregate saturation count is the sum of the member counts.
-    """
-    if not curves:
-        raise ValueError("aggregate_mean needs at least one curve")
-    span = max(curve.horizon for curve in curves)
-    grid = uniform_grid(span, grid_points)
-    sampled = [np.interp(grid, curve.grid, curve.values) for curve in curves]
-    values = np.array(
-        [math.fsum(column) / len(sampled) for column in zip(*sampled)], dtype=float
+    return _unchecked(
+        PopularityCurve,
+        grid=_readonly(grid),
+        values=_readonly(values),
+        saturation_count=trace.count,
     )
-    total = sum(curve.saturation_count for curve in curves)
-    return PopularityCurve(grid=grid, values=values, saturation_count=total)
+
+
+def aggregate_mean(grid, values, counts, grid_points: int = 200) -> PopularityCurve:
+    """Pointwise mean of a block of curves on a shared uniform grid.
+
+    Row n of the (curves x points) arrays `grid` and `values` is a curve of
+    `counts[n]` events, a row of `curve_block` that it did not refuse: the
+    rows are not checked again. Each member is linearly interpolated onto a
+    uniform grid over [0, max horizon], holding its first value to the left
+    of its support and its last value beyond its own horizon. Means are
+    computed with exactly rounded summation, so the result does not depend
+    on the order of the rows. The aggregate saturation count is the sum of
+    the member counts.
+    """
+    grid = np.asarray(grid, dtype=float)
+    values = np.asarray(values, dtype=float)
+    counts = np.asarray(counts)
+    if grid.ndim != 2 or grid.shape != values.shape or counts.shape != grid.shape[:1]:
+        raise ValueError("grid and values must be 2-D arrays of one shape, with one count per row")
+    if not grid.size:
+        raise ValueError("aggregate_mean needs at least one curve")
+    shared = uniform_grid(float(grid[:, -1].max()), grid_points)
+    sampled = np.empty((len(grid), shared.size))
+    for n, (g, v) in enumerate(zip(grid, values)):
+        sampled[n] = np.interp(shared, g, v)
+    mean = [math.fsum(column.tolist()) / len(grid) for column in sampled.T]
+    return PopularityCurve(grid=shared, values=mean, saturation_count=counts.sum())

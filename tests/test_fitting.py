@@ -1,7 +1,7 @@
 """Saturation-curve fitting, parameter inference, and event sampling."""
 
+import itertools
 import math
-import re
 import warnings
 
 import numpy as np
@@ -17,7 +17,6 @@ from ultradiffusion.fitting import (
     exponential_model,
     fit_block,
     fit_exponential,
-    fit_exponentials,
     infer_params,
     r_squared,
     sample_events,
@@ -26,7 +25,7 @@ from ultradiffusion.fitting import (
 from ultradiffusion.generator import build_generator
 from ultradiffusion.oracle import ProbabilityVector, integrate_master_equation
 from ultradiffusion.spectral import chain_spectrum, survival_probability
-from ultradiffusion.traces import PopularityCurve, empirical_curve, uniform_grid
+from ultradiffusion.traces import PopularityCurve, curve_block, empirical_curve, uniform_grid
 from ultradiffusion.ultrametric import uniform_chain
 
 
@@ -348,8 +347,16 @@ def bits(fit):
     return tuple(float(v).hex() for v in (fit.h1, fit.h2, fit.h3, fit.r2))
 
 
+def lone_fit(curve, offset=False):
+    """`fit_exponential`'s fit of one curve, or the error it raises."""
+    try:
+        return fit_exponential(curve, offset)
+    except (FitError, ValueError) as err:
+        return err
+
+
 class TestFitExponentials:
-    """The batched fitter: each curve's result, whatever fits beside it."""
+    """The block fitter: each curve's result, whatever fits beside it."""
 
     @pytest.mark.parametrize("offset", [False, True])
     def test_each_result_is_the_lone_fit_whatever_its_neighbours(self, offset):
@@ -357,9 +364,8 @@ class TestFitExponentials:
         st = hypothesis.strategies
 
         @st.composite
-        def curve(draw):
-            kind = draw(st.sampled_from(["model", "model", "steps", "constant", "short", "long"]))
-            n = {"short": 2, "long": 41}.get(kind, 30)
+        def curve(draw, n):
+            kind = draw(st.sampled_from(["model", "model", "steps", "constant"]))
             grid = uniform_grid(draw(st.floats(1e-3, 1e6)), n)
             if kind == "constant":
                 values = np.full(n, draw(st.floats(0.0, 1.0)))
@@ -372,41 +378,46 @@ class TestFitExponentials:
                 values = np.maximum.accumulate(np.clip(values, 0.0, 1.0))
             return PopularityCurve(grid=grid, values=values, saturation_count=n)
 
-        # Stacks from one curve to past two scan blocks of four.
+        # Blocks from one curve to past two scan blocks of four, of short,
+        # usual and long curves.
+        blocks = st.sampled_from([2, 30, 30, 41]).flatmap(
+            lambda n: st.lists(curve(n), min_size=1, max_size=9)
+        )
+
         @hypothesis.settings(max_examples=100, deadline=None)
-        @hypothesis.given(st.lists(curve(), min_size=1, max_size=9))
+        @hypothesis.given(blocks)
         def check(curves):
-            batch = fit_exponentials(curves, offset)
+            batch, fitted = fit_block([c.grid for c in curves], [c.values for c in curves], offset)
             assert len(batch) == len(curves)
-            for curve, fit in zip(curves, batch):
-                (alone,) = fit_exponentials([curve], offset)
-                assert bits(fit) == bits(alone)
+            for curve, fit, row in zip(curves, batch, fitted):
+                (alone,), (alone_row,) = fit_block(curve.grid[None], curve.values[None], offset)
+                assert bits(fit) == bits(alone) == bits(lone_fit(curve, offset))
+                assert row.tobytes() == alone_row.tobytes()
                 if curve.grid.size < 3:
                     assert bits(fit) == ("FitError", "need at least 3 points to fit")
                 elif np.ptp(curve.values) == 0:
                     assert bits(fit) == ("FitError", "no dynamics to fit: curve is constant")
-                if isinstance(fit, Exception):
-                    with pytest.raises(type(fit), match=re.escape(str(fit))):
-                        fit_exponential(curve, offset)
-                else:
-                    assert bits(fit_exponential(curve, offset)) == bits(fit)
 
         check()
 
     def test_stacks_past_one_fit_block_match_the_lone_fits(self):
         # 300 sampled stories: three blocks of at most 128 curves, each
         # scanned four curves at a time.
-        curves = [
-            empirical_curve(
-                sample_events(UltradiffusionParams(t_N=40 + s % 20, mu=0.1, M=300), seed=s)
-            )
+        traces = [
+            sample_events(UltradiffusionParams(t_N=40 + s % 20, mu=0.1, M=300), seed=s)
             for s in range(300)
         ]
-        batch = fit_exponentials(curves)
-        assert [bits(fit) for fit in batch] == [bits(fit_exponential(c)) for c in curves]
+        grid, values, _ = curve_block(traces)
+        batch, _ = fit_block(grid, values)
+        assert [bits(fit) for fit in batch] == [
+            bits(fit_exponential(empirical_curve(trace))) for trace in traces
+        ]
 
     def test_empty_stack_fits_nothing(self):
-        assert fit_exponentials([]) == []
+        # Rows too short to fit take their own path, so both widths.
+        for points, offset in itertools.product((2, 200), (False, True)):
+            fits, fitted = fit_block(np.empty((0, points)), np.empty((0, points)), offset)
+            assert fits == [] and fitted.shape == (0, points)
 
 
 class TestFitBlock:
@@ -423,8 +434,7 @@ class TestFitBlock:
         flat = PopularityCurve(grid=curves[0].grid, values=np.full(200, 0.5), saturation_count=2)
         curves.insert(2, flat)
         fits, fitted = fit_block([c.grid for c in curves], [c.values for c in curves], offset)
-        listed = fit_exponentials(curves, offset)
-        assert [bits(fit) for fit in fits] == [bits(fit) for fit in listed]
+        assert [bits(fit) for fit in fits] == [bits(lone_fit(c, offset)) for c in curves]
         assert bits(fits[2]) == ("FitError", "no dynamics to fit: curve is constant")
         assert np.isnan(fitted[2]).all()
         for curve, fit, row in zip(curves, fits, fitted):

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -106,23 +107,32 @@ class TestTraceRoundTrip:
         assert path_a.read_bytes() == path_b.read_bytes()
 
     def test_any_story_id_round_trips(self, tmp_path):
-        # The parser strips whitespace around a field, so ids are drawn
-        # without CR or LF at either end. An id without a bare CR is written
-        # as `csv` writes it.
+        # The parser strips whitespace around a field, so the writer refuses
+        # an id with whitespace at either end, before it writes anything.
+        # An id without a bare CR is written as `csv` writes it.
         hypothesis = pytest.importorskip("hypothesis")
         st = hypothesis.strategies
-        ids = st.text(',"%\r\nab', min_size=1, max_size=8).filter(lambda s: s.strip() == s)
+        ids = st.text(',"%\r\n \tab', min_size=1, max_size=8)
 
         @hypothesis.settings(max_examples=300, deadline=None)
         @hypothesis.given(st.lists(ids, min_size=1, max_size=4, unique=True))
         @hypothesis.example(["a\rb"])
         @hypothesis.example(["%s", "50%", "%%"])
+        @hypothesis.example([" a", "a"])
+        @hypothesis.example(["\r"])
         def check(names):
             stories = [
                 EventTrace(story_id=name, events=np.array([0.5, 1.0 + k]), horizon=1.0 + k)
                 for k, name in enumerate(names)
             ]
             path = tmp_path / "trace.csv"
+            path.unlink(missing_ok=True)
+            padded = [name for name in names if name != name.strip()]
+            if padded:
+                with pytest.raises(ValueError, match=re.escape(f"story id {padded[0]!r} has")):
+                    write_trace_csv(path, stories)
+                assert list(tmp_path.iterdir()) == []
+                return
             write_trace_csv(path, stories)
             back = parse_trace_csv(path)
             assert [(t.story_id, t.events.tolist()) for t in back] == [

@@ -607,50 +607,99 @@ class TestPopularityCurve:
                 )
 
 
+def list_mean(curves, grid_points=200):
+    """The mean of a list of curves as `aggregate_mean` first computed it,
+    one `PopularityCurve` per member: the reference its block form keeps."""
+    span = max(curve.horizon for curve in curves)
+    grid = uniform_grid(span, grid_points)
+    sampled = [np.interp(grid, curve.grid, curve.values) for curve in curves]
+    values = np.array(
+        [math.fsum(column) / len(sampled) for column in zip(*sampled)], dtype=float
+    )
+    total = sum(curve.saturation_count for curve in curves)
+    return PopularityCurve(grid=grid, values=values, saturation_count=total)
+
+
+def block_mean(curves, grid_points=200):
+    """`aggregate_mean` of the curves stacked as one block."""
+    return aggregate_mean(
+        [c.grid for c in curves],
+        [c.values for c in curves],
+        [c.saturation_count for c in curves],
+        grid_points,
+    )
+
+
 class TestAggregateMean:
     def test_averages_two_curves_pointwise(self):
-        a = PopularityCurve(
-            grid=np.array([1.0, 2.0]), values=np.array([0.0, 1.0]), saturation_count=1
-        )
-        b = PopularityCurve(
-            grid=np.array([1.0, 2.0]), values=np.array([1.0, 1.0]), saturation_count=1
-        )
-        mean = aggregate_mean([a, b], grid_points=2)
+        mean = aggregate_mean([[1.0, 2.0], [1.0, 2.0]], [[0.0, 1.0], [1.0, 1.0]], [1, 1], 2)
         np.testing.assert_allclose(mean.values, [0.5, 1.0])
         assert mean.saturation_count == 2
 
     def test_result_does_not_depend_on_input_order(self):
         rng = np.random.default_rng(11)
-        curves = []
+        members = []
         for k in range(6):
             horizon = float(rng.uniform(5.0, 20.0))
             events = np.sort(horizon * (1.0 - rng.random(30)))
-            trace = EventTrace(story_id=f"s{k}", events=events, horizon=horizon)
-            curves.append(empirical_curve(trace, grid_points=50))
-        forward = aggregate_mean(curves, grid_points=50)
-        backward = aggregate_mean(curves[::-1], grid_points=50)
+            members.append(EventTrace(story_id=f"s{k}", events=events, horizon=horizon))
+        grid, values, _ = curve_block(members, grid_points=50)
+        forward = aggregate_mean(grid, values, [30] * 6, grid_points=50)
+        backward = aggregate_mean(grid[::-1], values[::-1], [30] * 6, grid_points=50)
         np.testing.assert_array_equal(forward.values, backward.values)
 
     def test_grid_spans_longest_member(self):
-        short = PopularityCurve(
-            grid=np.array([1.0, 2.0]), values=np.array([0.5, 1.0]), saturation_count=2
-        )
-        long = PopularityCurve(
-            grid=np.array([2.0, 4.0]), values=np.array([0.25, 1.0]), saturation_count=4
-        )
-        mean = aggregate_mean([short, long], grid_points=4)
+        mean = aggregate_mean([[1.0, 2.0], [2.0, 4.0]], [[0.5, 1.0], [0.25, 1.0]], [2, 4], 4)
         assert mean.horizon == 4.0
         # The short curve holds its final value past its own horizon.
         assert mean.values[-1] == pytest.approx(1.0)
 
     def test_rejects_empty_list(self):
         with pytest.raises(ValueError, match="at least one"):
-            aggregate_mean([])
+            aggregate_mean(np.empty((0, 200)), np.empty((0, 200)), [])
+
+    def test_rejects_blocks_of_mismatched_shapes(self):
+        with pytest.raises(ValueError, match="2-D arrays of one shape"):
+            aggregate_mean([[1.0, 2.0]], [[0.5, 0.75, 1.0]], [2])
+        with pytest.raises(ValueError, match="one count per row"):
+            aggregate_mean([[1.0, 2.0]], [[0.5, 1.0]], [2, 2])
 
     def test_single_curve_is_returned_unchanged_on_its_own_grid(self):
         trace = EventTrace(
             story_id="s", events=np.array([1.0, 2.0, 3.0, 4.0]), horizon=4.0
         )
         curve = empirical_curve(trace, grid_points=4)
-        mean = aggregate_mean([curve], grid_points=4)
+        mean = block_mean([curve], grid_points=4)
         np.testing.assert_allclose(mean.values, curve.values)
+
+    def test_block_mean_is_the_list_mean_bit_for_bit(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @st.composite
+        def curves(draw):
+            points = draw(st.integers(1, 40))
+            horizons = draw(st.lists(st.floats(1e-3, 1e6), min_size=1, max_size=8))
+            members = []
+            for horizon in horizons:
+                steps = draw(st.lists(st.floats(0.0, 1.0), min_size=points, max_size=points))
+                members.append(
+                    PopularityCurve(
+                        grid=uniform_grid(horizon, points),
+                        values=np.sort(steps),
+                        saturation_count=draw(st.integers(1, 10**6)),
+                    )
+                )
+            return members, draw(st.integers(1, 60))
+
+        @hypothesis.settings(max_examples=200, deadline=None)
+        @hypothesis.given(curves())
+        def check(drawn):
+            members, grid_points = drawn
+            block = block_mean(members, grid_points)
+            reference = list_mean(members, grid_points)
+            assert block.grid.tobytes() == reference.grid.tobytes()
+            assert block.values.tobytes() == reference.values.tobytes()
+            assert block.saturation_count == reference.saturation_count
+
+        check()

@@ -17,7 +17,7 @@ SOURCES = sorted(Path(ultradiffusion.__file__).parent.glob("*.py"))
 # (module, enclosing function) of every call allowed to skip the checks.
 ALLOWED = {
     "_unchecked": {
-        ("traces", "_block_curve"),
+        ("traces", "empirical_curve"),
         ("ultrametric", "_built_space"),
         ("generator", "build_generator"),
     },
