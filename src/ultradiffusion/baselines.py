@@ -29,13 +29,19 @@ __all__ = [
 
 
 def fit_linear(t, values) -> tuple[float, float, float]:
-    """Ordinary least squares line. Returns (slope, intercept, r_squared)."""
+    """Ordinary least squares line. Returns (slope, intercept, r_squared).
+
+    Fitted on t / max|t|, as `fitting` normalizes its axis, with the slope
+    scaled back: the unit of time changes the slope alone.
+    """
     x = np.asarray(t, dtype=float)
     y = np.asarray(values, dtype=float)
     if x.shape != y.shape or x.ndim != 1 or x.size < 2:
         raise ValueError("need two equal-length vectors of at least 2 points")
-    slope, intercept = np.polyfit(x, y, 1)
-    return float(slope), float(intercept), r_squared(y, slope * x + intercept)
+    scale = np.abs(x).max() or 1.0
+    u = x / scale
+    slope, intercept = np.polyfit(u, y, 1)
+    return float(slope / scale), float(intercept), r_squared(y, slope * u + intercept)
 
 
 @dataclass(frozen=True)

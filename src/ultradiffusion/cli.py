@@ -94,7 +94,8 @@ def _check_args(args: argparse.Namespace) -> None:
 
 
 def _safe_name(story_id: str) -> str:
-    return re.sub(r"[^A-Za-z0-9._-]+", "_", story_id).strip("._") or "story"
+    # Cut to 100 characters: with every suffix, far below a 255-byte file name.
+    return re.sub(r"[^A-Za-z0-9._-]+", "_", story_id).strip("._")[:100] or "story"
 
 
 def _unique_names(story_ids: list[str]) -> dict[str, str]:

@@ -8,8 +8,8 @@ inequality rate(i, j) >= min(rate(i, k), rate(k, j)), which
 `ultrametric.verify_ultrametric`: an exact O(n^2) proof that compares the
 rates in their own order, taking min where distances take max, tries the
 leaf order of one linkage only if that fails, and when both fail scans the
-one row that the ranks of the rates name, reporting the first violating
-triple.
+one row that the merge heights of that same linkage name, reporting the
+first violating triple.
 
 `Generator(rates=...)` checks a matrix from outside the library in O(n^2):
 square, symmetric, nonnegative and finite off the diagonal, zero row sums.
@@ -98,10 +98,11 @@ def check_rate_ultrametricity(gen: Generator) -> TripleReport:
     This is the strong triangle inequality of -rate (negation is exact in
     floating point), so the same kernel as `verify_ultrametric` proves it in
     O(n^2) in the rates' own order, where every generator of a space this
-    library builds is, or scans only the first row the proof fails on,
-    reporting the first violation in lexicographic (i, j, k) order. The
-    kernel takes min where it takes max on distances, so no negated n-by-n
-    matrix is made.
+    library builds is, and any other rate ultrametric in the leaf order of
+    one linkage. Otherwise it scans only the first row whose rates fall
+    below that linkage's merge heights, reporting the first violation in
+    lexicographic (i, j, k) order. The kernel takes min where it takes max
+    on distances, so no negated n-by-n matrix is made.
     """
     n = gen.size
     triple = _first_violation(gen.rates, negate=True)

@@ -5,9 +5,10 @@ its rebroadcasts: votes, comments, downloads, measured in seconds since
 submission. A popularity curve is the cumulative fraction of rebroadcasts seen
 by time t, sampled on a uniform grid. Curves are what the model layer fits.
 `curve_block` builds the curves of many traces at once, as one (traces x grid
-points) array of grid times and one of values, checked row by row by the
-validator every `PopularityCurve` passes; `empirical_curve` is its one-trace
-call, and `aggregate_mean` averages such a block into one curve.
+points) array of grid times and one of values, of which only the grid
+spacing can fail `PopularityCurve`'s checks, so only it is checked;
+`empirical_curve` is its one-trace call, and `aggregate_mean` averages such
+a block into one curve.
 """
 
 from __future__ import annotations
@@ -157,26 +158,24 @@ class PopularityCurve:
             raise ValueError(f"grid has {grid.size} points but values has {values.size}")
         if grid.size == 0:
             raise ValueError("curve needs at least one grid point")
-        (fault,) = _row_faults(grid[None], values[None], np.array([self.saturation_count]))
-        if fault:
-            raise ValueError(fault)
+        increasing, uneven = (bad[0] for bad in _spacing_faults(grid[None]))
+        for failing, fault in (
+            (not grid[0] >= 0, "grid must start at a nonnegative time"),
+            (np.isinf(grid[-1]), "grid times must be finite"),
+            (increasing, "grid must be strictly increasing"),
+            (uneven, "grid must be uniformly spaced"),
+            (self.saturation_count < 1, "saturation count must be a positive integer"),
+            (not (values.min() >= 0 and values.max() <= 1 + 1e-12),
+             "curve values must lie in [0, 1]"),
+            ((np.diff(values) < -1e-12).any(), "curve values must be nondecreasing"),
+        ):
+            if failing:
+                raise ValueError(fault)
 
     @property
     def horizon(self) -> float:
         """Last grid time, the curve's observation horizon."""
         return float(self.grid[-1])
-
-
-_SPACING_FAULTS = ("grid must be strictly increasing", "grid must be uniformly spaced")
-# What each check a curve must pass refuses, in the order they are tried.
-_CURVE_FAULTS = (
-    "grid must start at a nonnegative time",
-    "grid times must be finite",
-    *_SPACING_FAULTS,
-    "saturation count must be a positive integer",
-    "curve values must lie in [0, 1]",
-    "curve values must be nondecreasing",
-)
 
 
 def _spacing_faults(grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -193,39 +192,21 @@ def _spacing_faults(grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (steps <= 0).any(axis=1), uneven
 
 
-def _row_faults(grid: np.ndarray, values: np.ndarray, counts: np.ndarray) -> list:
-    """What refuses each curve of a block, or None for a sound one.
-
-    Row n of the 2-D arrays `grid` and `values`, at least one column wide,
-    is a curve of `counts[n]` events. The checks, their order and their
-    wording are those of `PopularityCurve`, which runs this on its one row.
-    """
-    failing = np.stack([
-        ~(grid[:, 0] >= 0),
-        np.isinf(grid[:, -1]),
-        *_spacing_faults(grid),
-        counts < 1,
-        ~((values.min(axis=1) >= 0) & (values.max(axis=1) <= 1 + 1e-12)),
-        (np.diff(values, axis=1) < -1e-12).any(axis=1),
-    ])
-    first = failing.argmax(axis=0).tolist()
-    return [
-        _CURVE_FAULTS[k] if bad else None
-        for k, bad in zip(first, failing.any(axis=0).tolist())
-    ]
-
-
-def _uniform_grids(horizons: np.ndarray, grid_points) -> np.ndarray:
-    """The times k*horizon/n for k = 1..n of each horizon, one row each."""
+def _uniform_grids(horizons: np.ndarray, grid_points) -> tuple[np.ndarray, list]:
+    """The times k*horizon/n for k = 1..n of each positive finite horizon,
+    one row each, and per horizon None or the ValueError that refuses it:
+    a horizon so small (subnormal) that its times round to repeated or
+    unevenly spaced values."""
     if _integer(grid_points, "grid_points") < 1:
         raise ValueError("grid_points must be at least 1")
-    return horizons[:, None] * (np.arange(1, grid_points + 1) / grid_points)
-
-
-def _too_short(horizon: float, grid_points: int) -> ValueError:
-    return ValueError(
-        f"horizon {horizon!r} is too short to split into {grid_points} uniform grid points"
-    )
+    grid = horizons[:, None] * (np.arange(1, grid_points + 1) / grid_points)
+    faults: list = [None] * len(grid)
+    for n in np.flatnonzero(np.logical_or(*_spacing_faults(grid))).tolist():
+        faults[n] = ValueError(
+            f"horizon {horizons[n].item()!r} is too short to split into "
+            f"{grid_points} uniform grid points"
+        )
+    return grid, faults
 
 
 def uniform_grid(horizon: float, grid_points: int = 200) -> np.ndarray:
@@ -237,10 +218,10 @@ def uniform_grid(horizon: float, grid_points: int = 200) -> np.ndarray:
     """
     if not (math.isfinite(horizon) and horizon > 0):
         raise ValueError("horizon must be positive and finite")
-    grid = _uniform_grids(np.array([horizon], dtype=float), grid_points)
-    if any(bad[0] for bad in _spacing_faults(grid)):
-        raise _too_short(float(horizon), grid_points)
-    return grid[0]
+    (grid,), (fault,) = _uniform_grids(np.array([horizon], dtype=float), grid_points)
+    if fault:
+        raise fault
+    return grid
 
 
 def parse_trace_csv(path, horizon: float | None = None) -> list[EventTrace]:
@@ -398,23 +379,16 @@ def curve_block(traces: Sequence[EventTrace], grid_points: int = 200):
     for bit, and per trace None or the ValueError that `empirical_curve`
     raises for it, which leaves its row meaningless. The grids are one
     expression over the horizons, each trace takes one `searchsorted`, and
-    the rows are checked as `PopularityCurve` checks one curve.
+    only the grid spacing is checked, refused as `uniform_grid` refuses the
+    horizon: a trace's events lie in (0, horizon], so its row on a sound
+    grid passes `PopularityCurve`'s other checks by construction.
     """
     horizons = np.array([trace.horizon for trace in traces], dtype=float)
-    grid = _uniform_grids(horizons, grid_points)
+    grid, faults = _uniform_grids(horizons, grid_points)
     values = np.empty(grid.shape)
-    counts = np.array([trace.count for trace in traces], dtype=np.intp)
     for n, trace in enumerate(traces):
         values[n] = np.searchsorted(trace.events, grid[n], side="right")
-    values /= counts[:, None]
-    faults: list = []
-    for span, fault in zip(horizons.tolist(), _row_faults(grid, values, counts)):
-        if fault in _SPACING_FAULTS:
-            # A trace's horizon is finite and positive, so its grid fails only
-            # by spacing, where `uniform_grid` refuses the horizon.
-            faults.append(_too_short(span, grid_points))
-        else:
-            faults.append(fault and ValueError(fault))
+    values /= np.array([trace.count for trace in traces], dtype=float)[:, None]
     return grid, values, faults
 
 
@@ -423,8 +397,9 @@ def empirical_curve(trace: EventTrace, grid_points: int = 200) -> PopularityCurv
 
     The value at grid time t is (number of events <= t) / M with M the
     trace's total event count, so the curve is right-continuous and ends at
-    exactly 1.0 at the horizon. The one-trace call of `curve_block`, whose
-    checks the curve has passed, so they are not run again.
+    exactly 1.0 at the horizon. The one-trace call of `curve_block`: a row
+    it does not refuse passes `PopularityCurve`'s checks by construction,
+    so they are not run.
     """
     (grid,), (values,), (fault,) = curve_block([trace], grid_points)
     if fault:

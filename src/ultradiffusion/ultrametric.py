@@ -15,10 +15,10 @@ the adjacent gap that closes it, d(i, j) = max(d(i, j - 1), d(j - 1, j)).
 Every space this module builds, and every tree space, is in such an order;
 any other matrix is tried once more in the leaf order of its single-linkage
 dendrogram, which an ultrametric always passes. The proof compares entries
-only, so it is exact. When it fails, the ranks of the entries name the
-first row that exceeds the subdominant ultrametric, which is the first
-violating row, and a scan of that one row reports the lexicographically
-first violating (i, j, k).
+only, so it is exact. When it fails, the merge heights of that same
+dendrogram, the subdominant ultrametric, name the first row that exceeds
+them, which is the first violating row, and a scan of that one row reports
+the lexicographically first violating (i, j, k).
 
 `UltrametricSpace(...)` checks a matrix from outside the library in O(n^2).
 The builders here and `spectral.space_from_tree` make a matrix that passes
@@ -231,9 +231,10 @@ def _first_violation(m: np.ndarray, negate: bool = False) -> tuple[int, int, int
     in O(n^2) in the matrix's own order, where every space this library
     builds already is, and only if that fails in the leaf order of one
     linkage. It compares entries only, so it is exact. When both fail, the
-    ranks of the values (`cophenet` takes no negative heights) name the
-    first row that exceeds the subdominant ultrametric, which is the first
-    violating row, and only that row is scanned for (j, k).
+    same linkage locates: its merge heights are entries of m, and the
+    height of the merge that joins i and j is the subdominant ultrametric
+    U[i, j] (Gower & Ross 1969), so the first row with an entry above U is
+    the first violating row, and only that row is scanned for (j, k).
     """
     n = m.shape[0]
     if n < 3:
@@ -252,14 +253,16 @@ def _first_violation(m: np.ndarray, negate: bool = False) -> tuple[int, int, int
     if values.max() == np.inf:
         values = np.unique(values, return_inverse=True)[1].astype(float)
     tree = linkage(values, "single")
-    # leaves_list refuses negative heights; the leaf order needs the merges only.
+    # leaves_list and cophenet refuse negative heights and need the merge
+    # order only: each merge's height is kept, and replaced by its index.
+    heights = tree[:, 2].copy()
     tree[:, 2] = np.arange(n - 1)
     if _holds_in_order(m, leaves_list(tree), join):
         return None
-    # If m[i, j] > U[i, j], then the first p on the minimax path i -> j with
-    # m[i, p] > U[i, j] and the node before p violate the inequality.
-    ranks = np.unique(values, return_inverse=True)[1]
-    exceeds = cophenet(linkage(ranks.astype(float), "single")) != ranks
+    # If m[i, j] > U[i, j], the height of the merge joining i and j, then the
+    # first p on the minimax path i -> j with m[i, p] > U[i, j] and the node
+    # before p violate the inequality.
+    exceeds = heights[cophenet(tree).astype(np.intp)] != values
     i = int(np.argmax(squareform(exceeds).any(axis=1)))
     row = m[i]
     if negate:
@@ -276,8 +279,9 @@ def verify_ultrametric(space: UltrametricSpace) -> TripleReport:
     """Check d(i, j) <= max(d(i, k), d(k, j)) for distinct states i, j, k.
 
     A space that is an ultrametric in its own order passes in O(n^2), any
-    other ultrametric after one linkage; otherwise only the first row that
-    exceeds the subdominant ultrametric is scanned, which gives the first
+    other ultrametric after one linkage; otherwise the merge heights of that
+    same linkage name the first row that exceeds the subdominant
+    ultrametric, and only that row is scanned, which gives the first
     violating triple in lexicographic (i, j, k) order. Symmetry, zero
     diagonal, and positivity are enforced when the space is built, so only
     the triangle structure is checked here.

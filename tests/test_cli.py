@@ -133,6 +133,29 @@ class TestFit:
         assert (out / "a_b_curve.tsv").exists()
         assert (out / "a_b_2_curve.tsv").exists()
 
+    @pytest.mark.parametrize("command", ["fit", "compare"])
+    def test_long_story_ids_are_cut_to_a_hundred_characters(self, command, tmp_path, capsys):
+        # A 300-character id made file names past the 255-byte limit, and the
+        # run aborted with "File name too long". Two ids that share their
+        # first 100 characters take the deduplicating suffix; an id of 100
+        # characters keeps its whole name.
+        ids = ["x" * 300, "x" * 100 + "y" * 200, "z" * 100, "short"]
+        csv = tmp_path / "long.csv"
+        write_trace_csv(csv, [sampled_story(sid, seed=k) for k, sid in enumerate(ids)])
+        out = tmp_path / "out"
+        argv = [command, "--input", str(csv), "--out-dir", str(out), "--min-events", "10"]
+        if command == "compare":
+            argv.append("--export-matrices")
+        assert main(argv) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        table = "fits.json" if command == "fit" else "comparison.json"
+        assert [r["story_id"] for r in json.loads((out / table).read_text())] == sorted(ids)
+        suffixes = ["_curve.tsv"] if command == "fit" else ["_distance.tsv", "_generator.tsv"]
+        names = ["short", "x" * 100, "x" * 100 + "_2", "z" * 100]
+        assert sorted(p.name for p in out.iterdir() if p.name != table) == sorted(
+            name + suffix for name in names for suffix in suffixes
+        )
+
 
 class TestStoryFailures:
     def test_data_errors_fail_the_story_not_the_run(self, tmp_path, capsys):
@@ -341,15 +364,24 @@ class TestAggregate:
     ):
         csv = tmp_path / "in.csv"
         write_trace_csv(csv, [sampled_story(f"s{k}", seed=k) for k in range(3)])
-        checked, row_faults = [], traces._row_faults
+        spaced, curves = [], []
+        spacing, checks = traces._spacing_faults, traces.PopularityCurve.__post_init__
 
-        def counted(grid, *rest):
-            checked.append(len(grid))
-            return row_faults(grid, *rest)
+        def counted_spacing(grid):
+            spaced.append(len(grid))
+            return spacing(grid)
 
-        monkeypatch.setattr(traces, "_row_faults", counted)
+        def counted_checks(curve):
+            curves.append(curve.grid.size)
+            return checks(curve)
+
+        monkeypatch.setattr(traces, "_spacing_faults", counted_spacing)
+        monkeypatch.setattr(traces.PopularityCurve, "__post_init__", counted_checks)
         assert main(["aggregate", "--input", str(csv), "--out-dir", str(tmp_path / "out")]) == 0
-        assert checked == [3, 1]
+        # The block's three rows once; the mean's shared grid as uniform_grid
+        # makes it, then the mean once as PopularityCurve checks it.
+        assert spaced == [3, 1, 1]
+        assert curves == [200]
 
     def test_aggregate_curve_has_the_four_columns(self, tmp_path, capsys):
         csv = tmp_path / "in.csv"

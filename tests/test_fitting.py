@@ -1,5 +1,6 @@
 """Saturation-curve fitting, parameter inference, and event sampling."""
 
+import dataclasses
 import itertools
 import math
 import warnings
@@ -25,7 +26,13 @@ from ultradiffusion.fitting import (
 from ultradiffusion.generator import build_generator
 from ultradiffusion.oracle import ProbabilityVector, integrate_master_equation
 from ultradiffusion.spectral import chain_spectrum, survival_probability
-from ultradiffusion.traces import PopularityCurve, curve_block, empirical_curve, uniform_grid
+from ultradiffusion.traces import (
+    EventTrace,
+    PopularityCurve,
+    curve_block,
+    empirical_curve,
+    uniform_grid,
+)
 from ultradiffusion.ultrametric import uniform_chain
 
 
@@ -454,6 +461,66 @@ class TestFitBlock:
     def test_rejects_arrays_of_different_shapes(self):
         with pytest.raises(ValueError, match="2-D arrays of one shape"):
             fit_block(np.ones((2, 5)), np.ones((2, 4)))
+
+
+class TestTimestampScale:
+    """Rescaling every timestamp by 2^k changes the fit only through h2."""
+
+    def test_power_of_two_scaling_leaves_every_unit_free_value_bit_identical(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        params = UltradiffusionParams(t_N=50, mu=0.1, M=300)
+        rng = np.random.default_rng(5)
+        stories = [sample_events(params, seed=s) for s in range(4)] + [
+            # Memoryless arrivals, which the straight line explains better.
+            EventTrace("flat", np.sort(1000.0 * (1.0 - rng.random(300))), 1000.0)
+        ]
+        # Every scaled time, grid step and 1e-6 of a step stays a normal
+        # double, and so does h2 >= 1e-6 / horizon.
+        smallest = min(min(t.events[0], 1e-9 * t.horizon) for t in stories)
+        largest = max(t.horizon for t in stories)
+        low = -1020 - math.floor(math.log2(smallest))
+        high = 990 - math.ceil(math.log2(largest))
+
+        def chain_length(fit, count, k):
+            # infer_params on h2 in the unscaled unit: whether mu, and so the
+            # mapping, is refused moves with the unit (ROADMAP item 10).
+            try:
+                return infer_params(dataclasses.replace(fit, h2=math.ldexp(fit.h2, k)), count).t_N
+            except ValueError as err:
+                return str(err)
+
+        def outcomes(traces, k=0):
+            grid, values, faults = curve_block(traces)
+            assert faults == [None] * len(traces)
+            fits, _ = fit_block(grid, values)
+            rows = []
+            for trace, g, v, fit in zip(traces, grid, values, fits):
+                slope, intercept, r2_linear = fit_linear(g, v)
+                rows.append({
+                    "h1": fit.h1, "h2": fit.h2, "h3": fit.h3, "r2": fit.r2,
+                    "t_N": chain_length(fit, trace.count, k),
+                    "r2_linear": r2_linear, "slope": slope, "intercept": intercept,
+                    "verdict": "saturating" if fit.r2 > r2_linear else "memoryless",
+                })
+            return rows
+
+        before = outcomes(stories)
+        assert [row["verdict"] for row in before] == ["saturating"] * 4 + ["memoryless"]
+
+        @hypothesis.settings(max_examples=60, deadline=None)
+        @hypothesis.given(st.integers(low, high))
+        def check(k):
+            scaled = [
+                EventTrace(t.story_id, np.ldexp(t.events, k), math.ldexp(t.horizon, k))
+                for t in stories
+            ]
+            for old, new in zip(before, outcomes(scaled, k)):
+                assert new["h2"] == math.ldexp(old["h2"], -k)
+                assert new["slope"] == math.ldexp(old["slope"], -k)
+                assert {**new, "h2": old["h2"], "slope": old["slope"]} == old
+
+        check()
 
 
 class TestExponentialFitInvariants:

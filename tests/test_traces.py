@@ -462,12 +462,19 @@ class TestEmpiricalCurve:
         np.testing.assert_allclose(curve.values, [0.5, 1.0])
 
     def test_the_block_row_is_checked_once_and_passes_the_public_checks(self):
-        # curve_block has checked the row, so the curve is made without a
-        # second check; the public constructor still takes it unchanged.
+        # curve_block has checked the row's spacing, the one check that can
+        # fail on it, so the curve is made without a second check; the
+        # public constructor still takes it unchanged.
         trace = EventTrace(story_id="s", events=np.array([1.0, 5.0, 5.0, 17.0]), horizon=17.0)
-        with mock.patch.object(traces, "_row_faults", wraps=traces._row_faults) as faults:
+        with mock.patch.object(
+            traces, "_spacing_faults", wraps=traces._spacing_faults
+        ) as spacing, mock.patch.object(
+            traces.PopularityCurve, "__post_init__", autospec=True,
+            side_effect=traces.PopularityCurve.__post_init__,
+        ) as checks:
             curve = empirical_curve(trace, grid_points=17)
-        assert faults.call_count == 1
+        assert spacing.call_count == 1 and len(spacing.call_args.args[0]) == 1
+        assert checks.call_count == 0
         again = PopularityCurve(
             grid=curve.grid, values=curve.values, saturation_count=curve.saturation_count
         )
@@ -524,6 +531,53 @@ class TestCurveBlock:
                 fraction = np.searchsorted(trace.events, times, side="right") / trace.count
                 assert grid[n].tobytes() == lone.grid.tobytes() == times.tobytes()
                 assert values[n].tobytes() == lone.values.tobytes() == fraction.tobytes()
+
+        check()
+
+    def test_rows_pass_the_public_checks_and_refusals_are_uniform_grids(self):
+        # The block checks only the spacing of its grids: every row it keeps
+        # passes the other checks of PopularityCurve by construction, and a
+        # row it refuses carries uniform_grid's refusal of its horizon.
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @st.composite
+        def trace(draw):
+            span = draw(st.one_of(
+                st.floats(1e-3, 1e6),
+                st.sampled_from([5e-324, 1e-320, 2e-310, 2.2250738585072014e-308]),
+                st.floats(5e-324, 1e-300),
+            ))
+            count = draw(st.integers(1, 30))
+            fractions = draw(st.lists(st.floats(0.0, 1.0), min_size=count, max_size=count))
+            events = span * np.array(fractions)
+            # Times that round to 0 move to the horizon, as events must be > 0.
+            events = np.sort(np.where(events > 0, events, span))
+            if draw(st.booleans()):
+                # Several events tied, inside the window or at the horizon.
+                tied = draw(st.integers(1, count))
+                events[-tied:] = events[-tied] if draw(st.booleans()) else span
+            horizon = float(events[-1])
+            if draw(st.booleans()):
+                # A --horizon beyond the last event.
+                horizon = min(horizon * draw(st.floats(1.0, 10.0)), 1e300)
+            return EventTrace("s", events, horizon)
+
+        @hypothesis.settings(max_examples=300, deadline=None)
+        @hypothesis.given(st.integers(1, 300), st.lists(trace(), min_size=1, max_size=6))
+        def check(points, batch):
+            grid, values, faults = curve_block(batch, points)
+            for n, trace in enumerate(batch):
+                try:
+                    expected = uniform_grid(trace.horizon, points)
+                except ValueError as err:
+                    assert (type(faults[n]), str(faults[n])) == (type(err), str(err))
+                    continue
+                assert faults[n] is None
+                curve = PopularityCurve(grid[n], values[n], trace.count)
+                assert curve.grid.tobytes() == grid[n].tobytes() == expected.tobytes()
+                assert curve.values.tobytes() == values[n].tobytes()
+                assert curve.values[-1] == 1.0
 
         check()
 

@@ -351,6 +351,64 @@ def test_built_spaces_prove_in_their_own_order(kind, n, built_space, monkeypatch
     )
 
 
+def test_an_out_of_order_matrix_takes_exactly_one_linkage(dendrogram_spaces):
+    # The linkage whose leaf order proves an ultrametric also locates the
+    # first violation by its merge heights: a matrix that fails the proof in
+    # its own order takes one linkage, whether it passes or fails, and one
+    # that passes in its own order takes none. So do a generator's rates.
+    hypothesis = pytest.importorskip("hypothesis")
+    import scipy.cluster.hierarchy as hierarchy
+
+    linkage, calls = hierarchy.linkage, []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return linkage(*args, **kwargs)
+
+    def linkages(verify, arg):
+        calls.clear()
+        report = verify(arg)
+        return len(calls), report.ok
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(dendrogram_spaces)
+    def check(space):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # rates that underflow
+            gen = build_generator(space, 0.5)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(hierarchy, "linkage", counted)
+            for matrix, join, verify, arg in (
+                (space.dist, np.maximum, verify_ultrametric, space),
+                (gen.rates, np.minimum, check_rate_ultrametricity, gen),
+            ):
+                in_order = space.size < 3 or ultrametric._holds_in_order(matrix, None, join)
+                assert linkages(verify, arg)[0] == (0 if in_order else 1)
+
+    check()
+    # A permuted 600-state trace space, passing and with one pair broken,
+    # and the generators of both.
+    space = build_from_trace(
+        EventTrace("p", np.sort(600 * np.random.default_rng(1).random(599)), 600.0)
+    )
+    order = np.random.default_rng(2).permutation(space.size)
+    dist = space.dist[np.ix_(order, order)]
+    broken = dist.copy()
+    broken[0, 1] = broken[1, 0] = dist[0, 1] * 1.5
+    seen = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hierarchy, "linkage", counted)
+        for matrix in (dist, broken):
+            permuted = ultrametric.UltrametricSpace(
+                labels=np.arange(1.0, space.size + 1),
+                dist=matrix,
+                multiplicity=np.ones(space.size, dtype=int),
+            )
+            seen.append(linkages(verify_ultrametric, permuted))
+            seen.append(linkages(check_rate_ultrametricity, build_generator(permuted, 0.01)))
+    assert seen == [(1, True), (1, True), (1, False), (1, False)]
+
+
 def test_small_blocks_give_the_same_proof_and_report(dendrogram_spaces):
     # Shrinking the row blocks makes every space of four or more states take
     # several blocks of one to a few rows, each with its leading square masked.
