@@ -35,7 +35,7 @@ def main() -> None:
     print("(generated from a 50-state chain at mu = 0.2)")
 
     banner("Saturating-exponential fit")
-    curve = empirical_curve(trace, grid_points=200)
+    curve = empirical_curve(trace)
     fit = fit_exponential(curve)
     print(f"h1 = {fit.h1:.5f}   (saturation level, model limit (t_N-1)/t_N)")
     print(f"h2 = {fit.h2:.3e} (initial decay rate)")

@@ -23,7 +23,7 @@ def main() -> None:
     window = 10.0
     grid = uniform_grid(window, 200)
     line = grid / window
-    curve = PopularityCurve(grid=grid, values=line, saturation_count=1)
+    curve = PopularityCurve(grid=grid, values=line)
     slope, intercept, r2_lin = fit_linear(grid, line)
     r2_exp = fit_exponential(curve).r2
     print(f"memoryless event curve on (0, {window:g}]: value = t/{window:g}")
@@ -38,7 +38,7 @@ def main() -> None:
     print(f"silhouette s = ln(b)/delta_h = {plaw.s:.6f} (< 1, power-law regime)")
     print(f"exponent v = s/(1 - s) = {plaw.v:.5f}")
     t = np.geomspace(1e2, 1e4, 200)
-    curve60 = power_law_curve(plaw, t, terms=60)
+    curve60 = power_law_curve(plaw, t)
     slope = loglog_slope(t, curve60.series)
     gap = np.max(np.abs(curve60.series / curve60.asymptote - 1.0))
     print(f"\n60-term series over t in [1e2, 1e4]:")

@@ -87,21 +87,23 @@ class PowerLawCurve(NamedTuple):
     truncation_bound: float
 
 
-def power_law_curve(model: PowerLawModel, t, terms: int = 60) -> PowerLawCurve:
+# Levels summed by `power_law_curve`.
+_LEVELS = 60
+
+
+def power_law_curve(model: PowerLawModel, t) -> PowerLawCurve:
     """Level-sum relaxation and its power-law asymptote on times `t`.
 
     The series is sum over levels m >= 1 of (b-1)*b^(-m)*e^(-t*c*q^m) with
     q = b*e^(-delta_h) and c = (e^delta_h - 1)/(e^delta_h - b), truncated at
-    `terms` levels; the neglected tail is below b^(-terms) pointwise, which
-    is returned as the truncation bound. The asymptote is D*t^(-v).
+    60 levels; the neglected tail is below b^(-60) pointwise, which is
+    returned as the truncation bound. The asymptote is D*t^(-v).
     """
     if model.s >= 1:
         raise ValueError(
             f"s = ln(b)/delta_h = {model.s:.4g} is not below 1: "
             "level weights decay too slowly for a power law"
         )
-    if _integer(terms, "terms") < 1:
-        raise ValueError("terms must be at least 1")
     times = np.asarray(t, dtype=float)
     # Written so that NaN fails too.
     if not np.all(times > 0):
@@ -109,7 +111,7 @@ def power_law_curve(model: PowerLawModel, t, terms: int = 60) -> PowerLawCurve:
     b, dh = model.b, model.delta_h
     q = b * math.exp(-dh)
     c = (math.exp(dh) - 1.0) / (math.exp(dh) - b)
-    m = np.arange(1, terms + 1)
+    m = np.arange(1, _LEVELS + 1)
     weights = (b - 1.0) * np.power(float(b), -m.astype(float))
     rates = c * np.power(q, m.astype(float))
     series = np.exp(-np.multiply.outer(times, rates)) @ weights
@@ -117,7 +119,7 @@ def power_law_curve(model: PowerLawModel, t, terms: int = 60) -> PowerLawCurve:
     return PowerLawCurve(
         series=series,
         asymptote=asymptote,
-        truncation_bound=float(b) ** (-terms),
+        truncation_bound=float(b) ** (-_LEVELS),
     )
 
 

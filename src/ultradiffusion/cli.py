@@ -15,12 +15,14 @@ byte-identical files; outputs are written to a temporary name and renamed,
 so interrupted runs leave no partial files.
 
 `fit` and `compare` run a pass as one block: the parsed stories' curves are
-the rows of a (stories x grid points) grid array and a values array
-(`curve_block`), one `fit_block` call fits them all, and the simulated
-curves and their r_squared are computed on the block by the functions that
-`simulate_curve` and `r_squared` call on one row. Only `infer_params`, and
-`compare`'s straight line, run story by story. Each story's outputs are byte
-for byte those of handling it alone. `aggregate` averages the same block.
+the rows of a (stories x 200) grid array and a values array (`curve_block`),
+one `fit_block` call fits them all, and the simulated curves and their
+r_squared are computed on the block by the functions that `simulate_curve`
+and `r_squared` call on one row. Only `infer_params`, and `compare`'s
+straight line, run story by story. Each story's outputs are byte for byte
+those of handling it alone. `aggregate` averages the same block on the grid
+of its longest story (`aggregate_mean`) and fits the mean as one curve of
+M events, M the summed event count of the averaged stories.
 """
 
 from __future__ import annotations
@@ -236,11 +238,10 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
     built, grid, observed, failed = _curve_rows(_load_qualifying(args))
     _report(failed)
     try:
-        mean = aggregate_mean(grid, observed, [trace.count for trace in built])
+        mean = aggregate_mean(grid, observed)
         fit = fit_exponential(mean, offset=args.offset)
-        ((record, mapping),), simulated = _map_fits(
-            mean.grid[None], mean.values[None], [mean.saturation_count], [fit]
-        )
+        M = sum(trace.count for trace in built)
+        ((record, mapping),), simulated = _map_fits(mean.grid[None], mean.values[None], [M], [fit])
         if isinstance(mapping, Exception):
             raise mapping
     except _DATA_ERRORS as err:

@@ -357,7 +357,10 @@ def infer_params(fit: ExponentialFit, M: int) -> UltradiffusionParams:
 
     Inverts the simulated curve, whose amplitude is (t_N-1)/t_N and whose
     rate is t_N*e^(-mu*(t_N-1)): so t_N = round(1/(1-h1)) and
-    mu = ln(t_N/h2)/(t_N-1), clamped at mu >= 0. The published mapping
+    mu = ln(t_N/h2)/(t_N-1). A rate h2 >= t_N, which would make mu negative,
+    is refused, t_N with it; below t_N the quotient t_N/h2 rounds to at
+    least 1, so mu >= 0. h2 is per unit of the timestamps, so this refusal
+    moves with the unit. The published mapping
     t_N = round(1/(1-h2)), mu = ln(t_N/h1)/(t_N-1) and the printed amplitude
     1/t_N do not invert the curve this library simulates, so they are not
     offered.
@@ -375,7 +378,7 @@ def infer_params(fit: ExponentialFit, M: int) -> UltradiffusionParams:
         raise ValueError(
             f"decay rate h2={fit.h2:.6g} is at least t_N={t_N}: mu would be negative"
         )
-    mu = max(math.log(t_N / fit.h2) / (t_N - 1), 0.0)
+    mu = math.log(t_N / fit.h2) / (t_N - 1)
     return UltradiffusionParams(t_N=t_N, mu=mu, M=M)
 
 
@@ -388,10 +391,11 @@ def simulate_curve(params: UltradiffusionParams, grid) -> PopularityCurve:
     """Model response curve p(t) = A*(1 - e^(-rate*t)) on `grid`.
 
     The amplitude is A = (t_N-1)/t_N, the never-responding share being 1/t_N.
+    The curve is a fraction, so it does not depend on `params.M`.
     """
     times = np.asarray(grid, dtype=float)
     (values,) = _simulated_rows([params], times[None])
-    return PopularityCurve(grid=times, values=values, saturation_count=params.M)
+    return PopularityCurve(grid=times, values=values)
 
 
 def _simulated_rows(params: list[UltradiffusionParams], grid: np.ndarray) -> np.ndarray:

@@ -3,12 +3,13 @@
 A trace records when one story (a post, a paper, a package) received each of
 its rebroadcasts: votes, comments, downloads, measured in seconds since
 submission. A popularity curve is the cumulative fraction of rebroadcasts seen
-by time t, sampled on a uniform grid. Curves are what the model layer fits.
-`curve_block` builds the curves of many traces at once, as one (traces x grid
-points) array of grid times and one of values, of which only the grid
-spacing can fail `PopularityCurve`'s checks, so only it is checked;
-`empirical_curve` is its one-trace call, and `aggregate_mean` averages such
-a block into one curve.
+by time t, sampled on a uniform grid: a `PopularityCurve` is that grid and
+those values, nothing more. Curves are what the model layer fits.
+`curve_block` builds the curves of many traces at once, as one (traces x 200)
+array of grid times and one of values, of which only the grid spacing can
+fail `PopularityCurve`'s checks, so only it is checked; `empirical_curve` is
+its one-trace call, and `aggregate_mean` averages such a block into one
+curve on the grid of its longest row.
 """
 
 from __future__ import annotations
@@ -142,16 +143,12 @@ class PopularityCurve:
 
     grid: np.ndarray
     values: np.ndarray
-    saturation_count: int
 
     def __post_init__(self) -> None:
         grid = _readonly(self.grid)
         values = _readonly(self.values)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
-        object.__setattr__(
-            self, "saturation_count", _integer(self.saturation_count, "saturation count")
-        )
         if grid.ndim != 1 or values.ndim != 1:
             raise ValueError("grid and values must be one-dimensional")
         if grid.size != values.size:
@@ -164,18 +161,12 @@ class PopularityCurve:
             (np.isinf(grid[-1]), "grid times must be finite"),
             (increasing, "grid must be strictly increasing"),
             (uneven, "grid must be uniformly spaced"),
-            (self.saturation_count < 1, "saturation count must be a positive integer"),
             (not (values.min() >= 0 and values.max() <= 1 + 1e-12),
              "curve values must lie in [0, 1]"),
             ((np.diff(values) < -1e-12).any(), "curve values must be nondecreasing"),
         ):
             if failing:
                 raise ValueError(fault)
-
-    @property
-    def horizon(self) -> float:
-        """Last grid time, the curve's observation horizon."""
-        return float(self.grid[-1])
 
 
 def _spacing_faults(grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -190,6 +181,10 @@ def _spacing_faults(grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # Uniform spacing keeps downstream interpolation and fitting honest.
         uneven = ~(top - steps.min(axis=1) <= 1e-6 * top)
     return (steps <= 0).any(axis=1), uneven
+
+
+# Points of every curve the library builds from a trace.
+_GRID_POINTS = 200
 
 
 def _uniform_grids(horizons: np.ndarray, grid_points) -> tuple[np.ndarray, list]:
@@ -209,7 +204,7 @@ def _uniform_grids(horizons: np.ndarray, grid_points) -> tuple[np.ndarray, list]
     return grid, faults
 
 
-def uniform_grid(horizon: float, grid_points: int = 200) -> np.ndarray:
+def uniform_grid(horizon: float, grid_points: int = _GRID_POINTS) -> np.ndarray:
     """Uniform sampling times k*horizon/n for k = 1..n.
 
     The grid excludes zero and includes the horizon exactly. A horizon so
@@ -371,20 +366,20 @@ def _checked_rows(path, lineno: int, rows: list[list[str]]):
             raise TraceFormatError(f"{path}: line {lineno}: negative timestamp {raw!r}")
 
 
-def curve_block(traces: Sequence[EventTrace], grid_points: int = 200):
+def curve_block(traces: Sequence[EventTrace]):
     """Step curves of cumulative event fraction of many traces, as one block.
 
-    Returns (grid, values, faults): (traces x grid_points) arrays whose row
-    n holds the grid times and values of `empirical_curve(traces[n])`, bit
-    for bit, and per trace None or the ValueError that `empirical_curve`
-    raises for it, which leaves its row meaningless. The grids are one
-    expression over the horizons, each trace takes one `searchsorted`, and
-    only the grid spacing is checked, refused as `uniform_grid` refuses the
-    horizon: a trace's events lie in (0, horizon], so its row on a sound
-    grid passes `PopularityCurve`'s other checks by construction.
+    Returns (grid, values, faults): (traces x 200) arrays whose row n holds
+    the grid times and values of `empirical_curve(traces[n])`, bit for bit,
+    and per trace None or the ValueError that `empirical_curve` raises for
+    it, which leaves its row meaningless. The grids are one expression over
+    the horizons, each trace takes one `searchsorted`, and only the grid
+    spacing is checked, refused as `uniform_grid` refuses the horizon: a
+    trace's events lie in (0, horizon], so its row on a sound grid passes
+    `PopularityCurve`'s other checks by construction.
     """
     horizons = np.array([trace.horizon for trace in traces], dtype=float)
-    grid, faults = _uniform_grids(horizons, grid_points)
+    grid, faults = _uniform_grids(horizons, _GRID_POINTS)
     values = np.empty(grid.shape)
     for n, trace in enumerate(traces):
         values[n] = np.searchsorted(trace.events, grid[n], side="right")
@@ -392,8 +387,8 @@ def curve_block(traces: Sequence[EventTrace], grid_points: int = 200):
     return grid, values, faults
 
 
-def empirical_curve(trace: EventTrace, grid_points: int = 200) -> PopularityCurve:
-    """Step curve of cumulative event fraction on a uniform grid.
+def empirical_curve(trace: EventTrace) -> PopularityCurve:
+    """Step curve of cumulative event fraction on a 200-point uniform grid.
 
     The value at grid time t is (number of events <= t) / M with M the
     trace's total event count, so the curve is right-continuous and ends at
@@ -401,39 +396,34 @@ def empirical_curve(trace: EventTrace, grid_points: int = 200) -> PopularityCurv
     it does not refuse passes `PopularityCurve`'s checks by construction,
     so they are not run.
     """
-    (grid,), (values,), (fault,) = curve_block([trace], grid_points)
+    (grid,), (values,), (fault,) = curve_block([trace])
     if fault:
         raise fault
-    return _unchecked(
-        PopularityCurve,
-        grid=_readonly(grid),
-        values=_readonly(values),
-        saturation_count=trace.count,
-    )
+    return _unchecked(PopularityCurve, grid=_readonly(grid), values=_readonly(values))
 
 
-def aggregate_mean(grid, values, counts, grid_points: int = 200) -> PopularityCurve:
+def aggregate_mean(grid, values) -> PopularityCurve:
     """Pointwise mean of a block of curves on a shared uniform grid.
 
-    Row n of the (curves x points) arrays `grid` and `values` is a curve of
-    `counts[n]` events, a row of `curve_block` that it did not refuse: the
-    rows are not checked again. Each member is linearly interpolated onto a
-    uniform grid over [0, max horizon], holding its first value to the left
-    of its support and its last value beyond its own horizon. Means are
-    computed with exactly rounded summation, so the result does not depend
-    on the order of the rows. The aggregate saturation count is the sum of
-    the member counts.
+    Row n of the (curves x points) arrays `grid` and `values` is a curve, a
+    row of `curve_block` that it did not refuse: the rows are not checked
+    again. The shared grid is the row of the longest horizon, which is
+    `uniform_grid` of that horizon bit for bit, since every row is made by
+    its expression. Each member is linearly interpolated onto it, holding
+    its first value to the left of its support and its last value beyond
+    its own horizon. Means are computed with exactly rounded summation, so
+    the result does not depend on the order of the rows; the mean is
+    checked once, as a `PopularityCurve`.
     """
     grid = np.asarray(grid, dtype=float)
     values = np.asarray(values, dtype=float)
-    counts = np.asarray(counts)
-    if grid.ndim != 2 or grid.shape != values.shape or counts.shape != grid.shape[:1]:
-        raise ValueError("grid and values must be 2-D arrays of one shape, with one count per row")
+    if grid.ndim != 2 or grid.shape != values.shape:
+        raise ValueError("grid and values must be 2-D arrays of one shape")
     if not grid.size:
         raise ValueError("aggregate_mean needs at least one curve")
-    shared = uniform_grid(float(grid[:, -1].max()), grid_points)
-    sampled = np.empty((len(grid), shared.size))
+    shared = grid[np.argmax(grid[:, -1])]
+    sampled = np.empty(grid.shape)
     for n, (g, v) in enumerate(zip(grid, values)):
         sampled[n] = np.interp(shared, g, v)
     mean = [math.fsum(column.tolist()) / len(grid) for column in sampled.T]
-    return PopularityCurve(grid=shared, values=mean, saturation_count=counts.sum())
+    return PopularityCurve(grid=shared, values=mean)

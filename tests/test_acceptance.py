@@ -134,7 +134,7 @@ def test_power_law_regime_slope_and_asymptote(suite):
     # Slope and gap clauses re-derived here against the quoted exponent.
     model = PowerLawModel(b=2, delta_h=1.0)
     t = np.geomspace(1e2, 1e4, 200)
-    curve = power_law_curve(model, t, terms=60)
+    curve = power_law_curve(model, t)
     slope = loglog_slope(t, curve.series)
     assert abs(slope + 2.2589) / 2.2589 <= 0.03
     gap = np.max(np.abs(curve.series / curve.asymptote - 1.0))

@@ -38,7 +38,7 @@ class TestMemorylessDiscriminator:
         # can approach it but never matches it on a finite window.
         window = 100.0
         grid = uniform_grid(window, 60)
-        curve = PopularityCurve(grid=grid, values=grid / window, saturation_count=60)
+        curve = PopularityCurve(grid=grid, values=grid / window)
         exponential = fit_exponential(curve)
         _, _, linear_r2 = fit_linear(grid, curve.values)
         assert exponential.r2 < linear_r2
@@ -79,41 +79,43 @@ class TestPowerLawCurve:
     def test_series_tracks_asymptote_in_the_scaling_window(self):
         model = PowerLawModel(b=2, delta_h=1.0)
         t = np.geomspace(1e2, 1e4, 40)
-        curve = power_law_curve(model, t, terms=60)
+        curve = power_law_curve(model, t)
         gap = np.max(np.abs(curve.series / curve.asymptote - 1.0))
         assert gap <= 0.05
 
     def test_loglog_slope_matches_the_exponent(self):
         model = PowerLawModel(b=2, delta_h=1.0)
         t = np.geomspace(1e2, 1e4, 40)
-        curve = power_law_curve(model, t, terms=60)
+        curve = power_law_curve(model, t)
         slope = loglog_slope(t, curve.series)
         assert abs(slope + model.v) <= 0.03 * model.v
 
     def test_series_decreases_in_time(self):
         model = PowerLawModel(b=2, delta_h=1.0)
         t = np.geomspace(1.0, 1e5, 200)
-        curve = power_law_curve(model, t, terms=60)
+        curve = power_law_curve(model, t)
         assert np.all(np.diff(curve.series) < 0)
 
     def test_truncation_bound_shrinks_with_more_terms(self):
+        # A 200-level sum computed here: the series is its first 60 levels,
+        # the returned bound b^-60 covers the levels it drops, almost
+        # exactly at short times, and b^-100 covers the levels past 100.
         model = PowerLawModel(b=2, delta_h=1.0)
-        t = np.array([100.0])
-        short = power_law_curve(model, t, terms=20)
-        long = power_law_curve(model, t, terms=60)
-        assert long.truncation_bound < short.truncation_bound
-        assert long.truncation_bound == pytest.approx(2.0**-60)
-        # The reported bound really does cover the dropped tail.
-        assert abs(long.series[0] - short.series[0]) <= short.truncation_bound
+        t = np.geomspace(1e-6, 1e4, 50)
+        curve = power_law_curve(model, t)
+        q = 2.0 * math.exp(-1.0)
+        c = (math.e - 1.0) / (math.e - 2.0)
+        m = np.arange(1, 201)
+        levels = 2.0**-m * np.exp(-np.multiply.outer(t, c * q**m))
+        np.testing.assert_allclose(curve.series, levels[:, :60].sum(axis=1), rtol=1e-12)
+        tail = levels[:, 60:].sum(axis=1)
+        assert curve.truncation_bound == 2.0**-60
+        assert np.all(tail <= curve.truncation_bound)
+        assert tail[0] > 0.99 * curve.truncation_bound
+        assert np.all(levels[:, 100:].sum(axis=1) <= 2.0**-100)
 
     def test_rejects_nonpositive_times(self):
         model = PowerLawModel(b=2, delta_h=1.0)
         for t in ([0.0, 1.0], [1.0, math.nan]):
             with pytest.raises(ValueError, match="positive times"):
                 power_law_curve(model, np.array(t))
-
-    @pytest.mark.parametrize("terms", [2.5, 3.0, True])
-    def test_rejects_non_integer_terms(self, terms):
-        model = PowerLawModel(b=2, delta_h=1.0)
-        with pytest.raises(ValueError, match="terms must be an integer"):
-            power_law_curve(model, np.array([1.0]), terms=terms)

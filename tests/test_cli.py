@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 import shlex
 import shutil
 import subprocess
@@ -378,9 +379,9 @@ class TestAggregate:
         monkeypatch.setattr(traces, "_spacing_faults", counted_spacing)
         monkeypatch.setattr(traces.PopularityCurve, "__post_init__", counted_checks)
         assert main(["aggregate", "--input", str(csv), "--out-dir", str(tmp_path / "out")]) == 0
-        # The block's three rows once; the mean's shared grid as uniform_grid
-        # makes it, then the mean once as PopularityCurve checks it.
-        assert spaced == [3, 1, 1]
+        # The block's three rows once, then the mean once as PopularityCurve
+        # checks it, on the grid of the block's longest row.
+        assert spaced == [3, 1]
         assert curves == [200]
 
     def test_aggregate_curve_has_the_four_columns(self, tmp_path, capsys):
@@ -834,24 +835,57 @@ class TestEntryPoints:
         assert (tmp_path / "o" / "fits.json").exists()
 
 
+SHELL_KEYWORDS = {"{", "}", "!", "if", "then", "elif", "else", "do", "while", "until"}
+
+
+def shell_commands(line):
+    """The simple commands of one shell line, each a list of its words.
+
+    The line splits at its control operators (`;`, `&&`, `||`, `|`, `&`,
+    parentheses). Redirections go: an operator holding `<` or `>`, the word
+    after it, and a number right before it, its file descriptor. So do the
+    keywords and `VAR=value` assignments that lead a command, so a command
+    inside `{ ...; } 2>file || status=$?` is found.
+    """
+    lexer = shlex.shlex(line, posix=True, punctuation_chars=True)
+    lexer.whitespace_split = True
+    commands, words = [], []
+    tokens = iter(lexer)
+    for token in tokens:
+        if token.strip(lexer.punctuation_chars):
+            words.append(token)
+        elif "<" in token or ">" in token:
+            if words and words[-1].isdigit():
+                words.pop()
+            next(tokens, None)
+        else:
+            commands.append(words)
+            words = []
+    commands.append(words)
+    for words in commands:
+        while words and (words[0] in SHELL_KEYWORDS or "=" in words[0]):
+            words.pop(0)
+    return [words for words in commands if words]
+
+
 def test_workflow_commands_parse():
     # CI runs these command lines; a flag the parser no longer knows would
     # only fail there.
     yaml = pytest.importorskip("yaml")
-    workflow = yaml.safe_load((REPO_ROOT / ".github/workflows/tests.yml").read_text())
+    text = (REPO_ROOT / ".github/workflows/tests.yml").read_text()
+    workflow = yaml.safe_load(text)
     parser = cli.build_parser()
     commands = []
     for job in workflow["jobs"].values():
         for step in job["steps"]:
             for line in step.get("run", "").splitlines():
-                words = shlex.split(line)
-                while words and "=" in words[0]:  # leading VAR=value assignments
-                    words.pop(0)
-                if words[:1] == ["ultradiffusion"]:
-                    commands.append(words[1:])
-                elif words[:3] == ["python", "-m", "ultradiffusion.cli"]:
-                    commands.append(words[3:])
-    assert len(commands) >= 5
+                for words in shell_commands(line):
+                    if words[:1] == ["ultradiffusion"]:
+                        commands.append(words[1:])
+                    elif words[:3] == ["python", "-m", "ultradiffusion.cli"]:
+                        commands.append(words[3:])
+    # Every command of the file is found, brace groups included.
+    assert len(commands) == len(re.findall(r"\bultradiffusion(?:\.cli)? ", text)) >= 19
     for argv in commands:
         try:
             parser.parse_args(argv)

@@ -108,19 +108,15 @@ def model_curves(st, noise):
         values = exponential_model(grid, h1, k / horizon, h3)
         values = values + sigma * np.random.default_rng(seed).standard_normal(n)
         values = np.maximum.accumulate(np.clip(values, 0.0, 1.0))
-        curve = PopularityCurve(grid=grid, values=values, saturation_count=n)
+        curve = PopularityCurve(grid=grid, values=values)
         return curve, (h1, k / horizon, h3)
 
     return curves()
 
 
-def synthetic_curve(h1, h2, h3=0.0, horizon=50.0, points=200, count=100):
+def synthetic_curve(h1, h2, h3=0.0, horizon=50.0, points=200):
     grid = uniform_grid(horizon, points)
-    return PopularityCurve(
-        grid=grid,
-        values=exponential_model(grid, h1, h2, h3),
-        saturation_count=count,
-    )
+    return PopularityCurve(grid=grid, values=exponential_model(grid, h1, h2, h3))
 
 
 class TestRSquared:
@@ -166,31 +162,19 @@ class TestFitExponential:
         assert fit.h3 == 0.0
 
     def test_constant_curve_has_no_dynamics(self):
-        flat = PopularityCurve(
-            grid=uniform_grid(10.0, 20),
-            values=np.ones(20),
-            saturation_count=5,
-        )
+        flat = PopularityCurve(grid=uniform_grid(10.0, 20), values=np.ones(20))
         with pytest.raises(FitError, match="no dynamics"):
             fit_exponential(flat)
 
     def test_needs_at_least_three_points(self):
-        short = PopularityCurve(
-            grid=np.array([1.0, 2.0]),
-            values=np.array([0.2, 0.9]),
-            saturation_count=5,
-        )
+        short = PopularityCurve(grid=np.array([1.0, 2.0]), values=np.array([0.2, 0.9]))
         with pytest.raises(FitError, match="at least 3"):
             fit_exponential(short)
 
     def test_rescaling_time_rescales_only_the_rate(self):
         scale = 3600.0
         slow = synthetic_curve(0.8, 0.1, horizon=50.0)
-        fast = PopularityCurve(
-            grid=slow.grid / scale,
-            values=slow.values,
-            saturation_count=slow.saturation_count,
-        )
+        fast = PopularityCurve(grid=slow.grid / scale, values=slow.values)
         fit_slow = fit_exponential(slow)
         fit_fast = fit_exponential(fast)
         assert fit_fast.h2 == pytest.approx(fit_slow.h2 * scale, rel=1e-8)
@@ -207,7 +191,7 @@ class TestFitExponential:
         # A line is the family's k -> 0 limit: the fit is finite and close,
         # and still scores below the line itself.
         grid = uniform_grid(10.0, 200)
-        line = PopularityCurve(grid=grid, values=grid / 10.0, saturation_count=1)
+        line = PopularityCurve(grid=grid, values=grid / 10.0)
         fit = fit_exponential(line)
         assert fit.h2 * 10.0 == pytest.approx(1e-6)
         assert 1.0 - 1e-12 < fit.r2 < fit_linear(grid, grid / 10.0)[2]
@@ -220,7 +204,7 @@ class TestFitExponential:
         grid = uniform_grid(1.0, 50)
         values = np.full(50, 0.9)
         values[0] = 0.3
-        curve = PopularityCurve(grid=grid, values=values, saturation_count=10)
+        curve = PopularityCurve(grid=grid, values=values)
         with warnings.catch_warnings(), np.errstate(all="raise"):
             warnings.simplefilter("error")
             fit = fit_exponential(curve, offset=offset)
@@ -244,7 +228,7 @@ class TestFitExponential:
         # negative; the fit holds it at 0 and still fits h1 and h2.
         grid = uniform_grid(50.0, 200)
         values = np.clip(exponential_model(grid, 0.9, 0.1) - 0.02, 0.0, 1.0)
-        curve = PopularityCurve(grid=grid, values=values, saturation_count=100)
+        curve = PopularityCurve(grid=grid, values=values)
         fit = fit_exponential(curve, offset=True)
         assert fit.h3 == 0.0
         assert fit.r2 > 0.999
@@ -252,7 +236,7 @@ class TestFitExponential:
     def test_recovers_from_sampled_noise(self):
         params = UltradiffusionParams(t_N=50, mu=0.2, M=10_000)
         trace = sample_events(params, seed=3)
-        fit = fit_exponential(empirical_curve(trace, grid_points=200))
+        fit = fit_exponential(empirical_curve(trace))
         assert fit.h1 == pytest.approx(0.98, abs=0.02)
         assert fit.r2 > 0.99
 
@@ -291,9 +275,7 @@ class TestAgainstTheReferenceFitter:
             curve, (h1, h2, h3) = drawn
             # Offset fits take h3 from the curve; without it the truth has none.
             if not offset:
-                curve = PopularityCurve(
-                    grid=curve.grid, values=curve.values - h3, saturation_count=1
-                )
+                curve = PopularityCurve(grid=curve.grid, values=curve.values - h3)
             ref = reference_fit(curve, offset)
             assert ref is not None
             fit = fit_exponential(curve, offset)
@@ -314,7 +296,7 @@ class TestAgainstTheReferenceFitter:
             n = draw(st.integers(3, 60))
             values = np.sort(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
             grid = uniform_grid(draw(st.floats(1e-3, 1e6)), n)
-            return PopularityCurve(grid=grid, values=values, saturation_count=n)
+            return PopularityCurve(grid=grid, values=values)
 
         @hypothesis.settings(max_examples=300, deadline=None)
         @hypothesis.given(curves())
@@ -339,7 +321,7 @@ class TestAgainstTheReferenceFitter:
         @hypothesis.given(st.integers(3, 2000), st.floats(1e-3, 1e6))
         def check(n, horizon):
             grid = uniform_grid(horizon, n)
-            line = PopularityCurve(grid=grid, values=grid / horizon, saturation_count=n)
+            line = PopularityCurve(grid=grid, values=grid / horizon)
             fit = fit_exponential(line)
             assert math.isfinite(fit.h1) and math.isfinite(fit.h2)
             assert fit.r2 < fit_linear(grid, line.values)[2]
@@ -383,7 +365,7 @@ class TestFitExponentials:
                 noise = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal(n)
                 values = exponential_model(grid, h1, k / grid[-1]) + 1e-2 * noise
                 values = np.maximum.accumulate(np.clip(values, 0.0, 1.0))
-            return PopularityCurve(grid=grid, values=values, saturation_count=n)
+            return PopularityCurve(grid=grid, values=values)
 
         # Blocks from one curve to past two scan blocks of four, of short,
         # usual and long curves.
@@ -438,7 +420,7 @@ class TestFitBlock:
             )
             for s in range(5)
         ]
-        flat = PopularityCurve(grid=curves[0].grid, values=np.full(200, 0.5), saturation_count=2)
+        flat = PopularityCurve(grid=curves[0].grid, values=np.full(200, 0.5))
         curves.insert(2, flat)
         fits, fitted = fit_block([c.grid for c in curves], [c.values for c in curves], offset)
         assert [bits(fit) for fit in fits] == [bits(lone_fit(c, offset)) for c in curves]
@@ -564,6 +546,19 @@ class TestInferParams:
         with pytest.raises(ValueError, match="negative"):
             infer_params(fit, M=10)
 
+    @pytest.mark.parametrize("t_N", [2, 10, 1000])
+    def test_rate_just_below_t_n_maps_and_at_t_n_is_refused(self, t_N):
+        # Below t_N the quotient t_N/h2 rounds to at least 1, so mu >= 0
+        # with no clamp; at t_N the mapping, t_N included, is refused.
+        h1 = 1.0 - 1.0 / t_N
+        below = ExponentialFit(h1=h1, h2=math.nextafter(t_N, 0), h3=0.0, r2=0.9)
+        params = infer_params(below, M=10)
+        assert params.t_N == t_N
+        assert math.isfinite(params.mu) and params.mu >= 0.0
+        at = ExponentialFit(h1=h1, h2=float(t_N), h3=0.0, r2=0.9)
+        with pytest.raises(ValueError, match=f"at least t_N={t_N}: mu would be negative"):
+            infer_params(at, M=10)
+
     @pytest.mark.parametrize("mu", [0.01, 0.1, 1.0])
     @pytest.mark.parametrize("t_N", [5, 50, 500])
     def test_round_trip_recovers_parameters(self, t_N, mu):
@@ -648,8 +643,6 @@ class TestSimulateCurve:
         small = simulate_curve(UltradiffusionParams(t_N=10, mu=0.1, M=10), grid)
         large = simulate_curve(UltradiffusionParams(t_N=10, mu=0.1, M=10**6), grid)
         np.testing.assert_array_equal(small.values, large.values)
-        assert small.saturation_count == 10
-        assert large.saturation_count == 10**6
 
 
 class TestSampleEvents:

@@ -39,11 +39,7 @@ WORKED_TRACE = EventTrace(
 
 class TestCurveTables:
     def test_curve_header_and_rows(self, tmp_path):
-        curve = PopularityCurve(
-            grid=np.array([1.0, 2.0]),
-            values=np.array([0.5, 1.0]),
-            saturation_count=2,
-        )
+        curve = PopularityCurve(grid=np.array([1.0, 2.0]), values=np.array([0.5, 1.0]))
         path = tmp_path / "curve.tsv"
         write_curve_tsv(path, curve)
         assert path.read_text() == "t\tp\n1\t0.5\n2\t1\n"
@@ -61,11 +57,7 @@ class TestCurveTables:
             write_fit_curve_tsv(tmp_path / "fit.tsv", [1.0, 2.0], [0.1, 0.2], [0.15], [0.1, 0.2])
 
     def test_nine_significant_digits(self, tmp_path):
-        curve = PopularityCurve(
-            grid=np.array([1.0 / 3.0]),
-            values=np.array([2.0 / 3.0]),
-            saturation_count=1,
-        )
+        curve = PopularityCurve(grid=np.array([1.0 / 3.0]), values=np.array([2.0 / 3.0]))
         path = tmp_path / "curve.tsv"
         write_curve_tsv(path, curve)
         assert path.read_text() == "t\tp\n0.333333333\t0.666666667\n"

@@ -229,6 +229,10 @@ class TestUniformGrid:
                 uniform_grid(1.0, points)
         np.testing.assert_allclose(uniform_grid(3.0, np.int64(3)), [1.0, 2.0, 3.0])
 
+    def test_rejects_a_bad_point_count(self):
+        with pytest.raises(ValueError, match="grid_points must be at least 1"):
+            uniform_grid(1.0, 0)
+
 
 class TestParseTraceCsv:
     def test_sorts_events_and_takes_horizon_from_last(self, tmp_path):
@@ -427,15 +431,18 @@ class TestEmpiricalCurve:
         trace = EventTrace(
             story_id="s", events=np.array([1.0, 2.0, 3.0, 4.0]), horizon=4.0
         )
-        curve = empirical_curve(trace, grid_points=4)
-        np.testing.assert_allclose(curve.values, [0.25, 0.5, 0.75, 1.0])
-        assert curve.saturation_count == 4
+        curve = empirical_curve(trace)
+        # Grid times 4k/200: the events are at k = 50, 100, 150 and 200.
+        assert curve.grid.size == 200
+        steps = [0.0, 0.25, 0.5, 0.75, 1.0]
+        assert curve.values[[48, 49, 99, 149, 199]].tolist() == steps
+        assert np.unique(curve.values).tolist() == steps
 
     def test_single_late_event_yields_step_curve(self):
         trace = EventTrace(story_id="s", events=np.array([5.0]), horizon=5.0)
-        curve = empirical_curve(trace, grid_points=2)
-        np.testing.assert_allclose(curve.grid, [2.5, 5.0])
-        np.testing.assert_allclose(curve.values, [0.0, 1.0])
+        curve = empirical_curve(trace)
+        np.testing.assert_allclose(curve.grid, 5.0 * np.arange(1, 201) / 200)
+        np.testing.assert_array_equal(curve.values, [0.0] * 199 + [1.0])
 
     def test_worked_timeline_reaches_four_sixths_at_t8(self):
         trace = EventTrace(
@@ -443,8 +450,11 @@ class TestEmpiricalCurve:
             events=np.array([1.0, 5.0, 6.0, 8.0, 12.0, 17.0]),
             horizon=17.0,
         )
-        curve = empirical_curve(trace, grid_points=17)
-        assert curve.values[7] == pytest.approx(4.0 / 6.0)
+        curve = empirical_curve(trace)
+        # Four of the six events are in by t = 8, and no fifth before t = 12.
+        between = (curve.grid >= 8.0) & (curve.grid < 12.0)
+        assert between.sum() == 47
+        assert np.all(curve.values[between] == 4.0 / 6.0)
 
     def test_curve_always_ends_at_one(self):
         rng = np.random.default_rng(7)
@@ -453,13 +463,15 @@ class TestEmpiricalCurve:
             horizon = float(rng.uniform(1.0, 100.0))
             events = np.sort(horizon * (1.0 - rng.random(n)))
             trace = EventTrace(story_id="s", events=events, horizon=horizon)
-            curve = empirical_curve(trace, grid_points=37)
+            curve = empirical_curve(trace)
             assert curve.values[-1] == 1.0
 
     def test_counting_is_inclusive_at_event_times(self):
         trace = EventTrace(story_id="s", events=np.array([2.0, 4.0]), horizon=4.0)
-        curve = empirical_curve(trace, grid_points=2)
-        np.testing.assert_allclose(curve.values, [0.5, 1.0])
+        curve = empirical_curve(trace)
+        # Grid time 4 * 100/200 is exactly the event at 2.
+        assert curve.grid[99] == 2.0
+        assert (curve.values[98], curve.values[99], curve.values[-1]) == (0.0, 0.5, 1.0)
 
     def test_the_block_row_is_checked_once_and_passes_the_public_checks(self):
         # curve_block has checked the row's spacing, the one check that can
@@ -472,15 +484,12 @@ class TestEmpiricalCurve:
             traces.PopularityCurve, "__post_init__", autospec=True,
             side_effect=traces.PopularityCurve.__post_init__,
         ) as checks:
-            curve = empirical_curve(trace, grid_points=17)
+            curve = empirical_curve(trace)
         assert spacing.call_count == 1 and len(spacing.call_args.args[0]) == 1
         assert checks.call_count == 0
-        again = PopularityCurve(
-            grid=curve.grid, values=curve.values, saturation_count=curve.saturation_count
-        )
+        again = PopularityCurve(grid=curve.grid, values=curve.values)
         assert np.array_equal(again.grid, curve.grid)
         assert np.array_equal(again.values, curve.values)
-        assert again.saturation_count == curve.saturation_count == 4
         assert not curve.grid.flags.writeable and not curve.values.flags.writeable
 
 
@@ -495,7 +504,7 @@ class TestCurveBlock:
         def trace(draw):
             kind = draw(st.sampled_from(["spread", "tied", "one", "override", "tiny"]))
             if kind == "tiny":
-                # Subnormal: too short for most grids.
+                # Subnormal: often too short for the 200-point grid.
                 span = draw(st.one_of(
                     st.sampled_from([5e-324, 1e-320, 2e-310]), st.floats(5e-324, 1e-305)
                 ))
@@ -514,20 +523,20 @@ class TestCurveBlock:
             return EventTrace(kind, events, float(events[-1]))
 
         @hypothesis.settings(max_examples=200, deadline=None)
-        @hypothesis.given(st.integers(1, 60), st.lists(trace(), min_size=1, max_size=8))
-        def check(points, batch):
-            grid, values, faults = curve_block(batch, points)
-            assert grid.shape == values.shape == (len(batch), points)
+        @hypothesis.given(st.lists(trace(), min_size=1, max_size=8))
+        def check(batch):
+            grid, values, faults = curve_block(batch)
+            assert grid.shape == values.shape == (len(batch), 200)
             assert len(faults) == len(batch)
             for n, trace in enumerate(batch):
                 try:
-                    lone = empirical_curve(trace, points)
+                    lone = empirical_curve(trace)
                 except ValueError as err:
                     assert (type(faults[n]), str(faults[n])) == (type(err), str(err))
                     continue
                 assert faults[n] is None
                 # The formulas of the earlier per-trace builder.
-                times = trace.horizon * (np.arange(1, points + 1) / points)
+                times = trace.horizon * (np.arange(1, 201) / 200)
                 fraction = np.searchsorted(trace.events, times, side="right") / trace.count
                 assert grid[n].tobytes() == lone.grid.tobytes() == times.tobytes()
                 assert values[n].tobytes() == lone.values.tobytes() == fraction.tobytes()
@@ -564,17 +573,17 @@ class TestCurveBlock:
             return EventTrace("s", events, horizon)
 
         @hypothesis.settings(max_examples=300, deadline=None)
-        @hypothesis.given(st.integers(1, 300), st.lists(trace(), min_size=1, max_size=6))
-        def check(points, batch):
-            grid, values, faults = curve_block(batch, points)
+        @hypothesis.given(st.lists(trace(), min_size=1, max_size=6))
+        def check(batch):
+            grid, values, faults = curve_block(batch)
             for n, trace in enumerate(batch):
                 try:
-                    expected = uniform_grid(trace.horizon, points)
+                    expected = uniform_grid(trace.horizon)
                 except ValueError as err:
                     assert (type(faults[n]), str(faults[n])) == (type(err), str(err))
                     continue
                 assert faults[n] is None
-                curve = PopularityCurve(grid[n], values[n], trace.count)
+                curve = PopularityCurve(grid[n], values[n])
                 assert curve.grid.tobytes() == grid[n].tobytes() == expected.tobytes()
                 assert curve.values.tobytes() == values[n].tobytes()
                 assert curve.values[-1] == 1.0
@@ -593,102 +602,59 @@ class TestCurveBlock:
             empirical_curve(tiny)
 
     def test_no_traces_make_an_empty_block(self):
-        grid, values, faults = curve_block([], 7)
-        assert grid.shape == values.shape == (0, 7)
+        grid, values, faults = curve_block([])
+        assert grid.shape == values.shape == (0, 200)
         assert faults == []
-
-    def test_rejects_a_bad_point_count(self):
-        trace = EventTrace("s", np.array([1.0]), 1.0)
-        with pytest.raises(ValueError, match="grid_points must be at least 1"):
-            curve_block([trace], 0)
 
 
 class TestPopularityCurve:
-    def test_horizon_is_last_grid_time(self):
-        curve = PopularityCurve(
-            grid=np.array([1.0, 2.0]), values=np.array([0.5, 1.0]), saturation_count=2
-        )
-        assert curve.horizon == 2.0
-
     def test_rejects_mismatched_lengths(self):
         with pytest.raises(ValueError, match="grid"):
-            PopularityCurve(
-                grid=np.array([1.0, 2.0]), values=np.array([1.0]), saturation_count=1
-            )
+            PopularityCurve(grid=np.array([1.0, 2.0]), values=np.array([1.0]))
 
     def test_rejects_irregular_grid(self):
         for grid in ([1.0, 2.0, 10.0], [1.0, math.nan, 3.0], [1.0, 2.0, math.nan]):
             with pytest.raises(ValueError, match="uniform"):
-                PopularityCurve(
-                    grid=np.array(grid),
-                    values=np.array([0.1, 0.2, 0.3]),
-                    saturation_count=1,
-                )
+                PopularityCurve(grid=np.array(grid), values=np.array([0.1, 0.2, 0.3]))
 
     def test_rejects_non_finite_grid(self):
         for grid in ([math.inf], [1.0, math.inf], [1.0, math.inf, math.inf]):
             with pytest.raises(ValueError, match="finite"):
-                PopularityCurve(
-                    grid=np.array(grid), values=np.ones(len(grid)), saturation_count=1
-                )
+                PopularityCurve(grid=np.array(grid), values=np.ones(len(grid)))
         with pytest.raises(ValueError, match="increasing"):
-            PopularityCurve(
-                grid=np.array([1.0, math.inf, 3.0]), values=np.ones(3), saturation_count=1
-            )
-
-    @pytest.mark.parametrize("count", [2.9, 2.0, True])
-    def test_rejects_non_integer_saturation_count(self, count):
-        with pytest.raises(ValueError, match="saturation count must be an integer"):
-            PopularityCurve(
-                grid=np.array([1.0, 2.0]), values=np.array([0.5, 1.0]), saturation_count=count
-            )
+            PopularityCurve(grid=np.array([1.0, math.inf, 3.0]), values=np.ones(3))
 
     def test_rejects_decreasing_values(self):
         with pytest.raises(ValueError, match="nondecreasing"):
-            PopularityCurve(
-                grid=np.array([1.0, 2.0]),
-                values=np.array([0.8, 0.2]),
-                saturation_count=1,
-            )
+            PopularityCurve(grid=np.array([1.0, 2.0]), values=np.array([0.8, 0.2]))
 
     def test_rejects_values_above_one(self):
         for values in ([0.5, 1.5], [math.nan, 1.0], [0.5, math.nan]):
             with pytest.raises(ValueError, match=r"\[0, 1\]"):
-                PopularityCurve(
-                    grid=np.array([1.0, 2.0]),
-                    values=np.array(values),
-                    saturation_count=1,
-                )
+                PopularityCurve(grid=np.array([1.0, 2.0]), values=np.array(values))
 
 
-def list_mean(curves, grid_points=200):
+def list_mean(curves):
     """The mean of a list of curves as `aggregate_mean` first computed it,
     one `PopularityCurve` per member: the reference its block form keeps."""
-    span = max(curve.horizon for curve in curves)
-    grid = uniform_grid(span, grid_points)
+    span = max(curve.grid[-1] for curve in curves)
+    grid = uniform_grid(span)
     sampled = [np.interp(grid, curve.grid, curve.values) for curve in curves]
     values = np.array(
         [math.fsum(column) / len(sampled) for column in zip(*sampled)], dtype=float
     )
-    total = sum(curve.saturation_count for curve in curves)
-    return PopularityCurve(grid=grid, values=values, saturation_count=total)
+    return PopularityCurve(grid=grid, values=values)
 
 
-def block_mean(curves, grid_points=200):
+def block_mean(curves):
     """`aggregate_mean` of the curves stacked as one block."""
-    return aggregate_mean(
-        [c.grid for c in curves],
-        [c.values for c in curves],
-        [c.saturation_count for c in curves],
-        grid_points,
-    )
+    return aggregate_mean([c.grid for c in curves], [c.values for c in curves])
 
 
 class TestAggregateMean:
     def test_averages_two_curves_pointwise(self):
-        mean = aggregate_mean([[1.0, 2.0], [1.0, 2.0]], [[0.0, 1.0], [1.0, 1.0]], [1, 1], 2)
+        mean = aggregate_mean([[1.0, 2.0], [1.0, 2.0]], [[0.0, 1.0], [1.0, 1.0]])
         np.testing.assert_allclose(mean.values, [0.5, 1.0])
-        assert mean.saturation_count == 2
 
     def test_result_does_not_depend_on_input_order(self):
         rng = np.random.default_rng(11)
@@ -697,34 +663,35 @@ class TestAggregateMean:
             horizon = float(rng.uniform(5.0, 20.0))
             events = np.sort(horizon * (1.0 - rng.random(30)))
             members.append(EventTrace(story_id=f"s{k}", events=events, horizon=horizon))
-        grid, values, _ = curve_block(members, grid_points=50)
-        forward = aggregate_mean(grid, values, [30] * 6, grid_points=50)
-        backward = aggregate_mean(grid[::-1], values[::-1], [30] * 6, grid_points=50)
+        grid, values, _ = curve_block(members)
+        forward = aggregate_mean(grid, values)
+        backward = aggregate_mean(grid[::-1], values[::-1])
         np.testing.assert_array_equal(forward.values, backward.values)
 
     def test_grid_spans_longest_member(self):
-        mean = aggregate_mean([[1.0, 2.0], [2.0, 4.0]], [[0.5, 1.0], [0.25, 1.0]], [2, 4], 4)
-        assert mean.horizon == 4.0
+        mean = aggregate_mean([[1.0, 2.0], [2.0, 4.0]], [[0.5, 1.0], [0.25, 1.0]])
+        assert mean.grid.tolist() == [2.0, 4.0]
         # The short curve holds its final value past its own horizon.
-        assert mean.values[-1] == pytest.approx(1.0)
+        assert mean.values.tolist() == [0.625, 1.0]
 
     def test_rejects_empty_list(self):
         with pytest.raises(ValueError, match="at least one"):
-            aggregate_mean(np.empty((0, 200)), np.empty((0, 200)), [])
+            aggregate_mean(np.empty((0, 200)), np.empty((0, 200)))
 
     def test_rejects_blocks_of_mismatched_shapes(self):
         with pytest.raises(ValueError, match="2-D arrays of one shape"):
-            aggregate_mean([[1.0, 2.0]], [[0.5, 0.75, 1.0]], [2])
-        with pytest.raises(ValueError, match="one count per row"):
-            aggregate_mean([[1.0, 2.0]], [[0.5, 1.0]], [2, 2])
+            aggregate_mean([[1.0, 2.0]], [[0.5, 0.75, 1.0]])
+        with pytest.raises(ValueError, match="2-D arrays of one shape"):
+            aggregate_mean([1.0, 2.0], [0.5, 1.0])
 
     def test_single_curve_is_returned_unchanged_on_its_own_grid(self):
         trace = EventTrace(
             story_id="s", events=np.array([1.0, 2.0, 3.0, 4.0]), horizon=4.0
         )
-        curve = empirical_curve(trace, grid_points=4)
-        mean = block_mean([curve], grid_points=4)
-        np.testing.assert_allclose(mean.values, curve.values)
+        curve = empirical_curve(trace)
+        mean = block_mean([curve])
+        assert mean.grid.tobytes() == curve.grid.tobytes()
+        assert mean.values.tobytes() == curve.values.tobytes()
 
     def test_block_mean_is_the_list_mean_bit_for_bit(self):
         hypothesis = pytest.importorskip("hypothesis")
@@ -732,28 +699,54 @@ class TestAggregateMean:
 
         @st.composite
         def curves(draw):
-            points = draw(st.integers(1, 40))
             horizons = draw(st.lists(st.floats(1e-3, 1e6), min_size=1, max_size=8))
             members = []
             for horizon in horizons:
-                steps = draw(st.lists(st.floats(0.0, 1.0), min_size=points, max_size=points))
+                steps = draw(st.lists(st.floats(0.0, 1.0), min_size=200, max_size=200))
                 members.append(
-                    PopularityCurve(
-                        grid=uniform_grid(horizon, points),
-                        values=np.sort(steps),
-                        saturation_count=draw(st.integers(1, 10**6)),
-                    )
+                    PopularityCurve(grid=uniform_grid(horizon), values=np.sort(steps))
                 )
-            return members, draw(st.integers(1, 60))
+            return members
 
         @hypothesis.settings(max_examples=200, deadline=None)
         @hypothesis.given(curves())
-        def check(drawn):
-            members, grid_points = drawn
-            block = block_mean(members, grid_points)
-            reference = list_mean(members, grid_points)
+        def check(members):
+            block = block_mean(members)
+            reference = list_mean(members)
             assert block.grid.tobytes() == reference.grid.tobytes()
             assert block.values.tobytes() == reference.values.tobytes()
-            assert block.saturation_count == reference.saturation_count
+
+        check()
+
+    def test_shared_grid_is_the_longest_block_row_bit_for_bit(self):
+        # The mean takes the block row of the longest horizon as its grid,
+        # which must be the grid uniform_grid makes of that horizon: over
+        # normal, huge and subnormal-adjacent horizons, with ties for the
+        # longest.
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        horizons = st.one_of(
+            st.floats(1e-3, 1e6),
+            st.floats(1e300, 1.7976931348623157e308),
+            st.floats(2.2250738585072014e-308, 1e-300),
+            st.sampled_from([1.7976931348623157e308, 2.2250738585072014e-308, 1e-305]),
+        )
+
+        @hypothesis.settings(max_examples=300, deadline=None)
+        @hypothesis.given(
+            st.lists(horizons, min_size=1, max_size=6), st.integers(0, 3), st.randoms()
+        )
+        def check(spans, ties, rng):
+            # Copies of the longest horizon, shuffled in among the others.
+            spans = spans + [max(spans)] * ties
+            rng.shuffle(spans)
+            batch = [EventTrace("s", np.array([span]), span) for span in spans]
+            grid, values, faults = curve_block(batch)
+            assert faults == [None] * len(batch)
+            mean = aggregate_mean(grid, values)
+            longest = max(spans)
+            rows = {row.tobytes() for row, span in zip(grid, spans) if span == longest}
+            assert rows == {mean.grid.tobytes()}
+            assert mean.grid.tobytes() == uniform_grid(longest).tobytes()
 
         check()
