@@ -39,7 +39,8 @@ def main() -> None:
     names = [f"X_{int(a)}" for a in space.labels]
     print("states are labeled by remaining time a = T - t; X_17 never responds")
     print_matrix(names, space.dist, lambda v: str(int(v)))
-    print(f"\nstate multiplicities: {space.multiplicity.tolist()}")
+    print(f"\n{trace.count} events at {space.size - 1} distinct times "
+          "(simultaneous events would share one state)")
     print("the distance between two states is the window minus the later label,")
     print(f"e.g. d(X_11, X_5) = {space.dist[3, 1]:.0f}")
 

@@ -107,10 +107,9 @@ def check_rate_ultrametricity(gen: Generator) -> TripleReport:
     n = gen.size
     triple = _first_violation(gen.rates, negate=True)
     if triple is None:
-        return TripleReport(ok=True, triple=None, message=f"all {n} states rate-ultrametric")
+        return TripleReport(triple=None, message=f"all {n} states rate-ultrametric")
     i, j, k = triple
     return TripleReport(
-        ok=False,
         triple=triple,
         message=(
             f"rate({i},{j})={gen.rates[i, j]:g} falls below "

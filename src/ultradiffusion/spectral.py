@@ -76,17 +76,21 @@ def _path_rates(counts: np.ndarray, hop: np.ndarray) -> np.ndarray:
 class ChainSpectrum:
     """Closed-form eigensystem of the unit-spaced chain of t_N states.
 
+    The chain is its eigenvalues, one per state, so t_N is their count.
     Only the eigenvalues depend on the decay mu; the eigenvectors do not and
     are built on request.
     """
 
-    t_N: int
     eigenvalues: np.ndarray
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "eigenvalues", _readonly(self.eigenvalues))
-        if self.eigenvalues.shape != (self.t_N,):
-            raise ValueError("eigensystem shape does not match t_N")
+        if self.eigenvalues.ndim != 1:
+            raise ValueError("eigenvalues must be one-dimensional")
+
+    @property
+    def t_N(self) -> int:
+        return self.eigenvalues.size
 
     @property
     def eigenvectors(self) -> np.ndarray:
@@ -115,7 +119,7 @@ def chain_spectrum(t_N: int, mu: float) -> ChainSpectrum:
     # The path of leaf 1 climbs levels 2..t_N: N_0 = 1, N_k = k, h_k = mu*(k-1).
     lam = np.zeros(t_N)
     lam[1:] = -_path_rates(np.arange(1.0, t_N + 1), np.exp(-mu * np.arange(1, t_N)))
-    return ChainSpectrum(t_N=t_N, eigenvalues=lam)
+    return ChainSpectrum(eigenvalues=lam)
 
 
 def autocorrelation_chain(spectrum: ChainSpectrum, i: int, t) -> np.ndarray | float:
@@ -268,4 +272,4 @@ def space_from_tree(tree: TreeModel) -> UltrametricSpace:
     # Every pair is filled on both sides, off the diagonal, with the height
     # of an internal node, which `TreeModel` holds above its child's, >= 0:
     # the matrix is symmetric, zero on the diagonal and positive off it.
-    return _built_space(np.arange(1, n + 1, dtype=float), dist, np.ones(n, dtype=int))
+    return _built_space(np.arange(1, n + 1, dtype=float), dist)

@@ -134,7 +134,7 @@ def _trace_fault(events: np.ndarray, horizon: float) -> str:
         return "events must be sorted ascending"
     if events[0] <= 0:
         return "event times must be positive"
-    return f"event at t={events[-1]!r} exceeds horizon {horizon!r}"
+    return f"event at t={events[-1].item()!r} exceeds horizon {horizon!r}"
 
 
 @dataclass(frozen=True)

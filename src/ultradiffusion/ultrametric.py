@@ -48,10 +48,8 @@ class UltrametricSpace:
     """A finite state space with pairwise ultrametric distances.
 
     `labels` identifies the states (ascending; reverse-time subscripts for
-    trace-built spaces, plain indices for model chains and trees), `dist`
-    holds the symmetric distance matrix, and `multiplicity` counts how many
-    trace events collapsed into each state (zero for the no-rebroadcast
-    state, one everywhere for model chains and trees).
+    trace-built spaces, plain indices for model chains and trees), and
+    `dist` holds the symmetric distance matrix.
 
     The constructor takes a matrix from outside the library and checks it in
     O(n^2): symmetric, zero on the diagonal, positive off it. The library's
@@ -62,20 +60,17 @@ class UltrametricSpace:
 
     labels: np.ndarray
     dist: np.ndarray
-    multiplicity: np.ndarray
 
     def __post_init__(self) -> None:
         labels = _readonly(self.labels)
         dist = _readonly(self.dist)
-        multiplicity = _readonly(self.multiplicity, dtype=int)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "dist", dist)
-        object.__setattr__(self, "multiplicity", multiplicity)
         n = labels.size
         if n == 0:
             raise ValueError("state space needs at least one state")
-        if labels.ndim != 1 or multiplicity.shape != (n,):
-            raise ValueError("labels and multiplicity must be one-dimensional and aligned")
+        if labels.ndim != 1:
+            raise ValueError("labels must be one-dimensional")
         _check_ascending(labels)
         if dist.shape != (n, n):
             raise ValueError(f"distance matrix must be {n}x{n}, got {dist.shape}")
@@ -97,15 +92,15 @@ def _check_ascending(labels: np.ndarray) -> None:
         raise ValueError("labels must be strictly ascending")
 
 
-def _built_space(labels, dist, multiplicity) -> UltrametricSpace:
+def _built_space(labels, dist) -> UltrametricSpace:
     """The space of a builder whose labels ascend and whose `dist` is
     symmetric, zero on the diagonal and positive off it: the fields are set
-    without the constructor's O(n^2) checks. The three arrays are the
-    builder's own, fresh, of float, float and int dtype, so they are made
-    read-only in place, not copied."""
-    for values in (labels, dist, multiplicity):
+    without the constructor's O(n^2) checks. Both arrays are the builder's
+    own, fresh and of float dtype, so they are made read-only in place, not
+    copied."""
+    for values in (labels, dist):
         values.setflags(write=False)
-    return _unchecked(UltrametricSpace, labels=labels, dist=dist, multiplicity=multiplicity)
+    return _unchecked(UltrametricSpace, labels=labels, dist=dist)
 
 
 @dataclass(frozen=True)
@@ -113,32 +108,32 @@ class TripleReport:
     """Outcome of a strong-triangle check over every ordered triple of a matrix.
 
     `triple` holds 0-based state indices (i, j, k) of the first violation in
-    lexicographic order, or None when every triple passes.
+    lexicographic order, or None when every triple passes; `ok` says which.
     """
 
-    ok: bool
     triple: tuple[int, int, int] | None
     message: str
+
+    @property
+    def ok(self) -> bool:
+        return self.triple is None
 
 
 def build_from_trace(trace: EventTrace) -> UltrametricSpace:
     """State space of a trace: one state per distinct event time, plus one
     no-rebroadcast state at subscript T.
 
-    Simultaneous events collapse into a single state whose multiplicity
-    records how many merged. An event at exactly t = T is allowed and yields
-    subscript 0.
+    Simultaneous events collapse into a single state. An event at exactly
+    t = T is allowed and yields subscript 0.
     """
     span, events = trace.horizon, trace.events
-    # Events are sorted: each distinct time starts where one differs from the
-    # time before it, and its ties run up to the next start.
-    edges = np.flatnonzero(np.concatenate([[True], events[1:] != events[:-1], [True]]))
-    counts = edges[1:] - edges[:-1]
+    # Events are sorted: each distinct time is one that differs from the
+    # time before it.
+    distinct = events[np.concatenate([[True], events[1:] != events[:-1]])]
     # Ascending event times map to descending subscripts; reverse, then append
-    # the no-rebroadcast state at subscript T with multiplicity zero.
-    labels = np.concatenate([(span - events[edges[:-1]])[::-1], [span]])
-    multiplicity = np.concatenate([counts[::-1], [0]])
-    return _max_space(labels, span - labels, multiplicity)
+    # the no-rebroadcast state at subscript T.
+    labels = np.concatenate([(span - distinct)[::-1], [span]])
+    return _max_space(labels, span - labels)
 
 
 def uniform_chain(n: int) -> UltrametricSpace:
@@ -151,10 +146,10 @@ def uniform_chain(n: int) -> UltrametricSpace:
     if n < 2:
         raise ValueError("a chain needs at least 2 states")
     idx = np.arange(1, n + 1, dtype=float)
-    return _max_space(idx, idx - 1.0, np.ones(n, dtype=int))
+    return _max_space(idx, idx - 1.0)
 
 
-def _max_space(labels, heights, multiplicity) -> UltrametricSpace:
+def _max_space(labels, heights) -> UltrametricSpace:
     """Space with d(i, j) = max(heights[i], heights[j]) for i != j.
 
     The outer maximum is symmetric and the diagonal is set to zero, so of
@@ -168,7 +163,7 @@ def _max_space(labels, heights, multiplicity) -> UltrametricSpace:
         raise ValueError("distances between distinct states must be positive")
     dist = np.maximum.outer(heights, heights)
     np.fill_diagonal(dist, 0.0)
-    return _built_space(labels, dist, multiplicity)
+    return _built_space(labels, dist)
 
 
 # Entries per block of the order proof, so its temporaries stay near 2 MB
@@ -290,10 +285,9 @@ def verify_ultrametric(space: UltrametricSpace) -> TripleReport:
     n = space.size
     triple = _first_violation(dist)
     if triple is None:
-        return TripleReport(ok=True, triple=None, message=f"all {n} states ultrametric")
+        return TripleReport(triple=None, message=f"all {n} states ultrametric")
     i, j, k = triple
     return TripleReport(
-        ok=False,
         triple=triple,
         message=(
             f"d({space.labels[i]:g},{space.labels[j]:g})={dist[i, j]:g} exceeds "

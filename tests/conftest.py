@@ -102,7 +102,6 @@ def dendrogram_spaces():
         return UltrametricSpace(
             labels=np.arange(1.0, n + 1),
             dist=dist[np.ix_(order, order)],
-            multiplicity=np.ones(n, dtype=int),
         )
 
     return spaces()

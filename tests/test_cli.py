@@ -885,7 +885,7 @@ def test_workflow_commands_parse():
                     elif words[:3] == ["python", "-m", "ultradiffusion.cli"]:
                         commands.append(words[3:])
     # Every command of the file is found, brace groups included.
-    assert len(commands) == len(re.findall(r"\bultradiffusion(?:\.cli)? ", text)) >= 19
+    assert len(commands) == len(re.findall(r"\bultradiffusion(?:\.cli)? ", text)) >= 20
     for argv in commands:
         try:
             parser.parse_args(argv)

@@ -38,12 +38,11 @@ def reference_report(gen):
             for k in range(n):
                 if len({i, j, k}) == 3 and r[i, j] < min(r[i, k], r[k, j]):
                     return TripleReport(
-                        ok=False,
                         triple=(i, j, k),
                         message=f"rate({i},{j})={r[i, j]:g} falls below "
                         f"min via state {k}: {min(r[i, k], r[k, j]):g}",
                     )
-    return TripleReport(ok=True, triple=None, message=f"all {n} states rate-ultrametric")
+    return TripleReport(triple=None, message=f"all {n} states rate-ultrametric")
 
 
 def space_of(dist):
@@ -51,7 +50,6 @@ def space_of(dist):
     return UltrametricSpace(
         labels=np.arange(1.0, n + 1),
         dist=np.array(dist, dtype=float),
-        multiplicity=np.ones(n, dtype=int),
     )
 
 
@@ -310,13 +308,19 @@ class TestRateUltrametricity:
         # which are then written as 0.0 or -0.0.
         zeros = st.sampled_from([0.0, -0.0])
 
+        verdicts = set()
+
         @hypothesis.settings(max_examples=300, deadline=None)
         @hypothesis.given(small_spaces(st), st.sampled_from([0.5, 250.0]), zeros, zeros)
         def check(space, mu, upper, lower):
             gen = signed_zero_rates(quiet_generator(space, mu), upper, lower)
-            assert check_rate_ultrametricity(gen) == reference_report(gen)
+            report = check_rate_ultrametricity(gen)
+            assert report == reference_report(gen)
+            assert report.ok is (report.triple is None)
+            verdicts.add(report.ok)
 
         check()
+        assert verdicts == {True, False}
 
     def test_dendrogram_spaces_match_the_reference_scan(self, dendrogram_spaces):
         hypothesis = pytest.importorskip("hypothesis")
@@ -324,27 +328,33 @@ class TestRateUltrametricity:
 
         zeros = st.sampled_from([0.0, -0.0])
 
+        verdicts = set()
+
         @hypothesis.settings(max_examples=300, deadline=None)
         @hypothesis.given(dendrogram_spaces, st.sampled_from([0.5, 250.0]), zeros, zeros)
         def check(space, mu, upper, lower):
             gen = signed_zero_rates(quiet_generator(space, mu), upper, lower)
-            assert check_rate_ultrametricity(gen) == reference_report(gen)
+            report = check_rate_ultrametricity(gen)
+            assert report == reference_report(gen)
+            assert report.ok is (report.triple is None)
+            verdicts.add(report.ok)
 
         check()
+        assert verdicts == {True, False}
 
     def test_infinite_distances_give_zero_rates(self):
         gen = quiet_generator(space_of([[0, np.inf, np.inf], [np.inf, 0, 1], [np.inf, 1, 0]]), 1.0)
         assert check_rate_ultrametricity(gen).ok
         gen = quiet_generator(space_of([[0, 1, np.inf], [1, 0, 1], [np.inf, 1, 0]]), 1.0)
         assert check_rate_ultrametricity(gen) == TripleReport(
-            ok=False, triple=(0, 2, 1), message="rate(0,2)=0 falls below min via state 1: 0.367879"
+            triple=(0, 2, 1), message="rate(0,2)=0 falls below min via state 1: 0.367879"
         )
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_fewer_than_three_states_pass_at_any_tolerance(self, n):
         gen = build_generator(space_of(np.ones((n, n)) - np.eye(n)), 1.0)
         assert check_rate_ultrametricity(gen) == TripleReport(
-            ok=True, triple=None, message=f"all {n} states rate-ultrametric"
+            triple=None, message=f"all {n} states rate-ultrametric"
         )
 
 
@@ -363,7 +373,7 @@ class TestRateUltrametricityAtScale:
     def test_trace_generator_passes(self):
         gen = build_generator(self.big_space(), mu=0.001)
         assert check_rate_ultrametricity(gen) == TripleReport(
-            ok=True, triple=None, message="all 3001 states rate-ultrametric"
+            triple=None, message="all 3001 states rate-ultrametric"
         )
 
     def test_one_changed_pair_in_row_zero_is_found(self):
@@ -373,13 +383,10 @@ class TestRateUltrametricityAtScale:
         # smallest rate. Shrinking d(0, 5) below d(1, 5) < D raises rate(0, 5)
         # above rate(0, 1), which breaks (0, 1, 5) and no earlier triple.
         dist[0, 5] = dist[5, 0] = dist[1, 5] / 2
-        broken = UltrametricSpace(
-            labels=space.labels, dist=dist, multiplicity=space.multiplicity
-        )
+        broken = UltrametricSpace(labels=space.labels, dist=dist)
         gen = build_generator(broken, mu=0.001)
         r = gen.rates
         assert check_rate_ultrametricity(gen) == TripleReport(
-            ok=False,
             triple=(0, 1, 5),
             message=f"rate(0,1)={r[0, 1]:g} falls below min via state 5: {r[1, 5]:g}",
         )
@@ -391,16 +398,13 @@ class TestRateUltrametricityAtScale:
         # rate(2998, 2999), which breaks (2998, 2999, 3000); every earlier row
         # still passes.
         dist[2998, 3000] = dist[3000, 2998] = dist[2998, 3000] / 3
-        broken = UltrametricSpace(
-            labels=space.labels, dist=dist, multiplicity=space.multiplicity
-        )
+        broken = UltrametricSpace(labels=space.labels, dist=dist)
         gen = build_generator(broken, mu=0.001)
         r = gen.rates
         start = time.process_time()
         report = check_rate_ultrametricity(gen)
         assert time.process_time() - start < 10.0
         assert report == TripleReport(
-            ok=False,
             triple=(2998, 2999, 3000),
             message=f"rate(2998,2999)={r[2998, 2999]:g} falls below "
             f"min via state 3000: {r[3000, 2999]:g}",
@@ -458,5 +462,5 @@ def test_built_generators_prove_in_their_own_order(kind, n, built_space, monkeyp
     monkeypatch.setattr("scipy.cluster.hierarchy.linkage", refuse)
     gen = build_generator(built_space(kind, n), 0.05)
     assert check_rate_ultrametricity(gen) == TripleReport(
-        ok=True, triple=None, message=f"all {gen.size} states rate-ultrametric"
+        triple=None, message=f"all {gen.size} states rate-ultrametric"
     )

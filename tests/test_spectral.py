@@ -10,6 +10,7 @@ from ultradiffusion.fitting import UltradiffusionParams
 from ultradiffusion.generator import build_generator
 from ultradiffusion.oracle import numeric_spectrum
 from ultradiffusion.spectral import (
+    ChainSpectrum,
     TreeModel,
     autocorrelation_chain,
     caterpillar_tree,
@@ -158,8 +159,13 @@ class TestChainSpectrum:
 
     def test_stores_no_dense_matrix(self):
         spectrum = chain_spectrum(10**4, mu=0.1)
-        assert [f.name for f in dataclasses.fields(spectrum)] == ["t_N", "eigenvalues"]
+        assert [f.name for f in dataclasses.fields(spectrum)] == ["eigenvalues"]
         assert spectrum.eigenvalues.nbytes == 8 * 10**4
+        assert spectrum.t_N == 10**4
+
+    def test_rejects_eigenvalues_that_are_not_one_dimensional(self):
+        with pytest.raises(ValueError, match="^eigenvalues must be one-dimensional$"):
+            ChainSpectrum(eigenvalues=np.zeros((2, 2)))
 
 
 class TestAutocorrelationChain:

@@ -112,6 +112,12 @@ class TestEventTrace:
         with pytest.raises(ValueError, match="horizon"):
             EventTrace(story_id="s", events=np.array([1.0, 6.0]), horizon=5.0)
 
+    def test_names_the_late_event_as_a_plain_number(self):
+        # Not numpy's repr, np.float64(3.0).
+        message = "story a: event at t=3.0 exceeds horizon 2.5"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            EventTrace(story_id="a", events=np.array([1.0, 2.0, 3.0]), horizon=2.5)
+
     def test_rejects_empty_trace(self):
         with pytest.raises(ValueError, match="at least one event"):
             EventTrace(story_id="s", events=np.array([]), horizon=5.0)
@@ -144,7 +150,7 @@ def reference_trace_fault(story_id, events, horizon):
     if events[0] <= 0:
         return f"story {story_id}: event times must be positive"
     if events[-1] > horizon:
-        return f"story {story_id}: event at t={events[-1]!r} exceeds horizon {horizon!r}"
+        return f"story {story_id}: event at t={events[-1].item()!r} exceeds horizon {horizon!r}"
     return None
 
 

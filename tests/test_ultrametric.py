@@ -1,5 +1,6 @@
 """Ultrametric state spaces built from traces and model chains."""
 
+import dataclasses
 import functools
 import re
 import time
@@ -48,12 +49,11 @@ def reference_report(space):
             for k in range(n):
                 if len({i, j, k}) == 3 and d[i, j] > max(d[i, k], d[k, j]):
                     return TripleReport(
-                        ok=False,
                         triple=(i, j, k),
                         message=f"d({labels[i]:g},{labels[j]:g})={d[i, j]:g} exceeds "
                         f"max(d(.,{labels[k]:g}))={max(d[i, k], d[k, j]):g}",
                     )
-    return TripleReport(ok=True, triple=None, message=f"all {n} states ultrametric")
+    return TripleReport(triple=None, message=f"all {n} states ultrametric")
 
 
 def space_of(dist):
@@ -61,7 +61,6 @@ def space_of(dist):
     return UltrametricSpace(
         labels=np.arange(1.0, n + 1),
         dist=np.array(dist, dtype=float),
-        multiplicity=np.ones(n, dtype=int),
     )
 
 
@@ -107,22 +106,46 @@ class TestBuildFromTrace:
         space = build_from_trace(WORKED_TRACE)
         np.testing.assert_array_equal(np.diagonal(space.dist), np.zeros(space.size))
 
-    def test_no_rebroadcast_state_is_last_with_zero_multiplicity(self):
+    def test_no_rebroadcast_state_is_last_at_the_horizon(self):
         space = build_from_trace(WORKED_TRACE)
+        assert space.size == WORKED_TRACE.count + 1
         assert space.labels[-1] == WORKED_TRACE.horizon
-        assert space.multiplicity[-1] == 0
-        np.testing.assert_array_equal(space.multiplicity[:-1], np.ones(6, dtype=int))
+        # Its distance to any other state is that state's event time T - a.
+        np.testing.assert_array_equal(
+            space.dist[-1, :-1], WORKED_TRACE.horizon - space.labels[:-1]
+        )
 
-    def test_simultaneous_events_collapse_with_multiplicity(self):
+    def test_simultaneous_events_collapse_into_one_state(self):
         trace = EventTrace(
             story_id="tied", events=np.array([2.0, 2.0, 5.0]), horizon=5.0
         )
         space = build_from_trace(trace)
         np.testing.assert_array_equal(space.labels, [0.0, 3.0, 5.0])
-        np.testing.assert_array_equal(space.multiplicity, [1, 2, 0])
         np.testing.assert_array_equal(
             space.dist, [[0, 5, 5], [5, 0, 2], [5, 2, 0]]
         )
+
+    def test_tied_times_give_one_state_each_bit_for_bit(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @st.composite
+        def tied_traces(draw):
+            # Times rounded to one decimal tie often, and a draw of the
+            # horizon itself puts events exactly at it.
+            span = draw(st.sampled_from([1.0, 2.5, 17.0]))
+            times = st.one_of(st.just(span), st.floats(0.1, span).map(lambda t: round(t, 1)))
+            events = np.sort(draw(st.lists(times, min_size=1, max_size=30)))
+            return EventTrace(story_id="tied", events=events, horizon=span)
+
+        @hypothesis.settings(max_examples=300, deadline=None)
+        @hypothesis.given(tied_traces())
+        def check(trace):
+            space, reference = build_from_trace(trace), reference_trace_space(trace)
+            assert space.labels.tobytes() == reference.labels.tobytes()
+            assert space.dist.tobytes() == reference.dist.tobytes()
+
+        check()
 
     def test_event_at_horizon_yields_subscript_zero(self):
         trace = EventTrace(story_id="edge", events=np.array([3.0]), horizon=3.0)
@@ -158,7 +181,6 @@ class TestVerifyUltrametric:
         space = UltrametricSpace(
             labels=np.array([1.0, 2.0, 3.0]),
             dist=np.array([[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]]),
-            multiplicity=np.ones(3, dtype=int),
         )
         report = verify_ultrametric(space)
         assert not report.ok
@@ -169,7 +191,6 @@ class TestVerifyUltrametric:
         space = UltrametricSpace(
             labels=np.array([1.0, 2.0]),
             dist=np.array([[0.0, 7.0], [7.0, 0.0]]),
-            multiplicity=np.ones(2, dtype=int),
         )
         assert verify_ultrametric(space).ok
 
@@ -183,7 +204,6 @@ class TestVerifyUltrametric:
                     [1.0 + 1e-12, 1.0, 0.0],
                 ]
             ),
-            multiplicity=np.ones(3, dtype=int),
         )
         assert not verify_ultrametric(space).ok
 
@@ -191,12 +211,18 @@ class TestVerifyUltrametric:
         hypothesis = pytest.importorskip("hypothesis")
         st = hypothesis.strategies
 
+        verdicts = set()
+
         @hypothesis.settings(max_examples=300, deadline=None)
         @hypothesis.given(small_spaces(st))
         def check(space):
-            assert verify_ultrametric(space) == reference_report(space)
+            report = verify_ultrametric(space)
+            assert report == reference_report(space)
+            assert report.ok is (report.triple is None)
+            verdicts.add(report.ok)
 
         check()
+        assert verdicts == {True, False}
 
     def test_dendrogram_spaces_match_the_reference_scan(self, dendrogram_spaces):
         # Uniform entries almost always fail; these mostly pass, so they reach
@@ -204,12 +230,18 @@ class TestVerifyUltrametric:
         # as the failing row's scan.
         hypothesis = pytest.importorskip("hypothesis")
 
+        verdicts = set()
+
         @hypothesis.settings(max_examples=300, deadline=None)
         @hypothesis.given(dendrogram_spaces)
         def check(space):
-            assert verify_ultrametric(space) == reference_report(space)
+            report = verify_ultrametric(space)
+            assert report == reference_report(space)
+            assert report.ok is (report.triple is None)
+            verdicts.add(report.ok)
 
         check()
+        assert verdicts == {True, False}
 
     def test_largest_double_beside_infinity(self):
         # Infinite entries are ranked before linkage; the largest double must
@@ -219,29 +251,29 @@ class TestVerifyUltrametric:
             warnings.simplefilter("error")
             passing = verify_ultrametric(space_of([[0, big, np.inf], [big, 0, np.inf], [np.inf, np.inf, 0]]))
             failing = verify_ultrametric(space_of([[0, np.inf, big], [np.inf, 0, big], [big, big, 0]]))
-        assert passing == TripleReport(ok=True, triple=None, message="all 3 states ultrametric")
+        assert passing == TripleReport(triple=None, message="all 3 states ultrametric")
         assert failing == TripleReport(
-            ok=False, triple=(0, 1, 2), message="d(1,2)=inf exceeds max(d(.,3))=1.79769e+308"
+            triple=(0, 1, 2), message="d(1,2)=inf exceeds max(d(.,3))=1.79769e+308"
         )
 
     def test_infinite_distances(self):
         assert verify_ultrametric(space_of([[0, np.inf, np.inf], [np.inf, 0, 1], [np.inf, 1, 0]])).ok
         report = verify_ultrametric(space_of([[0, 1, np.inf], [1, 0, 1], [np.inf, 1, 0]]))
         assert report == TripleReport(
-            ok=False, triple=(0, 2, 1), message="d(1,3)=inf exceeds max(d(.,2))=1"
+            triple=(0, 2, 1), message="d(1,3)=inf exceeds max(d(.,2))=1"
         )
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_fewer_than_three_states_pass_at_any_tolerance(self, n):
         space = space_of(np.ones((n, n)) - np.eye(n))
         assert verify_ultrametric(space) == TripleReport(
-            ok=True, triple=None, message=f"all {n} states ultrametric"
+            triple=None, message=f"all {n} states ultrametric"
         )
 
     def test_first_triple_and_message_are_exact(self):
         report = verify_ultrametric(space_of([[0, 1, 5], [1, 0, 1], [5, 1, 0]]))
         assert report == TripleReport(
-            ok=False, triple=(0, 2, 1), message="d(1,3)=5 exceeds max(d(.,2))=1"
+            triple=(0, 2, 1), message="d(1,3)=5 exceeds max(d(.,2))=1"
         )
 
 class TestVerifyAtScale:
@@ -258,7 +290,7 @@ class TestVerifyAtScale:
 
     def test_trace_space_passes(self):
         assert verify_ultrametric(self.big_space()) == TripleReport(
-            ok=True, triple=None, message="all 3001 states ultrametric"
+            triple=None, message="all 3001 states ultrametric"
         )
 
     def test_one_changed_pair_in_row_zero_is_found(self):
@@ -268,12 +300,9 @@ class TestVerifyAtScale:
         # d(1, 5) < D breaks (0, 1, 5): d(0, 1) = D > max(d(0, 5), d(5, 1)).
         # No j < 1 exists, and k = 5 is the only state that breaks (0, 1, k).
         dist[0, 5] = dist[5, 0] = dist[1, 5] / 2
-        broken = UltrametricSpace(
-            labels=space.labels, dist=dist, multiplicity=space.multiplicity
-        )
+        broken = UltrametricSpace(labels=space.labels, dist=dist)
         labels = space.labels
         assert verify_ultrametric(broken) == TripleReport(
-            ok=False,
             triple=(0, 1, 5),
             message=f"d({labels[0]:g},{labels[1]:g})={dist[0, 1]:g} exceeds "
             f"max(d(.,{labels[5]:g}))={dist[1, 5]:g}",
@@ -286,15 +315,12 @@ class TestVerifyAtScale:
         # to a third breaks (2998, 2999, 3000) and leaves every earlier row
         # intact: a row scan from i = 0 would sweep 2998 clean rows first.
         dist[2998, 3000] = dist[3000, 2998] = dist[2998, 3000] / 3
-        broken = UltrametricSpace(
-            labels=space.labels, dist=dist, multiplicity=space.multiplicity
-        )
+        broken = UltrametricSpace(labels=space.labels, dist=dist)
         labels = space.labels
         start = time.process_time()
         report = verify_ultrametric(broken)
         assert time.process_time() - start < 10.0
         assert report == TripleReport(
-            ok=False,
             triple=(2998, 2999, 3000),
             message=f"d({labels[2998]:g},{labels[2999]:g})={dist[2998, 2999]:g} exceeds "
             f"max(d(.,{labels[3000]:g}))={dist[3000, 2999]:g}",
@@ -347,7 +373,7 @@ def test_built_spaces_prove_in_their_own_order(kind, n, built_space, monkeypatch
     monkeypatch.setattr("scipy.cluster.hierarchy.linkage", refuse)
     space = built_space(kind, n)
     assert verify_ultrametric(space) == TripleReport(
-        ok=True, triple=None, message=f"all {space.size} states ultrametric"
+        triple=None, message=f"all {space.size} states ultrametric"
     )
 
 
@@ -402,7 +428,6 @@ def test_an_out_of_order_matrix_takes_exactly_one_linkage(dendrogram_spaces):
             permuted = ultrametric.UltrametricSpace(
                 labels=np.arange(1.0, space.size + 1),
                 dist=matrix,
-                multiplicity=np.ones(space.size, dtype=int),
             )
             seen.append(linkages(verify_ultrametric, permuted))
             seen.append(linkages(check_rate_ultrametricity, build_generator(permuted, 0.01)))
@@ -463,12 +488,22 @@ def test_single_linkage_takes_negative_values_and_keeps_them_as_heights():
 
 
 class TestUltrametricSpaceInvariants:
+    def test_a_space_is_its_labels_and_distances(self):
+        space = build_from_trace(WORKED_TRACE)
+        assert [f.name for f in dataclasses.fields(space)] == ["labels", "dist"]
+        report = verify_ultrametric(space)
+        assert [f.name for f in dataclasses.fields(report)] == ["triple", "message"]
+        assert report.ok is True
+
+    def test_rejects_labels_that_are_not_one_dimensional(self):
+        with pytest.raises(ValueError, match="^labels must be one-dimensional$"):
+            UltrametricSpace(labels=np.array([[1.0, 2.0]]), dist=np.zeros((2, 2)))
+
     def test_rejects_asymmetric_matrix(self):
         with pytest.raises(ValueError, match="symmetric"):
             UltrametricSpace(
                 labels=np.array([1.0, 2.0]),
                 dist=np.array([[0.0, 1.0], [2.0, 0.0]]),
-                multiplicity=np.ones(2, dtype=int),
             )
 
     def test_rejects_nonzero_diagonal(self):
@@ -476,7 +511,6 @@ class TestUltrametricSpaceInvariants:
             UltrametricSpace(
                 labels=np.array([1.0, 2.0]),
                 dist=np.array([[1.0, 1.0], [1.0, 0.0]]),
-                multiplicity=np.ones(2, dtype=int),
             )
 
     def test_rejects_zero_distance_between_distinct_states(self):
@@ -484,7 +518,6 @@ class TestUltrametricSpaceInvariants:
             UltrametricSpace(
                 labels=np.array([1.0, 2.0]),
                 dist=np.zeros((2, 2)),
-                multiplicity=np.ones(2, dtype=int),
             )
 
     def test_rejects_unsorted_labels(self):
@@ -492,26 +525,19 @@ class TestUltrametricSpaceInvariants:
             UltrametricSpace(
                 labels=np.array([2.0, 1.0]),
                 dist=np.array([[0.0, 1.0], [1.0, 0.0]]),
-                multiplicity=np.ones(2, dtype=int),
             )
 
 
     def test_copies_a_writable_caller_matrix(self):
         dist = WORKED_MATRIX.copy()
-        space = UltrametricSpace(
-            labels=np.arange(7.0), dist=dist, multiplicity=np.ones(7, dtype=int)
-        )
+        space = UltrametricSpace(labels=np.arange(7.0), dist=dist)
         dist[0, 1] = dist[1, 0] = 99.0
         assert space.dist[0, 1] == 17.0
         assert not space.dist.flags.writeable
 
     def test_keeps_a_read_only_matrix_it_owns_outright(self):
         space = build_from_trace(WORKED_TRACE)
-        again = UltrametricSpace(
-            labels=space.labels,
-            dist=space.dist,
-            multiplicity=space.multiplicity,
-        )
+        again = UltrametricSpace(labels=space.labels, dist=space.dist)
         assert again.dist is space.dist
 
 
@@ -521,27 +547,22 @@ def checked_again(space):
     A builder hands over arrays that are read-only and own their data, so
     the constructor keeps each one as it is.
     """
-    again = UltrametricSpace(
-        labels=space.labels, dist=space.dist, multiplicity=space.multiplicity
-    )
-    for field in ("labels", "dist", "multiplicity"):
+    again = UltrametricSpace(labels=space.labels, dist=space.dist)
+    for field in ("labels", "dist"):
         built = getattr(space, field)
         assert not built.flags.writeable and built.base is None
         assert getattr(again, field) is built
-    assert space.labels.dtype == float and space.multiplicity.dtype == int
+    assert space.labels.dtype == space.dist.dtype == float
     return again
 
 
 def reference_trace_space(trace):
     """The trace space built with `np.unique` and the public constructor."""
     span = trace.horizon
-    distinct, counts = np.unique(trace.events, return_counts=True)
-    labels = np.concatenate([(span - distinct)[::-1], [span]])
+    labels = np.concatenate([(span - np.unique(trace.events))[::-1], [span]])
     dist = np.maximum.outer(span - labels, span - labels)
     np.fill_diagonal(dist, 0.0)
-    return UltrametricSpace(
-        labels=labels, dist=dist, multiplicity=np.concatenate([counts[::-1], [0]])
-    )
+    return UltrametricSpace(labels=labels, dist=dist)
 
 
 class TestBuiltSpacesPassThePublicConstructor:
@@ -579,7 +600,7 @@ class TestBuiltSpacesPassThePublicConstructor:
                     build_from_trace(trace)
                 return
             space = checked_again(build_from_trace(trace))
-            for field in ("labels", "dist", "multiplicity"):
+            for field in ("labels", "dist"):
                 assert np.array_equal(getattr(space, field), getattr(reference, field))
 
         check()
@@ -657,14 +678,13 @@ class TestBuiltSpacesPassThePublicConstructor:
         labels, heights = np.array(labels), np.array(heights)
         dist = np.maximum.outer(heights, heights)
         np.fill_diagonal(dist, 0.0)
-        ones = np.ones(3, dtype=int)
         try:
-            expected = UltrametricSpace(labels=labels, dist=dist, multiplicity=ones)
+            expected = UltrametricSpace(labels=labels, dist=dist)
         except ValueError as err:
             with pytest.raises(ValueError, match=f"^{re.escape(str(err))}$"):
-                ultrametric._max_space(labels, heights, ones)
+                ultrametric._max_space(labels, heights)
         else:
-            assert np.array_equal(ultrametric._max_space(labels, heights, ones).dist, expected.dist)
+            assert np.array_equal(ultrametric._max_space(labels, heights).dist, expected.dist)
 
 
 @pytest.mark.parametrize(
