@@ -2,7 +2,7 @@
 
 Shows the eigenvalue hierarchy of the uniform-chain rate matrix, compares
 the closed-form autocorrelation with direct integration of dP/dt = eps*P,
-evaluates the survival probability and the expected response count, then
+evaluates the survival probability, and from it M*(1 - survival), then
 switches to explicit tree topologies where relaxation turns into a sum of
 exponentials, one per hierarchy level.
 """
@@ -17,7 +17,6 @@ from ultradiffusion.spectral import (
     autocorrelation_chain,
     caterpillar_tree,
     chain_spectrum,
-    expected_rebroadcasts,
     space_from_tree,
     survival_probability,
     tree_autocorrelation,
@@ -66,7 +65,7 @@ def main() -> None:
     params = UltradiffusionParams(t_N=T_N, mu=MU, M=M)
     times = np.array([0.0, window / 5, window])
     surv = survival_probability(T_N, MU, times)
-    expect = expected_rebroadcasts(params, times)
+    expect = params.M * (1.0 - surv)
     print(f"{'t':>8}{'survival':>12}{'E[responses]':>14}")
     for t, s, r in zip(times, surv, expect):
         print(f"{t:>8.2f}{s:>12.4f}{r:>14.2f}")

@@ -72,14 +72,6 @@ class PowerLawModel:
             raise ValueError(f"s = ln(b)/delta_h = {s:.4g} is not below 1: no power law")
         return s / (1.0 - s)
 
-    @property
-    def amplitude(self) -> float:
-        """Constant D in the asymptote D*t^(-v)."""
-        v = self.v
-        b, dh = self.b, self.delta_h
-        c = (math.exp(dh) - 1.0) / (math.exp(dh) - b)
-        return math.gamma(v) * c ** (-v) * ((b - 1) / math.log(b)) * v
-
 
 class PowerLawCurve(NamedTuple):
     series: np.ndarray
@@ -97,13 +89,11 @@ def power_law_curve(model: PowerLawModel, t) -> PowerLawCurve:
     The series is sum over levels m >= 1 of (b-1)*b^(-m)*e^(-t*c*q^m) with
     q = b*e^(-delta_h) and c = (e^delta_h - 1)/(e^delta_h - b), truncated at
     60 levels; the neglected tail is below b^(-60) pointwise, which is
-    returned as the truncation bound. The asymptote is D*t^(-v).
+    returned as the truncation bound. The asymptote is D*t^(-v) with
+    D = Gamma(v)*c^(-v)*((b-1)/ln b)*v. Reading `model.v` first refuses
+    s >= 1 before the times are checked or any level is summed.
     """
-    if model.s >= 1:
-        raise ValueError(
-            f"s = ln(b)/delta_h = {model.s:.4g} is not below 1: "
-            "level weights decay too slowly for a power law"
-        )
+    v = model.v
     times = np.asarray(t, dtype=float)
     # Written so that NaN fails too.
     if not np.all(times > 0):
@@ -115,7 +105,8 @@ def power_law_curve(model: PowerLawModel, t) -> PowerLawCurve:
     weights = (b - 1.0) * np.power(float(b), -m.astype(float))
     rates = c * np.power(q, m.astype(float))
     series = np.exp(-np.multiply.outer(times, rates)) @ weights
-    asymptote = model.amplitude * np.power(times, -model.v)
+    amplitude = math.gamma(v) * c ** (-v) * ((b - 1) / math.log(b)) * v
+    asymptote = amplitude * np.power(times, -v)
     return PowerLawCurve(
         series=series,
         asymptote=asymptote,

@@ -101,16 +101,18 @@ def _safe_name(story_id: str) -> str:
 
 
 def _unique_names(story_ids: list[str]) -> dict[str, str]:
-    # Sorted input keeps collision suffixes stable across runs.
+    # Sorted input keeps collision suffixes stable across runs. Names are
+    # compared lower-cased, as case-insensitive filesystems compare them;
+    # `_safe_name` leaves only ASCII, so lower-casing is exact.
     names: dict[str, str] = {}
     used: set[str] = set()
     for sid in story_ids:
         base = _safe_name(sid)
         name, k = base, 2
-        while name in used:
+        while name.lower() in used:
             name = f"{base}_{k}"
             k += 1
-        used.add(name)
+        used.add(name.lower())
         names[sid] = name
     return names
 
@@ -139,9 +141,10 @@ def _map_fits(grid, observed, counts, fits):
 
     Row n of `grid` and `observed` is a curve of `counts[n]` events and
     `fits[n]` its fit, or the error that refuses it. Returns (outcomes,
-    simulated). Per row, the outcome is that error, or a pair: the fit
-    record, and either the mapped fields (`t_N`, `mu`, `M`, `r2_simulated`)
-    or the ValueError that refuses the mapping. `simulated` is the block of
+    simulated). Per row, the outcome is that error, or a pair (record,
+    refusal): the fit record, which also holds the mapped fields `t_N`,
+    `mu`, `M` and `r2_simulated` when the refusal is None, and otherwise the
+    ValueError that refuses the mapping. `simulated` is the block of
     simulated curves, a row meaningful where its fit has a mapping.
     `infer_params` maps each fit alone; the simulated curves and their
     r_squared are computed on the block of mapped rows at once.
@@ -158,15 +161,15 @@ def _map_fits(grid, observed, counts, fits):
         except ValueError as err:
             outcomes.append((record, err))
             continue
-        mapping = {"t_N": params.t_N, "mu": params.mu, "M": params.M}
-        outcomes.append((record, mapping))
+        record.update(t_N=params.t_N, mu=params.mu, M=params.M)
+        outcomes.append((record, None))
         mapped.append(n)
         inferred.append(params)
     simulated = np.full(grid.shape, np.nan)
     simulated[mapped] = model = _simulated_rows(inferred, grid[mapped])
     r2_simulated = _r_squared_rows(observed[mapped], model)
     for n, r2 in zip(mapped, r2_simulated.tolist()):
-        outcomes[n][1]["r2_simulated"] = r2
+        outcomes[n][0]["r2_simulated"] = r2
     return outcomes, simulated
 
 
@@ -187,7 +190,7 @@ def _curve_rows(traces):
 
 def _run_each(traces, worker, offset: bool, out_dir: Path):
     """Fit and map every trace's curve, all as one block, and apply `worker`
-    to each (trace, grid row, observed row, fit record, mapping) whose fit
+    to each (trace, grid row, observed row, fit record, refusal) whose fit
     `_map_fits` made. Returns [(file name, block row, result)] in story-id
     order, and the block as (grid, observed, fitted, simulated).
 
@@ -217,10 +220,10 @@ def _run_each(traces, worker, offset: bool, out_dir: Path):
     return [(names[sid], *results[sid]) for sid in order], (grid, observed, fitted, simulated)
 
 
-def _fit_story(trace, grid, observed, record, mapping):
-    if isinstance(mapping, Exception):
-        raise mapping
-    return {"story_id": trace.story_id, **record, **mapping}
+def _fit_story(trace, grid, observed, record, refusal):
+    if refusal is not None:
+        raise refusal
+    return {"story_id": trace.story_id, **record}
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
@@ -241,9 +244,9 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
         mean = aggregate_mean(grid, observed)
         fit = fit_exponential(mean, offset=args.offset)
         M = sum(trace.count for trace in built)
-        ((record, mapping),), simulated = _map_fits(mean.grid[None], mean.values[None], [M], [fit])
-        if isinstance(mapping, Exception):
-            raise mapping
+        ((record, refusal),), simulated = _map_fits(mean.grid[None], mean.values[None], [M], [fit])
+        if refusal is not None:
+            raise refusal
     except _DATA_ERRORS as err:
         raise CommandError(2, f"aggregate curve: {err}") from err
     out = Path(args.out_dir)
@@ -254,7 +257,7 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
     )
     write_json(
         out / "aggregate_fit.json",
-        {"story_id": "aggregate", "n_stories": len(built), **record, **mapping},
+        {"story_id": "aggregate", "n_stories": len(built), **record},
     )
     print(f"aggregated {len(built)} stories -> {out}")
     return 0
@@ -282,22 +285,18 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _compare_record(trace, grid, observed, record, mapping):
+def _compare_record(trace, grid, observed, record, refusal):
     _, _, r2_lin = fit_linear(grid, observed)
     compared = {
         "story_id": trace.story_id,
         "r2_exponential": record["r2"],
         "r2_linear": r2_lin,
-        "r2_simulated": None,
-        "t_N": None,
-        "mu": None,
+        "r2_simulated": record.get("r2_simulated"),
+        "t_N": record.get("t_N"),
+        "mu": record.get("mu"),
         "verdict": "saturating" if record["r2"] > r2_lin else "memoryless",
-        "note": "",
+        "note": "" if refusal is None else f"parameter mapping failed: {refusal}",
     }
-    if isinstance(mapping, Exception):
-        compared["note"] = f"parameter mapping failed: {mapping}"
-    else:
-        compared.update({key: mapping[key] for key in ("r2_simulated", "t_N", "mu")})
     return compared, trace
 
 

@@ -36,7 +36,6 @@ __all__ = [
     "autocorrelation_chain",
     "caterpillar_tree",
     "chain_spectrum",
-    "expected_rebroadcasts",
     "space_from_tree",
     "survival_probability",
     "tree_autocorrelation",
@@ -146,11 +145,6 @@ def survival_probability(t_N: int, mu: float, t) -> np.ndarray | float:
     rate = t_N * np.exp(-mu * (t_N - 1))
     out = ((t_N - 1) / t_N) * np.exp(-times * rate) + 1.0 / t_N
     return out if times.ndim else float(out)
-
-
-def expected_rebroadcasts(params, t) -> np.ndarray | float:
-    """Expected cumulative rebroadcast count M*(1 - survival) at time t."""
-    return params.M * (1.0 - survival_probability(params.t_N, params.mu, t))
 
 
 @dataclass(frozen=True, eq=False, init=False)

@@ -1,6 +1,8 @@
 """Memoryless and power-law reference processes."""
 
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -62,6 +64,10 @@ class TestPowerLawModel:
         with pytest.raises(ValueError, match="not below 1"):
             power_law_curve(model, np.array([10.0]))
 
+    def test_fields_are_branching_and_level_spacing(self):
+        names = [field.name for field in dataclasses.fields(PowerLawModel)]
+        assert names == ["b", "delta_h"]
+
     def test_rejects_small_branching(self):
         with pytest.raises(ValueError, match="at least 2"):
             PowerLawModel(b=1, delta_h=1.0)
@@ -119,3 +125,23 @@ class TestPowerLawCurve:
         for t in ([0.0, 1.0], [1.0, math.nan]):
             with pytest.raises(ValueError, match="positive times"):
                 power_law_curve(model, np.array(t))
+
+    @pytest.mark.parametrize("b, delta_h", [(3, 1.0), (2, math.log(2.0))], ids=["s-above-1", "s-at-1"])
+    def test_refuses_s_before_checking_the_times(self, b, delta_h):
+        # At s = 1, c = (e^delta_h - 1)/(e^delta_h - b) divides by zero: the
+        # refusal comes before any level is summed.
+        model = PowerLawModel(b=b, delta_h=delta_h)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="not below 1"):
+                power_law_curve(model, np.array([0.0, math.nan]))
+
+    @pytest.mark.parametrize("b, delta_h", [(2, 1.0), (2, 2.5), (3, 1.5), (5, 2.0)])
+    def test_asymptote_is_d_times_t_to_the_minus_v(self, b, delta_h):
+        t = np.geomspace(1.0, 1e4, 30)
+        s = math.log(b) / delta_h
+        v = s / (1.0 - s)
+        c = (math.exp(delta_h) - 1.0) / (math.exp(delta_h) - b)
+        D = math.gamma(v) * c ** (-v) * ((b - 1) / math.log(b)) * v
+        curve = power_law_curve(PowerLawModel(b=b, delta_h=delta_h), t)
+        assert curve.asymptote.tobytes() == (D * np.power(t, -v)).tobytes()

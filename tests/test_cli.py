@@ -157,6 +157,29 @@ class TestFit:
             name + suffix for name in names for suffix in suffixes
         )
 
+    @pytest.mark.parametrize("command", ["fit", "compare"])
+    def test_ids_differing_only_in_case_get_distinct_file_names(self, command, tmp_path, capsys):
+        # On a case-insensitive filesystem STORY_001_curve.tsv and
+        # story_001_curve.tsv are one file: one story's tables overwrote the
+        # other's while both records stayed in the JSON.
+        ids = ["STORY_001", "other", "story_001"]
+        csv = tmp_path / "case.csv"
+        write_trace_csv(csv, [sampled_story(sid, seed=k) for k, sid in enumerate(ids)])
+        out = tmp_path / "out"
+        argv = [command, "--input", str(csv), "--out-dir", str(out), "--min-events", "10"]
+        if command == "compare":
+            argv.append("--export-matrices")
+        assert main(argv) == 0
+        table = "fits.json" if command == "fit" else "comparison.json"
+        records = json.loads((out / table).read_text())
+        files = [p.name for p in out.iterdir() if p.name != table]
+        assert len({name.lower() for name in files}) == len(files)
+        if command == "fit":
+            assert len(list(out.glob("*_curve.tsv"))) == len(records)
+        suffixes = ["_curve.tsv"] if command == "fit" else ["_distance.tsv", "_generator.tsv"]
+        names = ["STORY_001", "other", "story_001_2"]
+        assert sorted(files) == sorted(name + suffix for name in names for suffix in suffixes)
+
 
 class TestStoryFailures:
     def test_data_errors_fail_the_story_not_the_run(self, tmp_path, capsys):
@@ -484,14 +507,23 @@ class TestCompare:
     def test_story_whose_fit_cannot_be_inverted_is_kept_with_a_note(
         self, tmp_path, capsys
     ):
+        # One refusal, two policies: `fit` fails the story with the reason
+        # that `compare` keeps as its note.
         csv = write_linear_story(tmp_path / "line.csv")
+        assert main(["fit", "--input", str(csv), "--out-dir", str(tmp_path / "fit")]) == 2
+        failures = [
+            line for line in capsys.readouterr().err.splitlines()
+            if line.startswith("story 'line' failed: ")
+        ]
         out = tmp_path / "out"
         code = main(
             ["compare", "--input", str(csv), "--out-dir", str(out), "--export-matrices"]
         )
         assert code == 0
         (record,) = json.loads((out / "comparison.json").read_text())
-        assert record["note"].startswith("parameter mapping failed:")
+        assert record["note"].startswith("parameter mapping failed: ")
+        reason = record["note"].removeprefix("parameter mapping failed: ")
+        assert failures == [f"story 'line' failed: ValueError: {reason}"]
         assert record["t_N"] is None
         assert record["mu"] is None
         assert record["r2_simulated"] is None
@@ -885,7 +917,7 @@ def test_workflow_commands_parse():
                     elif words[:3] == ["python", "-m", "ultradiffusion.cli"]:
                         commands.append(words[3:])
     # Every command of the file is found, brace groups included.
-    assert len(commands) == len(re.findall(r"\bultradiffusion(?:\.cli)? ", text)) >= 20
+    assert len(commands) == len(re.findall(r"\bultradiffusion(?:\.cli)? ", text)) >= 22
     for argv in commands:
         try:
             parser.parse_args(argv)

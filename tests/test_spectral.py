@@ -6,7 +6,6 @@ import math
 import numpy as np
 import pytest
 
-from ultradiffusion.fitting import UltradiffusionParams
 from ultradiffusion.generator import build_generator
 from ultradiffusion.oracle import numeric_spectrum
 from ultradiffusion.spectral import (
@@ -15,7 +14,6 @@ from ultradiffusion.spectral import (
     autocorrelation_chain,
     caterpillar_tree,
     chain_spectrum,
-    expected_rebroadcasts,
     space_from_tree,
     survival_probability,
     tree_autocorrelation,
@@ -266,22 +264,6 @@ class TestSurvivalProbability:
     def test_rejects_negative_or_nan_inputs(self, mu, t):
         with pytest.raises(ValueError, match="nonnegative"):
             survival_probability(4, mu, t)
-
-
-class TestExpectedRebroadcasts:
-    def test_zero_at_time_zero(self):
-        params = UltradiffusionParams(t_N=5, mu=0.3, M=200)
-        assert expected_rebroadcasts(params, 0.0) == 0.0
-
-    def test_long_time_limit_is_half_for_two_states(self):
-        params = UltradiffusionParams(t_N=2, mu=0.0, M=100)
-        assert expected_rebroadcasts(params, 1e9) == pytest.approx(50.0)
-
-    def test_monotone_nondecreasing(self):
-        params = UltradiffusionParams(t_N=20, mu=0.5, M=1000)
-        grid = np.linspace(0.0, 50.0, 300)
-        counts = expected_rebroadcasts(params, grid)
-        assert np.all(np.diff(counts) >= 0)
 
 
 class TestTreeAutocorrelation:
