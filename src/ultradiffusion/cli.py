@@ -16,13 +16,13 @@ so interrupted runs leave no partial files.
 
 `fit` and `compare` run a pass as one block: the parsed stories' curves are
 the rows of a (stories x 200) grid array and a values array (`curve_block`),
-one `fit_block` call fits them all, and the simulated curves and their
-r_squared are computed on the block by the functions that `simulate_curve`
-and `r_squared` call on one row. Only `infer_params`, and `compare`'s
-straight line, run story by story. Each story's outputs are byte for byte
-those of handling it alone. `aggregate` averages the same block on the grid
-of its longest story (`aggregate_mean`) and fits the mean as one curve of
-M events, M the summed event count of the averaged stories.
+one `fit_block` call fits them all, and the simulated curves' r_squared is
+computed on the block by the functions `simulate_curve` and `r_squared` call
+on one row. `infer_params`, `compare`'s line and each table's fitted and
+simulated columns, from its fit record, run story by story, and each story's
+outputs are byte for byte those of handling it alone. `aggregate` fits the
+block's mean on the grid of its longest story (`aggregate_mean`) as one
+curve of M events, M the summed event count of the averaged stories.
 """
 
 from __future__ import annotations
@@ -137,17 +137,15 @@ def _load_qualifying(args: argparse.Namespace):
 
 
 def _map_fits(grid, observed, counts, fits):
-    """Map each fit of a curve block to chain parameters and simulate them.
+    """Map each fit of a curve block to chain parameters.
 
     Row n of `grid` and `observed` is a curve of `counts[n]` events and
-    `fits[n]` its fit, or the error that refuses it. Returns (outcomes,
-    simulated). Per row, the outcome is that error, or a pair (record,
-    refusal): the fit record, which also holds the mapped fields `t_N`,
-    `mu`, `M` and `r2_simulated` when the refusal is None, and otherwise the
-    ValueError that refuses the mapping. `simulated` is the block of
-    simulated curves, a row meaningful where its fit has a mapping.
-    `infer_params` maps each fit alone; the simulated curves and their
-    r_squared are computed on the block of mapped rows at once.
+    `fits[n]` its fit, or the error that refuses it. Returns one outcome per
+    row: that error, or a pair (record, refusal): the fit record, which also
+    holds the mapped fields `t_N`, `mu`, `M` and `r2_simulated` when the
+    refusal is None, and otherwise the ValueError that refuses the mapping.
+    `infer_params` maps each fit alone; the r_squared of the simulated
+    curves is computed on the block of mapped rows at once.
     """
     outcomes: list = []
     mapped, inferred = [], []
@@ -165,12 +163,10 @@ def _map_fits(grid, observed, counts, fits):
         outcomes.append((record, None))
         mapped.append(n)
         inferred.append(params)
-    simulated = np.full(grid.shape, np.nan)
-    simulated[mapped] = model = _simulated_rows(inferred, grid[mapped])
-    r2_simulated = _r_squared_rows(observed[mapped], model)
+    r2_simulated = _r_squared_rows(observed[mapped], _simulated_rows(inferred, grid[mapped]))
     for n, r2 in zip(mapped, r2_simulated.tolist()):
         outcomes[n][0]["r2_simulated"] = r2
-    return outcomes, simulated
+    return outcomes
 
 
 def _report(failed) -> None:
@@ -191,8 +187,7 @@ def _curve_rows(traces):
 def _run_each(traces, worker, offset: bool, out_dir: Path):
     """Fit and map every trace's curve, all as one block, and apply `worker`
     to each (trace, grid row, observed row, fit record, refusal) whose fit
-    `_map_fits` made. Returns [(file name, block row, result)] in story-id
-    order, and the block as (grid, observed, fitted, simulated).
+    `_map_fits` made. Returns [(file name, result)] in story-id order.
 
     A story fails when its curve cannot be built, the fitter refuses the
     curve, or `worker` raises one of the data errors: failures are printed
@@ -200,15 +195,15 @@ def _run_each(traces, worker, offset: bool, out_dir: Path):
     Otherwise `out_dir` is created.
     """
     built, grid, observed, failed = _curve_rows(traces)
-    fits, fitted = fit_block(grid, observed, offset=offset)
-    outcomes, simulated = _map_fits(grid, observed, [trace.count for trace in built], fits)
-    results: dict[str, tuple] = {}
-    for row, (trace, outcome) in enumerate(zip(built, outcomes)):
+    fits = fit_block(grid, observed, offset=offset)
+    outcomes = _map_fits(grid, observed, [trace.count for trace in built], fits)
+    results = {}
+    for trace, grid_row, observed_row, outcome in zip(built, grid, observed, outcomes):
         try:
             # A fit that is an error fails its story, as if raised here.
             if isinstance(outcome, Exception):
                 raise outcome
-            results[trace.story_id] = row, worker(trace, grid[row], observed[row], *outcome)
+            results[trace.story_id] = worker(trace, grid_row, observed_row, *outcome)
         except _DATA_ERRORS as err:
             failed[trace.story_id] = err
     _report(failed)
@@ -217,22 +212,30 @@ def _run_each(traces, worker, offset: bool, out_dir: Path):
     out_dir.mkdir(parents=True, exist_ok=True)
     order = sorted(results)
     names = _unique_names(order)
-    return [(names[sid], *results[sid]) for sid in order], (grid, observed, fitted, simulated)
+    return [(names[sid], results[sid]) for sid in order]
+
+
+def _write_fit_table(path, grid, observed, record) -> None:
+    """Write a curve's table, its fitted and simulated columns from its fit record."""
+    fitted = exponential_model(grid, record["h1"], record["h2"], record["h3"])
+    params = UltradiffusionParams(record["t_N"], record["mu"], record["M"])
+    (simulated,) = _simulated_rows([params], grid[None])
+    write_fit_curve_tsv(path, grid, observed, fitted, simulated)
 
 
 def _fit_story(trace, grid, observed, record, refusal):
     if refusal is not None:
         raise refusal
-    return {"story_id": trace.story_id, **record}
+    return {"story_id": trace.story_id, **record}, grid, observed
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
     kept = _load_qualifying(args)
     out = Path(args.out_dir)
-    done, block = _run_each(kept, _fit_story, args.offset, out)
-    for name, row, _ in done:
-        write_fit_curve_tsv(out / f"{name}_curve.tsv", *(part[row] for part in block))
-    write_json(out / "fits.json", [record for _, _, record in done])
+    done = _run_each(kept, _fit_story, args.offset, out)
+    for name, (record, grid, observed) in done:
+        _write_fit_table(out / f"{name}_curve.tsv", grid, observed, record)
+    write_json(out / "fits.json", [record for _, (record, _, _) in done])
     print(f"fitted {len(done)} of {len(kept)} stories -> {out}")
     return 0
 
@@ -244,17 +247,14 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
         mean = aggregate_mean(grid, observed)
         fit = fit_exponential(mean, offset=args.offset)
         M = sum(trace.count for trace in built)
-        ((record, refusal),), simulated = _map_fits(mean.grid[None], mean.values[None], [M], [fit])
+        ((record, refusal),) = _map_fits(mean.grid[None], mean.values[None], [M], [fit])
         if refusal is not None:
             raise refusal
     except _DATA_ERRORS as err:
         raise CommandError(2, f"aggregate curve: {err}") from err
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    fitted = exponential_model(mean.grid, fit.h1, fit.h2, fit.h3)
-    write_fit_curve_tsv(
-        out / "aggregate_curve.tsv", mean.grid, mean.values, fitted, simulated[0]
-    )
+    _write_fit_table(out / "aggregate_curve.tsv", mean.grid, mean.values, record)
     write_json(
         out / "aggregate_fit.json",
         {"story_id": "aggregate", "n_stories": len(built), **record},
@@ -303,10 +303,10 @@ def _compare_record(trace, grid, observed, record, refusal):
 def cmd_compare(args: argparse.Namespace) -> int:
     kept = _load_qualifying(args)
     out = Path(args.out_dir)
-    done, _ = _run_each(kept, _compare_record, args.offset, out)
-    write_json(out / "comparison.json", [record for _, _, (record, _) in done])
+    done = _run_each(kept, _compare_record, args.offset, out)
+    write_json(out / "comparison.json", [record for _, (record, _) in done])
     if args.export_matrices:
-        for name, _, (record, trace) in done:
+        for name, (record, trace) in done:
             sid = trace.story_id
             # One state per distinct event time plus the no-rebroadcast state,
             # counted before the n-by-n matrix is built.
@@ -353,8 +353,7 @@ def _format_runtime(seconds: float) -> str:
 
 
 def cmd_oracle_check(args: argparse.Namespace) -> int:
-    # Imported here, so the other commands load neither the suite nor the
-    # ODE integrator behind it.
+    # Imported here, so the other commands do not load the suite.
     from . import checks
 
     # Made first, so an unusable --out-dir fails before the suite runs.

@@ -7,11 +7,11 @@ problem shrinks to one dimension, the rate. That profile is scanned on a
 fixed grid and refined to machine precision, all on a normalized time axis,
 so the result does not depend on whether t is in seconds or weeks.
 `fit_block` fits a block of curves, one per row of a grid array and a values
-array, in one call, and `fit_exponential` is its one-curve call. The curves
-are scanned a few at a time and then polished together, by masked vector
-steps over the curves still moving, each by the rules a lone curve follows,
-so every curve gets bit for bit its lone fit. Fitted constants map onto
-model parameters: the chain length t_N and the distance decay mu.
+array, in one call that returns only their fits; `fit_exponential` is its
+one-curve call. The curves are scanned a few at a time, then polished
+together by masked vector steps over the curves still moving, each by the
+rules a lone curve follows, so every curve gets bit for bit its lone fit.
+Fitted constants map onto model parameters: chain length t_N and decay mu.
 """
 
 from __future__ import annotations
@@ -259,10 +259,8 @@ def _fit_rows(x: np.ndarray, p: np.ndarray, offset: bool):
     return out
 
 
-def _fit_chunk(t: np.ndarray, p: np.ndarray, offset: bool, fitted: np.ndarray) -> list:
-    """`fit_block` on at most `_FIT_BLOCK` curves of at least 3 points,
-    writing the model values of the curves it fits into their rows of
-    `fitted`."""
+def _fit_chunk(t: np.ndarray, p: np.ndarray, offset: bool) -> list:
+    """`fit_block` on at most `_FIT_BLOCK` curves of at least 3 points."""
     fits: list = [FitError("no dynamics to fit: curve is constant") for _ in p]
     top = np.maximum(1.0, np.abs(p).max(axis=1))
     moves = np.flatnonzero(p.max(axis=1) - p.min(axis=1) > 1e-14 * top)
@@ -274,7 +272,7 @@ def _fit_chunk(t: np.ndarray, p: np.ndarray, offset: bool, fitted: np.ndarray) -
     with np.errstate(under="ignore"):
         k, h1, h3 = _fit_rows(t / span, p, offset)
     h2 = k / span[:, 0]
-    fitted[moves] = model = exponential_model(t, h1[:, None], h2[:, None], h3[:, None])
+    model = exponential_model(t, h1[:, None], h2[:, None], h3[:, None])
     r2 = _r_squared_rows(p, model)
     for n, *constants in zip(moves.tolist(), *(v.tolist() for v in (h1, h2, h3, r2))):
         try:
@@ -288,27 +286,24 @@ def fit_block(grid, values, offset: bool = False):
     """Fit every row of a curve block as `fit_exponential` fits one curve.
 
     `grid` and `values` are (curves x points) arrays, row n the grid times
-    and values of curve n. Returns (fits, fitted). `fits` holds per curve
-    its `ExponentialFit`, or the error that refuses it (a `FitError` for
-    fewer than 3 points or a constant curve, a `ValueError` when the fitted
-    constants are no valid `ExponentialFit`), so one bad curve never fails
-    the rest. `fitted` is the (curves x points) array of each curve's model
-    values at the fitted constants, NaN in the rows of constant curves and
-    of curves too short to fit. The curves are fitted up to 128 at a time,
-    and each gets bit for bit its lone fit.
+    and values of curve n. Returns a list of each curve's `ExponentialFit`,
+    or the error that refuses it (a `FitError` for fewer than 3 points or a
+    constant curve, a `ValueError` when the fitted constants are no valid
+    `ExponentialFit`), so one bad curve never fails the rest; a curve's
+    model values are `exponential_model` at its fit. The curves are fitted
+    up to 128 at a time, and each gets bit for bit its lone fit.
     """
     grid = np.asarray(grid, dtype=float)
     values = np.asarray(values, dtype=float)
     if grid.ndim != 2 or grid.shape != values.shape:
         raise ValueError("grid and values must be 2-D arrays of one shape")
-    fitted = np.full(grid.shape, np.nan)
     if grid.shape[1] < 3:
-        return [FitError("need at least 3 points to fit") for _ in grid], fitted
+        return [FitError("need at least 3 points to fit") for _ in grid]
     fits: list = []
     for start in range(0, len(grid), _FIT_BLOCK):
         block = slice(start, start + _FIT_BLOCK)
-        fits += _fit_chunk(grid[block], values[block], offset, fitted[block])
-    return fits, fitted
+        fits += _fit_chunk(grid[block], values[block], offset)
+    return fits
 
 
 def fit_exponential(curve: PopularityCurve, offset: bool = False) -> ExponentialFit:
@@ -346,7 +341,7 @@ def fit_exponential(curve: PopularityCurve, offset: bool = False) -> Exponential
     masked vector steps over the curves still moving; each curve follows
     the same rules and gets the same bits as here.
     """
-    (fit,), _ = fit_block(curve.grid[None], curve.values[None], offset)
+    (fit,) = fit_block(curve.grid[None], curve.values[None], offset)
     if isinstance(fit, Exception):
         raise fit
     return fit

@@ -6,6 +6,7 @@ Dormand-Prince 4(5) stepping, from one start distribution
 n x n propagator (`integrate_propagator`), and spectra are recomputed
 with a dense symmetric eigensolver. Nothing here reuses the closed-form
 results, so agreement between the two routes is evidence, not tautology.
+scipy's integrator is loaded at the first integration, not on import.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .generator import Generator
 from .spectral import _check_index
@@ -89,6 +89,9 @@ def _integrate(gen: Generator, start: np.ndarray, grid) -> np.ndarray:
     The state is flattened for the solver and each evaluation reshapes it,
     so a vector start keeps the matrix-vector product.
     """
+    # Imported here: scipy.integrate is only needed once an integration runs.
+    from scipy.integrate import solve_ivp
+
     times = np.asarray(grid, dtype=float)
     if times.ndim != 1 or times.size == 0:
         raise ValueError("grid must be a nonempty vector of times")

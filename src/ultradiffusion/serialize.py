@@ -4,17 +4,16 @@ Every writer renders the full file content in memory, a table's body with
 one `%` format over all its cells, encodes it as UTF-8 whatever the locale
 (the encoding the trace parser reads), writes the bytes to a temporary file
 in the destination directory, and renames it into place, so a failure
-partway through never leaves a truncated file behind. Floats are formatted
-with 9 significant digits, which makes re-runs byte-identical.
+partway through never leaves a truncated file behind. A file gets the mode
+`open` gives a new file, 0o666 less the umask. Floats are formatted with 9
+significant digits, which makes re-runs byte-identical.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import tempfile
 from collections.abc import Iterable, Mapping
-from pathlib import Path
 
 import numpy as np
 
@@ -33,17 +32,28 @@ __all__ = [
 ]
 
 
+# O_BINARY keeps Windows from writing "\n" as CRLF. `os.open` makes the
+# descriptor non-inheritable itself (PEP 446), so O_CLOEXEC would add nothing.
+_NEW_FILE = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+
+
 def _atomic_write(path, text: str) -> None:
     data = memoryview(text.encode("utf-8"))
-    target = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=target.name + ".", suffix=".tmp")
+    # Not `tempfile.mkstemp`, which makes every file 0o600 whatever the umask.
+    while True:
+        tmp = f"{path}.{os.urandom(6).hex()}.tmp"
+        try:
+            fd = os.open(tmp, _NEW_FILE, 0o666)
+            break
+        except FileExistsError:
+            continue
     try:
         try:
             while data:
                 data = data[os.write(fd, data) :]
         finally:
             os.close(fd)
-        os.replace(tmp, target)
+        os.replace(tmp, path)
     except BaseException:
         try:
             os.unlink(tmp)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import os
 import re
 import shlex
 import shutil
@@ -406,6 +407,26 @@ class TestAggregate:
         # checks it, on the grid of the block's longest row.
         assert spaced == [3, 1]
         assert curves == [200]
+
+    @pytest.mark.parametrize("offset", [False, True], ids=["plain", "offset"])
+    def test_curve_table_is_the_table_of_the_fit_record(self, tmp_path, capsys, offset):
+        csv = tmp_path / "in.csv"
+        write_trace_csv(csv, [sampled_story("s1", seed=7), sampled_story("s2", seed=8)])
+        out = tmp_path / "out"
+        options = ["--offset"] if offset else []
+        assert main(["aggregate", "--input", str(csv), "--out-dir", str(out), *options]) == 0
+        record = json.loads((out / "aggregate_fit.json").read_text())
+        mean = traces.aggregate_mean(*traces.curve_block(parse_trace_csv(csv))[:2])
+        t = mean.grid
+        want = tmp_path / "want.tsv"
+        write_fit_curve_tsv(
+            want,
+            t,
+            mean.values,
+            exponential_model(t, record["h1"], record["h2"], record["h3"]),
+            simulate_curve(UltradiffusionParams(record["t_N"], record["mu"], record["M"]), t).values,
+        )
+        assert (out / "aggregate_curve.tsv").read_bytes() == want.read_bytes()
 
     def test_aggregate_curve_has_the_four_columns(self, tmp_path, capsys):
         csv = tmp_path / "in.csv"
@@ -820,18 +841,23 @@ class TestEntryPoints:
 
     def test_import_leaves_scipy_cluster_unloaded(self):
         # The ultrametricity kernel imports scipy.cluster when a check runs,
-        # and only oracle-check imports the suite and its ODE integrator, so
-        # importing the CLI pays for none of them.
-        probe = (
-            "import sys, ultradiffusion.cli; print([name for name in "
-            "('scipy.cluster', 'scipy.integrate', 'ultradiffusion.checks') "
-            "if name in sys.modules])"
-        )
-        result = subprocess.run(
-            [sys.executable, "-c", probe], capture_output=True, text=True
-        )
-        assert result.returncode == 0, result.stderr
-        assert result.stdout.strip() == "[]"
+        # the oracle imports scipy.integrate at its first integration, and
+        # only oracle-check imports the suite, so importing the CLI pays for
+        # none of them, and importing the oracle or the suite for no scipy.
+        for module, unloaded in (
+            ("cli", "'scipy.cluster', 'scipy.integrate', 'ultradiffusion.checks'"),
+            ("oracle", "'scipy.cluster', 'scipy.integrate'"),
+            ("checks", "'scipy.cluster', 'scipy.integrate'"),
+        ):
+            probe = (
+                f"import sys, ultradiffusion.{module}; print([name for name in "
+                f"({unloaded}) if name in sys.modules])"
+            )
+            result = subprocess.run(
+                [sys.executable, "-c", probe], capture_output=True, text=True
+            )
+            assert result.returncode == 0, result.stderr
+            assert result.stdout.strip() == "[]", module
 
     def test_console_script(self, tmp_path):
         # Call the entry point declared in pyproject.toml the way the wrapper
@@ -898,6 +924,43 @@ def shell_commands(line):
         while words and (words[0] in SHELL_KEYWORDS or "=" in words[0]):
             words.pop(0)
     return [words for words in commands if words]
+
+
+def test_workflow_installed_command_step_runs(tmp_path):
+    # CI runs this step on the installed command. Here two shims first on
+    # PATH run this checkout's package instead, so its scenarios run where
+    # tier-1 runs.
+    yaml = pytest.importorskip("yaml")
+    bash = shutil.which("bash")
+    if bash is None:
+        pytest.skip("the step is a bash script and bash is not on PATH")
+    workflow = yaml.safe_load((REPO_ROOT / ".github/workflows/tests.yml").read_text())
+    (script,) = [
+        step["run"]
+        for job in workflow["jobs"].values()
+        for step in job["steps"]
+        if step.get("name") == "Installed command on a simulated batch"
+    ]
+    shims = tmp_path / "bin"
+    shims.mkdir()
+    python = shlex.quote(sys.executable)
+    for name, command in (("ultradiffusion", f"{python} -m ultradiffusion.cli"), ("python", python)):
+        (shims / name).write_text(f'#!/bin/sh\nexec {command} "$@"\n')
+        (shims / name).chmod(0o755)
+    env = dict(
+        os.environ,
+        PATH=f"{shims}{os.pathsep}{os.environ.get('PATH', '')}",
+        PYTHONPATH=str(REPO_ROOT / "src"),
+        RUNNER_TEMP=str(tmp_path),
+    )
+    result = subprocess.run(
+        [bash, "-e", "-o", "pipefail", "-c", script],
+        cwd=REPO_ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stdout[-2000:] + result.stderr[-2000:]
 
 
 def test_workflow_commands_parse():

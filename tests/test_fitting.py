@@ -376,12 +376,11 @@ class TestFitExponentials:
         @hypothesis.settings(max_examples=100, deadline=None)
         @hypothesis.given(blocks)
         def check(curves):
-            batch, fitted = fit_block([c.grid for c in curves], [c.values for c in curves], offset)
+            batch = fit_block([c.grid for c in curves], [c.values for c in curves], offset)
             assert len(batch) == len(curves)
-            for curve, fit, row in zip(curves, batch, fitted):
-                (alone,), (alone_row,) = fit_block(curve.grid[None], curve.values[None], offset)
+            for curve, fit in zip(curves, batch):
+                (alone,) = fit_block(curve.grid[None], curve.values[None], offset)
                 assert bits(fit) == bits(alone) == bits(lone_fit(curve, offset))
-                assert row.tobytes() == alone_row.tobytes()
                 if curve.grid.size < 3:
                     assert bits(fit) == ("FitError", "need at least 3 points to fit")
                 elif np.ptp(curve.values) == 0:
@@ -397,7 +396,7 @@ class TestFitExponentials:
             for s in range(300)
         ]
         grid, values, _ = curve_block(traces)
-        batch, _ = fit_block(grid, values)
+        batch = fit_block(grid, values)
         assert [bits(fit) for fit in batch] == [
             bits(fit_exponential(empirical_curve(trace))) for trace in traces
         ]
@@ -405,15 +404,14 @@ class TestFitExponentials:
     def test_empty_stack_fits_nothing(self):
         # Rows too short to fit take their own path, so both widths.
         for points, offset in itertools.product((2, 200), (False, True)):
-            fits, fitted = fit_block(np.empty((0, points)), np.empty((0, points)), offset)
-            assert fits == [] and fitted.shape == (0, points)
+            assert fit_block(np.empty((0, points)), np.empty((0, points)), offset) == []
 
 
 class TestFitBlock:
     """The block fitter: rows of a grid and a values array, one call."""
 
     @pytest.mark.parametrize("offset", [False, True])
-    def test_rows_get_the_list_fits_and_their_model_values(self, offset):
+    def test_rows_get_their_lone_fits(self, offset):
         curves = [
             empirical_curve(
                 sample_events(UltradiffusionParams(t_N=30 + 5 * s, mu=0.1, M=150), seed=s)
@@ -422,23 +420,16 @@ class TestFitBlock:
         ]
         flat = PopularityCurve(grid=curves[0].grid, values=np.full(200, 0.5))
         curves.insert(2, flat)
-        fits, fitted = fit_block([c.grid for c in curves], [c.values for c in curves], offset)
+        fits = fit_block([c.grid for c in curves], [c.values for c in curves], offset)
         assert [bits(fit) for fit in fits] == [bits(lone_fit(c, offset)) for c in curves]
         assert bits(fits[2]) == ("FitError", "no dynamics to fit: curve is constant")
-        assert np.isnan(fitted[2]).all()
-        for curve, fit, row in zip(curves, fits, fitted):
-            if not isinstance(fit, Exception):
-                model = exponential_model(curve.grid, fit.h1, fit.h2, fit.h3)
-                assert row.tobytes() == model.tobytes()
 
     def test_rows_too_short_are_refused(self):
-        fits, fitted = fit_block(np.ones((2, 2)).cumsum(axis=1), np.full((2, 2), 0.5))
+        fits = fit_block(np.ones((2, 2)).cumsum(axis=1), np.full((2, 2), 0.5))
         assert [bits(fit) for fit in fits] == [("FitError", "need at least 3 points to fit")] * 2
-        assert fitted.shape == (2, 2) and np.isnan(fitted).all()
 
     def test_an_empty_block_fits_nothing(self):
-        fits, fitted = fit_block(np.empty((0, 200)), np.empty((0, 200)))
-        assert fits == [] and fitted.shape == (0, 200)
+        assert fit_block(np.empty((0, 200)), np.empty((0, 200))) == []
 
     def test_rejects_arrays_of_different_shapes(self):
         with pytest.raises(ValueError, match="2-D arrays of one shape"):
@@ -475,7 +466,7 @@ class TestTimestampScale:
         def outcomes(traces, k=0):
             grid, values, faults = curve_block(traces)
             assert faults == [None] * len(traces)
-            fits, _ = fit_block(grid, values)
+            fits = fit_block(grid, values)
             rows = []
             for trace, g, v, fit in zip(traces, grid, values, fits):
                 slope, intercept, r2_linear = fit_linear(g, v)

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import re
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -269,6 +270,24 @@ def test_files_are_utf8_whatever_the_locale(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert path.read_bytes() == "story_id,timestamp\ncaf\u00e9,1\ncaf\u00e9,2.5\n".encode()
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="POSIX file modes")
+def test_files_take_the_mode_open_gives_under_the_umask(tmp_path):
+    # A temporary file from tempfile.mkstemp is 0o600 whatever the umask, and
+    # renaming it into place keeps that mode.
+    for umask in (0o022, 0o077):
+        out = tmp_path / oct(umask)
+        out.mkdir()
+        old = os.umask(umask)
+        try:
+            write_json(out / "fits.json", [{"story_id": "s1"}])
+            write_fit_curve_tsv(out / "s1_curve.tsv", [1.0, 2.0], [0.1, 0.2], [0.1, 0.2], [0.1, 0.2])
+        finally:
+            os.umask(old)
+        assert sorted(path.name for path in out.iterdir()) == ["fits.json", "s1_curve.tsv"]
+        for path in out.iterdir():
+            assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask, path.name
 
 
 class TestJson:
