@@ -28,17 +28,31 @@ __all__ = [
 ]
 
 
+def _line_points(t, values) -> tuple[np.ndarray, np.ndarray]:
+    """The points of a least-squares line, refused where no line is defined.
+
+    Non-finite points and times of one value would reach LAPACK, which
+    prints to stderr and returns NaN or fails.
+    """
+    x = np.asarray(t, dtype=float)
+    y = np.asarray(values, dtype=float)
+    if x.shape != y.shape or x.ndim != 1 or x.size < 2:
+        raise ValueError("need two equal-length vectors of at least 2 points")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("a line fit needs finite times and values")
+    if x.min() == x.max():
+        raise ValueError("a line fit needs at least two distinct times")
+    return x, y
+
+
 def fit_linear(t, values) -> tuple[float, float, float]:
     """Ordinary least squares line. Returns (slope, intercept, r_squared).
 
     Fitted on t / max|t|, as `fitting` normalizes its axis, with the slope
     scaled back: the unit of time changes the slope alone.
     """
-    x = np.asarray(t, dtype=float)
-    y = np.asarray(values, dtype=float)
-    if x.shape != y.shape or x.ndim != 1 or x.size < 2:
-        raise ValueError("need two equal-length vectors of at least 2 points")
-    scale = np.abs(x).max() or 1.0
+    x, y = _line_points(t, values)
+    scale = np.abs(x).max()
     u = x / scale
     slope, intercept = np.polyfit(u, y, 1)
     return float(slope / scale), float(intercept), r_squared(y, slope * u + intercept)
@@ -116,8 +130,7 @@ def power_law_curve(model: PowerLawModel, t) -> PowerLawCurve:
 
 def loglog_slope(t, values) -> float:
     """Least-squares slope of ln(values) against ln(t)."""
-    x = np.log(np.asarray(t, dtype=float))
-    y = np.log(np.asarray(values, dtype=float))
-    if x.shape != y.shape or x.ndim != 1 or x.size < 2:
-        raise ValueError("need two equal-length vectors of at least 2 points")
-    return float(np.polyfit(x, y, 1)[0])
+    x, y = _line_points(t, values)
+    if not (x.min() > 0 and y.min() > 0):
+        raise ValueError("a log-log slope needs positive times and values")
+    return float(np.polyfit(np.log(x), np.log(y), 1)[0])

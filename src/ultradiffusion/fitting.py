@@ -95,6 +95,8 @@ def r_squared(observed, predicted) -> float:
         raise ValueError("observed and predicted must be vectors of equal length")
     if obs.size < 2:
         raise ValueError("r_squared needs at least 2 points")
+    if not (np.isfinite(obs).all() and np.isfinite(pred).all()):
+        raise ValueError("r_squared needs finite observed and predicted values")
     return float(_r_squared_rows(obs[None], pred[None])[0])
 
 

@@ -34,6 +34,33 @@ class TestFitLinear:
             fit_linear([1.0], [2.0])
 
 
+class TestLineFits:
+    @pytest.mark.parametrize(
+        "fit, t, values, message",
+        [
+            (fit_linear, [1.0, 2.0], [math.nan, 1.0], "finite times and values"),
+            (fit_linear, [1.0, math.nan], [0.0, 1.0], "finite times and values"),
+            (fit_linear, [1.0, math.inf], [0.0, 1.0], "finite times and values"),
+            (fit_linear, [0.0, 0.0], [0.0, 1.0], "two distinct times"),
+            (loglog_slope, [1.0, 2.0, 3.0], [1.0, 0.0, 2.0], "positive times and values"),
+            (loglog_slope, [0.0, 1.0, 2.0], [1.0, 2.0, 3.0], "positive times and values"),
+            (loglog_slope, [-1.0, 1.0], [1.0, 2.0], "positive times and values"),
+            (loglog_slope, [1.0, 2.0], [1.0, math.nan], "finite times and values"),
+        ],
+        ids=[
+            "nan-value", "nan-time", "inf-time", "one-time",
+            "loglog-zero-value", "loglog-zero-time", "loglog-negative-time", "loglog-nan-value",
+        ],
+    )
+    def test_refuses_points_no_line_fits(self, capfd, fit, t, values, message):
+        # Refused before LAPACK sees them: no warning, and nothing on stderr.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                fit(t, values)
+        assert capfd.readouterr().err == ""
+
+
 class TestMemorylessDiscriminator:
     def test_linear_fit_beats_saturating_fit_on_poisson_data(self):
         # The memoryless event curve is an exact line; the saturating family

@@ -140,6 +140,23 @@ class TestRSquared:
         with pytest.raises(ValueError, match="equal length"):
             r_squared([0.1, 0.2, 0.3], [0.1, 0.2])
 
+    @pytest.mark.parametrize(
+        "observed, predicted",
+        [
+            ([0.0, 1.0, 2.0], [0.0, math.inf, 2.0]),
+            ([0.0, 1.0, 2.0], [0.0, math.nan, 2.0]),
+            ([0.0, math.nan, 2.0], [0.0, 1.0, 2.0]),
+            ([0.0, -math.inf, 2.0], [0.0, 1.0, 2.0]),
+        ],
+        ids=["inf-predicted", "nan-predicted", "nan-observed", "inf-observed"],
+    )
+    def test_rejects_non_finite_values(self, capfd, observed, predicted):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite observed and predicted"):
+                r_squared(observed, predicted)
+        assert capfd.readouterr().err == ""
+
 
 class TestFitExponential:
     def test_recovers_noiseless_constants(self):
@@ -439,7 +456,7 @@ class TestFitBlock:
 class TestTimestampScale:
     """Rescaling every timestamp by 2^k changes the fit only through h2."""
 
-    def test_power_of_two_scaling_leaves_every_unit_free_value_bit_identical(self):
+    def test_power_of_two_scaling_leaves_every_unit_free_value_bit_identical(self, capfd):
         hypothesis = pytest.importorskip("hypothesis")
         st = hypothesis.strategies
         params = UltradiffusionParams(t_N=50, mu=0.1, M=300)
@@ -494,6 +511,8 @@ class TestTimestampScale:
                 assert {**new, "h2": old["h2"], "slope": old["slope"]} == old
 
         check()
+        # LAPACK prints its complaints, such as DLASCL's, to stderr.
+        assert capfd.readouterr().err == ""
 
 
 class TestExponentialFitInvariants:

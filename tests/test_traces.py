@@ -261,10 +261,14 @@ class TestParseTraceCsv:
         assert [t.horizon for t in traces] == [10.0, 10.0]
 
     def test_crlf_rows_parse_the_same(self, tmp_path):
-        path = tmp_path / "t.csv"
-        path.write_bytes(b"story_id,timestamp\r\ns1,1\r\ns1,2\r\n")
-        (trace,) = parse_trace_csv(path)
-        np.testing.assert_allclose(trace.events, [1.0, 2.0])
+        # With a byte order mark too: the CLI reads its input only through
+        # this parser, so the same traces give the same outputs.
+        plain = write_csv(tmp_path / "plain.csv", [("s1", 1), ("s2", 2), ("s1", 3)])
+        crlf = plain.read_bytes().replace(b"\n", b"\r\n")
+        for k, data in enumerate([crlf, b"\xef\xbb\xbf" + crlf]):
+            path = tmp_path / f"crlf{k}.csv"
+            path.write_bytes(data)
+            assert parse_outcome(parse_trace_csv, path) == parse_outcome(parse_trace_csv, plain)
 
     def test_byte_order_mark_is_ignored(self, tmp_path):
         rows = [("s1", 1), ("s2", 2), ("s1", 3)]
