@@ -45,6 +45,15 @@ def _line_points(t, values) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
+def _line(x, y) -> tuple[float, float]:
+    """Least-squares slope and intercept, refused at rank 1: times too close
+    to resolve, for which `np.polyfit` returns an arbitrary slope."""
+    (slope, intercept), _, rank, _, _ = np.polyfit(x, y, 1, full=True)
+    if rank < 2:
+        raise ValueError("a line fit needs times that differ by more than rounding")
+    return slope, intercept
+
+
 def fit_linear(t, values) -> tuple[float, float, float]:
     """Ordinary least squares line. Returns (slope, intercept, r_squared).
 
@@ -54,7 +63,7 @@ def fit_linear(t, values) -> tuple[float, float, float]:
     x, y = _line_points(t, values)
     scale = np.abs(x).max()
     u = x / scale
-    slope, intercept = np.polyfit(u, y, 1)
+    slope, intercept = _line(u, y)
     return float(slope / scale), float(intercept), r_squared(y, slope * u + intercept)
 
 
@@ -133,4 +142,4 @@ def loglog_slope(t, values) -> float:
     x, y = _line_points(t, values)
     if not (x.min() > 0 and y.min() > 0):
         raise ValueError("a log-log slope needs positive times and values")
-    return float(np.polyfit(np.log(x), np.log(y), 1)[0])
+    return float(_line(np.log(x), np.log(y))[0])

@@ -1,7 +1,7 @@
 """Command-line batch driver.
 
-Five subcommands: `fit` ingests an event CSV and writes per-story fit tables,
-`aggregate` runs the same pipeline on the mean curve, `simulate` draws
+Five subcommands: `fit` ingests an event CSV and writes per-story fits and
+curves, `aggregate` runs the same pipeline on the mean curve, `simulate` draws
 synthetic traces from given parameters, `compare` scores the saturating
 exponential against a straight line (the memoryless-arrivals signature), and
 `oracle-check` runs the pinned self-check suite and prints its report.
@@ -18,11 +18,11 @@ so interrupted runs leave no partial files.
 the rows of a (stories x 200) grid array and a values array (`curve_block`),
 one `fit_block` call fits them all, and the simulated curves' r_squared is
 computed on the block by the functions `simulate_curve` and `r_squared` call
-on one row. `infer_params`, `compare`'s line and each table's fitted and
-simulated columns, from its fit record, run story by story, and each story's
-outputs are byte for byte those of handling it alone. `aggregate` fits the
-block's mean on the grid of its longest story (`aggregate_mean`) as one
-curve of M events, M the summed event count of the averaged stories.
+on one row. `infer_params` and `compare`'s line run story by story, and a
+curve table is the story's grid and observed rows, so each story's outputs
+are byte for byte those of handling it alone. `aggregate` fits the block's
+mean on the grid of its longest story (`aggregate_mean`) as one curve of M
+events, M the summed event count of the averaged stories.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from .fitting import (
     UltradiffusionParams,
     _r_squared_rows,
     _simulated_rows,
-    exponential_model,
     fit_block,
     fit_exponential,
     infer_params,
@@ -54,7 +53,6 @@ from .generator import build_generator
 from .serialize import (
     write_curve_tsv,
     write_distance_tsv,
-    write_fit_curve_tsv,
     write_generator_tsv,
     write_json,
     write_spectrum_tsv,
@@ -88,6 +86,8 @@ def _check_args(args: argparse.Namespace) -> None:
         raise CommandError(1, "minimum event count must be at least 1")
     if getattr(args, "stories", 1) < 1:
         raise CommandError(1, "need at least one story")
+    if getattr(args, "seed", 0) < 0:
+        raise CommandError(1, "seed must be nonnegative")
     if args.horizon is not None:
         if not math.isfinite(args.horizon):
             raise CommandError(1, "horizon must be finite")
@@ -215,14 +215,6 @@ def _run_each(traces, worker, offset: bool, out_dir: Path):
     return [(names[sid], results[sid]) for sid in order]
 
 
-def _write_fit_table(path, grid, observed, record) -> None:
-    """Write a curve's table, its fitted and simulated columns from its fit record."""
-    fitted = exponential_model(grid, record["h1"], record["h2"], record["h3"])
-    params = UltradiffusionParams(record["t_N"], record["mu"], record["M"])
-    (simulated,) = _simulated_rows([params], grid[None])
-    write_fit_curve_tsv(path, grid, observed, fitted, simulated)
-
-
 def _fit_story(trace, grid, observed, record, refusal):
     if refusal is not None:
         raise refusal
@@ -234,7 +226,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     out = Path(args.out_dir)
     done = _run_each(kept, _fit_story, args.offset, out)
     for name, (record, grid, observed) in done:
-        _write_fit_table(out / f"{name}_curve.tsv", grid, observed, record)
+        write_curve_tsv(out / f"{name}_curve.tsv", grid, observed)
     write_json(out / "fits.json", [record for _, (record, _, _) in done])
     print(f"fitted {len(done)} of {len(kept)} stories -> {out}")
     return 0
@@ -254,7 +246,7 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
         raise CommandError(2, f"aggregate curve: {err}") from err
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_fit_table(out / "aggregate_curve.tsv", mean.grid, mean.values, record)
+    write_curve_tsv(out / "aggregate_curve.tsv", mean.grid, mean.values)
     write_json(
         out / "aggregate_fit.json",
         {"story_id": "aggregate", "n_stories": len(built), **record},
@@ -276,7 +268,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_trace_csv(out / "trace.csv", traces)
-    write_curve_tsv(out / "model_curve.tsv", model)
+    write_curve_tsv(out / "model_curve.tsv", model.grid, model.values)
     write_spectrum_tsv(out / "spectrum.tsv", chain_spectrum(args.t_n, args.mu).eigenvalues)
     print(
         f"wrote {args.stories} stories x {args.m_events} events "

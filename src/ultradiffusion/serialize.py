@@ -1,4 +1,4 @@
-"""Plot-ready table and JSON output.
+"""Table and JSON output.
 
 Every writer renders the full file content in memory, a table's body with
 one `%` format over all its cells, encodes it as UTF-8 whatever the locale
@@ -18,13 +18,12 @@ from collections.abc import Iterable, Mapping
 import numpy as np
 
 from .generator import Generator
-from .traces import EventTrace, PopularityCurve
+from .traces import EventTrace
 from .ultrametric import UltrametricSpace
 
 __all__ = [
     "write_curve_tsv",
     "write_distance_tsv",
-    "write_fit_curve_tsv",
     "write_generator_tsv",
     "write_json",
     "write_spectrum_tsv",
@@ -77,19 +76,12 @@ def _write_table(path, header: list[str], rows, labels=None) -> None:
     _atomic_write(path, "\t".join(header) + "\n" + body)
 
 
-def write_curve_tsv(path, curve: PopularityCurve) -> None:
-    """Two-column table `t`, `p`."""
-    _write_table(path, ["t", "p"], np.column_stack([curve.grid, curve.values]))
-
-
-def write_fit_curve_tsv(path, grid, observed, fitted, simulated) -> None:
-    """Table `t`, `observed`, `fitted`, `simulated`."""
+def write_curve_tsv(path, grid, values) -> None:
+    """Two-column table `t`, `p`: a curve's grid and its values."""
     grid = np.asarray(grid, dtype=float)
-    columns = {"observed": observed, "fitted": fitted, "simulated": simulated}
-    for name, col in columns.items():
-        if np.shape(col) != grid.shape:
-            raise ValueError(f"column {name!r} does not match the grid length")
-    _write_table(path, ["t", *columns], np.column_stack([grid, *columns.values()]))
+    if grid.ndim != 1 or np.shape(values) != grid.shape:
+        raise ValueError("a curve table needs a grid vector and values of its length")
+    _write_table(path, ["t", "p"], np.column_stack([grid, values]))
 
 
 def write_trace_csv(path, traces: Iterable[EventTrace]) -> None:

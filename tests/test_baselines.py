@@ -16,6 +16,8 @@ from ultradiffusion.baselines import (
 from ultradiffusion.fitting import fit_exponential
 from ultradiffusion.traces import PopularityCurve, uniform_grid
 
+NEXT_AFTER_8 = math.nextafter(8.0, 9.0)
+
 
 class TestFitLinear:
     def test_exact_line_is_recovered(self):
@@ -46,10 +48,15 @@ class TestLineFits:
             (loglog_slope, [0.0, 1.0, 2.0], [1.0, 2.0, 3.0], "positive times and values"),
             (loglog_slope, [-1.0, 1.0], [1.0, 2.0], "positive times and values"),
             (loglog_slope, [1.0, 2.0], [1.0, math.nan], "finite times and values"),
+            # Distinct times one ulp apart: the line's slope is 1/ulp(8), and
+            # polyfit returned 0.09375 (0.083 on the log scale) with a warning.
+            (fit_linear, [8.0, NEXT_AFTER_8], [1.0, 2.0], "differ by more than rounding"),
+            (loglog_slope, [8.0, NEXT_AFTER_8], [1.0, 2.0], "differ by more than rounding"),
         ],
         ids=[
             "nan-value", "nan-time", "inf-time", "one-time",
             "loglog-zero-value", "loglog-zero-time", "loglog-negative-time", "loglog-nan-value",
+            "ulp-apart-times", "loglog-ulp-apart-times",
         ],
     )
     def test_refuses_points_no_line_fits(self, capfd, fit, t, values, message):

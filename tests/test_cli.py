@@ -25,7 +25,7 @@ from ultradiffusion.fitting import (
     sample_events,
     simulate_curve,
 )
-from ultradiffusion.serialize import write_fit_curve_tsv, write_json, write_trace_csv
+from ultradiffusion.serialize import write_curve_tsv, write_json, write_trace_csv
 from ultradiffusion.traces import empirical_curve, parse_trace_csv
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -59,7 +59,36 @@ class TestFit:
         assert record["r2_simulated"] >= 0.95
         assert record["M"] == 1000
         curve = out / "synthetic_t50_curve.tsv"
-        assert curve.read_text().splitlines()[0] == "t\tobserved\tfitted\tsimulated"
+        assert curve.read_text().splitlines()[0] == "t\tp"
+
+    @pytest.mark.parametrize("offset", [False, True], ids=["plain", "offset"])
+    def test_readme_recipe_rebuilds_the_fitted_and_simulated_curves(
+        self, tmp_path, monkeypatch, capsys, offset
+    ):
+        # The README's "Curve tables" recipe, run as written on a fit output,
+        # gives the library's fitted and simulated curves on the table's times.
+        readme = (REPO_ROOT / "README.md").read_text()
+        section = readme[readme.index("\n### Curve tables\n") :]
+        start = section.index("```python\n") + len("```python\n")
+        recipe = section[start : section.index("```\n", start)]
+        monkeypatch.chdir(tmp_path)
+        write_trace_csv("in.csv", [sampled_story("story_001", seed=0)])
+        options = ["--offset"] if offset else []
+        assert main(["fit", "--input", "in.csv", "--out-dir", "out", *options]) == 0
+        scope = {}
+        exec(recipe, scope)
+        record, t = scope["record"], scope["t"]
+        assert (record["h3"] > 0) == offset
+        fitted = exponential_model(t, record["h1"], record["h2"], record["h3"])
+        np.testing.assert_allclose(scope["fitted"], fitted, rtol=1e-12, atol=0)
+        # `simulate_curve` takes a uniform grid, which the table's 9-digit
+        # times only round, so it runs on the story's own grid.
+        (story,) = parse_trace_csv("in.csv")
+        grid = empirical_curve(story).grid
+        np.testing.assert_allclose(t, grid, rtol=5e-9, atol=0)
+        params = UltradiffusionParams(record["t_N"], record["mu"], record["M"])
+        simulated = simulate_curve(params, grid).values
+        np.testing.assert_allclose(scope["simulated"], simulated, rtol=1e-8, atol=0)
 
     def test_small_story_is_skipped_with_notice(self, tmp_path, capsys):
         csv = tmp_path / "mixed.csv"
@@ -231,8 +260,9 @@ class TestStoryFailures:
 
 def per_story_reference(traces, command, offset, out):
     """What `fit` or `compare` writes when every story is handled alone:
-    fit_exponential -> infer_params -> simulate_curve -> write_fit_curve_tsv.
-    Writes the files into `out`; returns the failure report."""
+    fit_exponential -> infer_params -> simulate_curve, and in `fit` the
+    write_curve_tsv of each fitted story's `empirical_curve`. Writes the
+    files into `out`; returns the failure report."""
     results, failed = {}, {}
     for trace in traces:
         sid = trace.story_id
@@ -258,8 +288,7 @@ def per_story_reference(traces, command, offset, out):
             if isinstance(mapped, Exception):
                 failed[sid] = mapped
                 continue
-            fitted = exponential_model(curve.grid, fit.h1, fit.h2, fit.h3)
-            columns = (curve.grid, curve.values, fitted, simulated.values)
+            columns = (curve.grid, curve.values)
             record = {"story_id": sid, "h1": fit.h1, "h2": fit.h2, "h3": fit.h3,
                       "r2": fit.r2, **mapped}
         else:
@@ -278,7 +307,7 @@ def per_story_reference(traces, command, offset, out):
     out.mkdir()
     for sid, (_, columns) in sorted(results.items()):
         if columns:
-            write_fit_curve_tsv(out / f"{sid}_curve.tsv", *columns)
+            write_curve_tsv(out / f"{sid}_curve.tsv", *columns)
     result = "fits.json" if command == "fit" else "comparison.json"
     write_json(out / result, [results[sid][0] for sid in sorted(results)])
     return "".join(
@@ -409,33 +438,16 @@ class TestAggregate:
         assert curves == [200]
 
     @pytest.mark.parametrize("offset", [False, True], ids=["plain", "offset"])
-    def test_curve_table_is_the_table_of_the_fit_record(self, tmp_path, capsys, offset):
+    def test_curve_table_is_the_table_of_the_mean_curve(self, tmp_path, capsys, offset):
         csv = tmp_path / "in.csv"
         write_trace_csv(csv, [sampled_story("s1", seed=7), sampled_story("s2", seed=8)])
         out = tmp_path / "out"
         options = ["--offset"] if offset else []
         assert main(["aggregate", "--input", str(csv), "--out-dir", str(out), *options]) == 0
-        record = json.loads((out / "aggregate_fit.json").read_text())
         mean = traces.aggregate_mean(*traces.curve_block(parse_trace_csv(csv))[:2])
-        t = mean.grid
         want = tmp_path / "want.tsv"
-        write_fit_curve_tsv(
-            want,
-            t,
-            mean.values,
-            exponential_model(t, record["h1"], record["h2"], record["h3"]),
-            simulate_curve(UltradiffusionParams(record["t_N"], record["mu"], record["M"]), t).values,
-        )
+        write_curve_tsv(want, mean.grid, mean.values)
         assert (out / "aggregate_curve.tsv").read_bytes() == want.read_bytes()
-
-    def test_aggregate_curve_has_the_four_columns(self, tmp_path, capsys):
-        csv = tmp_path / "in.csv"
-        write_trace_csv(csv, [sampled_story("s1", seed=7), sampled_story("s2", seed=8)])
-        out = tmp_path / "out"
-        code = main(["aggregate", "--input", str(csv), "--out-dir", str(out)])
-        assert code == 0
-        header = (out / "aggregate_curve.tsv").read_text().splitlines()[0]
-        assert header == "t\tobserved\tfitted\tsimulated"
 
 
 class TestSimulate:
@@ -777,6 +789,7 @@ class TestArgumentHandling:
             (["--horizon", "inf"], "horizon must be finite"),
             # Too short for a model-curve grid: fails before trace.csv is written.
             (["--horizon", "5e-324"], "horizon 5e-324 is too short to split into 200"),
+            (["--seed", "-1"], "seed must be nonnegative"),
         ],
     )
     def test_bad_simulate_option_is_an_input_error(self, tmp_path, capsys, options, message):

@@ -21,14 +21,13 @@ from ultradiffusion.generator import build_generator
 from ultradiffusion.serialize import (
     write_curve_tsv,
     write_distance_tsv,
-    write_fit_curve_tsv,
     write_generator_tsv,
     write_json,
     write_spectrum_tsv,
     write_trace_csv,
 )
 from ultradiffusion.spectral import chain_spectrum
-from ultradiffusion.traces import EventTrace, PopularityCurve, parse_trace_csv
+from ultradiffusion.traces import EventTrace, parse_trace_csv
 from ultradiffusion.ultrametric import build_from_trace, uniform_chain
 
 WORKED_TRACE = EventTrace(
@@ -40,27 +39,23 @@ WORKED_TRACE = EventTrace(
 
 class TestCurveTables:
     def test_curve_header_and_rows(self, tmp_path):
-        curve = PopularityCurve(grid=np.array([1.0, 2.0]), values=np.array([0.5, 1.0]))
         path = tmp_path / "curve.tsv"
-        write_curve_tsv(path, curve)
+        write_curve_tsv(path, np.array([1.0, 2.0]), np.array([0.5, 1.0]))
         assert path.read_text() == "t\tp\n1\t0.5\n2\t1\n"
 
-    def test_fit_curve_includes_simulated_column_when_given(self, tmp_path):
-        grid = np.array([1.0, 2.0])
-        path = tmp_path / "fit.tsv"
-        write_fit_curve_tsv(path, grid, [0.1, 0.2], [0.15, 0.25], [0.12, 0.22])
-        lines = path.read_text().splitlines()
-        assert lines[0] == "t\tobserved\tfitted\tsimulated"
-        assert lines[1] == "1\t0.1\t0.15\t0.12"
-
-    def test_fit_curve_rejects_ragged_columns(self, tmp_path):
-        with pytest.raises(ValueError, match="fitted"):
-            write_fit_curve_tsv(tmp_path / "fit.tsv", [1.0, 2.0], [0.1, 0.2], [0.15], [0.1, 0.2])
+    @pytest.mark.parametrize(
+        "grid, values",
+        [([1.0, 2.0], [0.1]), ([1.0], [0.1, 0.2]), ([[1.0, 2.0]], [[0.1, 0.2]])],
+        ids=["short-values", "long-values", "matrix"],
+    )
+    def test_curve_rejects_ragged_columns(self, tmp_path, grid, values):
+        with pytest.raises(ValueError, match="grid vector and values of its length"):
+            write_curve_tsv(tmp_path / "curve.tsv", grid, values)
+        assert list(tmp_path.iterdir()) == []
 
     def test_nine_significant_digits(self, tmp_path):
-        curve = PopularityCurve(grid=np.array([1.0 / 3.0]), values=np.array([2.0 / 3.0]))
         path = tmp_path / "curve.tsv"
-        write_curve_tsv(path, curve)
+        write_curve_tsv(path, np.array([1.0 / 3.0]), np.array([2.0 / 3.0]))
         assert path.read_text() == "t\tp\n0.333333333\t0.666666667\n"
 
 
@@ -202,23 +197,18 @@ class TestAgainstPerValueFormatting:
         )
         path = tmp_path / "out"
 
-        # Stand-ins for curves, spaces, generators and traces: the real
-        # classes reject the non-finite values the formats must still handle.
+        # Stand-ins for spaces, generators and traces: the real classes
+        # reject the non-finite values the formats must still handle.
         @hypothesis.settings(max_examples=200, deadline=None)
         @hypothesis.given(table)
         def check(rows):
             arr = np.array(rows, dtype=float)
-            n, m = arr.shape
+            n = len(arr)
             col = arr[:, 0]
 
-            write_curve_tsv(path, SimpleNamespace(grid=col, values=arr[:, -1]))
+            write_curve_tsv(path, col, arr[:, -1])
             expected = _reference_rows(["t", "p"], zip(col, arr[:, -1]))
             assert path.read_text() == expected
-
-            cols = [col, arr[:, -1], arr[:, m // 2], arr[:, 0]]
-            write_fit_curve_tsv(path, *cols)
-            header = ["t", "observed", "fitted", "simulated"]
-            assert path.read_text() == _reference_rows(header, zip(*cols))
 
             write_spectrum_tsv(path, col)
             expected = _reference_rows(["j", "lambda"], [[v] for v in col], range(1, n + 1))
@@ -282,7 +272,7 @@ def test_files_take_the_mode_open_gives_under_the_umask(tmp_path):
         old = os.umask(umask)
         try:
             write_json(out / "fits.json", [{"story_id": "s1"}])
-            write_fit_curve_tsv(out / "s1_curve.tsv", [1.0, 2.0], [0.1, 0.2], [0.1, 0.2], [0.1, 0.2])
+            write_curve_tsv(out / "s1_curve.tsv", [1.0, 2.0], [0.1, 0.2])
         finally:
             os.umask(old)
         assert sorted(path.name for path in out.iterdir()) == ["fits.json", "s1_curve.tsv"]
