@@ -44,7 +44,7 @@ def main() -> None:
     banner("Inverting the fit")
     params = infer_params(fit, M=trace.count)
     print(f"recovered t_N = {params.t_N} (truth 50), mu = {params.mu:.4f} (truth 0.2)")
-    simulated = simulate_curve(params, curve.grid)
+    simulated = simulate_curve(params, curve.horizon)
     r2_sim = r_squared(curve.values, simulated.values)
     print(f"curve regenerated from the recovered parameters: "
           f"r2 against the data = {r2_sim:.5f}")

@@ -23,7 +23,7 @@ def main() -> None:
     window = 10.0
     grid = uniform_grid(window, 200)
     line = grid / window
-    curve = PopularityCurve(grid=grid, values=line)
+    curve = PopularityCurve(horizon=window, values=line)
     slope, intercept, r2_lin = fit_linear(grid, line)
     r2_exp = fit_exponential(curve).r2
     print(f"memoryless event curve on (0, {window:g}]: value = t/{window:g}")

@@ -221,9 +221,9 @@ def _check_fit_round_trip(tolerance: float) -> _Outcome:
         for n in (5, 50, 500)
         for mu in (0.01, 0.1, 1.0)
     ]
-    grid = np.array([uniform_grid(5.0 / fitting.decay_rate(p), 200) for p in cells])
-    values = [fitting.simulate_curve(p, row).values for p, row in zip(cells, grid)]
-    fits = fitting.fit_block(grid, values)
+    horizons = [5.0 / fitting.decay_rate(p) for p in cells]
+    values = [fitting.simulate_curve(p, horizon).values for p, horizon in zip(cells, horizons)]
+    fits = fitting.fit_block(horizons, values)
     for params, fit in zip(cells, fits):
         if isinstance(fit, Exception):
             raise fit
@@ -299,7 +299,7 @@ def _check_poisson_discriminator(tolerance: float) -> _Outcome:
     window = 10.0
     grid = uniform_grid(window, 200)
     values = grid / window
-    curve = PopularityCurve(grid=grid, values=values)
+    curve = PopularityCurve(horizon=window, values=values)
     _, _, r2_lin = baselines.fit_linear(grid, values)
     r2_exp = fitting.fit_exponential(curve).r2
     elapsed = time.perf_counter() - start

@@ -15,14 +15,14 @@ byte-identical files; outputs are written to a temporary name and renamed,
 so interrupted runs leave no partial files.
 
 `fit` and `compare` run a pass as one block: the parsed stories' curves are
-the rows of a (stories x 200) grid array and a values array (`curve_block`),
-one `fit_block` call fits them all, and the simulated curves' r_squared is
-computed on the block by the functions `simulate_curve` and `r_squared` call
-on one row. `infer_params` and `compare`'s line run story by story, and a
-curve table is the story's grid and observed rows, so each story's outputs
-are byte for byte those of handling it alone. `aggregate` fits the block's
-mean on the grid of its longest story (`aggregate_mean`) as one curve of M
-events, M the summed event count of the averaged stories.
+their horizons and the rows of a (stories x 200) values array
+(`curve_block`), and one `fit_block` call fits them all. No grid array is
+held: `infer_params`, the simulated curve's r_squared, `compare`'s line and
+the curve tables run story by story, each building the story's grid from its
+horizon with `uniform_grid`, so each story's outputs are byte for byte those
+of handling it alone. `aggregate` fits the block's mean on the grid of its
+longest story (`aggregate_mean`) as one curve of M events, M the summed
+event count of the averaged stories.
 """
 
 from __future__ import annotations
@@ -41,11 +41,10 @@ from .baselines import fit_linear
 from .fitting import (
     FitError,
     UltradiffusionParams,
-    _r_squared_rows,
-    _simulated_rows,
     fit_block,
     fit_exponential,
     infer_params,
+    r_squared,
     sample_events,
     simulate_curve,
 )
@@ -136,36 +135,29 @@ def _load_qualifying(args: argparse.Namespace):
     return kept
 
 
-def _map_fits(grid, observed, counts, fits):
+def _map_fits(horizons, observed, counts, fits):
     """Map each fit of a curve block to chain parameters.
 
-    Row n of `grid` and `observed` is a curve of `counts[n]` events and
-    `fits[n]` its fit, or the error that refuses it. Returns one outcome per
-    row: that error, or a pair (record, refusal): the fit record, which also
-    holds the mapped fields `t_N`, `mu`, `M` and `r2_simulated` when the
-    refusal is None, and otherwise the ValueError that refuses the mapping.
-    `infer_params` maps each fit alone; the r_squared of the simulated
-    curves is computed on the block of mapped rows at once.
+    Row n of `observed` is a curve of horizon `horizons[n]` and `counts[n]`
+    events, and `fits[n]` its fit, or the error that refuses it. Returns one
+    outcome per row: that error, or a pair (record, refusal): the fit record,
+    which also holds the mapped fields `t_N`, `mu`, `M` and `r2_simulated`
+    when the refusal is None, and otherwise the ValueError refusing the map.
     """
     outcomes: list = []
-    mapped, inferred = [], []
-    for n, fit in enumerate(fits):
+    for horizon, row, count, fit in zip(horizons, observed, counts, fits):
         if isinstance(fit, Exception):
             outcomes.append(fit)
             continue
         record = {"h1": fit.h1, "h2": fit.h2, "h3": fit.h3, "r2": fit.r2}
         try:
-            params = infer_params(fit, M=counts[n])
+            params = infer_params(fit, M=count)
         except ValueError as err:
             outcomes.append((record, err))
             continue
-        record.update(t_N=params.t_N, mu=params.mu, M=params.M)
+        r2_simulated = r_squared(row, simulate_curve(params, horizon).values)
+        record.update(t_N=params.t_N, mu=params.mu, M=params.M, r2_simulated=r2_simulated)
         outcomes.append((record, None))
-        mapped.append(n)
-        inferred.append(params)
-    r2_simulated = _r_squared_rows(observed[mapped], _simulated_rows(inferred, grid[mapped]))
-    for n, r2 in zip(mapped, r2_simulated.tolist()):
-        outcomes[n][0]["r2_simulated"] = r2
     return outcomes
 
 
@@ -176,34 +168,34 @@ def _report(failed) -> None:
 
 
 def _curve_rows(traces):
-    """The traces whose curve can be built, the grid and observed blocks of
-    their curves, one row each, and {story id: error} of the others."""
-    grid, observed, faults = curve_block(traces)
+    """The traces whose curve can be built, their horizons and observed
+    block, one row each, and {story id: error} of the others."""
+    horizons, observed, faults = curve_block(traces)
     built = [n for n, fault in enumerate(faults) if fault is None]
     failed = {trace.story_id: fault for trace, fault in zip(traces, faults) if fault}
-    return [traces[n] for n in built], grid[built], observed[built], failed
+    return [traces[n] for n in built], horizons[built], observed[built], failed
 
 
 def _run_each(traces, worker, offset: bool, out_dir: Path):
     """Fit and map every trace's curve, all as one block, and apply `worker`
-    to each (trace, grid row, observed row, fit record, refusal) whose fit
-    `_map_fits` made. Returns [(file name, result)] in story-id order.
+    to each (trace, observed row, fit record, refusal) whose fit `_map_fits`
+    made. Returns [(file name, result)] in story-id order.
 
     A story fails when its curve cannot be built, the fitter refuses the
     curve, or `worker` raises one of the data errors: failures are printed
     in story-id order, and when every story failed the run exits 2.
     Otherwise `out_dir` is created.
     """
-    built, grid, observed, failed = _curve_rows(traces)
-    fits = fit_block(grid, observed, offset=offset)
-    outcomes = _map_fits(grid, observed, [trace.count for trace in built], fits)
+    built, horizons, observed, failed = _curve_rows(traces)
+    fits = fit_block(horizons, observed, offset=offset)
+    outcomes = _map_fits(horizons, observed, [trace.count for trace in built], fits)
     results = {}
-    for trace, grid_row, observed_row, outcome in zip(built, grid, observed, outcomes):
+    for trace, observed_row, outcome in zip(built, observed, outcomes):
         try:
             # A fit that is an error fails its story, as if raised here.
             if isinstance(outcome, Exception):
                 raise outcome
-            results[trace.story_id] = worker(trace, grid_row, observed_row, *outcome)
+            results[trace.story_id] = worker(trace, observed_row, *outcome)
         except _DATA_ERRORS as err:
             failed[trace.story_id] = err
     _report(failed)
@@ -215,31 +207,31 @@ def _run_each(traces, worker, offset: bool, out_dir: Path):
     return [(names[sid], results[sid]) for sid in order]
 
 
-def _fit_story(trace, grid, observed, record, refusal):
+def _fit_story(trace, observed, record, refusal):
     if refusal is not None:
         raise refusal
-    return {"story_id": trace.story_id, **record}, grid, observed
+    return {"story_id": trace.story_id, **record}, trace.horizon, observed
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
     kept = _load_qualifying(args)
     out = Path(args.out_dir)
     done = _run_each(kept, _fit_story, args.offset, out)
-    for name, (record, grid, observed) in done:
-        write_curve_tsv(out / f"{name}_curve.tsv", grid, observed)
+    for name, (record, horizon, observed) in done:
+        write_curve_tsv(out / f"{name}_curve.tsv", uniform_grid(horizon), observed)
     write_json(out / "fits.json", [record for _, (record, _, _) in done])
     print(f"fitted {len(done)} of {len(kept)} stories -> {out}")
     return 0
 
 
 def cmd_aggregate(args: argparse.Namespace) -> int:
-    built, grid, observed, failed = _curve_rows(_load_qualifying(args))
+    built, horizons, observed, failed = _curve_rows(_load_qualifying(args))
     _report(failed)
     try:
-        mean = aggregate_mean(grid, observed)
+        mean = aggregate_mean(horizons, observed)
         fit = fit_exponential(mean, offset=args.offset)
         M = sum(trace.count for trace in built)
-        ((record, refusal),) = _map_fits(mean.grid[None], mean.values[None], [M], [fit])
+        ((record, refusal),) = _map_fits([mean.horizon], [mean.values], [M], [fit])
         if refusal is not None:
             raise refusal
     except _DATA_ERRORS as err:
@@ -264,7 +256,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         for k, child in enumerate(children)
     ]
     span = traces[0].horizon
-    model = simulate_curve(params, uniform_grid(span))
+    model = simulate_curve(params, span)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_trace_csv(out / "trace.csv", traces)
@@ -277,8 +269,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _compare_record(trace, grid, observed, record, refusal):
-    _, _, r2_lin = fit_linear(grid, observed)
+def _compare_record(trace, observed, record, refusal):
+    _, _, r2_lin = fit_linear(uniform_grid(trace.horizon), observed)
     compared = {
         "story_id": trace.story_id,
         "r2_exponential": record["r2"],

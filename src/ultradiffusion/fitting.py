@@ -4,11 +4,12 @@ Popularity curves saturate like p(t) = h1*(1 - e^(-h2*t)) + h3. The fit is
 variable projection (Golub & Pereyra 1973): h1 and h3 enter linearly, so
 for each decay rate they are solved in closed form and the least-squares
 problem shrinks to one dimension, the rate. That profile is scanned on a
-fixed grid and refined to machine precision, all on a normalized time axis,
-so the result does not depend on whether t is in seconds or weeks.
-`fit_block` fits a block of curves, one per row of a grid array and a values
-array, in one call that returns only their fits; `fit_exponential` is its
-one-curve call. The curves are scanned a few at a time, then polished
+fixed grid and refined to machine precision on the normalized time axis
+k/n that every n-point curve shares, so rescaling time changes h2 alone.
+`fit_block` fits a block of curves, given as horizons and a values array,
+in one call that returns only their fits; `fit_exponential` is its
+one-curve call. The scan's columns are made once per call and scanned a few
+curves at a time; then the curves are polished
 together by masked vector steps over the curves still moving, each by the
 rules a lone curve follows, so every curve gets bit for bit its lone fit.
 Fitted constants map onto model parameters: chain length t_N and decay mu.
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .traces import EventTrace, PopularityCurve, _integer
+from .traces import EventTrace, PopularityCurve, _axis, _integer, _unchecked, uniform_grid
 
 __all__ = [
     "ExponentialFit",
@@ -108,7 +109,7 @@ def _r_squared_rows(observed: np.ndarray, predicted: np.ndarray) -> np.ndarray:
     return 1.0 - ((observed - predicted) ** 2).sum(axis=1) / total
 
 
-# Normalised decay rates k = h2*T (T the last grid time) that the coarse grid
+# Normalised decay rates k = h2*T (T the curve's horizon) that the coarse grid
 # covers, four a decade: from a curve indistinguishable from a straight line
 # (k = 1e-6) to one that saturates within the first 1/10^4 of the window.
 _RATES = np.geomspace(1e-6, 1e4, 41)
@@ -130,25 +131,30 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("...i,...i->...", a, b)
 
 
-def _profile(rates: np.ndarray, x: np.ndarray, p: np.ndarray, offset: bool):
-    """Each curve's best rate among `rates`, by variable projection.
+def _columns(rates: np.ndarray, x: np.ndarray):
+    """-k*x and the basis 1 - e^(-k*x) of each rate k of `rates` (rows x rates)."""
+    decay_arg = rates[:, :, None] * -x
+    return decay_arg, -np.expm1(decay_arg)  # keeps its digits as k -> 0
 
-    `x` and `p` hold one curve per row, and `rates` the normalized rates k
-    tried on each (curves x rates, or one row for every curve). For fixed k
-    the model h1*b + h3 with b = 1 - e^(-k*x) is linear in h1 and h3, which
-    are solved in closed form under h1 >= 0 and 0 <= h3 < 1. Returns arrays
-    (index of the rate with the least residual sum of squares, h1, h3, that
-    sum, Gauss-Newton step in k from that rate), one entry per curve. h1 = 0
-    marks a rate where no positive amplitude fits, which only an offset held
-    at 1 allows. The step is Kaufman's for variable projection (BIT 15, 49,
-    1975): the model's k-derivative h1*x*e^(-k*x), less its projection on
-    the columns solved for, regressed against the residual. Every entry is
-    computed from its curve's row alone, in the same operations whatever the
-    other rows hold.
+
+def _profile(columns, x: np.ndarray, p: np.ndarray, offset: bool):
+    """Each curve's best rate among those of `columns`, by variable projection.
+
+    `p` holds one curve per row on the axis `x`, and `columns` is `_columns` of
+    the normalized rates k tried: one row for all curves, or one each. For
+    fixed k the model h1*b + h3 with b = 1 - e^(-k*x) is linear in h1 and
+    h3, which are solved in closed form under h1 >= 0 and 0 <= h3 < 1.
+    Returns arrays (index of the rate with the least residual sum of
+    squares, h1, h3, that sum, Gauss-Newton step in k from that rate), one
+    entry per curve. h1 = 0 marks a rate where no positive amplitude fits,
+    which only an offset held at 1 allows. The step is Kaufman's for
+    variable projection (BIT 15, 49, 1975): the model's k-derivative
+    h1*x*e^(-k*x), less its projection on the columns solved for, regressed
+    against the residual. Every entry is computed from its curve's row
+    alone, in the same operations whatever the other rows hold.
     """
+    decay_arg, basis = columns
     column = p[:, :, None]
-    decay_arg = rates[:, :, None] * -x[:, None, :]
-    basis = -np.expm1(decay_arg)  # keeps its digits as k -> 0
     bb = _rowdot(basis, basis)  # > 0: the last point has x = 1
     bp = (basis @ column)[..., 0]
     if offset:
@@ -166,7 +172,7 @@ def _profile(rates: np.ndarray, x: np.ndarray, p: np.ndarray, offset: bool):
         # Outside [0, 1) the offset is held at the nearer bound and h1 solved
         # alone; inside, the clip only absorbs rounding.
         h3 = np.where(low, 0.0, np.where(high, _H3_MAX, np.clip(pm - h1 * bm, 0.0, _H3_MAX)))
-        h1 = np.where(low | high, (bp - h3 * x.shape[1] * bm) / bb, h1)
+        h1 = np.where(low | high, (bp - h3 * x.size * bm) / bb, h1)
         # A nonpositive amplitude means the best fit with h1 >= 0 has h1 = 0.
         none = h1 <= 0
         h1[none] = 0.0
@@ -177,43 +183,44 @@ def _profile(rates: np.ndarray, x: np.ndarray, p: np.ndarray, offset: bool):
     else:
         # h1 > 0: a nondecreasing, nonconstant curve ends above 0.
         h1 = bp / bb
-        h3 = np.zeros(bb.shape)
+        h3 = np.zeros(bp.shape)
         resid = p[:, None, :] - h1[..., None] * basis
     cost = _rowdot(resid, resid)
     # Only the best rate of each curve needs its step.
     best = cost.argmin(axis=1)
-    at = (np.arange(best.size), best) if rates.shape[1] > 1 else (slice(None), 0)
-    h1, basis, bb, resid = h1[at], basis[at], bb[at], resid[at]
-    slope = h1[:, None] * x * np.exp(decay_arg[at])
+
+    def at(a):
+        # Each curve's entry at its best rate, of an array per curve or shared.
+        return a[np.arange(best.size) if len(a) > 1 else 0, best]
+
+    h1, basis, bb, resid = at(h1), at(basis), at(bb), at(resid)
+    slope = h1[:, None] * x * np.exp(at(decay_arg))
     # With h3 free, projecting off b and the constant is projecting the
     # centered slope off the centered b; otherwise h1 alone is solved.
     along = slope - basis * (_rowdot(basis, slope) / bb)[:, None]
-    if offset and (free := free[at]).any():
-        centered, cc = centered[at][free], cc[at][free]
+    if offset and (free := at(free)).any():
+        centered, cc = at(centered)[free], at(cc)[free]
         centered_slope = slope[free] - slope[free].mean(axis=1, keepdims=True)
         scale = _rowdot(centered, centered_slope) / cc
         along[free] = centered_slope - centered * scale[:, None]
     jj = _rowdot(along, along)
     step = np.divide(_rowdot(along, resid), jj, out=np.zeros(jj.shape), where=jj > 0)
-    return best, h1, h3[at], cost[at], step
+    return best, h1, at(h3), at(cost), step
 
 
-def _fit_rows(x: np.ndarray, p: np.ndarray, offset: bool):
+def _fit_rows(scan, x: np.ndarray, p: np.ndarray, offset: bool):
     """Normalized rates k and constants h1, h3 that fit each row of `p`
-    sampled at the row of `x` beside it, whose last entry is 1.
+    sampled on the axis `x`, whose last entry is 1.
 
-    The profile is scanned on `_RATES` a few rows at a time. Then every row
-    is polished at once, by masked vector steps over the rows still moving,
-    each row by exactly the rules a lone row would follow.
+    The profile is scanned on `_RATES`, whose columns are `scan`, a few rows
+    at a time. Then every row is polished at once, by masked vector steps
+    over the rows still moving, each row by exactly the rules a lone row
+    would follow.
     """
-    rows = x.shape[0]
-    best = np.empty(rows, dtype=np.intp)
-    h1, h3, cost, step = (np.empty(rows) for _ in range(4))
-    for start in range(0, rows, _SCAN_BLOCK):
-        block = slice(start, start + _SCAN_BLOCK)
-        best[block], h1[block], h3[block], cost[block], step[block] = _profile(
-            _RATES[None, :], x[block], p[block], offset
-        )
+    rows = len(p)
+    scanned = [_profile(scan, x, p[n : n + _SCAN_BLOCK], offset)
+               for n in range(0, rows, _SCAN_BLOCK)]
+    best, h1, h3, cost, step = map(np.concatenate, zip(*scanned))
     k = _RATES[best]
     lo = _RATES[np.maximum(best - 1, 0)]
     hi = _RATES[np.minimum(best + 1, _RATES.size - 1)]
@@ -241,10 +248,10 @@ def _fit_rows(x: np.ndarray, p: np.ndarray, offset: bool):
             if stopped == live.size:
                 return out
             keep = ~done
-            live, k, h1, h3, cost, step, lo, hi, trial, x, p = (
-                v[keep] for v in (live, k, h1, h3, cost, step, lo, hi, trial, x, p)
+            live, k, h1, h3, cost, step, lo, hi, trial, p = (
+                v[keep] for v in (live, k, h1, h3, cost, step, lo, hi, trial, p)
             )
-        _, t_h1, t_h3, t_cost, t_step = _profile(trial[:, None], x, p, offset)
+        _, t_h1, t_h3, t_cost, t_step = _profile(_columns(trial[:, None], x), x, p, offset)
         dk = trial - k
         done = np.abs(dk) <= _K_RTOL * k
         ds = t_step - step
@@ -261,7 +268,7 @@ def _fit_rows(x: np.ndarray, p: np.ndarray, offset: bool):
     return out
 
 
-def _fit_chunk(t: np.ndarray, p: np.ndarray, offset: bool) -> list:
+def _fit_chunk(scan, x: np.ndarray, horizons: np.ndarray, p: np.ndarray, offset: bool) -> list:
     """`fit_block` on at most `_FIT_BLOCK` curves of at least 3 points."""
     fits: list = [FitError("no dynamics to fit: curve is constant") for _ in p]
     top = np.maximum(1.0, np.abs(p).max(axis=1))
@@ -269,13 +276,10 @@ def _fit_chunk(t: np.ndarray, p: np.ndarray, offset: bool) -> list:
     if not moves.size:
         return fits
     if moves.size < len(p):
-        t, p = t[moves], p[moves]
-    span = t[:, -1:]
-    with np.errstate(under="ignore"):
-        k, h1, h3 = _fit_rows(t / span, p, offset)
-    h2 = k / span[:, 0]
-    model = exponential_model(t, h1[:, None], h2[:, None], h3[:, None])
-    r2 = _r_squared_rows(p, model)
+        horizons, p = horizons[moves], p[moves]
+    k, h1, h3 = _fit_rows(scan, x, p, offset)
+    r2 = _r_squared_rows(p, exponential_model(x, h1[:, None], k[:, None], h3[:, None]))
+    h2 = k / horizons
     for n, *constants in zip(moves.tolist(), *(v.tolist() for v in (h1, h2, h3, r2))):
         try:
             fits[n] = ExponentialFit(*constants)
@@ -284,27 +288,32 @@ def _fit_chunk(t: np.ndarray, p: np.ndarray, offset: bool) -> list:
     return fits
 
 
-def fit_block(grid, values, offset: bool = False):
+def fit_block(horizons, values, offset: bool = False):
     """Fit every row of a curve block as `fit_exponential` fits one curve.
 
-    `grid` and `values` are (curves x points) arrays, row n the grid times
-    and values of curve n. Returns a list of each curve's `ExponentialFit`,
-    or the error that refuses it (a `FitError` for fewer than 3 points or a
+    Row n of the (curves x points) array `values` is the curve of horizon
+    `horizons[n]`. Returns a list of each curve's `ExponentialFit`, or the
+    error that refuses it (a `FitError` for fewer than 3 points or a
     constant curve, a `ValueError` when the fitted constants are no valid
     `ExponentialFit`), so one bad curve never fails the rest; a curve's
     model values are `exponential_model` at its fit. The curves are fitted
     up to 128 at a time, and each gets bit for bit its lone fit.
     """
-    grid = np.asarray(grid, dtype=float)
+    horizons = np.asarray(horizons, dtype=float)
     values = np.asarray(values, dtype=float)
-    if grid.ndim != 2 or grid.shape != values.shape:
-        raise ValueError("grid and values must be 2-D arrays of one shape")
-    if grid.shape[1] < 3:
-        return [FitError("need at least 3 points to fit") for _ in grid]
+    if values.ndim != 2 or horizons.shape != values.shape[:1]:
+        raise ValueError("values must be a 2-D array with one horizon per row")
+    if not np.all((horizons > 0) & (horizons < np.inf)):
+        raise ValueError("horizons must be positive and finite")
+    if values.shape[1] < 3:
+        return [FitError("need at least 3 points to fit") for _ in values]
+    x = _axis(values.shape[1])
     fits: list = []
-    for start in range(0, len(grid), _FIT_BLOCK):
-        block = slice(start, start + _FIT_BLOCK)
-        fits += _fit_chunk(grid[block], values[block], offset)
+    with np.errstate(under="ignore"):
+        scan = _columns(_RATES[None, :], x)
+        for start in range(0, len(values), _FIT_BLOCK):
+            block = slice(start, start + _FIT_BLOCK)
+            fits += _fit_chunk(scan, x, horizons[block], values[block], offset)
     return fits
 
 
@@ -328,22 +337,22 @@ def fit_exponential(curve: PopularityCurve, offset: bool = False) -> Exponential
     -----
     Variable projection (Golub & Pereyra, SIAM J. Numer. Anal. 10, 413,
     1973): h1 and h3 enter linearly, so for each normalized rate k = h2*T
-    (T the last grid time) they are solved in closed form, with h1 > 0 and
+    (T the curve's horizon) they are solved in closed form, with h1 > 0 and
     0 <= h3 < 1 enforced by holding h3 at a bound when its free value leaves
     [0, 1). The residual sum is then a function of k alone. It is scanned on
     a geometric grid from 1e-6 to 1e4, and the best grid point is refined
     inside the bracket of its neighbours by Gauss-Newton steps on the
     reduced problem (Kaufman, BIT 15, 49, 1975), accelerated by a secant and
     halved on overshoot, until k moves by less than 1e-10 of itself; 3-7
-    profile evaluations on sampled curves. Deterministic, and rescaling the
-    time axis by c rescales h2 by 1/c and changes nothing else. A straight
-    line, the family's k -> 0 limit, fits at k = 1e-6 with r2 a little
-    below the line's. This is the one-curve call of `fit_block`, which
-    scans a block four curves at a time and polishes up to 128 together, by
-    masked vector steps over the curves still moving; each curve follows
-    the same rules and gets the same bits as here.
+    profile evaluations on sampled curves. Deterministic, and on the axis
+    k/n, so rescaling the horizon by c gives bit for bit the same h1, h3 and
+    r2, and h2 = k/(c*T). A straight line, the family's k -> 0 limit, fits
+    at k = 1e-6 with r2 a little below the line's. This is the one-curve
+    call of `fit_block`, which scans a block four curves at a time and
+    polishes up to 128 together, by masked vector steps over the curves
+    still moving; each curve follows the same rules and gets the same bits.
     """
-    (fit,) = fit_block(curve.grid[None], curve.values[None], offset)
+    (fit,) = fit_block([curve.horizon], curve.values[None], offset)
     if isinstance(fit, Exception):
         raise fit
     return fit
@@ -384,22 +393,17 @@ def decay_rate(params: UltradiffusionParams) -> float:
     return params.t_N * math.exp(-params.mu * (params.t_N - 1))
 
 
-def simulate_curve(params: UltradiffusionParams, grid) -> PopularityCurve:
-    """Model response curve p(t) = A*(1 - e^(-rate*t)) on `grid`.
+def simulate_curve(params: UltradiffusionParams, horizon: float) -> PopularityCurve:
+    """Model response curve p(t) = A*(1 - e^(-rate*t)) on `uniform_grid(horizon)`.
 
     The amplitude is A = (t_N-1)/t_N, the never-responding share being 1/t_N.
-    The curve is a fraction, so it does not depend on `params.M`.
+    The curve is a fraction, so it does not depend on `params.M`; it passes
+    `PopularityCurve`'s checks by construction, so they are not run.
     """
-    times = np.asarray(grid, dtype=float)
-    (values,) = _simulated_rows([params], times[None])
-    return PopularityCurve(grid=times, values=values)
-
-
-def _simulated_rows(params: list[UltradiffusionParams], grid: np.ndarray) -> np.ndarray:
-    """`simulate_curve`'s values of each `params[n]` on row n of `grid`."""
-    amplitude = np.array([(p.t_N - 1) / p.t_N for p in params])[:, None]
-    rate = np.array([decay_rate(p) for p in params])[:, None]
-    return amplitude * (1.0 - np.exp(-rate * grid))
+    amplitude = (params.t_N - 1) / params.t_N
+    values = amplitude * (1.0 - np.exp(-decay_rate(params) * uniform_grid(horizon)))
+    values.setflags(write=False)
+    return _unchecked(PopularityCurve, horizon=float(horizon), values=values)
 
 
 def sample_events(

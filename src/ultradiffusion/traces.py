@@ -1,20 +1,21 @@
 """Event traces and popularity curves.
 
 A trace records when one story (a post, a paper, a package) received each of
-its rebroadcasts: votes, comments, downloads, measured in seconds since
-submission. A popularity curve is the cumulative fraction of rebroadcasts seen
-by time t, sampled on a uniform grid: a `PopularityCurve` is that grid and
-those values, nothing more. Curves are what the model layer fits.
-`curve_block` builds the curves of many traces at once, as one (traces x 200)
-array of grid times and one of values, of which only the grid spacing can
-fail `PopularityCurve`'s checks, so only it is checked; `empirical_curve` is
-its one-trace call, and `aggregate_mean` averages such a block into one
-curve on the grid of its longest row.
+its rebroadcasts: votes, comments, downloads, measured in seconds since the
+story's start. A popularity curve is the cumulative fraction of rebroadcasts
+seen by time t, at the times T*k/n of its horizon T (k = 1..n, the axis the
+fitter works on): a `PopularityCurve` is its horizon and values, nothing
+more. `curve_block` builds the curves of many traces at once, as their
+horizons and one (traces x 200) array of values, and refuses a horizon too
+short for its grid or events that fill fewer than 4 grid cells;
+`empirical_curve` is its one-trace call, and `aggregate_mean` averages such
+a block into one curve on the grid of its longest horizon.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import itertools
 import math
@@ -139,69 +140,62 @@ def _trace_fault(events: np.ndarray, horizon: float) -> str:
 
 @dataclass(frozen=True)
 class PopularityCurve:
-    """Cumulative response fraction sampled on a uniform time grid."""
+    """Cumulative response fraction at the times of `grid`: a curve is its
+    horizon and its values, and its grid is `uniform_grid` of the two."""
 
-    grid: np.ndarray
+    horizon: float
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        grid = _readonly(self.grid)
         values = _readonly(self.values)
-        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "horizon", float(self.horizon))
         object.__setattr__(self, "values", values)
-        if grid.ndim != 1 or values.ndim != 1:
-            raise ValueError("grid and values must be one-dimensional")
-        if grid.size != values.size:
-            raise ValueError(f"grid has {grid.size} points but values has {values.size}")
-        if grid.size == 0:
-            raise ValueError("curve needs at least one grid point")
-        increasing, uneven = (bad[0] for bad in _spacing_faults(grid[None]))
-        for failing, fault in (
-            (not grid[0] >= 0, "grid must start at a nonnegative time"),
-            (np.isinf(grid[-1]), "grid times must be finite"),
-            (increasing, "grid must be strictly increasing"),
-            (uneven, "grid must be uniformly spaced"),
-            (not (values.min() >= 0 and values.max() <= 1 + 1e-12),
-             "curve values must lie in [0, 1]"),
-            ((np.diff(values) < -1e-12).any(), "curve values must be nondecreasing"),
-        ):
-            if failing:
-                raise ValueError(fault)
+        if values.ndim != 1 or values.size == 0:
+            raise ValueError("curve values must be a nonempty vector")
+        uniform_grid(self.horizon, values.size)
+        if not (values.min() >= 0 and values.max() <= 1 + 1e-12):
+            raise ValueError("curve values must lie in [0, 1]")
+        if (np.diff(values) < -1e-12).any():
+            raise ValueError("curve values must be nondecreasing")
 
-
-def _spacing_faults(grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of `grid` not strictly increasing, and rows not uniformly spaced."""
-    if grid.shape[1] < 2:
-        return (np.zeros(len(grid), dtype=bool),) * 2
-    # NaN or infinite times make NaN steps, which fail the uniform-spacing
-    # test; the warnings they raise on the way are silenced.
-    with np.errstate(invalid="ignore"):
-        steps = np.diff(grid, axis=1)
-        top = steps.max(axis=1)
-        # Uniform spacing keeps downstream interpolation and fitting honest.
-        uneven = ~(top - steps.min(axis=1) <= 1e-6 * top)
-    return (steps <= 0).any(axis=1), uneven
+    @property
+    def grid(self) -> np.ndarray:
+        """The sampling times, `uniform_grid` of the horizon and point count."""
+        return uniform_grid(self.horizon, self.values.size)
 
 
 # Points of every curve the library builds from a trace.
 _GRID_POINTS = 200
+# Fewest grid cells a curve's events must fill; clock timestamps fill one.
+_MIN_FILLED_CELLS = 4
+_SMALLEST_NORMAL = float(np.finfo(float).tiny)
 
 
-def _uniform_grids(horizons: np.ndarray, grid_points) -> tuple[np.ndarray, list]:
-    """The times k*horizon/n for k = 1..n of each positive finite horizon,
-    one row each, and per horizon None or the ValueError that refuses it:
-    a horizon so small (subnormal) that its times round to repeated or
-    unevenly spaced values."""
-    if _integer(grid_points, "grid_points") < 1:
+@functools.lru_cache(maxsize=8)
+def _axis(grid_points: int) -> np.ndarray:
+    """The normalized times k/n, k = 1..n, that every n-point curve is
+    sampled at, scaled by its horizon, and fitted on; read-only, shared."""
+    if grid_points < 1:
         raise ValueError("grid_points must be at least 1")
-    grid = horizons[:, None] * (np.arange(1, grid_points + 1) / grid_points)
-    faults: list = [None] * len(grid)
-    for n in np.flatnonzero(np.logical_or(*_spacing_faults(grid))).tolist():
-        faults[n] = ValueError(
-            f"horizon {horizons[n].item()!r} is too short to split into "
-            f"{grid_points} uniform grid points"
-        )
-    return grid, faults
+    axis = np.arange(1, grid_points + 1) / grid_points
+    axis.setflags(write=False)
+    return axis
+
+
+def _scaled(horizon: float, axis: np.ndarray) -> np.ndarray:
+    """The grid `horizon * axis`, refused as `uniform_grid` refuses it."""
+    grid = horizon * axis
+    # A grid of normal numbers has times within 2 ulp of horizon*k/n, and so
+    # steps within 4n ulp of horizon/n: up to 10^6 points, only a grid that
+    # reaches into the subnormal range can fail the spacing test, which
+    # keeps downstream interpolation and fitting honest.
+    if grid[0] < _SMALLEST_NORMAL or axis.size > 10**6:
+        steps = np.diff(grid)
+        if steps.size and (steps.min() <= 0 or np.ptp(steps) > 1e-6 * steps.max()):
+            raise ValueError(
+                f"horizon {horizon!r} is too short to split into {axis.size} uniform grid points"
+            )
+    return grid
 
 
 def uniform_grid(horizon: float, grid_points: int = _GRID_POINTS) -> np.ndarray:
@@ -213,10 +207,7 @@ def uniform_grid(horizon: float, grid_points: int = _GRID_POINTS) -> np.ndarray:
     """
     if not (math.isfinite(horizon) and horizon > 0):
         raise ValueError("horizon must be positive and finite")
-    (grid,), (fault,) = _uniform_grids(np.array([horizon], dtype=float), grid_points)
-    if fault:
-        raise fault
-    return grid
+    return _scaled(float(horizon), _axis(_integer(grid_points, "grid_points")))
 
 
 def parse_trace_csv(path, horizon: float | None = None) -> list[EventTrace]:
@@ -369,22 +360,34 @@ def _checked_rows(path, lineno: int, rows: list[list[str]]):
 def curve_block(traces: Sequence[EventTrace]):
     """Step curves of cumulative event fraction of many traces, as one block.
 
-    Returns (grid, values, faults): (traces x 200) arrays whose row n holds
-    the grid times and values of `empirical_curve(traces[n])`, bit for bit,
-    and per trace None or the ValueError that `empirical_curve` raises for
-    it, which leaves its row meaningless. The grids are one expression over
-    the horizons, each trace takes one `searchsorted`, and only the grid
-    spacing is checked, refused as `uniform_grid` refuses the horizon: a
-    trace's events lie in (0, horizon], so its row on a sound grid passes
-    `PopularityCurve`'s other checks by construction.
+    Returns (horizons, values, faults): the traces' horizons, a (traces x
+    200) array whose row n holds the values of `empirical_curve(traces[n])`
+    bit for bit, and per trace None or the ValueError that `empirical_curve`
+    raises for it. Each trace takes one grid, refused as `uniform_grid`
+    refuses it, and one `searchsorted`. A curve whose events fill fewer than
+    4 grid cells, as clock timestamps do, is refused by name. A trace's
+    events lie in (0, horizon], so any other row passes `PopularityCurve`'s
+    checks by construction.
     """
+    axis = _axis(_GRID_POINTS)
     horizons = np.array([trace.horizon for trace in traces], dtype=float)
-    grid, faults = _uniform_grids(horizons, _GRID_POINTS)
-    values = np.empty(grid.shape)
+    values = np.zeros((len(traces), _GRID_POINTS))
+    faults: list = [None] * len(traces)
     for n, trace in enumerate(traces):
-        values[n] = np.searchsorted(trace.events, grid[n], side="right")
+        try:
+            counts = np.searchsorted(trace.events, _scaled(trace.horizon, axis), side="right")
+        except ValueError as err:
+            faults[n] = err
+            continue
+        values[n] = counts
+        filled = np.count_nonzero(counts[1:] != counts[:-1]) + (counts[0] > 0)
+        if filled < _MIN_FILLED_CELLS:
+            faults[n] = ValueError(
+                f"events fill {filled} of {_GRID_POINTS} grid cells: "
+                "are timestamps measured from the story's start?"
+            )
     values /= np.array([trace.count for trace in traces], dtype=float)[:, None]
-    return grid, values, faults
+    return horizons, values, faults
 
 
 def empirical_curve(trace: EventTrace) -> PopularityCurve:
@@ -392,38 +395,38 @@ def empirical_curve(trace: EventTrace) -> PopularityCurve:
 
     The value at grid time t is (number of events <= t) / M with M the
     trace's total event count, so the curve is right-continuous and ends at
-    exactly 1.0 at the horizon. The one-trace call of `curve_block`: a row
+    exactly 1.0 at the horizon. The one-trace call of `curve_block`: a curve
     it does not refuse passes `PopularityCurve`'s checks by construction,
     so they are not run.
     """
-    (grid,), (values,), (fault,) = curve_block([trace])
+    (horizon,), (values,), (fault,) = curve_block([trace])
     if fault:
         raise fault
-    return _unchecked(PopularityCurve, grid=_readonly(grid), values=_readonly(values))
+    return _unchecked(PopularityCurve, horizon=float(horizon), values=_readonly(values))
 
 
-def aggregate_mean(grid, values) -> PopularityCurve:
+def aggregate_mean(horizons, values) -> PopularityCurve:
     """Pointwise mean of a block of curves on a shared uniform grid.
 
-    Row n of the (curves x points) arrays `grid` and `values` is a curve, a
-    row of `curve_block` that it did not refuse: the rows are not checked
-    again. The shared grid is the row of the longest horizon, which is
-    `uniform_grid` of that horizon bit for bit, since every row is made by
-    its expression. Each member is linearly interpolated onto it, holding
-    its first value to the left of its support and its last value beyond
-    its own horizon. Means are computed with exactly rounded summation, so
-    the result does not depend on the order of the rows; the mean is
-    checked once, as a `PopularityCurve`.
+    Row n of the (curves x points) array `values` is a curve of horizon
+    `horizons[n]`, a row of `curve_block` that it did not refuse: the rows
+    are not checked again. The shared grid is `uniform_grid` of the longest
+    horizon. Each member is linearly interpolated onto it, holding its
+    first value to the left of its support and its last value beyond its
+    own horizon. Means are computed with exactly rounded summation, so the
+    result does not depend on the order of the rows; the mean is checked
+    once, as a `PopularityCurve`.
     """
-    grid = np.asarray(grid, dtype=float)
+    horizons = np.asarray(horizons, dtype=float)
     values = np.asarray(values, dtype=float)
-    if grid.ndim != 2 or grid.shape != values.shape:
-        raise ValueError("grid and values must be 2-D arrays of one shape")
-    if not grid.size:
+    if values.ndim != 2 or horizons.shape != values.shape[:1]:
+        raise ValueError("values must be a 2-D array with one horizon per row")
+    if not values.size:
         raise ValueError("aggregate_mean needs at least one curve")
-    shared = grid[np.argmax(grid[:, -1])]
-    sampled = np.empty(grid.shape)
-    for n, (g, v) in enumerate(zip(grid, values)):
-        sampled[n] = np.interp(shared, g, v)
-    mean = [math.fsum(column.tolist()) / len(grid) for column in sampled.T]
-    return PopularityCurve(grid=shared, values=mean)
+    axis = _axis(values.shape[1])
+    longest = float(horizons.max())
+    shared = longest * axis
+    sampled = np.array([np.interp(shared, horizon * axis, row)
+                        for horizon, row in zip(horizons.tolist(), values)])
+    mean = [math.fsum(column.tolist()) / len(values) for column in sampled.T]
+    return PopularityCurve(horizon=longest, values=mean)

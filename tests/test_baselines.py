@@ -74,7 +74,7 @@ class TestMemorylessDiscriminator:
         # can approach it but never matches it on a finite window.
         window = 100.0
         grid = uniform_grid(window, 60)
-        curve = PopularityCurve(grid=grid, values=grid / window)
+        curve = PopularityCurve(horizon=window, values=grid / window)
         exponential = fit_exponential(curve)
         _, _, linear_r2 = fit_linear(grid, curve.values)
         assert exponential.r2 < linear_r2

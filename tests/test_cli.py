@@ -81,14 +81,13 @@ class TestFit:
         assert (record["h3"] > 0) == offset
         fitted = exponential_model(t, record["h1"], record["h2"], record["h3"])
         np.testing.assert_allclose(scope["fitted"], fitted, rtol=1e-12, atol=0)
-        # `simulate_curve` takes a uniform grid, which the table's 9-digit
-        # times only round, so it runs on the story's own grid.
+        # `simulate_curve` samples the story's own grid, which the table's
+        # 9-digit times only round.
         (story,) = parse_trace_csv("in.csv")
-        grid = empirical_curve(story).grid
-        np.testing.assert_allclose(t, grid, rtol=5e-9, atol=0)
         params = UltradiffusionParams(record["t_N"], record["mu"], record["M"])
-        simulated = simulate_curve(params, grid).values
-        np.testing.assert_allclose(scope["simulated"], simulated, rtol=1e-8, atol=0)
+        simulated = simulate_curve(params, story.horizon)
+        np.testing.assert_allclose(t, simulated.grid, rtol=5e-9, atol=0)
+        np.testing.assert_allclose(scope["simulated"], simulated.values, rtol=1e-8, atol=0)
 
     def test_small_story_is_skipped_with_notice(self, tmp_path, capsys):
         csv = tmp_path / "mixed.csv"
@@ -125,8 +124,8 @@ class TestFit:
         assert not out.exists()
 
     def test_unfittable_story_exits_two_without_partial_files(self, tmp_path, capsys):
-        # Sixty simultaneous events against a far horizon make a constant
-        # curve, which has no dynamics to fit.
+        # Sixty simultaneous events against a far horizon fill one grid
+        # cell, too few to build a curve from.
         csv = tmp_path / "flat.csv"
         rows = "\n".join("flat,1.0" for _ in range(60))
         csv.write_text("story_id,timestamp\n" + rows + "\n")
@@ -135,8 +134,43 @@ class TestFit:
             ["fit", "--input", str(csv), "--out-dir", str(out), "--horizon", "1000"]
         )
         assert code == 2
-        assert "no dynamics" in capsys.readouterr().err
+        assert "events fill 1 of 200 grid cells" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_peak_memory_per_story_leaves_no_room_for_a_grid_block(self, tmp_path):
+        # 2000 stories of 10 exponential times. The run peaks at about 4.4 KB
+        # of traced allocations per story: the curve block's 1.6 KB row, the
+        # parsed trace, the fit record and its share of the JSON text. A
+        # whole-run (stories x 200) float64 grid array beside the values
+        # block would add another 1.6 KB per story and cross the bound. The
+        # run is measured in a fresh interpreter: in this one, a resize of
+        # the interned-string table that the test session has filled can
+        # land inside it and add 1.9 MB.
+        stories = 2000
+        rng = np.random.default_rng(10)
+        csv = tmp_path / "small.csv"
+        with csv.open("w") as handle:
+            handle.write("story_id,timestamp\n")
+            for k in range(stories):
+                times = np.sort(rng.exponential(1.0, 10))
+                handle.write("".join(f"s{k:04d},{t:.9g}\n" for t in times))
+        probe = (
+            "import sys, tracemalloc\n"
+            "from ultradiffusion.cli import main\n"
+            "tracemalloc.start()\n"
+            "code = main(sys.argv[1:])\n"
+            "print(code, tracemalloc.get_traced_memory()[1])\n"
+        )
+        argv = ["fit", "--input", str(csv), "--out-dir", str(tmp_path / "out"), "--min-events", "5"]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")])
+        ))
+        result = subprocess.run(
+            [sys.executable, "-c", probe, *argv], env=env, capture_output=True, text=True
+        )
+        code, peak = map(int, result.stdout.split()[-2:])
+        assert code == 0
+        assert peak / stories < 5000
 
     def test_reruns_are_byte_identical(self, tmp_path, capsys):
         out_a = tmp_path / "a"
@@ -225,7 +259,7 @@ class TestStoryFailures:
 
     @pytest.mark.parametrize("command", ["fit", "compare"])
     def test_programming_errors_propagate(self, tmp_path, monkeypatch, command):
-        def broken(grid, values, offset=False):
+        def broken(horizons, values, offset=False):
             raise TypeError("broken fitter")
 
         monkeypatch.setattr(cli, "fit_block", broken)
@@ -236,9 +270,9 @@ class TestStoryFailures:
         "command, result", [("fit", "fits.json"), ("compare", "comparison.json")]
     )
     def test_a_story_the_batch_refuses_fails_alone(self, tmp_path, capsys, command, result):
-        # Under a common horizon, sixty events at t = 1 make a constant
-        # curve: the batched fitter refuses it in place, and the stories
-        # fitted beside it come out as they do without it.
+        # Under a common horizon, sixty events at t = 1 fill one grid cell:
+        # the curve block refuses it in place, and the stories fitted beside
+        # it come out as they do without it.
         stories = [sampled_story("s1", seed=41), sampled_story("s2", seed=43)]
         horizon = f"{max(story.horizon for story in stories):.9g}"
         alone, mixed = tmp_path / "alone.csv", tmp_path / "mixed.csv"
@@ -250,12 +284,57 @@ class TestStoryFailures:
             argv = [command, "--input", str(csv), "--out-dir", str(outs[-1])]
             assert main([*argv, "--horizon", horizon]) == 0
         err = capsys.readouterr().err
-        assert "story 'flat' failed: FitError: no dynamics to fit: curve is constant\n" in err
+        assert (
+            "story 'flat' failed: ValueError: events fill 1 of 200 grid cells: "
+            "are timestamps measured from the story's start?\n"
+        ) in err
         files = sorted(path.name for path in outs[0].iterdir())
         assert result in files
         assert sorted(path.name for path in outs[1].iterdir()) == files
         for name in files:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+class TestClockOrigin:
+    """Timestamps must count from each story's start: a batch stamped with
+    clock times is refused by name, before any fit, and gets no verdict."""
+
+    CLOCK = (
+        "events fill 1 of 200 grid cells: are timestamps measured from the story's start?"
+    )
+
+    @pytest.fixture
+    def epoch_batch(self, tmp_path, capsys):
+        # The seed-3 simulated batch, every timestamp moved to Unix-epoch
+        # seconds: each story's events then share the last of its grid cells.
+        assert main(["simulate", "--out-dir", str(tmp_path / "sim"), "--stories", "30",
+                     "--seed", "3"]) == 0
+        traces_in = parse_trace_csv(tmp_path / "sim" / "trace.csv")
+        shifted = [
+            dataclasses.replace(t, events=t.events + 1.3e9, horizon=t.horizon + 1.3e9)
+            for t in traces_in
+        ]
+        write_trace_csv(tmp_path / "epoch.csv", shifted)
+        capsys.readouterr()
+        return tmp_path / "sim" / "trace.csv", tmp_path / "epoch.csv", traces_in
+
+    @pytest.mark.parametrize("command", ["fit", "compare", "aggregate"])
+    def test_epoch_stamped_stories_are_refused_by_name(
+        self, tmp_path, capsys, epoch_batch, command
+    ):
+        plain, epoch, traces_in = epoch_batch
+        assert main([command, "--input", str(plain), "--out-dir", str(tmp_path / "a")]) == 0
+        capsys.readouterr()
+        out = tmp_path / "b"
+        assert main([command, "--input", str(epoch), "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[:-1] == [
+            f"story {t.story_id!r} failed: ValueError: {self.CLOCK}"
+            for t in sorted(traces_in, key=lambda t: t.story_id)
+        ]
+        assert err[-1].startswith("error: ")
+        # No output: in particular, no `memoryless` verdict.
+        assert not out.exists()
 
 
 def per_story_reference(traces, command, offset, out):
@@ -277,7 +356,7 @@ def per_story_reference(traces, command, offset, out):
         except ValueError as err:
             mapped = err
         else:
-            simulated = simulate_curve(params, curve.grid)
+            simulated = simulate_curve(params, curve.horizon)
             mapped = {
                 "t_N": params.t_N,
                 "mu": params.mu,
@@ -329,10 +408,11 @@ class TestBlockPass:
         stories = [sampled_story(f"s{k}", seed=60 + k, m=80 + 40 * k) for k in range(5)]
         csv = write_linear_story(tmp_path / "in.csv")  # h1 >= 1: no mapping
         rows = [f"{s.story_id},{t:.9g}\n" for s in stories for t in s.events]
-        rows += ["flat,1.0\n"] * 60  # constant under the common horizon
+        rows += ["flat,1.0\n"] * 60  # one grid cell filled
         rows += ["tiny,5e-324\n"] * 60  # horizon too short for a grid
         rows += ["one,3.0\n"]  # a 1-event story
-        rows += ["tied,2.0\n"] * 20 + ["tied,1.5\n"] * 20  # tied at the horizon
+        # Tied at the horizon, in four cells of the story's own grid.
+        rows += ["tied,2.0\n"] * 20 + ["tied,1.5\n", "tied,1.0\n", "tied,0.5\n"] * 7
         with csv.open("a") as fh:
             fh.writelines(rows)
         options = ["--min-events", "1", *(["--offset"] if offset else [])]
@@ -347,10 +427,11 @@ class TestBlockPass:
         report = per_story_reference(parse_trace_csv(csv, horizon), command, offset, want)
         assert err == report
         # Every kind of refusal met the block: a horizon too short for a grid
-        # or, under the common horizon, constant curves; and an amplitude
-        # h1 >= 1, which fails the story in `fit` and is a note in `compare`.
+        # (under the common horizon, its events fill one grid cell instead),
+        # events in too few grid cells, and an amplitude h1 >= 1, which
+        # fails the story in `fit` and is a note in `compare`.
         assert ("too short to split" in report) != override
-        assert ("no dynamics to fit" in report) == override
+        assert "events fill 1 of 200 grid cells" in report
         result = "fits.json" if command == "fit" else "comparison.json"
         records = json.loads((got / result).read_text())
         assert {f"s{k}" for k in range(5)} <= {r["story_id"] for r in records}
@@ -418,24 +499,25 @@ class TestAggregate:
     ):
         csv = tmp_path / "in.csv"
         write_trace_csv(csv, [sampled_story(f"s{k}", seed=k) for k in range(3)])
-        spaced, curves = [], []
-        spacing, checks = traces._spacing_faults, traces.PopularityCurve.__post_init__
+        horizons = [trace.horizon for trace in parse_trace_csv(csv)]
+        scaled, curves = [], []
+        scale, checks = traces._scaled, traces.PopularityCurve.__post_init__
 
-        def counted_spacing(grid):
-            spaced.append(len(grid))
-            return spacing(grid)
+        def counted_scale(horizon, axis):
+            scaled.append(horizon)
+            return scale(horizon, axis)
 
         def counted_checks(curve):
-            curves.append(curve.grid.size)
+            curves.append(curve)
             return checks(curve)
 
-        monkeypatch.setattr(traces, "_spacing_faults", counted_spacing)
+        monkeypatch.setattr(traces, "_scaled", counted_scale)
         monkeypatch.setattr(traces.PopularityCurve, "__post_init__", counted_checks)
         assert main(["aggregate", "--input", str(csv), "--out-dir", str(tmp_path / "out")]) == 0
-        # The block's three rows once, then the mean once as PopularityCurve
-        # checks it, on the grid of the block's longest row.
-        assert spaced == [3, 1]
-        assert curves == [200]
+        # The block's three grids once each, then the mean once as
+        # PopularityCurve checks it, on the grid of the longest horizon.
+        assert scaled[:4] == [*horizons, max(horizons)]
+        assert [(curve.horizon, curve.values.size) for curve in curves] == [(max(horizons), 200)]
 
     @pytest.mark.parametrize("offset", [False, True], ids=["plain", "offset"])
     def test_curve_table_is_the_table_of_the_mean_curve(self, tmp_path, capsys, offset):

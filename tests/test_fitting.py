@@ -108,7 +108,7 @@ def model_curves(st, noise):
         values = exponential_model(grid, h1, k / horizon, h3)
         values = values + sigma * np.random.default_rng(seed).standard_normal(n)
         values = np.maximum.accumulate(np.clip(values, 0.0, 1.0))
-        curve = PopularityCurve(grid=grid, values=values)
+        curve = PopularityCurve(horizon=horizon, values=values)
         return curve, (h1, k / horizon, h3)
 
     return curves()
@@ -116,7 +116,7 @@ def model_curves(st, noise):
 
 def synthetic_curve(h1, h2, h3=0.0, horizon=50.0, points=200):
     grid = uniform_grid(horizon, points)
-    return PopularityCurve(grid=grid, values=exponential_model(grid, h1, h2, h3))
+    return PopularityCurve(horizon=horizon, values=exponential_model(grid, h1, h2, h3))
 
 
 class TestRSquared:
@@ -179,19 +179,19 @@ class TestFitExponential:
         assert fit.h3 == 0.0
 
     def test_constant_curve_has_no_dynamics(self):
-        flat = PopularityCurve(grid=uniform_grid(10.0, 20), values=np.ones(20))
+        flat = PopularityCurve(horizon=10.0, values=np.ones(20))
         with pytest.raises(FitError, match="no dynamics"):
             fit_exponential(flat)
 
     def test_needs_at_least_three_points(self):
-        short = PopularityCurve(grid=np.array([1.0, 2.0]), values=np.array([0.2, 0.9]))
+        short = PopularityCurve(horizon=2.0, values=np.array([0.2, 0.9]))
         with pytest.raises(FitError, match="at least 3"):
             fit_exponential(short)
 
     def test_rescaling_time_rescales_only_the_rate(self):
         scale = 3600.0
         slow = synthetic_curve(0.8, 0.1, horizon=50.0)
-        fast = PopularityCurve(grid=slow.grid / scale, values=slow.values)
+        fast = PopularityCurve(horizon=slow.horizon / scale, values=slow.values)
         fit_slow = fit_exponential(slow)
         fit_fast = fit_exponential(fast)
         assert fit_fast.h2 == pytest.approx(fit_slow.h2 * scale, rel=1e-8)
@@ -208,7 +208,7 @@ class TestFitExponential:
         # A line is the family's k -> 0 limit: the fit is finite and close,
         # and still scores below the line itself.
         grid = uniform_grid(10.0, 200)
-        line = PopularityCurve(grid=grid, values=grid / 10.0)
+        line = PopularityCurve(horizon=10.0, values=grid / 10.0)
         fit = fit_exponential(line)
         assert fit.h2 * 10.0 == pytest.approx(1e-6)
         assert 1.0 - 1e-12 < fit.r2 < fit_linear(grid, grid / 10.0)[2]
@@ -221,7 +221,7 @@ class TestFitExponential:
         grid = uniform_grid(1.0, 50)
         values = np.full(50, 0.9)
         values[0] = 0.3
-        curve = PopularityCurve(grid=grid, values=values)
+        curve = PopularityCurve(horizon=1.0, values=values)
         with warnings.catch_warnings(), np.errstate(all="raise"):
             warnings.simplefilter("error")
             fit = fit_exponential(curve, offset=offset)
@@ -245,7 +245,7 @@ class TestFitExponential:
         # negative; the fit holds it at 0 and still fits h1 and h2.
         grid = uniform_grid(50.0, 200)
         values = np.clip(exponential_model(grid, 0.9, 0.1) - 0.02, 0.0, 1.0)
-        curve = PopularityCurve(grid=grid, values=values)
+        curve = PopularityCurve(horizon=50.0, values=values)
         fit = fit_exponential(curve, offset=True)
         assert fit.h3 == 0.0
         assert fit.r2 > 0.999
@@ -292,7 +292,7 @@ class TestAgainstTheReferenceFitter:
             curve, (h1, h2, h3) = drawn
             # Offset fits take h3 from the curve; without it the truth has none.
             if not offset:
-                curve = PopularityCurve(grid=curve.grid, values=curve.values - h3)
+                curve = PopularityCurve(horizon=curve.horizon, values=curve.values - h3)
             ref = reference_fit(curve, offset)
             assert ref is not None
             fit = fit_exponential(curve, offset)
@@ -312,8 +312,7 @@ class TestAgainstTheReferenceFitter:
             # Any nondecreasing curve in [0, 1]: steps, plateaus, late jumps.
             n = draw(st.integers(3, 60))
             values = np.sort(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
-            grid = uniform_grid(draw(st.floats(1e-3, 1e6)), n)
-            return PopularityCurve(grid=grid, values=values)
+            return PopularityCurve(horizon=draw(st.floats(1e-3, 1e6)), values=values)
 
         @hypothesis.settings(max_examples=300, deadline=None)
         @hypothesis.given(curves())
@@ -338,7 +337,7 @@ class TestAgainstTheReferenceFitter:
         @hypothesis.given(st.integers(3, 2000), st.floats(1e-3, 1e6))
         def check(n, horizon):
             grid = uniform_grid(horizon, n)
-            line = PopularityCurve(grid=grid, values=grid / horizon)
+            line = PopularityCurve(horizon=horizon, values=grid / horizon)
             fit = fit_exponential(line)
             assert math.isfinite(fit.h1) and math.isfinite(fit.h2)
             assert fit.r2 < fit_linear(grid, line.values)[2]
@@ -372,7 +371,7 @@ class TestFitExponentials:
         @st.composite
         def curve(draw, n):
             kind = draw(st.sampled_from(["model", "model", "steps", "constant"]))
-            grid = uniform_grid(draw(st.floats(1e-3, 1e6)), n)
+            horizon = draw(st.floats(1e-3, 1e6))
             if kind == "constant":
                 values = np.full(n, draw(st.floats(0.0, 1.0)))
             elif kind == "steps":
@@ -380,9 +379,9 @@ class TestFitExponentials:
             else:
                 k, h1 = draw(st.floats(1e-3, 50.0)), draw(st.floats(0.2, 0.95))
                 noise = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal(n)
-                values = exponential_model(grid, h1, k / grid[-1]) + 1e-2 * noise
+                values = exponential_model(uniform_grid(horizon, n), h1, k / horizon) + 1e-2 * noise
                 values = np.maximum.accumulate(np.clip(values, 0.0, 1.0))
-            return PopularityCurve(grid=grid, values=values)
+            return PopularityCurve(horizon=horizon, values=values)
 
         # Blocks from one curve to past two scan blocks of four, of short,
         # usual and long curves.
@@ -393,12 +392,12 @@ class TestFitExponentials:
         @hypothesis.settings(max_examples=100, deadline=None)
         @hypothesis.given(blocks)
         def check(curves):
-            batch = fit_block([c.grid for c in curves], [c.values for c in curves], offset)
+            batch = fit_block([c.horizon for c in curves], [c.values for c in curves], offset)
             assert len(batch) == len(curves)
             for curve, fit in zip(curves, batch):
-                (alone,) = fit_block(curve.grid[None], curve.values[None], offset)
+                (alone,) = fit_block([curve.horizon], curve.values[None], offset)
                 assert bits(fit) == bits(alone) == bits(lone_fit(curve, offset))
-                if curve.grid.size < 3:
+                if curve.values.size < 3:
                     assert bits(fit) == ("FitError", "need at least 3 points to fit")
                 elif np.ptp(curve.values) == 0:
                     assert bits(fit) == ("FitError", "no dynamics to fit: curve is constant")
@@ -412,8 +411,8 @@ class TestFitExponentials:
             sample_events(UltradiffusionParams(t_N=40 + s % 20, mu=0.1, M=300), seed=s)
             for s in range(300)
         ]
-        grid, values, _ = curve_block(traces)
-        batch = fit_block(grid, values)
+        horizons, values, _ = curve_block(traces)
+        batch = fit_block(horizons, values)
         assert [bits(fit) for fit in batch] == [
             bits(fit_exponential(empirical_curve(trace))) for trace in traces
         ]
@@ -421,11 +420,11 @@ class TestFitExponentials:
     def test_empty_stack_fits_nothing(self):
         # Rows too short to fit take their own path, so both widths.
         for points, offset in itertools.product((2, 200), (False, True)):
-            assert fit_block(np.empty((0, points)), np.empty((0, points)), offset) == []
+            assert fit_block(np.empty(0), np.empty((0, points)), offset) == []
 
 
 class TestFitBlock:
-    """The block fitter: rows of a grid and a values array, one call."""
+    """The block fitter: horizons and a values array, one curve a row, one call."""
 
     @pytest.mark.parametrize("offset", [False, True])
     def test_rows_get_their_lone_fits(self, offset):
@@ -435,22 +434,30 @@ class TestFitBlock:
             )
             for s in range(5)
         ]
-        flat = PopularityCurve(grid=curves[0].grid, values=np.full(200, 0.5))
+        flat = PopularityCurve(horizon=curves[0].horizon, values=np.full(200, 0.5))
         curves.insert(2, flat)
-        fits = fit_block([c.grid for c in curves], [c.values for c in curves], offset)
+        fits = fit_block([c.horizon for c in curves], [c.values for c in curves], offset)
         assert [bits(fit) for fit in fits] == [bits(lone_fit(c, offset)) for c in curves]
         assert bits(fits[2]) == ("FitError", "no dynamics to fit: curve is constant")
 
     def test_rows_too_short_are_refused(self):
-        fits = fit_block(np.ones((2, 2)).cumsum(axis=1), np.full((2, 2), 0.5))
+        fits = fit_block(np.ones(2), np.full((2, 2), 0.5))
         assert [bits(fit) for fit in fits] == [("FitError", "need at least 3 points to fit")] * 2
 
     def test_an_empty_block_fits_nothing(self):
-        assert fit_block(np.empty((0, 200)), np.empty((0, 200))) == []
+        assert fit_block(np.empty(0), np.empty((0, 200))) == []
 
     def test_rejects_arrays_of_different_shapes(self):
-        with pytest.raises(ValueError, match="2-D arrays of one shape"):
-            fit_block(np.ones((2, 5)), np.ones((2, 4)))
+        for horizons, values in ((np.ones(3), np.ones((2, 4))), (np.ones((2, 1)), np.ones((2, 4))),
+                                 (np.ones(4), np.ones(4))):
+            with pytest.raises(ValueError, match="2-D array with one horizon per row"):
+                fit_block(horizons, values)
+
+    def test_rejects_horizons_that_are_not_positive_and_finite(self, capfd):
+        for horizon in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="horizons must be positive and finite"):
+                fit_block([1.0, horizon], np.ones((2, 4)))
+        assert capfd.readouterr().err == ""
 
 
 class TestTimestampScale:
@@ -481,12 +488,12 @@ class TestTimestampScale:
                 return str(err)
 
         def outcomes(traces, k=0):
-            grid, values, faults = curve_block(traces)
+            horizons, values, faults = curve_block(traces)
             assert faults == [None] * len(traces)
-            fits = fit_block(grid, values)
+            fits = fit_block(horizons, values)
             rows = []
-            for trace, g, v, fit in zip(traces, grid, values, fits):
-                slope, intercept, r2_linear = fit_linear(g, v)
+            for trace, v, fit in zip(traces, values, fits):
+                slope, intercept, r2_linear = fit_linear(uniform_grid(trace.horizon), v)
                 rows.append({
                     "h1": fit.h1, "h2": fit.h2, "h3": fit.h3, "r2": fit.r2,
                     "t_N": chain_length(fit, trace.count, k),
@@ -513,6 +520,34 @@ class TestTimestampScale:
         check()
         # LAPACK prints its complaints, such as DLASCL's, to stderr.
         assert capfd.readouterr().err == ""
+
+
+    @pytest.mark.parametrize("offset", [False, True])
+    def test_any_positive_scale_changes_only_h2_and_exactly(self, offset):
+        # Every curve is fitted on the axis k/n its horizon T is scaled by,
+        # so scaling T by any c leaves h1, h3 and r2 bit-identical, and h2 is
+        # the normalized rate k over c*T. At T = 1, h2 is k itself.
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        params = UltradiffusionParams(t_N=50, mu=0.1, M=300)
+        rng = np.random.default_rng(5)
+        stories = [sample_events(params, seed=s) for s in range(4)] + [
+            EventTrace("flat", np.sort(1000.0 * (1.0 - rng.random(300))), 1000.0)
+        ]
+        horizons, values, faults = curve_block(stories)
+        assert faults == [None] * len(stories)
+        unit = fit_block(np.ones(len(stories)), values, offset)
+
+        # c*T within 2^-1000..2^1000: normal, and so is each k/(c*T).
+        @hypothesis.settings(max_examples=100, deadline=None)
+        @hypothesis.given(st.floats(2.0**-1000 / horizons.min(), 2.0**1000 / horizons.max()))
+        def check(c):
+            scaled = c * horizons
+            for fit, base, span in zip(fit_block(scaled, values, offset), unit, scaled):
+                assert (fit.h1, fit.h3, fit.r2) == (base.h1, base.h3, base.r2)
+                assert fit.h2 == base.h2 / span
+
+        check()
 
 
 class TestExponentialFitInvariants:
@@ -573,8 +608,7 @@ class TestInferParams:
     @pytest.mark.parametrize("t_N", [5, 50, 500])
     def test_round_trip_recovers_parameters(self, t_N, mu):
         params = UltradiffusionParams(t_N=t_N, mu=mu, M=100)
-        grid = uniform_grid(5.0 / decay_rate(params), 200)
-        fit = fit_exponential(simulate_curve(params, grid))
+        fit = fit_exponential(simulate_curve(params, 5.0 / decay_rate(params)))
         recovered = infer_params(fit, M=100)
         assert recovered.t_N == t_N
         assert recovered.mu == pytest.approx(mu, rel=0.01)
@@ -619,39 +653,38 @@ class TestDecayRate:
 
 class TestSimulateCurve:
     def test_starts_at_zero(self):
+        # The grid excludes t = 0, where the curve is 0; over a window too
+        # short for any response to register, every value is 0.
         params = UltradiffusionParams(t_N=7, mu=0.2, M=10)
-        curve = simulate_curve(params, np.array([0.0, 1.0, 2.0]))
-        assert curve.values[0] == 0.0
+        curve = simulate_curve(params, 1e-20)
+        assert curve.grid[0] > 0.0 and curve.values[0] == 0.0
 
     def test_two_state_curve_closed_form(self):
         params = UltradiffusionParams(t_N=2, mu=0.0, M=10)
-        grid = np.linspace(0.0, 3.0, 13)
-        curve = simulate_curve(params, grid)
-        np.testing.assert_allclose(curve.values, 0.5 * (1.0 - np.exp(-2.0 * grid)))
+        curve = simulate_curve(params, 3.0)
+        assert curve.horizon == 3.0 and curve.values.size == 200
+        np.testing.assert_allclose(curve.values, 0.5 * (1.0 - np.exp(-2.0 * uniform_grid(3.0))))
 
     def test_complements_survival_probability(self):
         params = UltradiffusionParams(t_N=20, mu=0.15, M=10)
-        grid = uniform_grid(30.0, 40)
-        curve = simulate_curve(params, grid)
+        curve = simulate_curve(params, 30.0)
         np.testing.assert_allclose(
-            curve.values, 1.0 - survival_probability(20, 0.15, grid), atol=1e-14
+            curve.values, 1.0 - survival_probability(20, 0.15, curve.grid), atol=1e-14
         )
 
     def test_matches_master_equation_oracle(self):
         t_N, mu = 8, 0.3
         params = UltradiffusionParams(t_N=t_N, mu=mu, M=10)
-        grid = uniform_grid(5.0 / decay_rate(params), 25)
-        curve = simulate_curve(params, grid)
+        curve = simulate_curve(params, 5.0 / decay_rate(params))
         gen = build_generator(uniform_chain(t_N), mu)
         traj = integrate_master_equation(
-            gen, ProbabilityVector.characteristic(t_N, t_N), grid
+            gen, ProbabilityVector.characteristic(t_N, t_N), curve.grid
         )
         assert np.max(np.abs(curve.values - (1.0 - traj[:, t_N - 1]))) <= 1e-6
 
     def test_values_do_not_depend_on_saturation_count(self):
-        grid = uniform_grid(10.0, 15)
-        small = simulate_curve(UltradiffusionParams(t_N=10, mu=0.1, M=10), grid)
-        large = simulate_curve(UltradiffusionParams(t_N=10, mu=0.1, M=10**6), grid)
+        small = simulate_curve(UltradiffusionParams(t_N=10, mu=0.1, M=10), 10.0)
+        large = simulate_curve(UltradiffusionParams(t_N=10, mu=0.1, M=10**6), 10.0)
         np.testing.assert_array_equal(small.values, large.values)
 
 

@@ -225,12 +225,41 @@ class TestUniformGrid:
         with pytest.raises(ValueError, match=re.escape(message)):
             uniform_grid(horizon)
 
+    def test_refuses_exactly_the_grids_that_fail_the_spacing_test(self):
+        # Only a grid reaching into the subnormal range is tested for its
+        # spacing; every other one passes the test, shown here by brute force
+        # on horizons across the boundary and far from it.
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        tiny = np.finfo(float).tiny
+
+        @hypothesis.settings(max_examples=500, deadline=None)
+        @hypothesis.given(
+            st.sampled_from([1, 2, 3, 7, 200, 1000, 4096]),
+            st.one_of(st.floats(1e-6, 1e6), st.sampled_from([1.0, 0.5, 2.0, 1e3 - 1e-9])),
+            st.floats(1e-300, 1e300),
+        )
+        def check(points, scale, far):
+            for horizon in (tiny * points * scale, far):
+                grid = horizon * (np.arange(1, points + 1) / points)
+                steps = np.diff(grid)
+                sound = not steps.size or (
+                    steps.min() > 0 and steps.max() - steps.min() <= 1e-6 * steps.max()
+                )
+                if sound:
+                    assert uniform_grid(horizon, points).tobytes() == grid.tobytes()
+                else:
+                    with pytest.raises(ValueError, match="too short to split"):
+                        uniform_grid(horizon, points)
+
+        check()
+
     def test_short_horizon_is_enough_for_one_point(self):
         assert uniform_grid(5e-324, 1).tolist() == [5e-324]
 
     def test_rejects_non_integer_point_counts(self):
         # A fractional count gave a grid past the horizon: [0.4, 0.8, 1.2].
-        for points in (2.5, True, np.float64(3)):
+        for points in (2.5, True, np.float64(3), [3]):
             with pytest.raises(ValueError, match="grid_points must be an integer"):
                 uniform_grid(1.0, points)
         np.testing.assert_allclose(uniform_grid(3.0, np.int64(3)), [1.0, 2.0, 3.0])
@@ -449,10 +478,17 @@ class TestEmpiricalCurve:
         assert np.unique(curve.values).tolist() == steps
 
     def test_single_late_event_yields_step_curve(self):
+        # One event fills one grid cell, too few to build a curve from: the
+        # block still holds its step row beside the refusal.
         trace = EventTrace(story_id="s", events=np.array([5.0]), horizon=5.0)
-        curve = empirical_curve(trace)
-        np.testing.assert_allclose(curve.grid, 5.0 * np.arange(1, 201) / 200)
-        np.testing.assert_array_equal(curve.values, [0.0] * 199 + [1.0])
+        horizons, (values,), (fault,) = curve_block([trace])
+        assert horizons.tolist() == [5.0]
+        np.testing.assert_array_equal(values, [0.0] * 199 + [1.0])
+        assert str(fault) == (
+            "events fill 1 of 200 grid cells: are timestamps measured from the story's start?"
+        )
+        with pytest.raises(ValueError, match="events fill 1 of 200 grid cells"):
+            empirical_curve(trace)
 
     def test_worked_timeline_reaches_four_sixths_at_t8(self):
         trace = EventTrace(
@@ -473,34 +509,36 @@ class TestEmpiricalCurve:
             horizon = float(rng.uniform(1.0, 100.0))
             events = np.sort(horizon * (1.0 - rng.random(n)))
             trace = EventTrace(story_id="s", events=events, horizon=horizon)
-            curve = empirical_curve(trace)
-            assert curve.values[-1] == 1.0
+            # The block row, which a trace of few events has beside its refusal.
+            _, (values,), _ = curve_block([trace])
+            assert values[-1] == 1.0
 
     def test_counting_is_inclusive_at_event_times(self):
-        trace = EventTrace(story_id="s", events=np.array([2.0, 4.0]), horizon=4.0)
+        trace = EventTrace(story_id="s", events=np.array([2.0, 3.0, 3.5, 4.0]), horizon=4.0)
         curve = empirical_curve(trace)
         # Grid time 4 * 100/200 is exactly the event at 2.
         assert curve.grid[99] == 2.0
-        assert (curve.values[98], curve.values[99], curve.values[-1]) == (0.0, 0.5, 1.0)
+        assert (curve.values[98], curve.values[99], curve.values[-1]) == (0.0, 0.25, 1.0)
 
     def test_the_block_row_is_checked_once_and_passes_the_public_checks(self):
-        # curve_block has checked the row's spacing, the one check that can
+        # curve_block has checked the row's grid, the one check that can
         # fail on it, so the curve is made without a second check; the
         # public constructor still takes it unchanged.
-        trace = EventTrace(story_id="s", events=np.array([1.0, 5.0, 5.0, 17.0]), horizon=17.0)
-        with mock.patch.object(
-            traces, "_spacing_faults", wraps=traces._spacing_faults
-        ) as spacing, mock.patch.object(
-            traces.PopularityCurve, "__post_init__", autospec=True,
-            side_effect=traces.PopularityCurve.__post_init__,
-        ) as checks:
+        trace = EventTrace(
+            story_id="s", events=np.array([1.0, 5.0, 5.0, 8.0, 17.0]), horizon=17.0
+        )
+        with mock.patch.object(traces, "_scaled", wraps=traces._scaled) as scaled, \
+                mock.patch.object(
+                    traces.PopularityCurve, "__post_init__", autospec=True,
+                    side_effect=traces.PopularityCurve.__post_init__,
+                ) as checks:
             curve = empirical_curve(trace)
-        assert spacing.call_count == 1 and len(spacing.call_args.args[0]) == 1
+        assert scaled.call_count == 1 and scaled.call_args.args[0] == 17.0
         assert checks.call_count == 0
-        again = PopularityCurve(grid=curve.grid, values=curve.values)
-        assert np.array_equal(again.grid, curve.grid)
+        again = PopularityCurve(horizon=curve.horizon, values=curve.values)
+        assert again.grid.tobytes() == curve.grid.tobytes() == uniform_grid(17.0).tobytes()
         assert np.array_equal(again.values, curve.values)
-        assert not curve.grid.flags.writeable and not curve.values.flags.writeable
+        assert not curve.values.flags.writeable
 
 
 class TestCurveBlock:
@@ -535,8 +573,9 @@ class TestCurveBlock:
         @hypothesis.settings(max_examples=200, deadline=None)
         @hypothesis.given(st.lists(trace(), min_size=1, max_size=8))
         def check(batch):
-            grid, values, faults = curve_block(batch)
-            assert grid.shape == values.shape == (len(batch), 200)
+            horizons, values, faults = curve_block(batch)
+            assert values.shape == (len(batch), 200)
+            assert horizons.tolist() == [trace.horizon for trace in batch]
             assert len(faults) == len(batch)
             for n, trace in enumerate(batch):
                 try:
@@ -548,15 +587,16 @@ class TestCurveBlock:
                 # The formulas of the earlier per-trace builder.
                 times = trace.horizon * (np.arange(1, 201) / 200)
                 fraction = np.searchsorted(trace.events, times, side="right") / trace.count
-                assert grid[n].tobytes() == lone.grid.tobytes() == times.tobytes()
+                assert lone.horizon == trace.horizon and lone.grid.tobytes() == times.tobytes()
                 assert values[n].tobytes() == lone.values.tobytes() == fraction.tobytes()
 
         check()
 
     def test_rows_pass_the_public_checks_and_refusals_are_uniform_grids(self):
-        # The block checks only the spacing of its grids: every row it keeps
-        # passes the other checks of PopularityCurve by construction, and a
-        # row it refuses carries uniform_grid's refusal of its horizon.
+        # The block checks only the grid of each horizon and the cells its
+        # events fill: every row it keeps passes the other checks of
+        # PopularityCurve by construction, and a row it refuses carries
+        # uniform_grid's refusal of its horizon or names the cells filled.
         hypothesis = pytest.importorskip("hypothesis")
         st = hypothesis.strategies
 
@@ -585,25 +625,30 @@ class TestCurveBlock:
         @hypothesis.settings(max_examples=300, deadline=None)
         @hypothesis.given(st.lists(trace(), min_size=1, max_size=6))
         def check(batch):
-            grid, values, faults = curve_block(batch)
+            horizons, values, faults = curve_block(batch)
             for n, trace in enumerate(batch):
                 try:
                     expected = uniform_grid(trace.horizon)
                 except ValueError as err:
                     assert (type(faults[n]), str(faults[n])) == (type(err), str(err))
                     continue
+                # Each distinct nonzero level of the curve is one filled cell.
+                filled = np.unique(values[n][values[n] > 0]).size
+                if filled < 4:
+                    assert str(faults[n]).startswith(f"events fill {filled} of 200 grid cells")
+                    continue
                 assert faults[n] is None
-                curve = PopularityCurve(grid[n], values[n])
-                assert curve.grid.tobytes() == grid[n].tobytes() == expected.tobytes()
+                curve = PopularityCurve(horizons[n], values[n])
+                assert curve.grid.tobytes() == expected.tobytes()
                 assert curve.values.tobytes() == values[n].tobytes()
                 assert curve.values[-1] == 1.0
 
         check()
 
     def test_a_horizon_too_short_fails_its_row_alone(self):
-        good = EventTrace("good", np.array([1.0, 2.0, 4.0]), 4.0)
+        good = EventTrace("good", np.array([1.0, 2.0, 3.0, 4.0]), 4.0)
         tiny = EventTrace("tiny", np.array([5e-324]), 5e-324)
-        grid, values, faults = curve_block([good, tiny, good])
+        horizons, values, faults = curve_block([good, tiny, good])
         assert faults[0] is None and faults[2] is None
         message = "horizon 5e-324 is too short to split into 200 uniform grid points"
         assert str(faults[1]) == message
@@ -612,58 +657,77 @@ class TestCurveBlock:
             empirical_curve(tiny)
 
     def test_no_traces_make_an_empty_block(self):
-        grid, values, faults = curve_block([])
-        assert grid.shape == values.shape == (0, 200)
+        horizons, values, faults = curve_block([])
+        assert horizons.shape == (0,) and values.shape == (0, 200)
         assert faults == []
+
+    def test_a_curve_whose_events_fill_under_four_cells_is_refused_by_name(self):
+        # Clock timestamps, not times since the story's start: every event
+        # of each story falls in the last of its 200 grid cells.
+        rng = np.random.default_rng(3)
+        stories = [np.sort(100.0 * (1.0 - rng.random(1000))) for _ in range(5)]
+        batch = [EventTrace(f"s{k}", 1.3e9 + events, 1.3e9 + events[-1])
+                 for k, events in enumerate(stories)]
+        # Events in exactly 3 and 4 cells of a window of 200.
+        batch += [EventTrace("three", np.array([1.0, 2.0, 2.0, 200.0]), 200.0),
+                  EventTrace("four", np.array([1.0, 2.0, 3.0, 200.0]), 200.0)]
+        _, values, faults = curve_block(batch)
+        clock = "events fill 1 of 200 grid cells: are timestamps measured from the story's start?"
+        assert [str(fault) for fault in faults[:5]] == [clock] * 5
+        assert str(faults[5]).startswith("events fill 3 of 200 grid cells")
+        assert faults[6] is None
+        assert np.all(values[:5, :-1] == 0.0) and np.all(values[:, -1] == 1.0)
 
 
 class TestPopularityCurve:
-    def test_rejects_mismatched_lengths(self):
-        with pytest.raises(ValueError, match="grid"):
-            PopularityCurve(grid=np.array([1.0, 2.0]), values=np.array([1.0]))
+    def test_grid_is_the_uniform_grid_of_its_horizon(self):
+        curve = PopularityCurve(horizon=3, values=[0.2, 0.5, 1.0])
+        assert curve.horizon == 3.0 and type(curve.horizon) is float
+        assert curve.grid.tobytes() == uniform_grid(3.0, 3).tobytes()
 
-    def test_rejects_irregular_grid(self):
-        for grid in ([1.0, 2.0, 10.0], [1.0, math.nan, 3.0], [1.0, 2.0, math.nan]):
-            with pytest.raises(ValueError, match="uniform"):
-                PopularityCurve(grid=np.array(grid), values=np.array([0.1, 0.2, 0.3]))
+    def test_rejects_a_horizon_uniform_grid_refuses(self):
+        for horizon in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="horizon must be positive and finite"):
+                PopularityCurve(horizon=horizon, values=np.ones(3))
+        with pytest.raises(ValueError, match="too short to split into 200 uniform grid points"):
+            PopularityCurve(horizon=5e-324, values=np.ones(200))
+        assert PopularityCurve(horizon=5e-324, values=[1.0]).grid.tolist() == [5e-324]
 
-    def test_rejects_non_finite_grid(self):
-        for grid in ([math.inf], [1.0, math.inf], [1.0, math.inf, math.inf]):
-            with pytest.raises(ValueError, match="finite"):
-                PopularityCurve(grid=np.array(grid), values=np.ones(len(grid)))
-        with pytest.raises(ValueError, match="increasing"):
-            PopularityCurve(grid=np.array([1.0, math.inf, 3.0]), values=np.ones(3))
+    def test_rejects_values_that_are_no_nonempty_vector(self):
+        for values in ([], [[0.5, 1.0]], 0.5):
+            with pytest.raises(ValueError, match="nonempty vector"):
+                PopularityCurve(horizon=1.0, values=values)
 
     def test_rejects_decreasing_values(self):
         with pytest.raises(ValueError, match="nondecreasing"):
-            PopularityCurve(grid=np.array([1.0, 2.0]), values=np.array([0.8, 0.2]))
+            PopularityCurve(horizon=2.0, values=np.array([0.8, 0.2]))
 
     def test_rejects_values_above_one(self):
         for values in ([0.5, 1.5], [math.nan, 1.0], [0.5, math.nan]):
             with pytest.raises(ValueError, match=r"\[0, 1\]"):
-                PopularityCurve(grid=np.array([1.0, 2.0]), values=np.array(values))
+                PopularityCurve(horizon=2.0, values=np.array(values))
 
 
 def list_mean(curves):
     """The mean of a list of curves as `aggregate_mean` first computed it,
     one `PopularityCurve` per member: the reference its block form keeps."""
-    span = max(curve.grid[-1] for curve in curves)
+    span = max(curve.horizon for curve in curves)
     grid = uniform_grid(span)
     sampled = [np.interp(grid, curve.grid, curve.values) for curve in curves]
     values = np.array(
         [math.fsum(column) / len(sampled) for column in zip(*sampled)], dtype=float
     )
-    return PopularityCurve(grid=grid, values=values)
+    return PopularityCurve(horizon=span, values=values)
 
 
 def block_mean(curves):
     """`aggregate_mean` of the curves stacked as one block."""
-    return aggregate_mean([c.grid for c in curves], [c.values for c in curves])
+    return aggregate_mean([c.horizon for c in curves], [c.values for c in curves])
 
 
 class TestAggregateMean:
     def test_averages_two_curves_pointwise(self):
-        mean = aggregate_mean([[1.0, 2.0], [1.0, 2.0]], [[0.0, 1.0], [1.0, 1.0]])
+        mean = aggregate_mean([2.0, 2.0], [[0.0, 1.0], [1.0, 1.0]])
         np.testing.assert_allclose(mean.values, [0.5, 1.0])
 
     def test_result_does_not_depend_on_input_order(self):
@@ -673,26 +737,26 @@ class TestAggregateMean:
             horizon = float(rng.uniform(5.0, 20.0))
             events = np.sort(horizon * (1.0 - rng.random(30)))
             members.append(EventTrace(story_id=f"s{k}", events=events, horizon=horizon))
-        grid, values, _ = curve_block(members)
-        forward = aggregate_mean(grid, values)
-        backward = aggregate_mean(grid[::-1], values[::-1])
+        horizons, values, _ = curve_block(members)
+        forward = aggregate_mean(horizons, values)
+        backward = aggregate_mean(horizons[::-1], values[::-1])
         np.testing.assert_array_equal(forward.values, backward.values)
 
     def test_grid_spans_longest_member(self):
-        mean = aggregate_mean([[1.0, 2.0], [2.0, 4.0]], [[0.5, 1.0], [0.25, 1.0]])
+        mean = aggregate_mean([2.0, 4.0], [[0.5, 1.0], [0.25, 1.0]])
         assert mean.grid.tolist() == [2.0, 4.0]
         # The short curve holds its final value past its own horizon.
         assert mean.values.tolist() == [0.625, 1.0]
 
     def test_rejects_empty_list(self):
         with pytest.raises(ValueError, match="at least one"):
-            aggregate_mean(np.empty((0, 200)), np.empty((0, 200)))
+            aggregate_mean(np.empty(0), np.empty((0, 200)))
 
     def test_rejects_blocks_of_mismatched_shapes(self):
-        with pytest.raises(ValueError, match="2-D arrays of one shape"):
-            aggregate_mean([[1.0, 2.0]], [[0.5, 0.75, 1.0]])
-        with pytest.raises(ValueError, match="2-D arrays of one shape"):
-            aggregate_mean([1.0, 2.0], [0.5, 1.0])
+        with pytest.raises(ValueError, match="2-D array with one horizon per row"):
+            aggregate_mean([1.0, 2.0], [[0.5, 0.75, 1.0]])
+        with pytest.raises(ValueError, match="2-D array with one horizon per row"):
+            aggregate_mean(2.0, [0.5, 1.0])
 
     def test_single_curve_is_returned_unchanged_on_its_own_grid(self):
         trace = EventTrace(
@@ -700,6 +764,7 @@ class TestAggregateMean:
         )
         curve = empirical_curve(trace)
         mean = block_mean([curve])
+        assert mean.horizon == curve.horizon
         assert mean.grid.tobytes() == curve.grid.tobytes()
         assert mean.values.tobytes() == curve.values.tobytes()
 
@@ -713,9 +778,7 @@ class TestAggregateMean:
             members = []
             for horizon in horizons:
                 steps = draw(st.lists(st.floats(0.0, 1.0), min_size=200, max_size=200))
-                members.append(
-                    PopularityCurve(grid=uniform_grid(horizon), values=np.sort(steps))
-                )
+                members.append(PopularityCurve(horizon=horizon, values=np.sort(steps)))
             return members
 
         @hypothesis.settings(max_examples=200, deadline=None)
@@ -729,10 +792,9 @@ class TestAggregateMean:
         check()
 
     def test_shared_grid_is_the_longest_block_row_bit_for_bit(self):
-        # The mean takes the block row of the longest horizon as its grid,
-        # which must be the grid uniform_grid makes of that horizon: over
-        # normal, huge and subnormal-adjacent horizons, with ties for the
-        # longest.
+        # The mean's grid is the one uniform_grid makes of the longest
+        # horizon, whose block row was sampled on it: over normal, huge and
+        # subnormal-adjacent horizons, with ties for the longest.
         hypothesis = pytest.importorskip("hypothesis")
         st = hypothesis.strategies
         horizons = st.one_of(
@@ -750,13 +812,15 @@ class TestAggregateMean:
             # Copies of the longest horizon, shuffled in among the others.
             spans = spans + [max(spans)] * ties
             rng.shuffle(spans)
-            batch = [EventTrace("s", np.array([span]), span) for span in spans]
-            grid, values, faults = curve_block(batch)
+            batch = [EventTrace("s", span * np.array([0.25, 0.5, 0.75, 1.0]), span)
+                     for span in spans]
+            horizons, values, faults = curve_block(batch)
             assert faults == [None] * len(batch)
-            mean = aggregate_mean(grid, values)
+            mean = aggregate_mean(horizons, values)
             longest = max(spans)
-            rows = {row.tobytes() for row, span in zip(grid, spans) if span == longest}
-            assert rows == {mean.grid.tobytes()}
+            assert mean.horizon == longest
             assert mean.grid.tobytes() == uniform_grid(longest).tobytes()
+            # The longest rows, held at their values, are their own mean there.
+            assert mean.values[-1] == 1.0
 
         check()

@@ -18,6 +18,7 @@ SOURCES = sorted(Path(ultradiffusion.__file__).parent.glob("*.py"))
 ALLOWED = {
     "_unchecked": {
         ("traces", "empirical_curve"),
+        ("fitting", "simulate_curve"),
         ("ultrametric", "_built_space"),
         ("generator", "build_generator"),
     },
