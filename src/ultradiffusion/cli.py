@@ -9,20 +9,17 @@ exponential against a straight line (the memoryless-arrivals signature), and
 Exit codes: 0 success, 1 input error (bad options or data, an unreadable or
 undecodable input, an unusable output directory), 2 numerical failure, 3
 self-check failure; `main` alone maps an escaping error to its code and one
-`error:` line. A story whose curve cannot be built or fitted is reported and
-left out, in `aggregate` too. Given the same inputs and seed, re-runs write
-byte-identical files; outputs are written to a temporary name and renamed,
-so interrupted runs leave no partial files.
+`error:` line. Given the same inputs and seed, re-runs write byte-identical
+files; outputs are written to a temporary name and renamed, so interrupted
+runs leave no partial files.
 
-`fit` and `compare` run a pass as one block: the parsed stories' curves are
-their horizons and the rows of a (stories x 200) values array
-(`curve_block`), and one `fit_block` call fits them all. No grid array is
-held: `infer_params`, the simulated curve's r_squared, `compare`'s line and
-the curve tables run story by story, each building the story's grid from its
-horizon with `uniform_grid`, so each story's outputs are byte for byte those
-of handling it alone. `aggregate` fits the block's mean on the grid of its
-longest story (`aggregate_mean`) as one curve of M events, M the summed
-event count of the averaged stories.
+`fit`, `compare` and `aggregate` give each parsed story one outcome in one
+pass (`_outcomes`), print the stories' stderr lines from that list and write
+their files from it. A pass fits its curves as one block (`curve_block`,
+`fit_block`) and runs the rest story by story on the story's own grid, so
+each story's outputs are byte for byte those of handling it alone.
+`aggregate` fits the mean of the averaged curves (`aggregate_mean`) as one
+curve of their summed event count.
 """
 
 from __future__ import annotations
@@ -58,7 +55,7 @@ from .serialize import (
     write_trace_csv,
 )
 from .spectral import chain_spectrum
-from .traces import aggregate_mean, curve_block, parse_trace_csv, uniform_grid
+from .traces import EventTrace, aggregate_mean, curve_block, parse_trace_csv, uniform_grid
 from .ultrametric import build_from_trace
 
 __all__ = ["CommandError", "build_parser", "main"]
@@ -99,40 +96,34 @@ def _safe_name(story_id: str) -> str:
     return re.sub(r"[^A-Za-z0-9._-]+", "_", story_id).strip("._")[:100] or "story"
 
 
-def _unique_names(story_ids: list[str]) -> dict[str, str]:
+def _unique_names(outcomes: list[_Outcome]) -> None:
     # Sorted input keeps collision suffixes stable across runs. Names are
     # compared lower-cased, as case-insensitive filesystems compare them;
     # `_safe_name` leaves only ASCII, so lower-casing is exact.
-    names: dict[str, str] = {}
     used: set[str] = set()
-    for sid in story_ids:
-        base = _safe_name(sid)
+    for o in outcomes:
+        base = _safe_name(o.trace.story_id)
         name, k = base, 2
         while name.lower() in used:
             name = f"{base}_{k}"
             k += 1
         used.add(name.lower())
-        names[sid] = name
-    return names
+        o.name = name
 
 
-def _load_qualifying(args: argparse.Namespace):
-    _check_args(args)
-    kept = []
-    for trace in parse_trace_csv(Path(args.input), horizon=args.horizon):
-        if trace.count < args.min_events:
-            print(
-                f"skipping story {trace.story_id!r}: {trace.count} events "
-                f"is below the minimum of {args.min_events}",
-                file=sys.stderr,
-            )
-            continue
-        kept.append(trace)
-    if not kept:
-        raise CommandError(
-            1, f"no stories pass the {args.min_events}-event filter"
-        )
-    return kept
+@dataclasses.dataclass(slots=True)
+class _Outcome:
+    """A parsed story's fate in a run: its `status` ("skipped", "refused",
+    "failed", "fitted" or "averaged"), the `reason` (the skip notice or the
+    error; in `compare`, a fitted story's mapping refusal), the `record` the
+    command writes, its curve's `values` and its file `name`."""
+
+    trace: EventTrace
+    status: str = "skipped"
+    reason: object = None
+    record: dict | None = None
+    values: np.ndarray | None = None
+    name: str = ""
 
 
 def _map_fits(horizons, observed, counts, fits):
@@ -161,76 +152,91 @@ def _map_fits(horizons, observed, counts, fits):
     return outcomes
 
 
-def _report(failed) -> None:
-    for sid in sorted(failed):
-        err = failed[sid]
-        print(f"story {sid!r} failed: {type(err).__name__}: {err}", file=sys.stderr)
+def _print_outcomes(outcomes: list[_Outcome]) -> None:
+    """Print a line for each story skipped, in the list's order, then one
+    for each story refused or failed, in story-id order."""
+    for o in outcomes:
+        if o.status == "skipped":
+            print(f"skipping story {o.trace.story_id!r}: {o.reason}", file=sys.stderr)
+    for o in sorted(outcomes, key=lambda o: o.trace.story_id):
+        if o.status in ("refused", "failed"):
+            why = f"{type(o.reason).__name__}: {o.reason}"
+            print(f"story {o.trace.story_id!r} failed: {why}", file=sys.stderr)
 
 
-def _curve_rows(traces):
-    """The traces whose curve can be built, their horizons and observed
-    block, one row each, and {story id: error} of the others."""
-    horizons, observed, faults = curve_block(traces)
-    built = [n for n, fault in enumerate(faults) if fault is None]
-    failed = {trace.story_id: fault for trace, fault in zip(traces, faults) if fault}
-    return [traces[n] for n in built], horizons[built], observed[built], failed
+def _outcomes(args: argparse.Namespace, step=None) -> list[_Outcome]:
+    """One outcome per story parsed from `args.input`, in story-id order.
 
-
-def _run_each(traces, worker, offset: bool, out_dir: Path):
-    """Fit and map every trace's curve, all as one block, and apply `worker`
-    to each (trace, observed row, fit record, refusal) whose fit `_map_fits`
-    made. Returns [(file name, result)] in story-id order.
-
-    A story fails when its curve cannot be built, the fitter refuses the
-    curve, or `worker` raises one of the data errors: failures are printed
-    in story-id order, and when every story failed the run exits 2.
-    Otherwise `out_dir` is created.
+    A story of fewer than --min-events events is skipped; the others'
+    curves are built as one block, and a curve `curve_block` refuses is
+    refused. A curve built is averaged, or with `step` fitted as one block
+    and mapped (`fit_block`, `_map_fits`): the story is fitted when
+    `step(trace, values, record, refusal)` returns its record, and failed
+    when its fit is an error or `step` raises a data error. Fitted stories
+    take file names in story-id order, so a failed one uses up none. The
+    stories' lines are printed; then a run in which no story qualified
+    exits 1, and one in which none was fitted or averaged exits 2.
     """
-    built, horizons, observed, failed = _curve_rows(traces)
-    fits = fit_block(horizons, observed, offset=offset)
-    outcomes = _map_fits(horizons, observed, [trace.count for trace in built], fits)
-    results = {}
-    for trace, observed_row, outcome in zip(built, observed, outcomes):
-        try:
-            # A fit that is an error fails its story, as if raised here.
-            if isinstance(outcome, Exception):
-                raise outcome
-            results[trace.story_id] = worker(trace, observed_row, *outcome)
-        except _DATA_ERRORS as err:
-            failed[trace.story_id] = err
-    _report(failed)
-    if not results:
+    _check_args(args)
+    outcomes = [_Outcome(trace) for trace in parse_trace_csv(Path(args.input), args.horizon)]
+    for o in outcomes:
+        if o.trace.count < args.min_events:
+            o.reason = f"{o.trace.count} events is below the minimum of {args.min_events}"
+    kept = [o for o in outcomes if o.trace.count >= args.min_events]
+    horizons, values, faults = curve_block([o.trace for o in kept])
+    for o, fault in zip(kept, faults):
+        o.status, o.reason = ("refused", fault) if fault else ("averaged", None)
+    members = [o for o in kept if o.status == "averaged"]
+    built = [fault is None for fault in faults]
+    horizons, values = horizons[built], values[built]
+    for o, row in zip(members, values):
+        o.values = row
+    if step is not None:
+        fits = fit_block(horizons, values, offset=args.offset)
+        mapped = _map_fits(horizons, values, [o.trace.count for o in members], fits)
+        for o, fit in zip(members, mapped):
+            try:
+                # A fit that is an error fails its story, as if raised here.
+                if isinstance(fit, Exception):
+                    raise fit
+                o.status, o.record, o.reason = "fitted", step(o.trace, o.values, *fit), fit[1]
+            except _DATA_ERRORS as err:
+                o.status, o.reason = "failed", err
+    _print_outcomes(outcomes)
+    if not kept:
+        raise CommandError(1, f"no stories pass the {args.min_events}-event filter")
+    if all(o.status in ("refused", "failed") for o in kept):
         raise CommandError(2, "every qualifying story failed to fit")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    order = sorted(results)
-    names = _unique_names(order)
-    return [(names[sid], results[sid]) for sid in order]
+    outcomes.sort(key=lambda o: o.trace.story_id)
+    _unique_names([o for o in outcomes if o.status == "fitted"])
+    return outcomes
 
 
-def _fit_story(trace, observed, record, refusal):
+def _fit_record(trace, values, record, refusal):
     if refusal is not None:
         raise refusal
-    return {"story_id": trace.story_id, **record}, trace.horizon, observed
+    return {"story_id": trace.story_id, **record}
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
-    kept = _load_qualifying(args)
+    outcomes = _outcomes(args, _fit_record)
+    done = [o for o in outcomes if o.status == "fitted"]
     out = Path(args.out_dir)
-    done = _run_each(kept, _fit_story, args.offset, out)
-    for name, (record, horizon, observed) in done:
-        write_curve_tsv(out / f"{name}_curve.tsv", uniform_grid(horizon), observed)
-    write_json(out / "fits.json", [record for _, (record, _, _) in done])
-    print(f"fitted {len(done)} of {len(kept)} stories -> {out}")
+    out.mkdir(parents=True, exist_ok=True)
+    for o in done:
+        write_curve_tsv(out / f"{o.name}_curve.tsv", uniform_grid(o.trace.horizon), o.values)
+    write_json(out / "fits.json", [o.record for o in done])
+    qualified = sum(o.status != "skipped" for o in outcomes)
+    print(f"fitted {len(done)} of {qualified} stories -> {out}")
     return 0
 
 
 def cmd_aggregate(args: argparse.Namespace) -> int:
-    built, horizons, observed, failed = _curve_rows(_load_qualifying(args))
-    _report(failed)
+    members = [o for o in _outcomes(args) if o.status == "averaged"]
     try:
-        mean = aggregate_mean(horizons, observed)
+        mean = aggregate_mean([o.trace.horizon for o in members], [o.values for o in members])
         fit = fit_exponential(mean, offset=args.offset)
-        M = sum(trace.count for trace in built)
+        M = sum(o.trace.count for o in members)
         ((record, refusal),) = _map_fits([mean.horizon], [mean.values], [M], [fit])
         if refusal is not None:
             raise refusal
@@ -241,9 +247,9 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
     write_curve_tsv(out / "aggregate_curve.tsv", mean.grid, mean.values)
     write_json(
         out / "aggregate_fit.json",
-        {"story_id": "aggregate", "n_stories": len(built), **record},
+        {"story_id": "aggregate", "n_stories": len(members), **record},
     )
-    print(f"aggregated {len(built)} stories -> {out}")
+    print(f"aggregated {len(members)} stories -> {out}")
     return 0
 
 
@@ -269,9 +275,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _compare_record(trace, observed, record, refusal):
-    _, _, r2_lin = fit_linear(uniform_grid(trace.horizon), observed)
-    compared = {
+def _compare_record(trace, values, record, refusal):
+    _, _, r2_lin = fit_linear(uniform_grid(trace.horizon), values)
+    return {
         "story_id": trace.story_id,
         "r2_exponential": record["r2"],
         "r2_linear": r2_lin,
@@ -281,52 +287,46 @@ def _compare_record(trace, observed, record, refusal):
         "verdict": "saturating" if record["r2"] > r2_lin else "memoryless",
         "note": "" if refusal is None else f"parameter mapping failed: {refusal}",
     }
-    return compared, trace
+
+
+def _export_matrices(o: _Outcome, out: Path) -> list[str]:
+    """Write a compared story's distance and rate matrices; returns the
+    notes to print about it."""
+    # One state per distinct event time plus the no-rebroadcast state,
+    # counted before the n-by-n matrix is built.
+    states = np.unique(o.trace.events).size + 1
+    if states > MATRIX_EXPORT_CAP:
+        return [f"{states} states exceeds the {MATRIX_EXPORT_CAP}-state matrix export cap, "
+                "skipping"]
+    try:
+        space = build_from_trace(o.trace)
+    except ValueError as err:
+        # An event so close to 0 that T - t rounds to T gives two states one
+        # subscript; the story's other outputs stand.
+        return [f"state space refused ({err}), skipping matrix export"]
+    write_distance_tsv(out / f"{o.name}_distance.tsv", space)
+    if o.record["mu"] is None:
+        return ["no inferred mu, skipping rate-matrix export"]
+    # A warning is a note, naming the story, with no source location.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        gen = build_generator(space, o.record["mu"])
+    write_generator_tsv(out / f"{o.name}_generator.tsv", gen)
+    return [str(warning.message) for warning in caught]
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    kept = _load_qualifying(args)
+    outcomes = _outcomes(args, _compare_record)
+    done = [o for o in outcomes if o.status == "fitted"]
     out = Path(args.out_dir)
-    done = _run_each(kept, _compare_record, args.offset, out)
-    write_json(out / "comparison.json", [record for _, (record, _) in done])
+    out.mkdir(parents=True, exist_ok=True)
+    write_json(out / "comparison.json", [o.record for o in done])
     if args.export_matrices:
-        for name, (record, trace) in done:
-            sid = trace.story_id
-            # One state per distinct event time plus the no-rebroadcast state,
-            # counted before the n-by-n matrix is built.
-            states = np.unique(trace.events).size + 1
-            if states > MATRIX_EXPORT_CAP:
-                print(
-                    f"story {sid!r}: {states} states exceeds the "
-                    f"{MATRIX_EXPORT_CAP}-state matrix export cap, skipping",
-                    file=sys.stderr,
-                )
-                continue
-            try:
-                space = build_from_trace(trace)
-            except ValueError as err:
-                # An event so close to 0 that T - t rounds to T gives two
-                # states one subscript; the story's other outputs stand.
-                print(
-                    f"story {sid!r}: state space refused ({err}), skipping matrix export",
-                    file=sys.stderr,
-                )
-                continue
-            write_distance_tsv(out / f"{name}_distance.tsv", space)
-            if record["mu"] is None:
-                print(
-                    f"story {sid!r}: no inferred mu, skipping rate-matrix export",
-                    file=sys.stderr,
-                )
-                continue
-            # One line per story that warns, naming it, with no source location.
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                gen = build_generator(space, record["mu"])
-            for warning in caught:
-                print(f"story {sid!r}: {warning.message}", file=sys.stderr)
-            write_generator_tsv(out / f"{name}_generator.tsv", gen)
-    print(f"compared {len(done)} of {len(kept)} stories -> {out}")
+        for o in done:
+            for note in _export_matrices(o, out):
+                print(f"story {o.trace.story_id!r}: {note}", file=sys.stderr)
+    qualified = sum(o.status != "skipped" for o in outcomes)
+    print(f"compared {len(done)} of {qualified} stories -> {out}")
     return 0
 
 

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import re
 import shlex
 import shutil
 import subprocess
@@ -519,6 +520,24 @@ class TestAggregate:
         assert scaled[:4] == [*horizons, max(horizons)]
         assert [(curve.horizon, curve.values.size) for curve in curves] == [(max(horizons), 200)]
 
+    def test_every_member_refused_is_the_pass_refusal(self, tmp_path, capsys):
+        # Two clock-stamped stories: each curve is refused, so no curve is
+        # left to average, and the run ends as `fit` ends with nothing fitted.
+        csv = tmp_path / "clock.csv"
+        stories = [sampled_story(f"c{k}", seed=k) for k in (1, 2)]
+        write_trace_csv(csv, [
+            dataclasses.replace(s, events=s.events + 1.3e9, horizon=s.horizon + 1.3e9)
+            for s in stories
+        ])
+        out = tmp_path / "out"
+        argv = ["--input", str(csv), "--out-dir", str(out), "--min-events", "1"]
+        assert main(["aggregate", *argv]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1] == "error: every qualifying story failed to fit"
+        assert main(["fit", *argv]) == 2
+        assert capsys.readouterr().err.splitlines() == err
+        assert not out.exists()
+
     @pytest.mark.parametrize("offset", [False, True], ids=["plain", "offset"])
     def test_curve_table_is_the_table_of_the_mean_curve(self, tmp_path, capsys, offset):
         csv = tmp_path / "in.csv"
@@ -530,6 +549,63 @@ class TestAggregate:
         want = tmp_path / "want.tsv"
         write_curve_tsv(want, mean.grid, mean.values)
         assert (out / "aggregate_curve.tsv").read_bytes() == want.read_bytes()
+
+
+class TestOutcomes:
+    """`fit`, `compare` and `aggregate` give every parsed story one outcome,
+    and what they print and write agrees with the list."""
+
+    @pytest.fixture
+    def mixed(self, tmp_path):
+        # Skipped, refused, failed (in `fit`; a note in `compare`) and
+        # fitted stories, with ids whose file names collide.
+        csv = write_linear_story(tmp_path / "in.csv")
+        rows = [f"{sid},{t:.9g}\n" for sid, seed in (("a_b", 1), ("A", 2), ("s", 3))
+                for t in sampled_story(sid, seed=seed).events]
+        rows += ["a b,1.0\n"] * 60 + ["tiny,1.0\n", "tiny,2.0\n"]
+        rows += [f"a,{k / 2}\n" for k in range(1, 121)]
+        with csv.open("a") as fh:
+            fh.writelines(rows)
+        return csv
+
+    @pytest.mark.parametrize("command", ["fit", "compare", "aggregate"])
+    def test_each_parsed_story_has_one_outcome(
+        self, tmp_path, monkeypatch, capsys, mixed, command
+    ):
+        lists, real = [], cli._outcomes
+
+        def spy(*args, **kwargs):
+            lists.append(real(*args, **kwargs))
+            return lists[-1]
+
+        monkeypatch.setattr(cli, "_outcomes", spy)
+        out = tmp_path / "out"
+        argv = [command, "--input", str(mixed), "--out-dir", str(out), "--min-events", "5"]
+        assert main(argv) == 0
+        stdout = capsys.readouterr().out
+        (got,) = lists
+        parsed = [trace.story_id for trace in parse_trace_csv(mixed)]
+        assert [o.trace.story_id for o in got] == sorted(parsed)
+        status = {o.trace.story_id: o.status for o in got}
+        assert status["tiny"] == "skipped"
+        assert status["a b"] == "refused"
+        if command == "aggregate":
+            record = json.loads((out / "aggregate_fit.json").read_text())
+            assert record["n_stories"] == list(status.values()).count("averaged") == 5
+            return
+        fitted = [sid for sid in sorted(parsed) if status[sid] == "fitted"]
+        counts = re.fullmatch(r"(?:fitted|compared) (\d+) of (\d+) stories -> .*\n", stdout)
+        assert counts.groups() == (str(len(fitted)), str(len(parsed) - 1))
+        result = "fits.json" if command == "fit" else "comparison.json"
+        assert [r["story_id"] for r in json.loads((out / result).read_text())] == fitted
+        # `fit` fails the two memoryless stories; `compare` keeps them. The
+        # refused `a b` uses up no name, so `a_b` takes none of its suffixes.
+        names = {o.trace.story_id: o.name for o in got if o.name}
+        if command == "fit":
+            assert status["a"] == status["line"] == "failed"
+            assert names == {"A": "A", "a_b": "a_b", "s": "s"}
+        else:
+            assert names == {"A": "A", "a": "a_2", "a_b": "a_b", "line": "line", "s": "s"}
 
 
 class TestSimulate:

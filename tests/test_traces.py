@@ -774,11 +774,20 @@ class TestAggregateMean:
 
         @st.composite
         def curves(draw):
+            # A member's values come from a generator seeded by a drawn
+            # integer, then take a drawn run of one repeated value, a drawn
+            # number of leading 0.0 and a drawn number of trailing 1.0.
             horizons = draw(st.lists(st.floats(1e-3, 1e6), min_size=1, max_size=8))
             members = []
             for horizon in horizons:
-                steps = draw(st.lists(st.floats(0.0, 1.0), min_size=200, max_size=200))
-                members.append(PopularityCurve(horizon=horizon, values=np.sort(steps)))
+                values = np.sort(np.random.default_rng(draw(st.integers(0, 2**32))).random(200))
+                start, length = draw(st.integers(0, 199)), draw(st.integers(0, 40))
+                values[start : start + length] = values[start]
+                zeros = draw(st.integers(0, 200))
+                ones = draw(st.integers(0, 200 - zeros))
+                values[:zeros] = 0.0
+                values[200 - ones :] = 1.0
+                members.append(PopularityCurve(horizon=horizon, values=values))
             return members
 
         @hypothesis.settings(max_examples=200, deadline=None)
