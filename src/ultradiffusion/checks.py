@@ -126,7 +126,8 @@ def _check_random_traces(tolerance: float) -> _Outcome:
     elapsed = time.perf_counter() - start
     detail = (
         "1000 random traces, up to 200 events each, strong triangle "
-        "inequality over every triple (adjacent-gap proof in the matrix order)." + first_bad
+        "inequality over every triple (proof of d(i, j) = max(d(i, j - 1), d(i + 1, j)) "
+        "in the matrix order)." + first_bad
     )
     return float(failures), failures <= tolerance, elapsed, detail
 

@@ -167,10 +167,11 @@ def _print_outcomes(outcomes: list[_Outcome]) -> None:
 def _outcomes(args: argparse.Namespace, step=None) -> list[_Outcome]:
     """One outcome per story parsed from `args.input`, in story-id order.
 
-    A story of fewer than --min-events events is skipped; the others'
-    curves are built as one block, and a curve `curve_block` refuses is
-    refused. A curve built is averaged, or with `step` fitted as one block
-    and mapped (`fit_block`, `_map_fits`): the story is fitted when
+    A story of fewer than --min-events events is skipped, and one with an
+    event past --horizon is refused; the others' curves are built as one
+    block, and a curve `curve_block` refuses is refused. A curve built is
+    averaged, or with `step` fitted as one block and mapped (`fit_block`,
+    `_map_fits`): the story is fitted when
     `step(trace, values, record, refusal)` returns its record, and failed
     when its fit is an error or `step` raises a data error. Fitted stories
     take file names in story-id order, so a failed one uses up none. The
@@ -178,15 +179,22 @@ def _outcomes(args: argparse.Namespace, step=None) -> list[_Outcome]:
     exits 1, and one in which none was fitted or averaged exits 2.
     """
     _check_args(args)
-    outcomes = [_Outcome(trace) for trace in parse_trace_csv(Path(args.input), args.horizon)]
+    outcomes = [_Outcome(trace) for trace in parse_trace_csv(Path(args.input))]
     for o in outcomes:
         if o.trace.count < args.min_events:
             o.reason = f"{o.trace.count} events is below the minimum of {args.min_events}"
     kept = [o for o in outcomes if o.trace.count >= args.min_events]
-    horizons, values, faults = curve_block([o.trace for o in kept])
-    for o, fault in zip(kept, faults):
+    if args.horizon is not None:
+        for o in kept:
+            try:
+                o.trace = EventTrace(o.trace.story_id, o.trace.events, args.horizon)
+            except ValueError as err:
+                o.status, o.reason = "refused", err
+    within = [o for o in kept if o.status != "refused"]
+    horizons, values, faults = curve_block([o.trace for o in within])
+    for o, fault in zip(within, faults):
         o.status, o.reason = ("refused", fault) if fault else ("averaged", None)
-    members = [o for o in kept if o.status == "averaged"]
+    members = [o for o in within if o.status == "averaged"]
     built = [fault is None for fault in faults]
     horizons, values = horizons[built], values[built]
     for o, row in zip(members, values):

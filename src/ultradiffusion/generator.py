@@ -6,7 +6,8 @@ are a decreasing function of an ultrametric distance, they inherit the dual
 inequality rate(i, j) >= min(rate(i, k), rate(k, j)), which
 `check_rate_ultrametricity` checks with the same kernel as
 `ultrametric.verify_ultrametric`: an exact O(n^2) proof that compares the
-rates in their own order, taking min where distances take max, tries the
+rates in their own order, rate(i, j) = min(rate(i, j - 1), rate(i + 1, j))
+for every i < j - 1, taking min where distances take max. It tries the
 leaf order of one linkage only if that fails, and when both fail scans the
 one row that the merge heights of that same linkage name, reporting the
 first violating triple.

@@ -41,6 +41,10 @@ __all__ = [
     "tree_autocorrelation",
 ]
 
+# Side of the square tiles in which `space_from_tree` mirrors its lower
+# triangle: a tile and its transpose, 128 kB each, stay in cache.
+_TILE = 128
+
 
 def _check_times(t) -> np.ndarray:
     times = np.asarray(t, dtype=float)
@@ -257,12 +261,20 @@ def space_from_tree(tree: TreeModel) -> UltrametricSpace:
     counts = tree.leaf_counts.tolist()
     height = tree.height.tolist()
     dist = np.zeros((n, n))
-    # A pair meets at the parent of the child that holds its first leaf.
+    # A pair meets at the parent of the child that holds its first leaf; its
+    # entry below the diagonal lies in a block of row segments.
     for v, up in enumerate(tree.parent.tolist()[1:], start=1):
         lo, mid = start[v], start[v] + counts[v]
         hi = start[up] + counts[up]
-        dist[lo:mid, mid:hi] = height[up]
         dist[mid:hi, lo:mid] = height[up]
+    # Mirror the lower triangle a tile at a time: above the diagonal every
+    # entry is 0, so a diagonal tile plus its transpose is the tile mirrored.
+    for top in range(0, n, _TILE):
+        rows = slice(top, top + _TILE)
+        for left in range(0, top, _TILE):
+            dist[left : left + _TILE, rows] = dist[rows, left : left + _TILE].T
+        tile = dist[rows, rows]
+        tile += tile.T
     # Every pair is filled on both sides, off the diagonal, with the height
     # of an internal node, which `TreeModel` holds above its child's, >= 0:
     # the matrix is symmetric, zero on the diagonal and positive off it.

@@ -10,15 +10,18 @@ which is what makes a hierarchy of relaxation time scales possible.
 `verify_ultrametric` proves that inequality for every triple in O(n^2), and
 `generator.check_rate_ultrametricity` proves its dual on rates, taking min
 where distances take max: the matrix passes when, in its own order, every
-entry above the first off-diagonal is the larger of its left neighbour and
-the adjacent gap that closes it, d(i, j) = max(d(i, j - 1), d(j - 1, j)).
-Every space this module builds, and every tree space, is in such an order;
-any other matrix is tried once more in the leaf order of its single-linkage
-dendrogram, which an ultrametric always passes. The proof compares entries
-only, so it is exact. When it fails, the merge heights of that same
-dendrogram, the subdominant ultrametric, name the first row that exceeds
-them, which is the first violating row, and a scan of that one row reports
-the lexicographically first violating (i, j, k).
+entry above the first off-diagonal is the larger of its left and its lower
+neighbour, d(i, j) = max(d(i, j - 1), d(i + 1, j)), which by induction on
+j - i makes it the largest adjacent gap d(k, k + 1), i <= k < j, between
+its indices. The proof reads whole rows as one flat buffer, in which those
+two neighbours are 1 and n entries on. Every space this module builds, and
+every tree space, is in such an order; any other matrix is tried once more
+in the leaf order of its single-linkage dendrogram, which an ultrametric
+always passes. The proof compares entries only, so it is exact. When it
+fails, the merge heights of that same dendrogram, the subdominant
+ultrametric, name the first row that exceeds them, which is the first
+violating row, and a scan of that one row reports the lexicographically
+first violating (i, j, k).
 
 `UltrametricSpace(...)` checks a matrix from outside the library in O(n^2).
 The builders here and `spectral.space_from_tree` make a matrix that passes
@@ -129,10 +132,15 @@ def build_from_trace(trace: EventTrace) -> UltrametricSpace:
     span, events = trace.horizon, trace.events
     # Events are sorted: each distinct time is one that differs from the
     # time before it.
-    distinct = events[np.concatenate([[True], events[1:] != events[:-1]])]
+    first = np.empty(events.size, dtype=bool)
+    first[0] = True
+    np.not_equal(events[1:], events[:-1], out=first[1:])
+    distinct = events[first]
     # Ascending event times map to descending subscripts; reverse, then append
     # the no-rebroadcast state at subscript T.
-    labels = np.concatenate([(span - distinct)[::-1], [span]])
+    labels = np.empty(distinct.size + 1)
+    np.subtract(span, distinct[::-1], out=labels[:-1])
+    labels[-1] = span
     return _max_space(labels, span - labels)
 
 
@@ -162,7 +170,7 @@ def _max_space(labels, heights) -> UltrametricSpace:
     if np.count_nonzero(heights <= 0) > 1:
         raise ValueError("distances between distinct states must be positive")
     dist = np.maximum.outer(heights, heights)
-    np.fill_diagonal(dist, 0.0)
+    dist.reshape(-1)[:: heights.size + 1] = 0.0  # the diagonal
     return _built_space(labels, dist)
 
 
@@ -175,34 +183,42 @@ _BLOCK_ENTRIES = _SIDE * _SIDE
 
 @functools.cache
 def _upper() -> np.ndarray:
-    """The _SIDE-square mask on and above the diagonal, 256 kB, made on
-    first use: a process that proves nothing does not hold it."""
-    return ~np.tri(_SIDE, k=-1, dtype=bool)
+    """The _SIDE x (_SIDE + 2) mask of the entries two or more right of the
+    diagonal, 257 kB, made on first use: a process that proves nothing does
+    not hold it."""
+    return ~np.tri(_SIDE, _SIDE + 2, k=1, dtype=bool)
 
 
 def _holds_in_order(m: np.ndarray, order: np.ndarray | None, join) -> bool:
-    """Whether m[i, j] == join(m[i, j - 1], m[j - 1, j]) for all i < j - 1,
+    """Whether m[i, j] == join(m[i, j - 1], m[i + 1, j]) for all i < j - 1,
     with the states taken in `order` (None: their own order).
 
-    When it holds, every entry is the `join` of the adjacent gaps
-    m[k, k + 1], i <= k < j, between its two indices, so m is an ultrametric
-    (with `np.minimum`, -m is). Rows are checked a fixed block at a time, and
-    through `order` only the block's rows are gathered, then its columns.
+    By induction on j - i, it holds exactly when every entry is the `join`
+    of the adjacent gaps m[k, k + 1], i <= k < j, between its two indices,
+    so m is an ultrametric (with `np.minimum`, -m is). Rows are checked a
+    fixed block at a time, on the flat buffer x of the block's rows and the
+    row below them, as x[k] != join(x[k - 1], x[k + n]): the left and the
+    lower neighbour of an entry are one and n places on, so each block takes
+    two ufunc calls on contiguous memory. Through `order` only the block's
+    rows are gathered, then its columns.
     """
     n = m.shape[0]
-    gaps = np.diagonal(m, 1) if order is None else m[order[:-1], order[1:]]
     step = max(1, _BLOCK_ENTRIES // n)
     for top in range(0, n - 2, step):
-        rows = slice(top, min(top + step, n - 2))
-        if order is None:
-            block = m[rows, top + 1 :]
-        else:
-            block = m[order[rows]][:, order[top + 1 :]]
-        # bad[a, b] compares m[i, j] with i = top + a and j = top + 2 + b, so
-        # the entries with j >= i + 2 are those with b >= a.
-        bad = block[:, 1:] != join(block[:, :-1], gaps[top + 1 :])
-        height = bad.shape[0]
-        bad[:, :height] &= _upper()[:height, :height]
+        height = min(step, n - 2 - top)
+        rows = slice(top, top + height + 1)
+        x = (m[rows] if order is None else m[order[rows]][:, order]).ravel()
+        size = height * n
+        # bad[k] compares x[k] = m[i, j] with i = top + k // n and j = k % n.
+        bad = np.zeros(size, dtype=bool)
+        np.not_equal(x[1:size], join(x[: size - 1], x[n + 1 : size + n]), out=bad[1:])
+        # Only entries with j >= i + 2 count: columns left of `top` are
+        # cleared, the next ones masked. Column 0, where x[k - 1] wraps to
+        # the row above, is among them.
+        bad = bad.reshape(height, n)
+        bad[:, :top] = False
+        corner = bad[:, top : top + height + 2]
+        corner &= _upper()[:height, : corner.shape[1]]
         if bad.any():
             return False
     return True
@@ -218,8 +234,9 @@ def _first_violation(m: np.ndarray, negate: bool = False) -> tuple[int, int, int
     diagonal of `m` is ignored; `m` must be symmetric with no NaN, and with
     no -inf (+inf with `negate`).
     A symmetric matrix is an ultrametric exactly when, in some order of its
-    states, m[i, j] = max(m[i, j - 1], m[j - 1, j]) for every i < j - 1:
-    each entry is then the largest adjacent gap between its indices, and an
+    states, m[i, j] = max(m[i, j - 1], m[i + 1, j]) for every i < j - 1:
+    each entry is then, by induction on j - i, the largest adjacent gap
+    m[k, k + 1], i <= k < j, between its indices, and an
     ultrametric satisfies the identity in the leaf order of its
     single-linkage dendrogram (Gower & Ross 1969; Rammal, Toulouse &
     Virasoro, Rev. Mod. Phys. 58, 765, 1986). The proof checks the identity

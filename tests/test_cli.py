@@ -927,15 +927,42 @@ class TestArgumentHandling:
         assert "Traceback" not in err
         assert not out.exists()
 
-    def test_event_past_the_horizon_is_an_input_error(self, tmp_path, capsys):
-        # One line that gives the event time as a plain number, not as the
+    @pytest.mark.parametrize("command", ["fit", "compare", "aggregate"])
+    def test_event_past_the_horizon_refuses_only_its_story(self, tmp_path, capsys, command):
+        # Story b's last event lies past the horizon: b is refused alone, and
+        # a's outputs are those of a run on a alone.
+        a = sampled_story("a", seed=0)
+        b = dataclasses.replace(a, story_id="b", events=2 * a.events, horizon=2 * a.horizon)
+        write_trace_csv(tmp_path / "both.csv", [a, b])
+        write_trace_csv(tmp_path / "alone.csv", [a])
+        a, b = parse_trace_csv(tmp_path / "both.csv")
+        horizon = repr(a.horizon)
+        runs = {}
+        for name in ("both", "alone"):
+            args = ["--input", str(tmp_path / f"{name}.csv"), "--out-dir", str(tmp_path / name)]
+            assert main([command, *args, "--horizon", horizon]) == 0
+            runs[name] = capsys.readouterr()
+        assert runs["both"].err == (
+            f"story 'b' failed: ValueError: story b: event at t={b.horizon!r} "
+            f"exceeds horizon {a.horizon!r}\n"
+        )
+        assert runs["alone"].err == ""
+        assert runs["both"].out.replace("both", "alone") == runs["alone"].out.replace(
+            "1 of 1", "1 of 2"
+        )
+        for path in (tmp_path / "alone").iterdir():
+            assert (tmp_path / "both" / path.name).read_bytes() == path.read_bytes()
+
+    def test_a_lone_story_past_the_horizon_fails_the_run(self, tmp_path, capsys):
+        # Its one line gives the event time as a plain number, not as the
         # repr of a numpy scalar.
         out = tmp_path / "o"
         code = main(["fit", "--input", str(FIXTURE), "--out-dir", str(out), "--horizon", "1e-9"])
-        assert code == 1
+        assert code == 2
         assert capsys.readouterr().err == (
-            f"error: {FIXTURE}: story synthetic_t50: "
+            "story 'synthetic_t50' failed: ValueError: story synthetic_t50: "
             "event at t=1803.37449 exceeds horizon 1e-09\n"
+            "error: every qualifying story failed to fit\n"
         )
         assert not out.exists()
 

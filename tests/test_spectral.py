@@ -474,6 +474,55 @@ class TestSpaceFromTree:
             np.testing.assert_array_equal(row, mu * expected)
 
 
+def random_tree_with_leaves(leaves, seed):
+    """A random pre-order tree with `leaves` leaves: each node splits its
+    leaves among 1-4 children, so unary nodes and chains occur too, and
+    each child's height is a random fraction of its parent's."""
+    rng = np.random.default_rng(seed)
+    parent, height = [], []
+    stack = [(-1, leaves, 1.0)]
+    while stack:
+        up, count, h = stack.pop()
+        parent.append(up)
+        height.append(h)
+        if count == 1 and rng.random() < 0.7:
+            continue
+        parts = int(rng.integers(1, min(count, 4) + 1))
+        cuts = np.sort(rng.choice(np.arange(1, count), parts - 1, replace=False))
+        sizes = np.diff(np.concatenate([[0], cuts, [count]]))
+        # Popped last-in first-out: pushing in reverse keeps pre-order.
+        stack += [(len(parent) - 1, int(c), h * rng.uniform(0.2, 0.9)) for c in sizes[::-1]]
+    return TreeModel(parent, height)
+
+
+def lowest_common_ancestor_heights(tree):
+    """d(x, y) for every pair of leaves: the height of the lowest node that
+    is an ancestor of both, i.e. the lowest-height common ancestor."""
+    above = np.zeros((tree.n_leaves, tree.parent.size), dtype=bool)
+    for row, leaf in enumerate(tree.leaves.tolist()):
+        v = leaf
+        while v >= 0:
+            above[row, v] = True
+            v = int(tree.parent[v])
+    dist = np.array(
+        [np.where(mine & above, tree.height, np.inf).min(axis=1) for mine in above]
+    )
+    np.fill_diagonal(dist, 0.0)
+    return dist
+
+
+@pytest.mark.parametrize("leaves", [1, 2, 127, 128, 129, 257])
+def test_space_from_tree_is_the_lowest_common_ancestor_height(leaves):
+    # Leaf counts on both sides of the tiles in which the lower triangle is
+    # mirrored. A caterpillar needs two leaves; its one-leaf case is the
+    # lone root.
+    caterpillar = caterpillar_tree(leaves, 0.1) if leaves > 1 else TreeModel([-1], [0.0])
+    for tree in (caterpillar, *(random_tree_with_leaves(leaves, seed) for seed in range(3))):
+        assert tree.n_leaves == leaves
+        space = space_from_tree(tree)
+        assert np.array_equal(space.dist, lowest_common_ancestor_heights(tree))
+
+
 class TestDeepCaterpillar:
     """A caterpillar 10^4 levels deep: nothing may recurse once per level."""
 

@@ -466,6 +466,79 @@ def test_small_blocks_give_the_same_proof_and_report(dendrogram_spaces):
     check()
 
 
+def brute_force_violation(m, negate=False):
+    """First (i, j, k) in lexicographic order, of distinct indices, with
+    m[i, j] > max(m[i, k], m[k, j]) (with `negate`, m[i, j] < min(...)), or
+    None: every triple is counted, in O(n^3) per distinct value v of m, by
+    a product of 0/1 matrices that counts the k with m[i, k] < v and
+    m[k, j] < v; the first violating row is then scanned for (j, k)."""
+    d = np.negative(m) if negate else np.array(m, dtype=float)
+    n = len(d)
+    np.fill_diagonal(d, np.inf)  # so no k equal to i or j is below any value
+    off = ~np.eye(n, dtype=bool)
+    rows = np.zeros(n, dtype=bool)
+    for v in np.unique(d):
+        below = (d < v).astype(np.float32)  # counts up to n stay exact
+        rows |= ((d == v) & off & (below @ below > 0)).any(axis=1)
+    if not rows.any():
+        return None
+    i = int(np.argmax(rows))
+    bad = d[i][:, None] > np.maximum(d[i], d.T)
+    bad[i] = False
+    j, k = np.argwhere(bad)[0]
+    return i, int(j), int(k)
+
+
+@pytest.mark.parametrize("n", [3, 7, 600, 1100])
+def test_the_proof_agrees_with_a_brute_force_scan_across_row_blocks(n):
+    # A dendrogram space in its leaf order, or permuted, with one pair
+    # changed in the first or the last row of a block of the order proof,
+    # where the proof's left (-1) and lower (+n) neighbours cross the
+    # block's edges. 600 states take two blocks and 1100 five.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    values = [1.0, 2.0, 3.0, np.inf, 5e-324, np.finfo(float).max]
+
+    @st.composite
+    def spaces(draw):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        # In leaf order, d(i, j) is the largest of the gaps between i and j.
+        gaps = rng.choice(values, size=n - 1)
+        dist = np.zeros((n, n))
+        for i in range(n - 1):
+            dist[i, i + 1 :] = np.maximum.accumulate(gaps[i:])
+        dist = np.maximum(dist, dist.T)
+        step = max(1, ultrametric._BLOCK_ENTRIES // n)
+        top = draw(st.sampled_from(range(0, n - 2, step)))
+        row = draw(st.sampled_from([top, min(top + step, n - 2) - 1]))
+        col = draw(st.integers(row + 1, n - 1))
+        with np.errstate(over="ignore"):  # the largest double's next is inf
+            near = [np.nextafter(dist[row, col], 0), np.nextafter(dist[row, col], np.inf)]
+        new = draw(st.sampled_from([*values, *near]))
+        dist[row, col] = dist[col, row] = new
+        order = rng.permutation(n) if draw(st.booleans()) else np.arange(n)
+        return UltrametricSpace(labels=np.arange(1.0, n + 1), dist=dist[np.ix_(order, order)])
+
+    @hypothesis.settings(max_examples=10, deadline=None)
+    @hypothesis.given(spaces())
+    def check(space):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # rates that underflow
+            gen = build_generator(space, 0.5)
+        for matrix, join, report, negate in (
+            (space.dist, np.maximum, verify_ultrametric(space), False),
+            (gen.rates, np.minimum, check_rate_ultrametricity(gen), True),
+        ):
+            triple = brute_force_violation(matrix, negate)
+            assert report.triple == triple
+            if ultrametric._holds_in_order(matrix, None, join):
+                assert triple is None
+        if n < 600:
+            assert brute_force_violation(space.dist) == reference_report(space).triple
+
+    check()
+
+
 def test_single_linkage_takes_negative_values_and_keeps_them_as_heights():
     # When a matrix fails in its own order, the proof hands scipy's single
     # linkage the negated rates (<= 0, -0.0 included) and takes the leaf
