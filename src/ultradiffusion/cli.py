@@ -16,10 +16,11 @@ runs leave no partial files.
 `fit`, `compare` and `aggregate` give each parsed story one outcome in one
 pass (`_outcomes`), print the stories' stderr lines from that list and write
 their files from it. A pass fits its curves as one block (`curve_block`,
-`fit_block`) and runs the rest story by story on the story's own grid, so
-each story's outputs are byte for byte those of handling it alone.
-`aggregate` fits the mean of the averaged curves (`aggregate_mean`) as one
-curve of their summed event count.
+`fit_block`) and maps each fit to chain parameters story by story, on the
+story's own grid (`_mapped`), so each story's outputs are byte for byte those
+of handling it alone. `aggregate` fits the mean of the averaged curves
+(`aggregate_mean`) and maps it through the same `_mapped`, as one curve of
+their summed event count.
 """
 
 from __future__ import annotations
@@ -126,30 +127,20 @@ class _Outcome:
     name: str = ""
 
 
-def _map_fits(horizons, observed, counts, fits):
-    """Map each fit of a curve block to chain parameters.
-
-    Row n of `observed` is a curve of horizon `horizons[n]` and `counts[n]`
-    events, and `fits[n]` its fit, or the error that refuses it. Returns one
-    outcome per row: that error, or a pair (record, refusal): the fit record,
+def _mapped(fit, horizon, values, count):
+    """Map the fit of a curve of horizon `horizon`, `values` and `count`
+    events to chain parameters. Returns (record, refusal): the fit record,
     which also holds the mapped fields `t_N`, `mu`, `M` and `r2_simulated`
     when the refusal is None, and otherwise the ValueError refusing the map.
     """
-    outcomes: list = []
-    for horizon, row, count, fit in zip(horizons, observed, counts, fits):
-        if isinstance(fit, Exception):
-            outcomes.append(fit)
-            continue
-        record = {"h1": fit.h1, "h2": fit.h2, "h3": fit.h3, "r2": fit.r2}
-        try:
-            params = infer_params(fit, M=count)
-        except ValueError as err:
-            outcomes.append((record, err))
-            continue
-        r2_simulated = r_squared(row, simulate_curve(params, horizon).values)
-        record.update(t_N=params.t_N, mu=params.mu, M=params.M, r2_simulated=r2_simulated)
-        outcomes.append((record, None))
-    return outcomes
+    record = {"h1": fit.h1, "h2": fit.h2, "h3": fit.h3, "r2": fit.r2}
+    try:
+        params = infer_params(fit, M=count)
+    except ValueError as err:
+        return record, err
+    r2_simulated = r_squared(values, simulate_curve(params, horizon).values)
+    record.update(t_N=params.t_N, mu=params.mu, M=params.M, r2_simulated=r2_simulated)
+    return record, None
 
 
 def _print_outcomes(outcomes: list[_Outcome]) -> None:
@@ -170,27 +161,25 @@ def _outcomes(args: argparse.Namespace, step=None) -> list[_Outcome]:
     A story of fewer than --min-events events is skipped, and one with an
     event past --horizon is refused; the others' curves are built as one
     block, and a curve `curve_block` refuses is refused. A curve built is
-    averaged, or with `step` fitted as one block and mapped (`fit_block`,
-    `_map_fits`): the story is fitted when
-    `step(trace, values, record, refusal)` returns its record, and failed
-    when its fit is an error or `step` raises a data error. Fitted stories
-    take file names in story-id order, so a failed one uses up none. The
-    stories' lines are printed; then a run in which no story qualified
-    exits 1, and one in which none was fitted or averaged exits 2.
+    averaged, or with `step` fitted as one block (`fit_block`) and mapped
+    (`_mapped`): the story is fitted when `step(trace, values, record,
+    refusal)` returns its record, and failed when its fit is an error or
+    `step` raises a data error. Fitted stories take file names in story-id
+    order, so a failed one uses up none. The stories' lines are printed;
+    then a run in which no story qualified exits 1, and one in which none
+    was fitted or averaged exits 2.
     """
     _check_args(args)
     outcomes = [_Outcome(trace) for trace in parse_trace_csv(Path(args.input))]
     for o in outcomes:
         if o.trace.count < args.min_events:
             o.reason = f"{o.trace.count} events is below the minimum of {args.min_events}"
-    kept = [o for o in outcomes if o.trace.count >= args.min_events]
-    if args.horizon is not None:
-        for o in kept:
+        elif args.horizon is not None:
             try:
                 o.trace = EventTrace(o.trace.story_id, o.trace.events, args.horizon)
             except ValueError as err:
                 o.status, o.reason = "refused", err
-    within = [o for o in kept if o.status != "refused"]
+    within = [o for o in outcomes if o.reason is None]
     horizons, values, faults = curve_block([o.trace for o in within])
     for o, fault in zip(within, faults):
         o.status, o.reason = ("refused", fault) if fault else ("averaged", None)
@@ -201,19 +190,21 @@ def _outcomes(args: argparse.Namespace, step=None) -> list[_Outcome]:
         o.values = row
     if step is not None:
         fits = fit_block(horizons, values, offset=args.offset)
-        mapped = _map_fits(horizons, values, [o.trace.count for o in members], fits)
-        for o, fit in zip(members, mapped):
+        for o, fit in zip(members, fits):
             try:
                 # A fit that is an error fails its story, as if raised here.
                 if isinstance(fit, Exception):
                     raise fit
-                o.status, o.record, o.reason = "fitted", step(o.trace, o.values, *fit), fit[1]
+                record, refusal = _mapped(fit, o.trace.horizon, o.values, o.trace.count)
+                o.record = step(o.trace, o.values, record, refusal)
+                o.status, o.reason = "fitted", refusal
             except _DATA_ERRORS as err:
                 o.status, o.reason = "failed", err
     _print_outcomes(outcomes)
-    if not kept:
+    # A story that qualified is never left skipped.
+    if all(o.status == "skipped" for o in outcomes):
         raise CommandError(1, f"no stories pass the {args.min_events}-event filter")
-    if all(o.status in ("refused", "failed") for o in kept):
+    if not any(o.status in ("fitted", "averaged") for o in outcomes):
         raise CommandError(2, "every qualifying story failed to fit")
     outcomes.sort(key=lambda o: o.trace.story_id)
     _unique_names([o for o in outcomes if o.status == "fitted"])
@@ -245,7 +236,7 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
         mean = aggregate_mean([o.trace.horizon for o in members], [o.values for o in members])
         fit = fit_exponential(mean, offset=args.offset)
         M = sum(o.trace.count for o in members)
-        ((record, refusal),) = _map_fits([mean.horizon], [mean.values], [M], [fit])
+        record, refusal = _mapped(fit, mean.horizon, mean.values, M)
         if refusal is not None:
             raise refusal
     except _DATA_ERRORS as err:

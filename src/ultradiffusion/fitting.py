@@ -270,9 +270,15 @@ def _fit_rows(scan, x: np.ndarray, p: np.ndarray, offset: bool):
 
 def _fit_chunk(scan, x: np.ndarray, horizons: np.ndarray, p: np.ndarray, offset: bool) -> list:
     """`fit_block` on at most `_FIT_BLOCK` curves of at least 3 points."""
-    fits: list = [FitError("no dynamics to fit: curve is constant") for _ in p]
+    finite = np.isfinite(p).all(axis=1)
+    fits: list = [
+        FitError("no dynamics to fit: curve is constant" if ok else "curve values must be finite")
+        for ok in finite.tolist()
+    ]
     top = np.maximum(1.0, np.abs(p).max(axis=1))
-    moves = np.flatnonzero(p.max(axis=1) - p.min(axis=1) > 1e-14 * top)
+    # inf - inf in a row already refused is the one invalid operation here.
+    with np.errstate(invalid="ignore"):
+        moves = np.flatnonzero(finite & (p.max(axis=1) - p.min(axis=1) > 1e-14 * top))
     if not moves.size:
         return fits
     if moves.size < len(p):
@@ -293,11 +299,12 @@ def fit_block(horizons, values, offset: bool = False):
 
     Row n of the (curves x points) array `values` is the curve of horizon
     `horizons[n]`. Returns a list of each curve's `ExponentialFit`, or the
-    error that refuses it (a `FitError` for fewer than 3 points or a
-    constant curve, a `ValueError` when the fitted constants are no valid
-    `ExponentialFit`), so one bad curve never fails the rest; a curve's
-    model values are `exponential_model` at its fit. The curves are fitted
-    up to 128 at a time, and each gets bit for bit its lone fit.
+    error that refuses it (a `FitError` for fewer than 3 points, a value
+    that is not finite or a constant curve, a `ValueError` when the fitted
+    constants are no valid `ExponentialFit`), so one bad curve never fails
+    the rest; a curve's model values are `exponential_model` at its fit. The
+    curves are fitted up to 128 at a time, and each gets bit for bit its
+    lone fit.
     """
     horizons = np.asarray(horizons, dtype=float)
     values = np.asarray(values, dtype=float)

@@ -210,7 +210,7 @@ def uniform_grid(horizon: float, grid_points: int = _GRID_POINTS) -> np.ndarray:
     return _scaled(float(horizon), _axis(_integer(grid_points, "grid_points")))
 
 
-def parse_trace_csv(path, horizon: float | None = None) -> list[EventTrace]:
+def parse_trace_csv(path) -> list[EventTrace]:
     """Read story traces from a CSV with header ``story_id,timestamp``.
 
     Timestamps are decimal seconds since each story's submission. The file
@@ -219,7 +219,7 @@ def parse_trace_csv(path, horizon: float | None = None) -> list[EventTrace]:
     may be quoted as `csv` quotes them, so a story id can hold commas, quotes
     or line ends. A story's rows need not be contiguous; stories keep their
     order of first appearance. The observation horizon of each story is its
-    largest timestamp unless `horizon` overrides it for every story.
+    largest timestamp.
     """
     parts: dict[str, list[np.ndarray]] = {}
     try:
@@ -249,12 +249,11 @@ def parse_trace_csv(path, horizon: float | None = None) -> list[EventTrace]:
         events.sort()
         # Read-only and owning its data, so EventTrace keeps it uncopied.
         events.setflags(write=False)
-        span = float(events[-1]) if horizon is None else float(horizon)
         try:
-            traces.append(EventTrace(story_id=story, events=events, horizon=span))
+            traces.append(EventTrace(story_id=story, events=events, horizon=float(events[-1])))
         except ValueError as exc:
-            # A zero timestamp or an override horizon below the last event
-            # violates trace invariants; surface it as a format problem.
+            # A zero timestamp violates trace invariants; surface it as a
+            # format problem.
             raise TraceFormatError(f"{path}: {exc}") from None
     return traces
 

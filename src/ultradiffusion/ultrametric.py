@@ -91,7 +91,8 @@ class UltrametricSpace:
 
 
 def _check_ascending(labels: np.ndarray) -> None:
-    if (labels[1:] - labels[:-1] <= 0).any():
+    # A comparison, not a difference: inf - inf and NaN would pass `<= 0`.
+    if not (labels[1:] > labels[:-1]).all():
         raise ValueError("labels must be strictly ascending")
 
 

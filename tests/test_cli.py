@@ -27,7 +27,7 @@ from ultradiffusion.fitting import (
     simulate_curve,
 )
 from ultradiffusion.serialize import write_curve_tsv, write_json, write_trace_csv
-from ultradiffusion.traces import empirical_curve, parse_trace_csv
+from ultradiffusion.traces import EventTrace, empirical_curve, parse_trace_csv
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 FIXTURE = REPO_ROOT / "data" / "synthetic_t50_mu02.csv"
@@ -417,15 +417,16 @@ class TestBlockPass:
         with csv.open("a") as fh:
             fh.writelines(rows)
         options = ["--min-events", "1", *(["--offset"] if offset else [])]
-        horizon = None
+        traces_in = parse_trace_csv(csv)
         if override:
-            horizon = 2 * max(trace.horizon for trace in parse_trace_csv(csv))
+            horizon = 2 * max(trace.horizon for trace in traces_in)
             options += ["--horizon", repr(horizon)]
+            traces_in = [EventTrace(t.story_id, t.events, horizon) for t in traces_in]
         got = tmp_path / "got"
         assert main([command, "--input", str(csv), "--out-dir", str(got), *options]) == 0
         err = capsys.readouterr().err
         want = tmp_path / "want"
-        report = per_story_reference(parse_trace_csv(csv, horizon), command, offset, want)
+        report = per_story_reference(traces_in, command, offset, want)
         assert err == report
         # Every kind of refusal met the block: a horizon too short for a grid
         # (under the common horizon, its events fill one grid cell instead),

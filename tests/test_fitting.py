@@ -440,6 +440,20 @@ class TestFitBlock:
         assert [bits(fit) for fit in fits] == [bits(lone_fit(c, offset)) for c in curves]
         assert bits(fits[2]) == ("FitError", "no dynamics to fit: curve is constant")
 
+    def test_a_curve_that_is_not_finite_is_refused_by_name(self):
+        curves = [
+            empirical_curve(sample_events(UltradiffusionParams(t_N=30, mu=0.1, M=150), seed=s))
+            for s in range(4)
+        ]
+        values = np.array([c.values for c in curves])
+        # One NaN, one inf, and a row of inf, whose spread inf - inf is NaN.
+        values[1, 50], values[2, -1], values[3] = np.nan, np.inf, np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fits = fit_block([c.horizon for c in curves], values)
+        assert bits(fits[0]) == bits(lone_fit(curves[0], False))
+        assert [bits(fit) for fit in fits[1:]] == [("FitError", "curve values must be finite")] * 3
+
     def test_rows_too_short_are_refused(self):
         fits = fit_block(np.ones(2), np.full((2, 2), 0.5))
         assert [bits(fit) for fit in fits] == [("FitError", "need at least 3 points to fit")] * 2

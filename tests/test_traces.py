@@ -28,7 +28,7 @@ def write_csv(path, rows):
     return path
 
 
-def reference_parse_trace_csv(path, horizon=None):
+def reference_parse_trace_csv(path):
     """The row-at-a-time `csv.reader` parser the columnar one replaced."""
     order: list[str] = []
     times: dict[str, list[float]] = {}
@@ -68,20 +68,19 @@ def reference_parse_trace_csv(path, horizon=None):
     traces = []
     for story in order:
         events = np.sort(np.asarray(times[story], dtype=float))
-        span = float(events[-1]) if horizon is None else float(horizon)
         try:
-            traces.append(EventTrace(story_id=story, events=events, horizon=span))
+            traces.append(EventTrace(story_id=story, events=events, horizon=float(events[-1])))
         except ValueError as exc:
-            # A zero timestamp or an override horizon below the last event
-            # violates trace invariants; surface it as a format problem.
+            # A zero timestamp violates trace invariants; surface it as a
+            # format problem.
             raise TraceFormatError(f"{path}: {exc}") from None
     return traces
 
 
-def parse_outcome(parse, path, horizon=None):
+def parse_outcome(parse, path):
     """Story ids, event lists and horizons, or the error message."""
     try:
-        return [(t.story_id, t.events.tolist(), t.horizon) for t in parse(path, horizon)]
+        return [(t.story_id, t.events.tolist(), t.horizon) for t in parse(path)]
     except TraceFormatError as exc:
         return str(exc)
 
@@ -284,11 +283,6 @@ class TestParseTraceCsv:
         assert [t.story_id for t in traces] == ["b", "a"]
         np.testing.assert_allclose(traces[0].events, [2.0, 4.0])
 
-    def test_horizon_override_applies_to_every_story(self, tmp_path):
-        path = write_csv(tmp_path / "t.csv", [("a", 1), ("b", 2)])
-        traces = parse_trace_csv(path, horizon=10.0)
-        assert [t.horizon for t in traces] == [10.0, 10.0]
-
     def test_crlf_rows_parse_the_same(self, tmp_path):
         # With a byte order mark too: the CLI reads its input only through
         # this parser, so the same traces give the same outputs.
@@ -354,11 +348,6 @@ class TestParseTraceCsv:
         path = write_csv(tmp_path / "t.csv", [("s1", 0), ("s1", 2)])
         with pytest.raises(TraceFormatError, match="positive"):
             parse_trace_csv(path)
-
-    def test_override_below_last_event_is_a_format_error(self, tmp_path):
-        path = write_csv(tmp_path / "t.csv", [("s1", 5)])
-        with pytest.raises(TraceFormatError, match="horizon"):
-            parse_trace_csv(path, horizon=3.0)
 
     @pytest.mark.parametrize(
         "head, tail",
@@ -427,20 +416,19 @@ class TestAgainstTheReferenceParser:
             st.sampled_from(["story_id,timestamp"] * 8 + [" story_id , timestamp", "id,when"]),
             bodies,
             st.booleans(),
-            st.sampled_from([None, 50.0, 1e7]),
             st.integers(1, 120),
         )
         # One field then three: the cells still pair up as numbers.
-        @hypothesis.example("", "story_id,timestamp", [("5", "\n"), ("6,7,8", "\n")], True, None, 40)
-        def check(bom, header, body, last_end, horizon, chunk):
+        @hypothesis.example("", "story_id,timestamp", [("5", "\n"), ("6,7,8", "\n")], True, 40)
+        def check(bom, header, body, last_end, chunk):
             text = bom + header + "\n" + "".join(row + end for row, end in body)
             if body and not last_end:
                 text = text[: -len(body[-1][1])]
             path = tmp_path / "t.csv"
             path.write_text(text, encoding="utf-8", newline="")
             with mock.patch.object(traces, "_CHUNK_CHARS", chunk):
-                ours = parse_outcome(parse_trace_csv, path, horizon)
-            assert ours == parse_outcome(reference_parse_trace_csv, path, horizon)
+                ours = parse_outcome(parse_trace_csv, path)
+            assert ours == parse_outcome(reference_parse_trace_csv, path)
 
         check()
 

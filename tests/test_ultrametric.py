@@ -514,7 +514,8 @@ def test_the_proof_agrees_with_a_brute_force_scan_across_row_blocks(n):
         col = draw(st.integers(row + 1, n - 1))
         with np.errstate(over="ignore"):  # the largest double's next is inf
             near = [np.nextafter(dist[row, col], 0), np.nextafter(dist[row, col], np.inf)]
-        new = draw(st.sampled_from([*values, *near]))
+        # Positive, as the constructor requires: 5e-324's lower neighbour is 0.
+        new = draw(st.sampled_from([v for v in (*values, *near) if v > 0]))
         dist[row, col] = dist[col, row] = new
         order = rng.permutation(n) if draw(st.booleans()) else np.arange(n)
         return UltrametricSpace(labels=np.arange(1.0, n + 1), dist=dist[np.ix_(order, order)])
@@ -600,6 +601,17 @@ class TestUltrametricSpaceInvariants:
                 dist=np.array([[0.0, 1.0], [1.0, 0.0]]),
             )
 
+    @pytest.mark.parametrize(
+        "labels", [[1.0, np.inf, np.inf], [1.0, np.nan, 3.0], [np.nan] * 3], ids=str
+    )
+    def test_rejects_labels_that_do_not_compare_as_ascending(self, labels):
+        # Their differences are NaN, which a test on `<= 0` let through with
+        # a RuntimeWarning; under `-W error` no warning may come first.
+        dist = np.ones((3, 3)) - np.eye(3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^labels must be strictly ascending$"):
+                UltrametricSpace(labels=np.array(labels), dist=dist)
 
     def test_copies_a_writable_caller_matrix(self):
         dist = WORKED_MATRIX.copy()
