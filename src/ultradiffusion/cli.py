@@ -8,10 +8,12 @@ exponential against a straight line (the memoryless-arrivals signature), and
 
 Exit codes: 0 success, 1 input error (bad options or data, an unreadable or
 undecodable input, an unusable output directory), 2 numerical failure, 3
-self-check failure; `main` alone maps an escaping error to its code and one
-`error:` line. Given the same inputs and seed, re-runs write byte-identical
-files; outputs are written to a temporary name and renamed, so interrupted
-runs leave no partial files.
+self-check failure. `main` alone maps an escaping error to its code, by its
+type alone: a ValueError (a TraceFormatError too) or OSError exits 1, a
+RuntimeError (a FitError too) 2, each with one `error:` line. Given the
+same inputs and seed, re-runs write byte-identical files; outputs are
+written to a temporary name and renamed, so interrupted runs leave no
+partial files.
 
 `fit`, `compare` and `aggregate` give each parsed story one outcome in one
 pass (`_outcomes`), print the stories' stderr lines from that list and write
@@ -59,37 +61,30 @@ from .spectral import chain_spectrum
 from .traces import EventTrace, aggregate_mean, curve_block, parse_trace_csv, uniform_grid
 from .ultrametric import build_from_trace
 
-__all__ = ["CommandError", "build_parser", "main"]
+__all__ = ["build_parser", "main"]
 
 MATRIX_EXPORT_CAP = 500
 # Errors bad data raises: a fit that cannot be made, parameters that cannot
 # be inferred. They fail a story (or the aggregate curve); anything else is a
 # bug and propagates.
-_DATA_ERRORS = (FitError, ValueError, FloatingPointError)
-
-
-class CommandError(Exception):
-    """Failure with a designated process exit code."""
-
-    def __init__(self, exit_code: int, message: str):
-        super().__init__(message)
-        self.exit_code = exit_code
+_DATA_ERRORS = (FitError, ValueError)
 
 
 def _check_args(args: argparse.Namespace) -> None:
     """Reject option values no run can use; options the subcommand lacks
     are not checked."""
     if getattr(args, "min_events", 1) < 1:
-        raise CommandError(1, "minimum event count must be at least 1")
+        raise ValueError("minimum event count must be at least 1")
     if getattr(args, "stories", 1) < 1:
-        raise CommandError(1, "need at least one story")
+        raise ValueError("need at least one story")
     if getattr(args, "seed", 0) < 0:
-        raise CommandError(1, "seed must be nonnegative")
-    if args.horizon is not None:
-        if not math.isfinite(args.horizon):
-            raise CommandError(1, "horizon must be finite")
-        if args.horizon <= 0:
-            raise CommandError(1, "horizon must be positive")
+        raise ValueError("seed must be nonnegative")
+    horizon = getattr(args, "horizon", None)
+    if horizon is not None:
+        if not math.isfinite(horizon):
+            raise ValueError("horizon must be finite")
+        if horizon <= 0:
+            raise ValueError("horizon must be positive")
 
 
 def _safe_name(story_id: str) -> str:
@@ -166,10 +161,9 @@ def _outcomes(args: argparse.Namespace, step=None) -> list[_Outcome]:
     refusal)` returns its record, and failed when its fit is an error or
     `step` raises a data error. Fitted stories take file names in story-id
     order, so a failed one uses up none. The stories' lines are printed;
-    then a run in which no story qualified exits 1, and one in which none
-    was fitted or averaged exits 2.
+    then a run in which no story qualified raises a ValueError, and one in
+    which none was fitted or averaged a FitError.
     """
-    _check_args(args)
     outcomes = [_Outcome(trace) for trace in parse_trace_csv(Path(args.input))]
     for o in outcomes:
         if o.trace.count < args.min_events:
@@ -203,9 +197,9 @@ def _outcomes(args: argparse.Namespace, step=None) -> list[_Outcome]:
     _print_outcomes(outcomes)
     # A story that qualified is never left skipped.
     if all(o.status == "skipped" for o in outcomes):
-        raise CommandError(1, f"no stories pass the {args.min_events}-event filter")
+        raise ValueError(f"no stories pass the {args.min_events}-event filter")
     if not any(o.status in ("fitted", "averaged") for o in outcomes):
-        raise CommandError(2, "every qualifying story failed to fit")
+        raise FitError("every qualifying story failed to fit")
     outcomes.sort(key=lambda o: o.trace.story_id)
     _unique_names([o for o in outcomes if o.status == "fitted"])
     return outcomes
@@ -240,7 +234,7 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
         if refusal is not None:
             raise refusal
     except _DATA_ERRORS as err:
-        raise CommandError(2, f"aggregate curve: {err}") from err
+        raise FitError(f"aggregate curve: {err}") from err
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_curve_tsv(out / "aggregate_curve.tsv", mean.grid, mean.values)
@@ -253,9 +247,8 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    _check_args(args)
-    children = np.random.SeedSequence(args.seed).spawn(args.stories)
     params = UltradiffusionParams(t_N=args.t_n, mu=args.mu, M=args.m_events)
+    children = np.random.SeedSequence(args.seed).spawn(args.stories)
     traces = [
         sample_events(params, seed=child, horizon=args.horizon, story_id=f"story_{k + 1:03d}")
         for k, child in enumerate(children)
@@ -435,12 +428,12 @@ def main(argv=None) -> int:
         # numerical failures, so usage problems map to the input-error code.
         return 0 if exc.code in (0, None) else 1
     try:
+        _check_args(args)
         return args.func(args)
-    except (CommandError, ValueError, OSError, RuntimeError) as err:
-        # Bad values and unusable paths are input errors, FitError numerical.
+    except (ValueError, OSError, RuntimeError) as err:
+        # The type alone sets the code: bad values and unusable paths are
+        # input errors, a FitError (a RuntimeError) numerical.
         print(f"error: {err}", file=sys.stderr)
-        if isinstance(err, CommandError):
-            return err.exit_code
         return 2 if isinstance(err, RuntimeError) else 1
 
 

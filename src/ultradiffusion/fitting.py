@@ -18,6 +18,7 @@ Fitted constants map onto model parameters: chain length t_N and decay mu.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,6 +78,9 @@ class UltradiffusionParams:
         object.__setattr__(self, "M", _integer(self.M, "M"))
         if self.t_N < 2:
             raise ValueError(f"t_N must be at least 2, got {self.t_N}")
+        # The model's arithmetic is in floats, which would overflow.
+        if self.t_N > sys.float_info.max:
+            raise ValueError(f"t_N must be at most {sys.float_info.max:g}")
         if not math.isfinite(self.mu) or self.mu < 0:
             raise ValueError(f"mu must be finite and nonnegative, got {self.mu}")
         if self.M < 1:

@@ -224,7 +224,7 @@ def parse_trace_csv(path) -> list[EventTrace]:
     parts: dict[str, list[np.ndarray]] = {}
     try:
         with open(path, newline="", encoding="utf-8-sig") as handle:
-            header = next(csv.reader(handle), None)
+            header = next(_records(path, 1, csv.reader(handle)), None)
             if header is None:
                 raise TraceFormatError(f"{path}: empty file")
             if [h.strip() for h in header] != ["story_id", "timestamp"]:
@@ -283,7 +283,7 @@ def _chunks(path, handle):
             text += handle.readline()
         if '"' in text:
             lines = io.StringIO(text, newline="").readlines()
-            reader = csv.reader(itertools.chain(lines, handle))
+            reader = _records(path, lineno, csv.reader(itertools.chain(lines, handle)))
             while rows := list(itertools.islice(reader, len(lines))):
                 yield _checked_rows(path, lineno, rows)
                 lineno += len(rows)
@@ -303,6 +303,21 @@ def _chunks(path, handle):
             path, lineno, [row.split(",") for row in text.split("\n")[:-1]]
         )
         lineno += count
+
+
+def _records(path, lineno: int, reader):
+    """The records of `reader`, the first numbered `lineno`. A record `csv`
+    refuses, such as one with a field over `csv.field_size_limit()`, is a
+    format error naming its line."""
+    while True:
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as err:
+            raise TraceFormatError(f"{path}: line {lineno}: {err}") from None
+        yield row
+        lineno += 1
 
 
 def _checked(cells: list[str]):
@@ -354,6 +369,9 @@ def _checked_rows(path, lineno: int, rows: list[list[str]]):
             raise TraceFormatError(f"{path}: line {lineno}: timestamp {raw!r} is not finite")
         if stamp < 0:
             raise TraceFormatError(f"{path}: line {lineno}: negative timestamp {raw!r}")
+    # Every record passes: the cells failed only for whitespace that
+    # `str.strip` removes and `float` refuses, U+001C to U+001F.
+    return _checked([cell.strip() for _, row in kept for cell in row])
 
 
 def curve_block(traces: Sequence[EventTrace]):

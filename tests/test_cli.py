@@ -976,6 +976,8 @@ class TestArgumentHandling:
             # Too short for a model-curve grid: fails before trace.csv is written.
             (["--horizon", "5e-324"], "horizon 5e-324 is too short to split into 200"),
             (["--seed", "-1"], "seed must be nonnegative"),
+            # Past the float range: refused by name, not an OverflowError.
+            (["--t-n", str(10**400)], "t_N must be at most 1.79769e+308"),
         ],
     )
     def test_bad_simulate_option_is_an_input_error(self, tmp_path, capsys, options, message):

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -636,6 +637,15 @@ class TestUltradiffusionParams:
     def test_rejects_short_chain(self):
         with pytest.raises(ValueError, match="at least 2"):
             UltradiffusionParams(t_N=1, mu=0.1, M=10)
+
+    def test_rejects_a_chain_longer_than_the_largest_float(self):
+        # The largest float itself is a valid count; one more is refused by
+        # name, as is a count that `float()` cannot convert at all.
+        biggest = int(sys.float_info.max)
+        assert UltradiffusionParams(t_N=biggest, mu=0.1, M=10).t_N == biggest
+        for t_N in (biggest + 1, 10**400):
+            with pytest.raises(ValueError, match=r"t_N must be at most 1\.79769e\+308"):
+                UltradiffusionParams(t_N=t_N, mu=0.1, M=10)
 
     def test_rejects_negative_mu(self):
         with pytest.raises(ValueError, match="mu"):

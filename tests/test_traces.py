@@ -365,6 +365,25 @@ class TestParseTraceCsv:
         with pytest.raises(TraceFormatError, match=f"^{re.escape(str(path))}: not UTF-8 text"):
             parse_trace_csv(path)
 
+    @pytest.mark.parametrize(
+        "head, line",
+        [("", 1), ("story_id,timestamp\n", 2), ('story_id,timestamp\n"a",1\n"b\nc",2\n', 4)],
+        ids=["header", "first record", "after a two-line record"],
+    )
+    def test_a_quoted_field_over_the_csv_limit_is_a_format_error(self, tmp_path, head, line):
+        # `csv` refuses a field longer than its limit; the error names the
+        # record, and the limit is left as it was. Unquoted, the id parses.
+        limit = csv.field_size_limit()
+        story = "x" * (limit + 1)
+        path = tmp_path / "t.csv"
+        path.write_text(f'{head}"{story}",1\n')
+        message = f"{path}: line {line}: field larger than field limit ({limit})"
+        with pytest.raises(TraceFormatError, match=f"^{re.escape(message)}$"):
+            parse_trace_csv(path)
+        assert csv.field_size_limit() == limit
+        path.write_text(f"story_id,timestamp\n{story},1\n")
+        assert parse_trace_csv(path)[0].story_id == story
+
 
 class TestAgainstTheReferenceParser:
     """The columnar parser against `reference_parse_trace_csv`, with chunks
@@ -377,10 +396,16 @@ class TestAgainstTheReferenceParser:
         quoted_ids = st.sampled_from(
             ['"a"', '"x,y"', '"q""uote"', '"two\nlines"', '"cr\rid"', '" a "', 'p"q']
         )
-        plain_stamps = st.one_of(
-            st.floats(0.001, 1e6).map(lambda x: "%.9g" % x),
-            st.sampled_from(["1", " 2 ", "3\t", "1_0", "1e3", "0", "-0"]),
-        )
+        # Whitespace `str.strip` removes: U+001C `float` refuses, U+00A0 it accepts.
+        pads = st.sampled_from(["", "", " ", "\t", "\x1c", "\xa0"])
+        plain_stamps = st.tuples(
+            pads,
+            st.one_of(
+                st.floats(0.001, 1e6).map(lambda x: "%.9g" % x),
+                st.sampled_from(["1", "2", "1_0", "1e3", "0", "-0"]),
+            ),
+            pads,
+        ).map("".join)
         bad_stamps = st.sampled_from(["-1", "-inf", "inf", "nan", "1e400", "abc", "", " "])
 
         def rows(ids, stamps):
