@@ -58,13 +58,18 @@ def fit_linear(t, values) -> tuple[float, float, float]:
     """Ordinary least squares line. Returns (slope, intercept, r_squared).
 
     Fitted on t / max|t|, as `fitting` normalizes its axis, with the slope
-    scaled back: the unit of time changes the slope alone.
+    scaled back: the unit of time changes the slope alone. A slope that
+    overflows a float on that scale back, as on subnormal times, is refused.
     """
     x, y = _line_points(t, values)
     scale = np.abs(x).max()
     u = x / scale
     slope, intercept = _line(u, y)
-    return float(slope / scale), float(intercept), r_squared(y, slope * u + intercept)
+    # Python's float division gives inf where numpy's would warn.
+    rate = float(slope) / float(scale)
+    if math.isinf(rate):
+        raise ValueError(f"a line fit's slope overflows a float at times of scale {scale:g}")
+    return rate, float(intercept), r_squared(y, slope * u + intercept)
 
 
 @dataclass(frozen=True)

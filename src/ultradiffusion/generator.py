@@ -4,18 +4,14 @@ The rate between distinct states is e^(-mu*d(i, j)); each diagonal entry is
 minus its row's off-diagonal sum, so probability is conserved. Because rates
 are a decreasing function of an ultrametric distance, they inherit the dual
 inequality rate(i, j) >= min(rate(i, k), rate(k, j)), which
-`check_rate_ultrametricity` checks with the same kernel as
-`ultrametric.verify_ultrametric`: an exact O(n^2) proof that compares the
-rates in their own order, rate(i, j) = min(rate(i, j - 1), rate(i + 1, j))
-for every i < j - 1, taking min where distances take max. It tries the
-leaf order of one linkage only if that fails, and when both fail scans the
-one row that the merge heights of that same linkage name, reporting the
-first violating triple.
+`check_rate_ultrametricity` checks with the same kernel and proof as
+`ultrametric.verify_ultrametric` (stated in the `ultrametric` module
+docstring), taking min where distances take max.
 
 `Generator(rates=...)` checks a matrix from outside the library in O(n^2):
-square, symmetric, nonnegative and finite off the diagonal, zero row sums.
-`build_generator` makes rates with all four properties by construction and
-hands them over unchecked.
+nonempty, square, symmetric, nonnegative and finite off the diagonal, zero
+row sums. `build_generator` makes rates with all of these properties by
+construction and hands them over unchecked.
 """
 
 from __future__ import annotations
@@ -47,15 +43,17 @@ class Generator:
         object.__setattr__(self, "rates", rates)
         if rates.ndim != 2 or rates.shape[0] != rates.shape[1]:
             raise ValueError(f"rates must be square, got {rates.shape}")
+        n = rates.shape[0]
+        if n == 0:
+            raise ValueError("a generator needs at least one state")
         if not np.array_equal(rates, rates.T):
             raise ValueError("rates must be symmetric")
-        n = rates.shape[0]
         if np.count_nonzero(rates < 0) > np.count_nonzero(np.diagonal(rates) < 0):
             raise ValueError("off-diagonal rates must be nonnegative")
-        largest = max(float(rates.max()), -float(rates.min())) if n else 0.0
+        largest = max(float(rates.max()), -float(rates.min()))
         if largest == np.inf:
             raise ValueError("rates must be finite")
-        drift = np.max(np.abs(rates.sum(axis=1))) if n else 0.0
+        drift = np.max(np.abs(rates.sum(axis=1)))
         if drift > 1e-12 * max(1.0, largest) * max(1, n):
             raise ValueError(f"row sums must vanish, worst drift {drift:g}")
 
@@ -97,13 +95,10 @@ def check_rate_ultrametricity(gen: Generator) -> TripleReport:
     """Confirm rate(i, j) >= min(rate(i, k), rate(k, j)) for distinct i, j, k.
 
     This is the strong triangle inequality of -rate (negation is exact in
-    floating point), so the same kernel as `verify_ultrametric` proves it in
-    O(n^2) in the rates' own order, where every generator of a space this
-    library builds is, and any other rate ultrametric in the leaf order of
-    one linkage. Otherwise it scans only the first row whose rates fall
-    below that linkage's merge heights, reporting the first violation in
-    lexicographic (i, j, k) order. The kernel takes min where it takes max
-    on distances, so no negated n-by-n matrix is made.
+    floating point), so the kernel of `verify_ultrametric` proves it by the
+    proof of the `ultrametric` module docstring, taking min where it takes
+    max on distances, so no negated n-by-n matrix is made. It reports the
+    first violation in lexicographic (i, j, k) order.
     """
     n = gen.size
     triple = _first_violation(gen.rates, negate=True)

@@ -105,7 +105,7 @@ def _integrate(gen: Generator, start: np.ndarray, grid) -> np.ndarray:
     rates = gen.rates
     shape = start.shape
     # Gershgorin bound |lambda| <= 2*max|diag| sets the opening step size.
-    scale = 2.0 * float(np.max(np.abs(np.diagonal(rates)))) if gen.size > 1 else 0.0
+    scale = 2.0 * float(np.max(np.abs(np.diagonal(rates))))
     first = 1e-3 / scale if scale > 0 else None
     sol = solve_ivp(
         lambda _t, y: (rates @ y.reshape(shape)).ravel(),

@@ -1,16 +1,18 @@
 """Table and JSON output.
 
-Every writer renders the full file content in memory, a table's body with
-one `%` format over all its cells, encodes it as UTF-8 whatever the locale
-(the encoding the trace parser reads), writes the bytes to a temporary file
-in the destination directory, and renames it into place, so a failure
-partway through never leaves a truncated file behind. A file gets the mode
-`open` gives a new file, 0o666 less the umask. Floats are formatted with 9
+Every writer writes UTF-8 whatever the locale (the encoding the trace parser
+reads) to a temporary file in the destination directory, and renames it
+into place, so a failure partway through never leaves a truncated file
+behind. A table's body is rendered in memory with one `%` format over all
+its cells; JSON is written a chunk at a time as the encoder makes it, so a
+large payload is never held as one string. A file gets the mode `open`
+gives a new file, 0o666 less the umask. Floats are formatted with 9
 significant digits, which makes re-runs byte-identical.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 from collections.abc import Iterable, Mapping
@@ -36,8 +38,7 @@ __all__ = [
 _NEW_FILE = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
 
 
-def _atomic_write(path, text: str) -> None:
-    data = memoryview(text.encode("utf-8"))
+def _atomic_write(path, parts: Iterable[str]) -> None:
     # Not `tempfile.mkstemp`, which makes every file 0o600 whatever the umask.
     while True:
         tmp = f"{path}.{os.urandom(6).hex()}.tmp"
@@ -47,11 +48,9 @@ def _atomic_write(path, text: str) -> None:
         except FileExistsError:
             continue
     try:
-        try:
-            while data:
-                data = data[os.write(fd, data) :]
-        finally:
-            os.close(fd)
+        # newline="" writes "\n" as it is; the file object closes `fd`.
+        with open(fd, "w", encoding="utf-8", newline="") as handle:
+            handle.writelines(parts)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -73,7 +72,7 @@ def _write_table(path, header: list[str], rows, labels=None) -> None:
     else:
         cells = [cell for label, row in zip(labels, rows.tolist()) for cell in (label, *row)]
     body = (line * len(rows)) % tuple(cells)
-    _atomic_write(path, "\t".join(header) + "\n" + body)
+    _atomic_write(path, ["\t".join(header) + "\n", body])
 
 
 def write_curve_tsv(path, grid, values) -> None:
@@ -103,7 +102,7 @@ def write_trace_csv(path, traces: Iterable[EventTrace]) -> None:
             story = '"' + story.replace('"', '""') + '"'
         events = trace.events.tolist()
         parts.append((story.replace("%", "%%") + ",%.9g\n") * len(events) % tuple(events))
-    _atomic_write(path, "".join(parts))
+    _atomic_write(path, parts)
 
 
 def write_distance_tsv(path, space: UltrametricSpace) -> None:
@@ -128,5 +127,6 @@ def write_spectrum_tsv(path, eigenvalues) -> None:
 
 
 def write_json(path, payload: Mapping | list) -> None:
-    """JSON with sorted keys and a trailing newline."""
-    _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """JSON with sorted keys and a trailing newline, written as it is encoded."""
+    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload)
+    _atomic_write(path, itertools.chain(chunks, ["\n"]))

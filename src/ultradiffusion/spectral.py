@@ -23,6 +23,7 @@ on request.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,6 +112,9 @@ def _check_chain(t_N: int, mu: float) -> int:
     t_N = _integer(t_N, "t_N")
     if t_N < 2:
         raise ValueError("t_N must be at least 2")
+    # The spectra's arithmetic is in floats, which would overflow.
+    if t_N > sys.float_info.max:
+        raise ValueError(f"t_N must be at most {sys.float_info.max:g}")
     if not mu >= 0:
         raise ValueError("mu must be nonnegative")
     return t_N

@@ -7,21 +7,27 @@ T - min(a, b): the later of the two original event times. Distances built this
 way satisfy the strong triangle inequality d(x, y) <= max(d(x, z), d(z, y)),
 which is what makes a hierarchy of relaxation time scales possible.
 
-`verify_ultrametric` proves that inequality for every triple in O(n^2), and
+`verify_ultrametric` proves that inequality for every triple, and
 `generator.check_rate_ultrametricity` proves its dual on rates, taking min
-where distances take max: the matrix passes when, in its own order, every
-entry above the first off-diagonal is the larger of its left and its lower
-neighbour, d(i, j) = max(d(i, j - 1), d(i + 1, j)), which by induction on
-j - i makes it the largest adjacent gap d(k, k + 1), i <= k < j, between
-its indices. The proof reads whole rows as one flat buffer, in which those
-two neighbours are 1 and n entries on. Every space this module builds, and
-every tree space, is in such an order; any other matrix is tried once more
-in the leaf order of its single-linkage dendrogram, which an ultrametric
-always passes. The proof compares entries only, so it is exact. When it
-fails, the merge heights of that same dendrogram, the subdominant
-ultrametric, name the first row that exceeds them, which is the first
-violating row, and a scan of that one row reports the lexicographically
-first violating (i, j, k).
+where distances take max, by one kernel whose proof is this. In its own
+order, a symmetric matrix passes when every entry above the first
+off-diagonal is the larger of its left and its lower neighbour,
+d(i, j) = max(d(i, j - 1), d(i + 1, j)), which by induction on j - i makes
+it the largest adjacent gap d(k, k + 1), i <= k < j, between its indices.
+The check reads whole rows as one flat buffer, in which those two
+neighbours are 1 and n entries on, and compares entries only, so it is
+exact and O(n^2); every space this module builds, and every tree space,
+passes it. Any other matrix takes one single linkage, whose merge joining
+i and j is at the height U[i, j] of the subdominant ultrametric, the
+largest ultrametric below d. A symmetric matrix is an ultrametric exactly
+when it equals U (Gower & Ross 1969; Rammal, Toulouse & Virasoro, Rev. Mod.
+Phys. 58, 765, 1986), and the comparison also locates: a violating
+(i, j, k) has d(i, j) > max(d(i, k), d(k, j)) >= U[i, j], and where
+d(i, j) > U[i, j], the first state p on the minimax path from i to j with
+d(i, p) > U[i, j] and the state before p violate the inequality. So the
+first row with an entry above U is the first violating row, and testing
+its entries above U in ascending column order, O(n) each, gives the first
+violating (i, j, k) in lexicographic order.
 
 `UltrametricSpace(...)` checks a matrix from outside the library in O(n^2).
 The builders here and `spectral.space_from_tree` make a matrix that passes
@@ -190,25 +196,20 @@ def _upper() -> np.ndarray:
     return ~np.tri(_SIDE, _SIDE + 2, k=1, dtype=bool)
 
 
-def _holds_in_order(m: np.ndarray, order: np.ndarray | None, join) -> bool:
-    """Whether m[i, j] == join(m[i, j - 1], m[i + 1, j]) for all i < j - 1,
-    with the states taken in `order` (None: their own order).
+def _holds_in_order(m: np.ndarray, join) -> bool:
+    """Whether m[i, j] == join(m[i, j - 1], m[i + 1, j]) for all i < j - 1:
+    the own-order proof of the module docstring (with `np.minimum`, for -m).
 
-    By induction on j - i, it holds exactly when every entry is the `join`
-    of the adjacent gaps m[k, k + 1], i <= k < j, between its two indices,
-    so m is an ultrametric (with `np.minimum`, -m is). Rows are checked a
-    fixed block at a time, on the flat buffer x of the block's rows and the
-    row below them, as x[k] != join(x[k - 1], x[k + n]): the left and the
-    lower neighbour of an entry are one and n places on, so each block takes
-    two ufunc calls on contiguous memory. Through `order` only the block's
-    rows are gathered, then its columns.
+    Rows are checked a fixed block at a time, on the flat buffer x of the
+    block's rows and the row below them, as x[k] != join(x[k - 1], x[k + n]):
+    the left and the lower neighbour of an entry are one and n places on, so
+    each block takes two ufunc calls on contiguous memory.
     """
     n = m.shape[0]
     step = max(1, _BLOCK_ENTRIES // n)
     for top in range(0, n - 2, step):
         height = min(step, n - 2 - top)
-        rows = slice(top, top + height + 1)
-        x = (m[rows] if order is None else m[order[rows]][:, order]).ravel()
+        x = m[top : top + height + 1].ravel()
         size = height * n
         # bad[k] compares x[k] = m[i, j] with i = top + k // n and j = k % n.
         bad = np.zeros(size, dtype=bool)
@@ -226,37 +227,24 @@ def _holds_in_order(m: np.ndarray, order: np.ndarray | None, join) -> bool:
 
 
 def _first_violation(m: np.ndarray, negate: bool = False) -> tuple[int, int, int] | None:
-    """First (i, j, k) in lexicographic order with m[i, j] > max(m[i, k], m[k, j]).
+    """First (i, j, k) in lexicographic order with m[i, j] > max(m[i, k], m[k, j]),
+    by the proof of the module docstring.
 
-    With `negate`, the same for -m, without negating anything: the proof
-    takes `min` where it takes `max`, and the failing row is scanned for
-    m[i, j] < min(m[i, k], m[k, j]), which is the same inequality, since
-    negation is exact. Only triples of distinct indices count, so the
-    diagonal of `m` is ignored; `m` must be symmetric with no NaN, and with
-    no -inf (+inf with `negate`).
-    A symmetric matrix is an ultrametric exactly when, in some order of its
-    states, m[i, j] = max(m[i, j - 1], m[i + 1, j]) for every i < j - 1:
-    each entry is then, by induction on j - i, the largest adjacent gap
-    m[k, k + 1], i <= k < j, between its indices, and an
-    ultrametric satisfies the identity in the leaf order of its
-    single-linkage dendrogram (Gower & Ross 1969; Rammal, Toulouse &
-    Virasoro, Rev. Mod. Phys. 58, 765, 1986). The proof checks the identity
-    in O(n^2) in the matrix's own order, where every space this library
-    builds already is, and only if that fails in the leaf order of one
-    linkage. It compares entries only, so it is exact. When both fail, the
-    same linkage locates: its merge heights are entries of m, and the
-    height of the merge that joins i and j is the subdominant ultrametric
-    U[i, j] (Gower & Ross 1969), so the first row with an entry above U is
-    the first violating row, and only that row is scanned for (j, k).
+    With `negate`, the same for -m, without negating the matrix: the
+    own-order proof takes `min` where it takes `max`, and the located row is
+    tested for m[i, j] < min(m[i, k], m[k, j]), which is the same inequality,
+    since negation is exact. Only triples of distinct indices count, so the
+    diagonal of `m` is ignored. `m` must be symmetric with no NaN, and its
+    off-diagonal entries nonnegative and not +inf with `negate`.
     """
     n = m.shape[0]
     if n < 3:
         return None
     join = np.minimum if negate else np.maximum
-    if _holds_in_order(m, None, join):
+    if _holds_in_order(m, join):
         return None
     # Imported here: scipy.cluster is only needed once the own order fails.
-    from scipy.cluster.hierarchy import cophenet, leaves_list, linkage
+    from scipy.cluster.hierarchy import cophenet, linkage
     from scipy.spatial.distance import squareform
 
     values = squareform(m, checks=False)
@@ -266,35 +254,33 @@ def _first_violation(m: np.ndarray, negate: bool = False) -> tuple[int, int, int
     if values.max() == np.inf:
         values = np.unique(values, return_inverse=True)[1].astype(float)
     tree = linkage(values, "single")
-    # leaves_list and cophenet refuse negative heights and need the merge
-    # order only: each merge's height is kept, and replaced by its index.
-    heights = tree[:, 2].copy()
-    tree[:, 2] = np.arange(n - 1)
-    if _holds_in_order(m, leaves_list(tree), join):
+    # The values share one sign, so |.| keeps them apart and gives cophenet
+    # the nonnegative heights it takes.
+    np.abs(tree[:, 2], out=tree[:, 2])
+    np.abs(values, out=values)
+    unequal = cophenet(tree) != values
+    if not unequal.any():
         return None
-    # If m[i, j] > U[i, j], the height of the merge joining i and j, then the
-    # first p on the minimax path i -> j with m[i, p] > U[i, j] and the node
-    # before p violate the inequality.
-    exceeds = heights[cophenet(tree).astype(np.intp)] != values
-    i = int(np.argmax(squareform(exceeds).any(axis=1)))
+    # The pairs (i, j), i < j, run row by row, row i from i(2n - i - 1)/2 on.
+    # The first row with an unequal pair has none left of its diagonal, so
+    # the first unequal pair lies in it.
+    starts = np.arange(n) * (2 * n - 1 - np.arange(n)) // 2
+    i = int(np.searchsorted(starts, np.argmax(unequal), side="right")) - 1
+    above = np.less if negate else np.greater
     row = m[i]
-    if negate:
-        bad = row[:, None] < np.minimum(row, m.T)
-    else:
-        bad = row[:, None] > np.maximum(row, m.T)
-    bad[i, :] = bad[:, i] = False
-    np.fill_diagonal(bad, False)
-    j, k = np.argwhere(bad)[0]
-    return i, int(j), int(k)
+    for j in (i + 1 + np.flatnonzero(unequal[starts[i] : starts[i] + n - 1 - i])).tolist():
+        # m[k, j] is m[j, k]: a row, not a strided column.
+        bad = above(row[j], join(row, m[j]))
+        bad[[i, j]] = False
+        if bad.any():
+            return i, j, int(np.argmax(bad))
+    raise AssertionError("a row above the subdominant ultrametric has a violating column")
 
 
 def verify_ultrametric(space: UltrametricSpace) -> TripleReport:
     """Check d(i, j) <= max(d(i, k), d(k, j)) for distinct states i, j, k.
 
-    A space that is an ultrametric in its own order passes in O(n^2), any
-    other ultrametric after one linkage; otherwise the merge heights of that
-    same linkage name the first row that exceeds the subdominant
-    ultrametric, and only that row is scanned, which gives the first
+    By the proof of the module docstring, which also names the first
     violating triple in lexicographic (i, j, k) order. Symmetry, zero
     diagonal, and positivity are enforced when the space is built, so only
     the triangle structure is checked here.

@@ -74,7 +74,7 @@ def dendrogram_spaces():
     with a value from the same set, which may or may not break the strong
     triangle inequality. About half the draws keep the states in the
     dendrogram's leaf order, where an ultrametric proves in its own order;
-    the others permute them, so the proof needs the order of a linkage.
+    the others permute them, so the proof needs a linkage.
     """
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies

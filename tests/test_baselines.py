@@ -52,11 +52,13 @@ class TestLineFits:
             # polyfit returned 0.09375 (0.083 on the log scale) with a warning.
             (fit_linear, [8.0, NEXT_AFTER_8], [1.0, 2.0], "differ by more than rounding"),
             (loglog_slope, [8.0, NEXT_AFTER_8], [1.0, 2.0], "differ by more than rounding"),
+            # Subnormal times: the slope 1e310 is past the largest float.
+            (fit_linear, [1e-310, 2e-310], [0.0, 1.0], "slope overflows a float"),
         ],
         ids=[
             "nan-value", "nan-time", "inf-time", "one-time",
             "loglog-zero-value", "loglog-zero-time", "loglog-negative-time", "loglog-nan-value",
-            "ulp-apart-times", "loglog-ulp-apart-times",
+            "ulp-apart-times", "loglog-ulp-apart-times", "subnormal-times",
         ],
     )
     def test_refuses_points_no_line_fits(self, capfd, fit, t, values, message):

@@ -8,6 +8,7 @@ import shlex
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -695,6 +696,29 @@ class TestCompare:
         (record,) = json.loads((out / "comparison.json").read_text())
         assert record["verdict"] == "memoryless"
         assert record["r2_linear"] > record["r2_exponential"]
+
+    def test_a_line_too_steep_for_a_float_fails_its_story(self, tmp_path, capfd):
+        # Evenly spaced events up to a subnormal horizon: the line's slope,
+        # 1/1e-310, is past the largest float. The story fails by name, with
+        # no warning, and the fixture's story beside it is compared.
+        csv = tmp_path / "in.csv"
+        shutil.copyfile(FIXTURE, csv)
+        with csv.open("a") as fh:
+            fh.writelines(f"line,{k * 1e-310 / 120!r}\n" for k in range(1, 121))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(
+                ["compare", "--input", str(csv), "--out-dir", str(out), "--min-events", "5"]
+            )
+        assert code == 0
+        err = capfd.readouterr().err
+        assert err == (
+            "story 'line' failed: ValueError: a line fit's slope overflows a float "
+            "at times of scale 1e-310\n"
+        )
+        records = json.loads((out / "comparison.json").read_text())
+        assert [r["story_id"] for r in records] == ["synthetic_t50"]
 
     def test_story_whose_fit_cannot_be_inverted_is_kept_with_a_note(
         self, tmp_path, capsys

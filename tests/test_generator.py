@@ -162,6 +162,12 @@ class TestBuildGenerator:
 
 
 class TestGeneratorInvariants:
+    def test_rejects_an_empty_matrix(self):
+        # As `UltrametricSpace` refuses zero states; numpy's reductions in
+        # the oracle would otherwise fail on it.
+        with pytest.raises(ValueError, match="^a generator needs at least one state$"):
+            Generator(rates=np.zeros((0, 0)))
+
     def test_rejects_asymmetric_rates(self):
         bad = np.array([[-1.0, 1.0], [2.0, -2.0]])
         with pytest.raises(ValueError, match="symmetric"):

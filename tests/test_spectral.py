@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -259,6 +260,16 @@ class TestSurvivalProbability:
     def test_rejects_short_chain(self):
         with pytest.raises(ValueError, match="at least 2"):
             survival_probability(1, 0.0, 1.0)
+
+    def test_rejects_a_chain_longer_than_the_largest_float(self):
+        # As `UltradiffusionParams` refuses it; `float()` cannot convert
+        # 10**400 at all.
+        biggest = int(sys.float_info.max)
+        assert survival_probability(biggest, 0.1, 1.0) == pytest.approx(1.0)
+        for t_N in (biggest + 1, 10**400):
+            for call in (lambda: chain_spectrum(t_N, 0.1), lambda: survival_probability(t_N, 0.1, 1.0)):
+                with pytest.raises(ValueError, match=r"^t_N must be at most 1\.79769e\+308$"):
+                    call()
 
     @pytest.mark.parametrize("mu, t", [(math.nan, 1.0), (-1.0, 1.0), (0.1, math.nan)])
     def test_rejects_negative_or_nan_inputs(self, mu, t):

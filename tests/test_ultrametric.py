@@ -226,8 +226,8 @@ class TestVerifyUltrametric:
 
     def test_dendrogram_spaces_match_the_reference_scan(self, dendrogram_spaces):
         # Uniform entries almost always fail; these mostly pass, so they reach
-        # the proof in their own order and in a linkage's leaf order as well
-        # as the failing row's scan.
+        # the proof in their own order and the comparison with a linkage's
+        # subdominant ultrametric as well as the located row's test.
         hypothesis = pytest.importorskip("hypothesis")
 
         verdicts = set()
@@ -364,6 +364,40 @@ def test_passing_proof_leaves_the_peak_within_a_tenth_of_a_matrix(peak_rise):
     assert rise < 0.1 * nbytes
 
 
+@pytest.mark.parametrize("broken", [False, True])
+def test_out_of_order_peak_memory_stays_below_one_and_a_quarter_matrices(peak_rise, broken):
+    # The permuted 3001-state trace space fails the own-order proof, so it
+    # takes the linkage: the condensed values and their cophenetic copy, half
+    # a matrix each, and a boolean of unequal pairs raise the peak by 1.07
+    # matrices whether it passes or has one pair broken. The leaf-order
+    # re-proof and the n x n scan of the located row raised it by 1.70 when
+    # a pair was broken.
+    size, nbytes, rise = peak_rise(
+        "import numpy as np\n"
+        "from ultradiffusion.traces import EventTrace\n"
+        "from ultradiffusion.ultrametric import UltrametricSpace, _built_space, build_from_trace, verify_ultrametric\n"
+        "events = np.sort(1000.0 * (1.0 - np.random.default_rng(7).random(3000)))\n"
+        'space = build_from_trace(EventTrace(story_id="big", events=events, horizon=1000.0))\n'
+        # d(i, j) = max(h_i, h_j) off the diagonal, with h = T - label, built
+        # permuted once the trace's own matrix is freed, so that the peak
+        # before the measured call is one matrix.
+        "heights = (1000.0 - space.labels)[np.random.default_rng(2).permutation(space.size)]\n"
+        "del space\n"
+        "dist = np.maximum.outer(heights, heights)\n"
+        "np.fill_diagonal(dist, 0.0)\n"
+        "if sys.argv[1] == 'True':\n"
+        "    dist[0, 1] = dist[1, 0] = dist[0, 1] * 1.5\n"
+        "space = _built_space(np.arange(1.0, heights.size + 1), dist)\n"
+        # Three states out of their order: scipy.cluster is imported first.
+        "verify_ultrametric(UltrametricSpace(labels=np.arange(1.0, 4), dist=[[0, 2, 1], [2, 0, 2], [1, 2, 0]]))",
+        "assert verify_ultrametric(space).ok is (sys.argv[1] == 'False')",
+        "space.size, space.dist.nbytes",
+        str(broken),
+    )
+    assert size == 3001
+    assert rise < 1.25 * nbytes
+
+
 @pytest.mark.parametrize("n", [3, 40, 600])
 @pytest.mark.parametrize("kind", ["trace", "chain", "caterpillar"])
 def test_built_spaces_prove_in_their_own_order(kind, n, built_space, monkeypatch):
@@ -378,8 +412,8 @@ def test_built_spaces_prove_in_their_own_order(kind, n, built_space, monkeypatch
 
 
 def test_an_out_of_order_matrix_takes_exactly_one_linkage(dendrogram_spaces):
-    # The linkage whose leaf order proves an ultrametric also locates the
-    # first violation by its merge heights: a matrix that fails the proof in
+    # The linkage whose subdominant ultrametric proves an ultrametric also
+    # locates the first violation: a matrix that fails the proof in
     # its own order takes one linkage, whether it passes or fails, and one
     # that passes in its own order takes none. So do a generator's rates.
     hypothesis = pytest.importorskip("hypothesis")
@@ -408,7 +442,7 @@ def test_an_out_of_order_matrix_takes_exactly_one_linkage(dendrogram_spaces):
                 (space.dist, np.maximum, verify_ultrametric, space),
                 (gen.rates, np.minimum, check_rate_ultrametricity, gen),
             ):
-                in_order = space.size < 3 or ultrametric._holds_in_order(matrix, None, join)
+                in_order = space.size < 3 or ultrametric._holds_in_order(matrix, join)
                 assert linkages(verify, arg)[0] == (0 if in_order else 1)
 
     check()
@@ -447,8 +481,8 @@ def test_small_blocks_give_the_same_proof_and_report(dendrogram_spaces):
             warnings.simplefilter("ignore", RuntimeWarning)  # rates that underflow
             gen = build_generator(space, 0.5)
         verdicts = [
-            ultrametric._holds_in_order(space.dist, None, np.maximum),
-            ultrametric._holds_in_order(gen.rates, None, np.minimum),
+            ultrametric._holds_in_order(space.dist, np.maximum),
+            ultrametric._holds_in_order(gen.rates, np.minimum),
         ]
         reports = [verify_ultrametric(space), check_rate_ultrametricity(gen)]
         with pytest.MonkeyPatch.context() as patch:
@@ -457,8 +491,8 @@ def test_small_blocks_give_the_same_proof_and_report(dendrogram_spaces):
             # A fresh cache, so the small mask is made and dropped with the patch.
             patch.setattr(ultrametric, "_upper", functools.cache(ultrametric._upper.__wrapped__))
             assert verdicts == [
-                ultrametric._holds_in_order(space.dist, None, np.maximum),
-                ultrametric._holds_in_order(gen.rates, None, np.minimum),
+                ultrametric._holds_in_order(space.dist, np.maximum),
+                ultrametric._holds_in_order(gen.rates, np.minimum),
             ]
             assert reports == [verify_ultrametric(space), check_rate_ultrametricity(gen)]
         assert reports[0] == reference_report(space)
@@ -532,7 +566,7 @@ def test_the_proof_agrees_with_a_brute_force_scan_across_row_blocks(n):
         ):
             triple = brute_force_violation(matrix, negate)
             assert report.triple == triple
-            if ultrametric._holds_in_order(matrix, None, join):
+            if ultrametric._holds_in_order(matrix, join):
                 assert triple is None
         if n < 600:
             assert brute_force_violation(space.dist) == reference_report(space).triple
@@ -542,23 +576,26 @@ def test_the_proof_agrees_with_a_brute_force_scan_across_row_blocks(n):
 
 def test_single_linkage_takes_negative_values_and_keeps_them_as_heights():
     # When a matrix fails in its own order, the proof hands scipy's single
-    # linkage the negated rates (<= 0, -0.0 included) and takes the leaf
-    # order of its merges, in which every merged cluster is one run. The
-    # locator compares heights with values, so its rows must come in
-    # nondecreasing height, each one of the input values, not a sum of them.
-    from scipy.cluster.hierarchy import leaves_list, linkage
+    # linkage the negated rates (<= 0, -0.0 included) and compares the
+    # cophenetic matrix of the |height| tree with the |values|. The heights
+    # must be input values, not sums of them, and each pair's height must
+    # be its minimax path value U, the subdominant ultrametric.
+    from scipy.cluster.hierarchy import cophenet, linkage
+    from scipy.spatial.distance import squareform
 
     values = -np.random.default_rng(3).choice([0.0, 5e-324, 0.25, 1.0, 7.0], size=66)
+    zeros = values[values == 0]
+    assert zeros.size and np.signbit(zeros).all() and len(np.unique(values)) < len(values)
     tree = linkage(values, "single")
     assert np.all(np.diff(tree[:, 2]) >= 0)
     assert np.isin(tree[:, 2], values).all()
-    tree[:, 2] = np.arange(len(tree))
-    position = np.argsort(leaves_list(tree))
-    members = [[k] for k in range(12)]
-    for a, b in tree[:, :2].astype(int):
-        members.append(members[a] + members[b])
-        at = position[members[-1]]
-        assert at.max() - at.min() + 1 == len(at)
+    np.abs(tree[:, 2], out=tree[:, 2])
+    # Minimax closure by Floyd-Warshall over the 12 points.
+    closure = squareform(values)
+    np.fill_diagonal(closure, -np.inf)
+    for k in range(12):
+        closure = np.minimum(closure, np.maximum.outer(closure[:, k], closure[k]))
+    np.testing.assert_array_equal(cophenet(tree), np.abs(squareform(closure, checks=False)))
 
 
 class TestUltrametricSpaceInvariants:
