@@ -8,10 +8,10 @@ fixed grid and refined to machine precision on the normalized time axis
 k/n that every n-point curve shares, so rescaling time changes h2 alone.
 `fit_block` fits a block of curves, given as horizons and a values array,
 in one call that returns only their fits; `fit_exponential` is its
-one-curve call. The scan's columns are made once per call and scanned a few
-curves at a time; then the curves are polished
-together by masked vector steps over the curves still moving, each by the
-rules a lone curve follows, so every curve gets bit for bit its lone fit.
+one-curve call. Each curve's grid rate is picked from inner products and its
+residual formed there alone; then the curves are polished together by masked
+vector steps over the curves still moving, each by the rules a lone curve
+follows, so every curve gets bit for bit its lone fit.
 Fitted constants map onto model parameters: chain length t_N and decay mu.
 """
 
@@ -117,12 +117,9 @@ def _r_squared_rows(observed: np.ndarray, predicted: np.ndarray) -> np.ndarray:
 # covers, four a decade: from a curve indistinguishable from a straight line
 # (k = 1e-6) to one that saturates within the first 1/10^4 of the window.
 _RATES = np.geomspace(1e-6, 1e4, 41)
-# Curves fitted together at most, and per block of the rate scan within:
-# the polish's (curves x points) temporaries of 128 200-point curves and the
-# scan's (curves x rates x points) ones of 4 stay in cache; those of 1000
-# and of 100 curves do not.
+# Curves fitted together at most: the (curves x points) temporaries of 128
+# 200-point curves stay in cache; those of 1000 curves do not.
 _FIT_BLOCK = 128
-_SCAN_BLOCK = 4
 # Largest offset below 1, where h3 is held when its free value reaches 1.
 _H3_MAX = float(np.nextafter(1.0, 0.0))
 # Refinement stops after a move of k by less than this fraction, or after
@@ -148,14 +145,16 @@ def _profile(columns, x: np.ndarray, p: np.ndarray, offset: bool):
     the normalized rates k tried: one row for all curves, or one each. For
     fixed k the model h1*b + h3 with b = 1 - e^(-k*x) is linear in h1 and
     h3, which are solved in closed form under h1 >= 0 and 0 <= h3 < 1.
-    Returns arrays (index of the rate with the least residual sum of
-    squares, h1, h3, that sum, Gauss-Newton step in k from that rate), one
-    entry per curve. h1 = 0 marks a rate where no positive amplitude fits,
-    which only an offset held at 1 allows. The step is Kaufman's for
-    variable projection (BIT 15, 49, 1975): the model's k-derivative
-    h1*x*e^(-k*x), less its projection on the columns solved for, regressed
-    against the residual. Every entry is computed from its curve's row
-    alone, in the same operations whatever the other rows hold.
+    The best rate is picked by its residual sum of squares written in inner
+    products, exact to the rounding of <p, p>, and the residual is formed at
+    that rate alone. Returns arrays (index of that rate, h1, h3, residual
+    sum, Gauss-Newton step in k from that rate), one entry per curve. h1 = 0
+    marks a rate where no positive amplitude fits, which only an offset held
+    at 1 allows. The step is Kaufman's for variable projection (BIT 15, 49,
+    1975): the model's k-derivative h1*x*e^(-k*x), less its projection on
+    the columns solved for, regressed against the residual. Every entry is
+    computed from its curve's row alone, in the same operations whatever the
+    other rows hold.
     """
     decay_arg, basis = columns
     column = p[:, :, None]
@@ -183,48 +182,48 @@ def _profile(columns, x: np.ndarray, p: np.ndarray, offset: bool):
         h3 = np.where(none, np.clip(pm, 0.0, _H3_MAX), h3)
         # p - h3 - h1*b, written so that it is exactly centered for free rows.
         shift = np.where(free, 0.0, pm - h3 - h1 * bm)
-        resid = (p - pm)[:, None, :] - h1[..., None] * centered + shift[..., None]
+        p = p - pm
+        # cp in exact arithmetic; taken on p - pm, it keeps its digits near collinearity.
+        cp = (centered @ p[:, :, None])[..., 0]
+        score = _rowdot(p, p)[:, None] - 2 * h1 * cp + h1**2 * cc + x.size * shift**2
     else:
         # h1 > 0: a nondecreasing, nonconstant curve ends above 0.
         h1 = bp / bb
         h3 = np.zeros(bp.shape)
-        resid = p[:, None, :] - h1[..., None] * basis
-    cost = _rowdot(resid, resid)
-    # Only the best rate of each curve needs its step.
-    best = cost.argmin(axis=1)
+        score = _rowdot(p, p)[:, None] - h1 * bp
+        centered, shift = basis, h3  # p - h1*b in the offset's form
+    best = score.argmin(axis=1)
 
     def at(a):
         # Each curve's entry at its best rate, of an array per curve or shared.
         return a[np.arange(best.size) if len(a) > 1 else 0, best]
 
-    h1, basis, bb, resid = at(h1), at(basis), at(bb), at(resid)
+    h1, basis, bb = at(h1), at(basis), at(bb)
+    resid = p - h1[:, None] * (centered := at(centered)) + at(shift)[:, None]
     slope = h1[:, None] * x * np.exp(at(decay_arg))
     # With h3 free, projecting off b and the constant is projecting the
     # centered slope off the centered b; otherwise h1 alone is solved.
     along = slope - basis * (_rowdot(basis, slope) / bb)[:, None]
     if offset and (free := at(free)).any():
-        centered, cc = at(centered)[free], at(cc)[free]
+        centered, cc = centered[free], at(cc)[free]
         centered_slope = slope[free] - slope[free].mean(axis=1, keepdims=True)
         scale = _rowdot(centered, centered_slope) / cc
         along[free] = centered_slope - centered * scale[:, None]
     jj = _rowdot(along, along)
     step = np.divide(_rowdot(along, resid), jj, out=np.zeros(jj.shape), where=jj > 0)
-    return best, h1, at(h3), at(cost), step
+    return best, h1, at(h3), _rowdot(resid, resid), step
 
 
-def _fit_rows(scan, x: np.ndarray, p: np.ndarray, offset: bool):
+def _fit_rows(x: np.ndarray, p: np.ndarray, offset: bool):
     """Normalized rates k and constants h1, h3 that fit each row of `p`
     sampled on the axis `x`, whose last entry is 1.
 
-    The profile is scanned on `_RATES`, whose columns are `scan`, a few rows
-    at a time. Then every row is polished at once, by masked vector steps
-    over the rows still moving, each row by exactly the rules a lone row
-    would follow.
+    Each row's rate on `_RATES` is picked from sums, and its residual formed
+    at that rate alone. Then every row is polished at once, by masked vector
+    steps over the rows still moving, each by the rules a lone row follows.
     """
     rows = len(p)
-    scanned = [_profile(scan, x, p[n : n + _SCAN_BLOCK], offset)
-               for n in range(0, rows, _SCAN_BLOCK)]
-    best, h1, h3, cost, step = map(np.concatenate, zip(*scanned))
+    best, h1, h3, cost, step = _profile(_columns(_RATES[None, :], x), x, p, offset)
     k = _RATES[best]
     lo = _RATES[np.maximum(best - 1, 0)]
     hi = _RATES[np.minimum(best + 1, _RATES.size - 1)]
@@ -272,7 +271,7 @@ def _fit_rows(scan, x: np.ndarray, p: np.ndarray, offset: bool):
     return out
 
 
-def _fit_chunk(scan, x: np.ndarray, horizons: np.ndarray, p: np.ndarray, offset: bool) -> list:
+def _fit_chunk(x: np.ndarray, horizons: np.ndarray, p: np.ndarray, offset: bool) -> list:
     """`fit_block` on at most `_FIT_BLOCK` curves of at least 3 points."""
     finite = np.isfinite(p).all(axis=1)
     fits: list = [
@@ -287,12 +286,14 @@ def _fit_chunk(scan, x: np.ndarray, horizons: np.ndarray, p: np.ndarray, offset:
         return fits
     if moves.size < len(p):
         horizons, p = horizons[moves], p[moves]
-    k, h1, h3 = _fit_rows(scan, x, p, offset)
+    k, h1, h3 = _fit_rows(x, p, offset)
     r2 = _r_squared_rows(p, exponential_model(x, h1[:, None], k[:, None], h3[:, None]))
-    h2 = k / horizons
-    for n, *constants in zip(moves.tolist(), *(v.tolist() for v in (h1, h2, h3, r2))):
+    per_curve = (v.tolist() for v in (h1, k, horizons, h3, r2))  # floats: no overflow warning
+    for n, a, rate, horizon, c, r in zip(moves.tolist(), *per_curve):
         try:
-            fits[n] = ExponentialFit(*constants)
+            if (h2 := rate / horizon) == math.inf:
+                raise ValueError(f"rate h2 overflows a float at horizon {horizon:g}")
+            fits[n] = ExponentialFit(a, h2, c, r)
         except ValueError as err:
             fits[n] = err
     return fits
@@ -321,10 +322,9 @@ def fit_block(horizons, values, offset: bool = False):
     x = _axis(values.shape[1])
     fits: list = []
     with np.errstate(under="ignore"):
-        scan = _columns(_RATES[None, :], x)
         for start in range(0, len(values), _FIT_BLOCK):
             block = slice(start, start + _FIT_BLOCK)
-            fits += _fit_chunk(scan, x, horizons[block], values[block], offset)
+            fits += _fit_chunk(x, horizons[block], values[block], offset)
     return fits
 
 
@@ -359,9 +359,9 @@ def fit_exponential(curve: PopularityCurve, offset: bool = False) -> Exponential
     k/n, so rescaling the horizon by c gives bit for bit the same h1, h3 and
     r2, and h2 = k/(c*T). A straight line, the family's k -> 0 limit, fits
     at k = 1e-6 with r2 a little below the line's. This is the one-curve
-    call of `fit_block`, which scans a block four curves at a time and
-    polishes up to 128 together, by masked vector steps over the curves
-    still moving; each curve follows the same rules and gets the same bits.
+    call of `fit_block`, which picks each grid rate from sums, forms the
+    residual there alone, and polishes up to 128 curves together by masked
+    vector steps; each curve follows the same rules and gets the same bits.
     """
     (fit,) = fit_block([curve.horizon], curve.values[None], offset)
     if isinstance(fit, Exception):

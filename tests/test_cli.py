@@ -720,6 +720,27 @@ class TestCompare:
         records = json.loads((out / "comparison.json").read_text())
         assert [r["story_id"] for r in records] == ["synthetic_t50"]
 
+    @pytest.mark.parametrize("command, written", [("fit", "fits"), ("compare", "comparison")])
+    def test_a_rate_too_fast_for_a_float_fails_its_story(self, tmp_path, capfd, command, written):
+        # A saturating story rescaled to a subnormal horizon: its rate h2 =
+        # k/T is past the largest float. The story fails by name, with no
+        # warning, and the fixture's story beside it is fitted.
+        trace = sampled_story("sub", seed=1)
+        csv = tmp_path / "in.csv"
+        shutil.copyfile(FIXTURE, csv)
+        with csv.open("a") as fh:
+            fh.writelines(f"sub,{float(t) * 1e-310 / trace.horizon!r}\n" for t in trace.events)
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([command, "--input", str(csv), "--out-dir", str(out), "--min-events", "5"])
+        assert code == 0
+        assert capfd.readouterr().err == (
+            "story 'sub' failed: ValueError: rate h2 overflows a float at horizon 1e-310\n"
+        )
+        records = json.loads((out / f"{written}.json").read_text())
+        assert [r["story_id"] for r in records] == ["synthetic_t50"]
+
     def test_story_whose_fit_cannot_be_inverted_is_kept_with_a_note(
         self, tmp_path, capsys
     ):

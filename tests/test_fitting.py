@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import math
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -23,6 +24,8 @@ from ultradiffusion.fitting import (
     r_squared,
     sample_events,
     simulate_curve,
+    _columns,
+    _profile,
 )
 from ultradiffusion.generator import build_generator
 from ultradiffusion.oracle import ProbabilityVector, integrate_master_equation
@@ -384,8 +387,8 @@ class TestFitExponentials:
                 values = np.maximum.accumulate(np.clip(values, 0.0, 1.0))
             return PopularityCurve(horizon=horizon, values=values)
 
-        # Blocks from one curve to past two scan blocks of four, of short,
-        # usual and long curves.
+        # Blocks of one to nine curves, scanned and polished together, of
+        # short, usual and long curves.
         blocks = st.sampled_from([2, 30, 30, 41]).flatmap(
             lambda n: st.lists(curve(n), min_size=1, max_size=9)
         )
@@ -407,7 +410,7 @@ class TestFitExponentials:
 
     def test_stacks_past_one_fit_block_match_the_lone_fits(self):
         # 300 sampled stories: three blocks of at most 128 curves, each
-        # scanned four curves at a time.
+        # scanned in one call.
         traces = [
             sample_events(UltradiffusionParams(t_N=40 + s % 20, mu=0.1, M=300), seed=s)
             for s in range(300)
@@ -473,6 +476,130 @@ class TestFitBlock:
             with pytest.raises(ValueError, match="horizons must be positive and finite"):
                 fit_block([1.0, horizon], np.ones((2, 4)))
         assert capfd.readouterr().err == ""
+
+    def test_a_rate_past_the_largest_float_is_refused_by_name(self):
+        # On a subnormal horizon a saturating curve's rate k/T overflows. That
+        # curve alone is refused, naming the horizon, with no warning.
+        curve = empirical_curve(
+            sample_events(UltradiffusionParams(t_N=50, mu=0.2, M=200), seed=1)
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fits = fit_block([curve.horizon, 1e-310], [curve.values] * 2)
+        assert bits(fits[0]) == bits(lone_fit(curve))
+        assert bits(fits[1]) == ("ValueError", "rate h2 overflows a float at horizon 1e-310")
+
+    @pytest.mark.parametrize("offset", [False, True])
+    def test_a_small_block_forms_no_residual_per_rate(self, offset):
+        # The rate is picked from sums, so no (curves x rates x points)
+        # residual is formed: four curves peak near 200 KB of traced memory
+        # (270 KB with the offset), where scanning residuals took over 700 KB.
+        traces = [
+            sample_events(UltradiffusionParams(t_N=40 + 5 * s, mu=0.1, M=300), seed=s)
+            for s in range(4)
+        ]
+        horizons, values, _ = curve_block(traces)
+        fit_block(horizons, values, offset)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            fit_block(horizons, values, offset)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before < 400_000
+
+
+# The grid the rate is scanned on: four rates a decade from 1e-6 to 1e4.
+GRID = np.geomspace(1e-6, 1e4, 41)
+# The largest offset below 1.
+H3_TOP = float(np.nextafter(1.0, 0.0))
+
+
+def reference_costs(p, offset):
+    """Residual sum of squares of the best fit at each rate of `GRID`, formed
+    explicitly: the least-squares h1*b (+ h3), b = 1 - e^(-k*x), under h1 >= 0
+    (and 0 <= h3 < 1), taken as the free solution if it lies in those bounds,
+    else as the best of the solutions along each edge they set."""
+    x = np.arange(1, p.size + 1) / p.size
+    costs = []
+    for k in GRID:
+        b = -np.expm1(-k * x)
+        if not offset:
+            costs.append(np.sum((p - max(b @ p / (b @ b), 0.0) * b) ** 2))
+            continue
+        c = b - b.mean()
+        # The edges h1 = 0, h3 = 0 and h3 at its top, then the free solution.
+        candidates = [(0.0, min(max(p.mean(), 0.0), H3_TOP))]
+        candidates += [(max(b @ (p - h3) / (b @ b), 0.0), h3) for h3 in (0.0, H3_TOP)]
+        if c @ c > 0:
+            candidates.append((c @ p / (c @ c), p.mean() - c @ p / (c @ c) * b.mean()))
+        costs.append(min(
+            np.sum((p - h3 - h1 * b) ** 2)
+            for h1, h3 in candidates if h1 >= 0 and 0 <= h3 <= H3_TOP
+        ))
+    return np.array(costs)
+
+
+class TestRateScan:
+    """The scan's pick of a grid rate, against an explicit residual scan."""
+
+    # The scan writes each rate's residual sum in inner products, so it
+    # resolves sums only to the rounding of <p, p>: where two rates' sums tie
+    # within this share of <p, p>, it may pick either.
+    TIE = 1e-14
+
+    @pytest.mark.parametrize("offset", [False, True])
+    def test_picks_the_rate_of_the_least_explicit_residual(self, offset):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @st.composite
+        def curve(draw, n):
+            x = np.arange(1, n + 1) / n
+            rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+            k = 10 ** draw(st.floats(-3, 3.5))
+            kind = draw(st.sampled_from(["model", "steps", "step", "late", "high", "convex"]))
+            if kind == "model":
+                h1 = draw(st.floats(0.05, 1.0))
+                values = draw(st.floats(0.0, 1.0 - h1)) - h1 * np.expm1(-k * x)
+            elif kind == "steps":
+                values = np.sort(rng.uniform(draw(st.floats(0.0, 0.9)), 1.0, n))
+            elif kind == "step":
+                base = draw(st.floats(0.0, 0.5))
+                values = np.where(x >= draw(st.floats(0.0, 1.0)), base + 0.5, base)
+            elif kind == "late":
+                # A rise that starts late: the offset is held at 0.
+                late = np.maximum(x - draw(st.floats(0.05, 0.5)), 0.0)
+                values = -draw(st.floats(0.1, 1.0)) * np.expm1(-k * late)
+            elif kind == "high":
+                # Near 1: the offset is held at its top, and h1 at 0 at some rates.
+                rise = 10 ** draw(st.floats(-4.0, -0.5))
+                values = draw(st.floats(0.99, 1.01)) + rise * x ** draw(st.floats(0.2, 5.0))
+            else:
+                values = draw(st.floats(0.05, 1.0)) * x ** draw(st.floats(1.0, 6.0))
+            noise = draw(st.sampled_from([0.0, 1e-3, 1e-2])) * rng.standard_normal(n)
+            return np.maximum.accumulate(np.maximum(values + noise, 0.0))
+
+        blocks = st.sampled_from([30, 200]).flatmap(
+            lambda n: st.lists(curve(n), min_size=1, max_size=6)
+        )
+
+        @hypothesis.settings(max_examples=150, deadline=None)
+        @hypothesis.given(blocks)
+        def check(curves):
+            # fit_block refuses a constant curve before it scans.
+            block = np.array([p for p in curves if np.ptp(p) > 1e-14])
+            hypothesis.assume(len(block))
+            x = np.arange(1, block.shape[1] + 1) / block.shape[1]
+            with np.errstate(under="ignore"):
+                picked = _profile(_columns(GRID[None, :], x), x, block, offset)[0]
+            for p, pick in zip(block, picked.tolist()):
+                cost = reference_costs(p, offset)
+                if pick != cost.argmin():
+                    assert cost[pick] - cost.min() <= self.TIE * (p @ p)
+
+        check()
 
 
 class TestTimestampScale:
