@@ -7,10 +7,11 @@ integration of dP/dt = eps*P, the survival identity, fit round trips,
 an end-to-end synthetic batch through the command-line driver, the
 documented universal-curve constants, the memoryless-process discriminator,
 and the hierarchical power-law regime. Each check returns the measured
-quantity, whether it meets its tolerance, the runtime of its timed window and
-a detail line; `run_all` adds the name, tolerance and budget, judges the
-runtime against the budget and builds every CheckResult. It is what the
-`oracle-check` subcommand executes.
+quantity, whether it meets its tolerance and a detail line. `run_all` times
+each check on one clock, from its call (or its restart after a warm-up) to
+its return, adds the name, tolerance and budget, judges the runtime against
+the budget and builds every CheckResult; a check that raises fails alone. It
+is what the `oracle-check` subcommand executes.
 """
 
 from __future__ import annotations
@@ -70,14 +71,24 @@ class CheckResult:
     passed: bool
     measured: float
     tolerance: float
-    runtime_s: float
+    runtime_s: float  # wall seconds from the check's call, less its warm-up
     budget_s: float
     detail: str = ""
 
 
+class _Clock:
+    """Start of one check's timed window: its call, or its restart."""
+
+    def __init__(self) -> None:
+        self.restart()
+
+    def restart(self) -> None:
+        self.start = time.perf_counter()
+
+
 # What a check function returns: measured value, whether it is within the
-# tolerance (and any other pass condition), seconds in its timed window, detail.
-_Outcome = tuple[float, bool, float, str]
+# tolerance (and any other pass condition), detail.
+_Outcome = tuple[float, bool, str]
 
 
 def _matrix_text(labels, dist) -> str:
@@ -90,25 +101,23 @@ def _matrix_text(labels, dist) -> str:
     return "\n".join(rows)
 
 
-def _check_distance_matrix(tolerance: float) -> _Outcome:
+def _check_distance_matrix(tolerance: float, clock: _Clock) -> _Outcome:
     trace = EventTrace(
         story_id="worked", events=np.array(WORKED_EVENTS), horizon=WORKED_HORIZON
     )
-    ultrametric.build_from_trace(trace)  # warm numpy dispatch before timing
-    start = time.perf_counter()
     space = ultrametric.build_from_trace(trace)
-    elapsed = time.perf_counter() - start
     measured = float(np.max(np.abs(space.dist - WORKED_MATRIX)))
     labels_ok = np.array_equal(space.labels, np.array(WORKED_LABELS, dtype=float))
     detail = _matrix_text(space.labels, space.dist)
     if not labels_ok:
         detail += f"\nstate labels differ: {space.labels.tolist()}"
-    return measured, labels_ok and measured <= tolerance, elapsed, detail
+    clock.restart()  # the first build warmed numpy's dispatch; time a second
+    ultrametric.build_from_trace(trace)
+    return measured, labels_ok and measured <= tolerance, detail
 
 
-def _check_random_traces(tolerance: float) -> _Outcome:
+def _check_random_traces(tolerance: float, clock: _Clock) -> _Outcome:
     rng = np.random.default_rng(20250816)
-    start = time.perf_counter()
     failures = 0
     first_bad = ""
     for k in range(1000):
@@ -123,17 +132,15 @@ def _check_random_traces(tolerance: float) -> _Outcome:
             failures += 1
             if not first_bad:
                 first_bad = f" first failure: trace {k}, {report.message}"
-    elapsed = time.perf_counter() - start
     detail = (
         "1000 random traces, up to 200 events each, strong triangle "
         "inequality over every triple (proof of d(i, j) = max(d(i, j - 1), d(i + 1, j)) "
         "in the matrix order)." + first_bad
     )
-    return float(failures), failures <= tolerance, elapsed, detail
+    return float(failures), failures <= tolerance, detail
 
 
-def _check_chain_spectra(tolerance: float) -> _Outcome:
-    start = time.perf_counter()
+def _check_chain_spectra(tolerance: float, clock: _Clock) -> _Outcome:
     worst_resid = 0.0
     worst_eig = 0.0
     eig_tol = 1e-9
@@ -150,21 +157,20 @@ def _check_chain_spectra(tolerance: float) -> _Outcome:
             w, _ = oracle.numeric_spectrum(gen)
             gap = np.max(np.abs(np.sort(spec.eigenvalues) - w))
             worst_eig = max(worst_eig, float(gap) / float(np.max(np.abs(w))))
-    elapsed = time.perf_counter() - start
     detail = (
         f"residual scaled by max rate; t_N in 2..40, mu in {{0,0.1,1,5}}. "
         f"Dense-eigensolver eigenvalue gap {worst_eig:.3e} (bound {eig_tol:g})."
     )
-    return worst_resid, worst_resid <= tolerance and worst_eig <= eig_tol, elapsed, detail
+    return worst_resid, worst_resid <= tolerance and worst_eig <= eig_tol, detail
 
 
 _RELAXATION_CELLS = ((5, 0.1), (20, 0.1), (40, 0.1), (5, 1.0), (20, 1.0), (40, 1.0))
 
 
-def _check_master_equation(tolerance: float) -> _Outcome:
+def _check_master_equation(tolerance: float, clock: _Clock) -> _Outcome:
     # Warm the integrator, scipy's import included, before timing.
     oracle.integrate_propagator(build_generator(ultrametric.uniform_chain(2), 0.0), [1.0])
-    start = time.perf_counter()
+    clock.restart()
     worst = 0.0
     long_windows = 0
     for n, mu in _RELAXATION_CELLS:
@@ -184,18 +190,16 @@ def _check_master_equation(tolerance: float) -> _Outcome:
             for i in range(1, n + 1):
                 closed = spectral.autocorrelation_chain(spec, i, grid)
                 worst = max(worst, float(np.max(np.abs(returns[:, i - 1] - closed))))
-    elapsed = time.perf_counter() - start
     detail = (
         "all start states, integrated in one propagator solve per window; "
         "100-point grids over five relaxation times; "
         f"{long_windows} cells also integrated to five slowest-mode times. "
         "Probability conservation within 1e-9 is enforced by the integrator."
     )
-    return worst, worst <= tolerance, elapsed, detail
+    return worst, worst <= tolerance, detail
 
 
-def _check_survival_identity(tolerance: float) -> _Outcome:
-    start = time.perf_counter()
+def _check_survival_identity(tolerance: float, clock: _Clock) -> _Outcome:
     worst = 0.0
     for n, mu in _RELAXATION_CELLS:
         spec = spectral.chain_spectrum(n, mu)
@@ -204,16 +208,14 @@ def _check_survival_identity(tolerance: float) -> _Outcome:
         via_formula = spectral.survival_probability(n, mu, t)
         via_spectrum = spectral.autocorrelation_chain(spec, n, t)
         worst = max(worst, float(np.max(np.abs(via_formula - via_spectrum))))
-    elapsed = time.perf_counter() - start
     detail = (
         "survival_probability vs autocorrelation of the last state, "
         "same (t_N, mu) cells as the integration check."
     )
-    return worst, worst <= tolerance, elapsed, detail
+    return worst, worst <= tolerance, detail
 
 
-def _check_fit_round_trip(tolerance: float) -> _Outcome:
-    start = time.perf_counter()
+def _check_fit_round_trip(tolerance: float, clock: _Clock) -> _Outcome:
     worst_h = 0.0
     worst_mu = 0.0
     t_n_ok = True
@@ -238,16 +240,14 @@ def _check_fit_round_trip(tolerance: float) -> _Outcome:
         back = fitting.infer_params(fit, M=1000)
         t_n_ok = t_n_ok and back.t_N == n
         worst_mu = max(worst_mu, abs(back.mu - mu) / mu)
-    elapsed = time.perf_counter() - start
     detail = (
         f"noiseless curves, t_N in {{5,50,500}}, mu in {{0.01,0.1,1}}; "
         f"t_N exact: {t_n_ok}; worst relative mu error {worst_mu:.3e} (bound 0.01)."
     )
-    return worst_h, worst_h <= tolerance and t_n_ok and worst_mu <= 0.01, elapsed, detail
+    return worst_h, worst_h <= tolerance and t_n_ok and worst_mu <= 0.01, detail
 
 
-def _check_end_to_end(tolerance: float) -> _Outcome:
-    start = time.perf_counter()
+def _check_end_to_end(tolerance: float, clock: _Clock) -> _Outcome:
     params = fitting.UltradiffusionParams(
         t_N=END_TO_END_T_N, mu=END_TO_END_MU, M=END_TO_END_M
     )
@@ -264,13 +264,12 @@ def _check_end_to_end(tolerance: float) -> _Outcome:
         records = []
         if code == 0:
             records = json.loads((out_dir / "fits.json").read_text())
-    elapsed = time.perf_counter() - start
     if code != 0 or len(records) != 1:
         detail = (
             f"fit subcommand exited {code} with {len(records)} records. "
             f"Output: {chatter.getvalue().strip()}"
         )
-        return float("nan"), False, elapsed, detail
+        return float("nan"), False, detail
     rec = records[0]
     r2_sim = float(rec["r2_simulated"])
     t_n = int(rec["t_N"])
@@ -279,55 +278,49 @@ def _check_end_to_end(tolerance: float) -> _Outcome:
         f"(want {END_TO_END_T_N}), r2(simulated vs observed)={r2_sim:.5f} "
         f"(want >= {tolerance:g})."
     )
-    return r2_sim, r2_sim >= tolerance and t_n == END_TO_END_T_N, elapsed, detail
+    return r2_sim, r2_sim >= tolerance and t_n == END_TO_END_T_N, detail
 
 
-def _check_curve_constants(tolerance: float) -> _Outcome:
-    start = time.perf_counter()
+def _check_curve_constants(tolerance: float, clock: _Clock) -> _Outcome:
     value = float(fitting.exponential_model(100.0, 0.999, 0.017, 0.155))
     reference = 0.999 * (1.0 - math.exp(-1.7)) + 0.155
-    elapsed = time.perf_counter() - start
     measured = abs(value - reference)
     detail = (
         f"documented server-fit constants (h1=0.999, h2=0.017, h3=0.155) "
         f"at t=100: {value:.12f}."
     )
-    return measured, measured <= tolerance, elapsed, detail
+    return measured, measured <= tolerance, detail
 
 
-def _check_poisson_discriminator(tolerance: float) -> _Outcome:
-    start = time.perf_counter()
+def _check_poisson_discriminator(tolerance: float, clock: _Clock) -> _Outcome:
     window = 10.0
     grid = uniform_grid(window, 200)
     values = grid / window
     curve = PopularityCurve(horizon=window, values=values)
     _, _, r2_lin = baselines.fit_linear(grid, values)
     r2_exp = fitting.fit_exponential(curve).r2
-    elapsed = time.perf_counter() - start
     measured = r2_exp - r2_lin
     detail = (
         f"exact line t/T0: linear r2={r2_lin:.12f}, saturating-exponential "
         f"r2={r2_exp:.12f}; the difference must be strictly negative."
     )
-    return measured, measured < tolerance, elapsed, detail
+    return measured, measured < tolerance, detail
 
 
-def _check_power_law(tolerance: float) -> _Outcome:
-    start = time.perf_counter()
+def _check_power_law(tolerance: float, clock: _Clock) -> _Outcome:
     model = baselines.PowerLawModel(b=2, delta_h=1.0)
     t = np.geomspace(1e2, 1e4, 200)
     result = baselines.power_law_curve(model, t)
     slope = baselines.loglog_slope(t, result.series)
     v = model.v
     gap = float(np.max(np.abs(result.series / result.asymptote - 1.0)))
-    elapsed = time.perf_counter() - start
     measured = abs(slope + v) / v
     detail = (
         f"b=2, delta_h=1: log-log slope {slope:.5f} vs -v={-v:.5f}; "
         f"series-vs-asymptote gap {gap:.4f} (bound 0.05); "
         f"truncation bound {result.truncation_bound:.2e}."
     )
-    return measured, measured <= tolerance and gap <= 0.05, elapsed, detail
+    return measured, measured <= tolerance and gap <= 0.05, detail
 
 
 _CHECKS = (
@@ -350,11 +343,17 @@ def run_all() -> list[CheckResult]:
     """Run every check in order.
 
     A check passes when it meets its tolerance and its timed window stays
-    under its budget.
+    under its budget. One that raises a ValueError or RuntimeError fails with
+    a NaN measure and the error as its detail; any other error propagates.
     """
     results = []
     for name, tolerance, budget, func in _CHECKS:
-        measured, ok, elapsed, detail = func(tolerance)
+        clock = _Clock()
+        try:
+            measured, ok, detail = func(tolerance, clock)
+        except (ValueError, RuntimeError) as err:  # the errors `cli.main` maps
+            measured, ok, detail = math.nan, False, f"{type(err).__name__}: {err}"
+        elapsed = time.perf_counter() - clock.start
         results.append(
             CheckResult(
                 name=name,

@@ -356,6 +356,9 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
         rows = [dataclasses.asdict(r) for r in results]
         for row in rows:
             del row["detail"]
+            # Strict JSON has no NaN: a check that measured nothing writes null.
+            if not math.isfinite(row["measured"]):
+                row["measured"] = None
         write_json(out / "oracle_report.json", rows)
     return 0 if n_pass == len(results) else 3
 

@@ -1151,10 +1151,14 @@ class TestEntryPoints:
         assert (tmp_path / "o" / "fits.json").exists()
 
 
-def test_workflow_installed_command_step_runs(tmp_path):
-    # CI runs this step on the installed command. Here a shim first on PATH
-    # runs this checkout's package instead, so the step runs where tier-1
-    # runs. The trap names the command that failed.
+def _run_workflow_step(name, tmp_path):
+    """Run the named bash step of the CI workflow on this checkout.
+
+    CI installs the package. Here shims first on PATH run this checkout's
+    package for the `ultradiffusion` command, and this interpreter for
+    `python`, so the step runs where tier-1 runs. The trap names the command
+    that failed.
+    """
     yaml = pytest.importorskip("yaml")
     bash = shutil.which("bash")
     if bash is None:
@@ -1164,13 +1168,18 @@ def test_workflow_installed_command_step_runs(tmp_path):
         step["run"]
         for job in workflow["jobs"].values()
         for step in job["steps"]
-        if step.get("name") == "Installed command on a simulated batch"
+        if step.get("name") == name
     ]
     shims = tmp_path / "bin"
     shims.mkdir()
-    shim = shims / "ultradiffusion"
-    shim.write_text(f'#!/bin/sh\nexec {shlex.quote(sys.executable)} -m ultradiffusion.cli "$@"\n')
-    shim.chmod(0o755)
+    python = shlex.quote(sys.executable)
+    for command, target in (
+        ("ultradiffusion", f"{python} -m ultradiffusion.cli"),
+        ("python", python),
+    ):
+        shim = shims / command
+        shim.write_text(f'#!/bin/sh\nexec {target} "$@"\n')
+        shim.chmod(0o755)
     env = dict(
         os.environ,
         PATH=f"{shims}{os.pathsep}{os.environ.get('PATH', '')}",
@@ -1188,3 +1197,13 @@ def test_workflow_installed_command_step_runs(tmp_path):
         text=True,
     )
     assert result.returncode == 0, result.stdout[-2000:] + result.stderr[-2000:]
+    return result
+
+
+def test_workflow_installed_command_step_runs(tmp_path):
+    _run_workflow_step("Installed command on a simulated batch", tmp_path)
+
+
+def test_workflow_self_check_step_runs(tmp_path):
+    result = _run_workflow_step("Self-check suite and its JSON report", tmp_path)
+    assert "10/10 checks passed" in result.stdout
