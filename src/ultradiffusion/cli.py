@@ -110,9 +110,9 @@ def _unique_names(outcomes: list[_Outcome]) -> None:
 @dataclasses.dataclass(slots=True)
 class _Outcome:
     """A parsed story's fate in a run: its `status` ("skipped", "refused",
-    "failed", "fitted" or "averaged"), the `reason` (the skip notice or the
-    error; in `compare`, a fitted story's mapping refusal), the `record` the
-    command writes, its curve's `values` and its file `name`."""
+    "failed", "fitted" or "averaged"), the `reason` it was left out (the
+    skip notice or the error; None for a story fitted or averaged), the
+    `record` the command writes, its curve's `values` and its file `name`."""
 
     trace: EventTrace
     status: str = "skipped"
@@ -124,18 +124,13 @@ class _Outcome:
 
 def _mapped(fit, horizon, values, count):
     """Map the fit of a curve of horizon `horizon`, `values` and `count`
-    events to chain parameters. Returns (record, refusal): the fit record,
-    which also holds the mapped fields `t_N`, `mu`, `M` and `r2_simulated`
-    when the refusal is None, and otherwise the ValueError refusing the map.
-    """
-    record = {"h1": fit.h1, "h2": fit.h2, "h3": fit.h3, "r2": fit.r2}
-    try:
-        params = infer_params(fit, M=count)
-    except ValueError as err:
-        return record, err
+    events to chain parameters. Returns the record of the fit's `h1`, `h2`,
+    `h3` and `r2` and the mapped `t_N`, `mu`, `M` and `r2_simulated`; the
+    ValueError of `infer_params` refusing the fit propagates."""
+    params = infer_params(fit, M=count)
     r2_simulated = r_squared(values, simulate_curve(params, horizon).values)
-    record.update(t_N=params.t_N, mu=params.mu, M=params.M, r2_simulated=r2_simulated)
-    return record, None
+    return {"h1": fit.h1, "h2": fit.h2, "h3": fit.h3, "r2": fit.r2, "t_N": params.t_N,
+            "mu": params.mu, "M": params.M, "r2_simulated": r2_simulated}
 
 
 def _print_outcomes(outcomes: list[_Outcome]) -> None:
@@ -156,13 +151,13 @@ def _outcomes(args: argparse.Namespace, step=None) -> list[_Outcome]:
     A story of fewer than --min-events events is skipped, and one with an
     event past --horizon is refused; the others' curves are built as one
     block, and a curve `curve_block` refuses is refused. A curve built is
-    averaged, or with `step` fitted as one block (`fit_block`) and mapped
-    (`_mapped`): the story is fitted when `step(trace, values, record,
-    refusal)` returns its record, and failed when its fit is an error or
-    `step` raises a data error. Fitted stories take file names in story-id
-    order, so a failed one uses up none. The stories' lines are printed;
-    then a run in which no story qualified raises a ValueError, and one in
-    which none was fitted or averaged a FitError.
+    averaged, or with `step` fitted as one block (`fit_block`): the story is
+    fitted when `step(trace, values, fit)` returns its record (the step maps
+    the fit, `_mapped`), and failed when its fit is an error or `step` raises
+    a data error; only a story left out keeps a `reason`. Fitted stories take
+    file names in story-id order, so a failed one uses up none. The stories'
+    lines are printed; then a run in which no story qualified raises a
+    ValueError, and one in which none was fitted or averaged a FitError.
     """
     outcomes = [_Outcome(trace) for trace in parse_trace_csv(Path(args.input))]
     for o in outcomes:
@@ -189,9 +184,8 @@ def _outcomes(args: argparse.Namespace, step=None) -> list[_Outcome]:
                 # A fit that is an error fails its story, as if raised here.
                 if isinstance(fit, Exception):
                     raise fit
-                record, refusal = _mapped(fit, o.trace.horizon, o.values, o.trace.count)
-                o.record = step(o.trace, o.values, record, refusal)
-                o.status, o.reason = "fitted", refusal
+                o.record = step(o.trace, o.values, fit)
+                o.status = "fitted"
             except _DATA_ERRORS as err:
                 o.status, o.reason = "failed", err
     _print_outcomes(outcomes)
@@ -205,10 +199,8 @@ def _outcomes(args: argparse.Namespace, step=None) -> list[_Outcome]:
     return outcomes
 
 
-def _fit_record(trace, values, record, refusal):
-    if refusal is not None:
-        raise refusal
-    return {"story_id": trace.story_id, **record}
+def _fit_record(trace, values, fit):
+    return {"story_id": trace.story_id, **_mapped(fit, trace.horizon, values, trace.count)}
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
@@ -229,10 +221,7 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
     try:
         mean = aggregate_mean([o.trace.horizon for o in members], [o.values for o in members])
         fit = fit_exponential(mean, offset=args.offset)
-        M = sum(o.trace.count for o in members)
-        record, refusal = _mapped(fit, mean.horizon, mean.values, M)
-        if refusal is not None:
-            raise refusal
+        record = _mapped(fit, mean.horizon, mean.values, sum(o.trace.count for o in members))
     except _DATA_ERRORS as err:
         raise FitError(f"aggregate curve: {err}") from err
     out = Path(args.out_dir)
@@ -267,17 +256,21 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _compare_record(trace, values, record, refusal):
+def _compare_record(trace, values, fit):
     _, _, r2_lin = fit_linear(uniform_grid(trace.horizon), values)
+    try:
+        mapped, note = _mapped(fit, trace.horizon, values, trace.count), ""
+    except ValueError as err:
+        mapped, note = {}, f"parameter mapping failed: {err}"
     return {
         "story_id": trace.story_id,
-        "r2_exponential": record["r2"],
+        "r2_exponential": fit.r2,
         "r2_linear": r2_lin,
-        "r2_simulated": record.get("r2_simulated"),
-        "t_N": record.get("t_N"),
-        "mu": record.get("mu"),
-        "verdict": "saturating" if record["r2"] > r2_lin else "memoryless",
-        "note": "" if refusal is None else f"parameter mapping failed: {refusal}",
+        "r2_simulated": mapped.get("r2_simulated"),
+        "t_N": mapped.get("t_N"),
+        "mu": mapped.get("mu"),
+        "verdict": "saturating" if fit.r2 > r2_lin else "memoryless",
+        "note": note,
     }
 
 

@@ -7,6 +7,7 @@ writes a strict-JSON report.
 """
 
 import ast
+import dataclasses
 import json
 import math
 import types
@@ -76,6 +77,40 @@ def test_the_window_leaves_out_the_warm_up_alone(
     assert len(calls) > call
     assert result.runtime_s == runtime
     assert result.passed == (runtime < result.budget_s)
+
+
+def test_a_space_of_other_labels_fails_naming_them(monkeypatch):
+    real = ultrametric.build_from_trace
+
+    def relabeled(trace):
+        space = real(trace)
+        return dataclasses.replace(space, labels=space.labels + 1.0)
+
+    monkeypatch.setattr(ultrametric, "build_from_trace", relabeled)
+    _only(monkeypatch, _entry("distance-matrix-reproduction"))
+    (result,) = checks.run_all()
+    # The distances still match: the labels alone fail the check.
+    assert result.measured == 0.0 and not result.passed
+    labels = [label + 1.0 for label in checks.WORKED_LABELS]
+    assert result.detail.endswith(f"\nstate labels differ: {labels}")
+
+
+def test_a_trace_found_not_ultrametric_is_named_first(monkeypatch):
+    # Traces 2 and 4 are reported violated; the count is 2, the first named.
+    real, calls = ultrametric.verify_ultrametric, []
+
+    def flagging(space):
+        report = real(space)
+        calls.append(None)
+        if len(calls) in (3, 5):
+            return ultrametric.TripleReport(triple=(0, 1, 2), message=f"stub {len(calls)}")
+        return report
+
+    monkeypatch.setattr(ultrametric, "verify_ultrametric", flagging)
+    _only(monkeypatch, _entry("random-trace-ultrametricity"))
+    (result,) = checks.run_all()
+    assert result.measured == 2.0 and not result.passed
+    assert result.detail.endswith(" first failure: trace 2, stub 3")
 
 
 def _refusing(error, now):

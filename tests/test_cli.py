@@ -570,10 +570,9 @@ class TestOutcomes:
             fh.writelines(rows)
         return csv
 
-    @pytest.mark.parametrize("command", ["fit", "compare", "aggregate"])
-    def test_each_parsed_story_has_one_outcome(
-        self, tmp_path, monkeypatch, capsys, mixed, command
-    ):
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        """The outcome list of each `_outcomes` call, in call order."""
         lists, real = [], cli._outcomes
 
         def spy(*args, **kwargs):
@@ -581,11 +580,15 @@ class TestOutcomes:
             return lists[-1]
 
         monkeypatch.setattr(cli, "_outcomes", spy)
+        return lists
+
+    @pytest.mark.parametrize("command", ["fit", "compare", "aggregate"])
+    def test_each_parsed_story_has_one_outcome(self, tmp_path, capsys, mixed, passes, command):
         out = tmp_path / "out"
         argv = [command, "--input", str(mixed), "--out-dir", str(out), "--min-events", "5"]
         assert main(argv) == 0
         stdout = capsys.readouterr().out
-        (got,) = lists
+        (got,) = passes
         parsed = [trace.story_id for trace in parse_trace_csv(mixed)]
         assert [o.trace.story_id for o in got] == sorted(parsed)
         status = {o.trace.story_id: o.status for o in got}
@@ -608,6 +611,22 @@ class TestOutcomes:
             assert names == {"A": "A", "a_b": "a_b", "s": "s"}
         else:
             assert names == {"A": "A", "a": "a_2", "a_b": "a_b", "line": "line", "s": "s"}
+
+    def test_a_fitted_story_keeps_no_reason(self, tmp_path, capsys, passes):
+        # `compare` keeps `line`, whose mapping is refused, with a note; its
+        # outcome, like that of `s` beside it, which maps, has no reason.
+        csv = write_linear_story(tmp_path / "in.csv")
+        with csv.open("a") as fh:
+            fh.writelines(f"s,{t!r}\n" for t in sampled_story("s", seed=3).events.tolist())
+        out = tmp_path / "out"
+        assert main(["compare", "--input", str(csv), "--out-dir", str(out)]) == 0
+        (got,) = passes
+        assert [(o.trace.story_id, o.status, o.reason) for o in got] == [
+            ("line", "fitted", None), ("s", "fitted", None)
+        ]
+        line, mapped = json.loads((out / "comparison.json").read_text())
+        assert line["note"].startswith("parameter mapping failed: ") and line["t_N"] is None
+        assert mapped["note"] == "" and mapped["t_N"] is not None
 
 
 class TestSimulate:

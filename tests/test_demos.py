@@ -36,8 +36,11 @@ def test_demo_runs_and_leaves_the_checkout_unchanged(demo):
     src = str(REPO_ROOT / "src")
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src if not path else os.pathsep.join([src, path]))
+    # Warnings are errors here too: pyproject's filterwarnings does not reach
+    # a subprocess.
     result = subprocess.run(
-        [sys.executable, str(demo)], cwd=REPO_ROOT, env=env, capture_output=True, text=True
+        [sys.executable, "-X", "dev", "-W", "error", str(demo)],
+        cwd=REPO_ROOT, env=env, capture_output=True, text=True,
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip()

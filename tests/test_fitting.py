@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from scipy.optimize import least_squares
 
+from ultradiffusion import fitting
 from ultradiffusion.baselines import fit_linear
 from ultradiffusion.fitting import (
     ExponentialFit,
@@ -509,6 +510,23 @@ class TestFitBlock:
             tracemalloc.stop()
         assert peak - before < 400_000
 
+    @pytest.mark.parametrize("offset", [False, True])
+    @pytest.mark.parametrize("cap", [1, 2, 3])
+    def test_rows_cut_at_the_polish_cap_get_their_lone_fits(self, monkeypatch, cap, offset):
+        # Cut after `cap` profile evaluations, the polish leaves every row it
+        # has not stopped through its cap's exit; each row still gets what
+        # its lone call gives under the same cap.
+        monkeypatch.setattr(fitting, "_MAX_POLISH", cap)
+        traces = [
+            sample_events(UltradiffusionParams(t_N=40 + s % 20, mu=0.1, M=300), seed=s)
+            for s in range(40)
+        ]
+        horizons, values, _ = curve_block(traces)
+        fits = fit_block(horizons, values, offset)
+        assert [bits(fit) for fit in fits] == [
+            bits(fit_block([horizon], row[None], offset)[0]) for horizon, row in zip(horizons, values)
+        ]
+
 
 # The grid the rate is scanned on: four rates a decade from 1e-6 to 1e4.
 GRID = np.geomspace(1e-6, 1e4, 41)
@@ -904,3 +922,20 @@ class TestSampleEvents:
         assert distance < 0.02
         never = 1.0 - amplitude * -math.expm1(-rate * span)
         assert censored.mean() == pytest.approx(never, abs=0.01)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: r_squared([0.5], [0.5]), "r_squared needs at least 2 points"),
+        (lambda: sample_events(UltradiffusionParams(t_N=50, mu=0.1, M=10), seed=0, horizon=0.0),
+         "horizon must be positive"),
+        (lambda: sample_events(UltradiffusionParams(t_N=50, mu=0.1, M=10), seed=0, horizon=-1.0),
+         "horizon must be positive"),
+    ],
+    ids=["r_squared-one-point", "sample_events-zero-horizon", "sample_events-negative-horizon"],
+)
+def test_refusals_read_as_pinned(call, message):
+    with pytest.raises(ValueError) as caught:
+        call()
+    assert str(caught.value) == message

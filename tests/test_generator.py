@@ -470,3 +470,14 @@ def test_built_generators_prove_in_their_own_order(kind, n, built_space, monkeyp
     assert check_rate_ultrametricity(gen) == TripleReport(
         triple=None, message=f"all {gen.size} states rate-ultrametric"
     )
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [(lambda: Generator(np.zeros((2, 3))), "rates must be square, got (2, 3)")],
+    ids=["not-square"],
+)
+def test_refusals_read_as_pinned(call, message):
+    with pytest.raises(ValueError) as caught:
+        call()
+    assert str(caught.value) == message

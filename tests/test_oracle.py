@@ -1,6 +1,7 @@
 """Numerical integration and diagonalization as ground truth."""
 
 import math
+import types
 
 import numpy as np
 import pytest
@@ -246,3 +247,33 @@ class TestNumericSpectrum:
         mode = vectors[:, idx]
         mode = mode / mode[0]
         np.testing.assert_allclose(mode, np.ones(7), atol=1e-9)
+
+
+TWO_STATES = Generator(np.array([[-1.0, 1.0], [1.0, -1.0]]))
+
+
+@pytest.mark.parametrize(
+    "target, stub, call, error, message",
+    [
+        (None, None, lambda: ProbabilityVector([]),
+         ValueError, "entries must be a nonempty vector"),
+        # A solver that gives up, and a decomposition that does not rebuild
+        # the rates.
+        ("scipy.integrate.solve_ivp",
+         lambda *args, **kwargs: types.SimpleNamespace(success=False, message="step too small"),
+         lambda: integrate_master_equation(
+             TWO_STATES, ProbabilityVector.characteristic(2, 1), [0.0, 1.0]
+         ),
+         RuntimeError, "integration failed: step too small"),
+        ("numpy.linalg.eigh", lambda rates: (np.zeros(2), np.eye(2)),
+         lambda: numeric_spectrum(TWO_STATES),
+         RuntimeError, "eigendecomposition residual 1 exceeds 1e-9*1"),
+    ],
+    ids=["empty-vector", "integration-failed", "eigh-residual"],
+)
+def test_refusals_read_as_pinned(monkeypatch, target, stub, call, error, message):
+    if target is not None:
+        monkeypatch.setattr(target, stub)
+    with pytest.raises(error) as caught:
+        call()
+    assert str(caught.value) == message

@@ -590,3 +590,14 @@ def test_level_count_must_be_an_integer(build):
             build(bad)
     for good in (np.int64(5), np.int32(5)):
         build(good)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [(lambda: caterpillar_tree(1, 0.5), "a chain encoding needs at least 2 leaves")],
+    ids=["caterpillar-one-leaf"],
+)
+def test_refusals_read_as_pinned(call, message):
+    with pytest.raises(ValueError) as caught:
+        call()
+    assert str(caught.value) == message

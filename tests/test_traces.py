@@ -846,3 +846,14 @@ class TestAggregateMean:
             assert mean.values[-1] == 1.0
 
         check()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [(lambda: EventTrace("", np.array([1.0]), 1.0), "story_id must be nonempty")],
+    ids=["empty-story-id"],
+)
+def test_refusals_read_as_pinned(call, message):
+    with pytest.raises(ValueError) as caught:
+        call()
+    assert str(caught.value) == message

@@ -861,3 +861,18 @@ class TestUniformChain:
     def test_chains_pass_verification(self, n):
         assert verify_ultrametric(uniform_chain(n)).ok
 
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: UltrametricSpace(np.array([]), np.zeros((0, 0))),
+         "state space needs at least one state"),
+        (lambda: UltrametricSpace(np.array([0.0, 1.0]), np.zeros((3, 3))),
+         "distance matrix must be 2x2, got (3, 3)"),
+    ],
+    ids=["no-labels", "matrix-of-another-size"],
+)
+def test_refusals_read_as_pinned(call, message):
+    with pytest.raises(ValueError) as caught:
+        call()
+    assert str(caught.value) == message
