@@ -18,7 +18,7 @@ from ultradiffusion.fitting import (
     r_squared,
     simulate_curve,
 )
-from ultradiffusion.traces import empirical_curve, parse_trace_csv
+from ultradiffusion.traces import PopularityCurve, curve_block, parse_trace_csv
 
 DATA = Path(__file__).resolve().parents[1] / "data" / "synthetic_t50_mu02.csv"
 
@@ -35,7 +35,8 @@ def main() -> None:
     print("(generated from a 50-state chain at mu = 0.2)")
 
     banner("Saturating-exponential fit")
-    curve = empirical_curve(trace)
+    (horizon,), (values,), _ = curve_block([trace])
+    curve = PopularityCurve(horizon, values)
     fit = fit_exponential(curve)
     print(f"h1 = {fit.h1:.5f}   (saturation level, model limit (t_N-1)/t_N)")
     print(f"h2 = {fit.h2:.3e} (initial decay rate)")

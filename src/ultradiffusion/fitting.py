@@ -413,7 +413,6 @@ def simulate_curve(params: UltradiffusionParams, horizon: float) -> PopularityCu
     """
     amplitude = (params.t_N - 1) / params.t_N
     values = amplitude * (1.0 - np.exp(-decay_rate(params) * uniform_grid(horizon)))
-    values.setflags(write=False)
     return _unchecked(PopularityCurve, horizon=float(horizon), values=values)
 
 

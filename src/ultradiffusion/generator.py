@@ -75,7 +75,10 @@ def build_generator(space: UltrametricSpace, mu: float) -> Generator:
         raise ValueError("mu must be nonnegative")
     if mu == 0 and space.dist.max() == np.inf:
         raise ValueError("mu = 0 leaves the rate e^(-mu*d) undefined at an infinite distance")
-    rates = space.dist * -mu
+    # Past the float range -mu*d is -inf and its rate the exact 0; at mu = inf
+    # the diagonal's 0 * inf is NaN, and is overwritten.
+    with np.errstate(over="ignore", invalid="ignore"):
+        rates = space.dist * -mu
     np.exp(rates, out=rates)
     np.fill_diagonal(rates, 0.0)
     # Rates are never negative; zeros beyond the n on the diagonal underflowed.
@@ -87,7 +90,6 @@ def build_generator(space: UltrametricSpace, mu: float) -> Generator:
             stacklevel=2,
         )
     np.fill_diagonal(rates, -rates.sum(axis=1))
-    rates.setflags(write=False)  # handed over as is, not copied
     return _unchecked(Generator, rates=rates)
 
 

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .traces import _integer, _readonly
-from .ultrametric import UltrametricSpace, _built_space
+from .traces import _integer, _readonly, _unchecked
+from .ultrametric import UltrametricSpace
 
 __all__ = [
     "ChainSpectrum",
@@ -125,7 +125,10 @@ def chain_spectrum(t_N: int, mu: float) -> ChainSpectrum:
     t_N = _check_chain(t_N, mu)
     # The path of leaf 1 climbs levels 2..t_N: N_0 = 1, N_k = k, h_k = mu*(k-1).
     lam = np.zeros(t_N)
-    lam[1:] = -_path_rates(np.arange(1.0, t_N + 1), np.exp(-mu * np.arange(1, t_N)))
+    # Past the float range -mu*(k-1) is -inf and its rate the exact 0.
+    with np.errstate(over="ignore"):
+        decays = np.exp(-mu * np.arange(1, t_N))
+    lam[1:] = -_path_rates(np.arange(1.0, t_N + 1), decays)
     return ChainSpectrum(eigenvalues=lam)
 
 
@@ -253,7 +256,12 @@ def caterpillar_tree(n: int, mu: float) -> TreeModel:
         raise ValueError("mu must be positive for strictly increasing heights")
     levels = np.arange(n, 1, -1)                   # spine node s is level n - s
     parent = np.concatenate([np.arange(-1, n - 2), [n - 2], n - np.arange(2, n + 1)])
-    height = np.concatenate([mu * (levels - 1.0), np.zeros(n)])
+    # A root height past the float range is inf, whose rate is the exact 0;
+    # any lower level there would tie with the root.
+    with np.errstate(over="ignore"):
+        height = np.concatenate([mu * (levels - 1.0), np.zeros(n)])
+    if height[1] == np.inf:
+        raise ValueError(f"mu={mu!r} overflows the heights mu*(k-1) of levels below the root")
     return TreeModel(parent, height)
 
 
@@ -282,4 +290,4 @@ def space_from_tree(tree: TreeModel) -> UltrametricSpace:
     # Every pair is filled on both sides, off the diagonal, with the height
     # of an internal node, which `TreeModel` holds above its child's, >= 0:
     # the matrix is symmetric, zero on the diagonal and positive off it.
-    return _built_space(np.arange(1, n + 1, dtype=float), dist)
+    return _unchecked(UltrametricSpace, labels=np.arange(1, n + 1, dtype=float), dist=dist)

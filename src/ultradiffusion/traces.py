@@ -8,8 +8,8 @@ fitter works on): a `PopularityCurve` is its horizon and values, nothing
 more. `curve_block` builds the curves of many traces at once, as their
 horizons and one (traces x 200) array of values, and refuses a horizon too
 short for its grid or events that fill fewer than 4 grid cells;
-`empirical_curve` is its one-trace call, and `aggregate_mean` averages such
-a block into one curve on the grid of its longest horizon.
+`aggregate_mean` averages such a block into one curve on the grid of its
+longest horizon.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ __all__ = [
     "TraceFormatError",
     "aggregate_mean",
     "curve_block",
-    "empirical_curve",
     "parse_trace_csv",
     "uniform_grid",
 ]
@@ -60,9 +59,12 @@ def _readonly(values, dtype=float) -> np.ndarray:
 def _unchecked(cls, **fields):
     """An instance of the frozen dataclass `cls` with `fields` set as given,
     for a builder whose values are valid by construction: `__post_init__`
-    and its checks do not run."""
+    and its checks do not run. An array field is the builder's own fresh
+    array, owning its data, so it is made read-only in place, not copied."""
     made = object.__new__(cls)
     for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
         object.__setattr__(made, name, value)
     return made
 
@@ -378,9 +380,10 @@ def curve_block(traces: Sequence[EventTrace]):
     """Step curves of cumulative event fraction of many traces, as one block.
 
     Returns (horizons, values, faults): the traces' horizons, a (traces x
-    200) array whose row n holds the values of `empirical_curve(traces[n])`
-    bit for bit, and per trace None or the ValueError that `empirical_curve`
-    raises for it. Each trace takes one grid, refused as `uniform_grid`
+    200) array, and per trace None or the ValueError that refuses its curve.
+    Row n at column k - 1 is the share of trace n's events at or before
+    horizon*k/200, so the curve is right-continuous and ends at exactly 1.0
+    at the horizon. Each trace takes one grid, refused as `uniform_grid`
     refuses it, and one `searchsorted`. A curve whose events fill fewer than
     4 grid cells, as clock timestamps do, is refused by name. A trace's
     events lie in (0, horizon], so any other row passes `PopularityCurve`'s
@@ -405,21 +408,6 @@ def curve_block(traces: Sequence[EventTrace]):
             )
     values /= np.array([trace.count for trace in traces], dtype=float)[:, None]
     return horizons, values, faults
-
-
-def empirical_curve(trace: EventTrace) -> PopularityCurve:
-    """Step curve of cumulative event fraction on a 200-point uniform grid.
-
-    The value at grid time t is (number of events <= t) / M with M the
-    trace's total event count, so the curve is right-continuous and ends at
-    exactly 1.0 at the horizon. The one-trace call of `curve_block`: a curve
-    it does not refuse passes `PopularityCurve`'s checks by construction,
-    so they are not run.
-    """
-    (horizon,), (values,), (fault,) = curve_block([trace])
-    if fault:
-        raise fault
-    return _unchecked(PopularityCurve, horizon=float(horizon), values=_readonly(values))
 
 
 def aggregate_mean(horizons, values) -> PopularityCurve:

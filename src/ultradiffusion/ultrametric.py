@@ -102,17 +102,6 @@ def _check_ascending(labels: np.ndarray) -> None:
         raise ValueError("labels must be strictly ascending")
 
 
-def _built_space(labels, dist) -> UltrametricSpace:
-    """The space of a builder whose labels ascend and whose `dist` is
-    symmetric, zero on the diagonal and positive off it: the fields are set
-    without the constructor's O(n^2) checks. Both arrays are the builder's
-    own, fresh and of float dtype, so they are made read-only in place, not
-    copied."""
-    for values in (labels, dist):
-        values.setflags(write=False)
-    return _unchecked(UltrametricSpace, labels=labels, dist=dist)
-
-
 @dataclass(frozen=True)
 class TripleReport:
     """Outcome of a strong-triangle check over every ordered triple of a matrix.
@@ -178,7 +167,7 @@ def _max_space(labels, heights) -> UltrametricSpace:
         raise ValueError("distances between distinct states must be positive")
     dist = np.maximum.outer(heights, heights)
     dist.reshape(-1)[:: heights.size + 1] = 0.0  # the diagonal
-    return _built_space(labels, dist)
+    return _unchecked(UltrametricSpace, labels=labels, dist=dist)
 
 
 # Entries per block of the order proof, so its temporaries stay near 2 MB

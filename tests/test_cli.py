@@ -28,7 +28,7 @@ from ultradiffusion.fitting import (
     simulate_curve,
 )
 from ultradiffusion.serialize import write_curve_tsv, write_json, write_trace_csv
-from ultradiffusion.traces import EventTrace, empirical_curve, parse_trace_csv
+from ultradiffusion.traces import EventTrace, PopularityCurve, curve_block, parse_trace_csv
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 FIXTURE = REPO_ROOT / "data" / "synthetic_t50_mu02.csv"
@@ -342,13 +342,16 @@ class TestClockOrigin:
 def per_story_reference(traces, command, offset, out):
     """What `fit` or `compare` writes when every story is handled alone:
     fit_exponential -> infer_params -> simulate_curve, and in `fit` the
-    write_curve_tsv of each fitted story's `empirical_curve`. Writes the
-    files into `out`; returns the failure report."""
+    write_curve_tsv of each fitted story's curve, a one-row `curve_block`.
+    Writes the files into `out`; returns the failure report."""
     results, failed = {}, {}
     for trace in traces:
         sid = trace.story_id
         try:
-            curve = empirical_curve(trace)
+            (horizon,), (values,), (fault,) = curve_block([trace])
+            if fault:
+                raise fault
+            curve = PopularityCurve(horizon, values)
             fit = fit_exponential(curve, offset)
         except (FitError, ValueError) as err:
             failed[sid] = err
@@ -684,6 +687,17 @@ class TestSimulate:
         code = main(["simulate", "--out-dir", str(tmp_path / "o"), "--t-n", "1"])
         assert code == 1
 
+    def test_a_decay_past_the_float_range_warns_nothing(self, tmp_path, capsys):
+        # On a given horizon the chain's rates are the exact zeros.
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["simulate", "--out-dir", str(out), "--mu", "1e308", "--horizon", "10"])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        spectrum = (out / "spectrum.tsv").read_text().splitlines()
+        assert len(spectrum) == 51
+
     @pytest.mark.parametrize(
         "options",
         [["--t-n", "10000", "--mu", "0.1"], ["--t-n", "3", "--mu", "1e308"]],
@@ -896,6 +910,25 @@ class TestCompare:
             "story 'story_002': no inferred mu, skipping rate-matrix export",
             f"story 'story_003': {underflow}",
         ]
+
+
+    def test_a_story_past_the_float_range_gets_only_the_named_note(self, tmp_path, capsys):
+        # Times near 1e306 put mu*d past the largest float: its rates are the
+        # exact zeros, named once, with no numpy overflow note beside it.
+        story = sample_events(UltradiffusionParams(20, 0.2, 120), seed=3, story_id="big")
+        csv = tmp_path / "big.csv"
+        csv.write_text("story_id,timestamp\n"
+                       + "".join(f"big,{t * 1e306!r}\n" for t in story.events.tolist()))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["compare", "--input", str(csv), "--out-dir", str(tmp_path / "out"),
+                         "--min-events", "10", "--export-matrices"])
+        assert code == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "story 'big': some rates underflowed to zero: e^(-mu*d) is 0 in double "
+            "precision once mu*d exceeds about 745"
+        ]
+        assert (tmp_path / "out" / "big_generator.tsv").exists()
 
 
 FAILING = checks.CheckResult(

@@ -1,9 +1,11 @@
-"""The narrative demos under demos/ run to completion from a checkout."""
+"""The narrative demos under demos/, and the README's minimal session, run to
+completion from a checkout."""
 
 import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -46,3 +48,17 @@ def test_demo_runs_and_leaves_the_checkout_unchanged(demo):
     assert result.stdout.strip()
     if before is not None:
         assert checkout_status() == before
+
+
+def test_readme_minimal_session_runs():
+    # Run as written, with warnings as errors, it maps every story it fits.
+    readme = (REPO_ROOT / "README.md").read_text()
+    section = readme[readme.index("\nA minimal session:\n") :]
+    start = section.index("```python\n") + len("```python\n")
+    scope = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        exec(section[start : section.index("```\n", start)], scope)
+    assert scope["space"].size == 7
+    assert scope["faults"] == [None] * 3
+    assert len(scope["params"]) == 3

@@ -35,10 +35,16 @@ from ultradiffusion.traces import (
     EventTrace,
     PopularityCurve,
     curve_block,
-    empirical_curve,
     uniform_grid,
 )
 from ultradiffusion.ultrametric import uniform_chain
+
+
+def curves_of(traces):
+    """The traces' curves, the rows of their `curve_block`, checked."""
+    horizons, values, faults = curve_block(traces)
+    assert faults == [None] * len(traces)
+    return [PopularityCurve(horizon, row) for horizon, row in zip(horizons, values)]
 
 
 def reference_fit(curve, offset=False):
@@ -258,7 +264,8 @@ class TestFitExponential:
     def test_recovers_from_sampled_noise(self):
         params = UltradiffusionParams(t_N=50, mu=0.2, M=10_000)
         trace = sample_events(params, seed=3)
-        fit = fit_exponential(empirical_curve(trace))
+        (curve,) = curves_of([trace])
+        fit = fit_exponential(curve)
         assert fit.h1 == pytest.approx(0.98, abs=0.02)
         assert fit.r2 > 0.99
 
@@ -419,7 +426,7 @@ class TestFitExponentials:
         horizons, values, _ = curve_block(traces)
         batch = fit_block(horizons, values)
         assert [bits(fit) for fit in batch] == [
-            bits(fit_exponential(empirical_curve(trace))) for trace in traces
+            bits(fit_exponential(curve)) for curve in curves_of(traces)
         ]
 
     def test_empty_stack_fits_nothing(self):
@@ -433,12 +440,10 @@ class TestFitBlock:
 
     @pytest.mark.parametrize("offset", [False, True])
     def test_rows_get_their_lone_fits(self, offset):
-        curves = [
-            empirical_curve(
-                sample_events(UltradiffusionParams(t_N=30 + 5 * s, mu=0.1, M=150), seed=s)
-            )
-            for s in range(5)
-        ]
+        curves = curves_of(
+            [sample_events(UltradiffusionParams(t_N=30 + 5 * s, mu=0.1, M=150), seed=s)
+             for s in range(5)]
+        )
         flat = PopularityCurve(horizon=curves[0].horizon, values=np.full(200, 0.5))
         curves.insert(2, flat)
         fits = fit_block([c.horizon for c in curves], [c.values for c in curves], offset)
@@ -446,10 +451,9 @@ class TestFitBlock:
         assert bits(fits[2]) == ("FitError", "no dynamics to fit: curve is constant")
 
     def test_a_curve_that_is_not_finite_is_refused_by_name(self):
-        curves = [
-            empirical_curve(sample_events(UltradiffusionParams(t_N=30, mu=0.1, M=150), seed=s))
-            for s in range(4)
-        ]
+        curves = curves_of(
+            [sample_events(UltradiffusionParams(t_N=30, mu=0.1, M=150), seed=s) for s in range(4)]
+        )
         values = np.array([c.values for c in curves])
         # One NaN, one inf, and a row of inf, whose spread inf - inf is NaN.
         values[1, 50], values[2, -1], values[3] = np.nan, np.inf, np.inf
@@ -481,9 +485,7 @@ class TestFitBlock:
     def test_a_rate_past_the_largest_float_is_refused_by_name(self):
         # On a subnormal horizon a saturating curve's rate k/T overflows. That
         # curve alone is refused, naming the horizon, with no warning.
-        curve = empirical_curve(
-            sample_events(UltradiffusionParams(t_N=50, mu=0.2, M=200), seed=1)
-        )
+        (curve,) = curves_of([sample_events(UltradiffusionParams(t_N=50, mu=0.2, M=200), seed=1)])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             fits = fit_block([curve.horizon, 1e-310], [curve.values] * 2)

@@ -155,6 +155,19 @@ class TestBuildGenerator:
         with pytest.warns(RuntimeWarning, match=r"once mu\*d exceeds about 745"):
             build_generator(space, mu=1.0)
 
+    def test_an_infinite_mu_gives_zero_rates_with_only_the_named_warning(self):
+        # e^(-inf*d) is 0 at every d > 0, as e^(-1000*d) already is: the one
+        # warning is the named one, not numpy's 0 * inf on the diagonal.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            gen = build_generator(uniform_chain(3), mu=math.inf)
+            limit = build_generator(uniform_chain(3), mu=1000.0)
+        assert [str(w.message) for w in caught] == [
+            "some rates underflowed to zero: e^(-mu*d) is 0 in double precision "
+            "once mu*d exceeds about 745"
+        ] * 2
+        assert gen.rates.tobytes() == limit.rates.tobytes()
+
     def test_build_is_deterministic(self):
         a = build_generator(worked_space(), mu=0.4).rates
         b = build_generator(worked_space(), mu=0.4).rates

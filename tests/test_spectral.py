@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -110,6 +111,14 @@ class TestChainSpectrum:
     def test_two_states_at_mu_log2(self):
         spectrum = chain_spectrum(2, mu=math.log(2.0))
         assert spectrum.eigenvalues[1] == pytest.approx(-1.0)
+
+    def test_a_decay_past_the_float_range_gives_the_zero_rates_quietly(self):
+        # e^(-mu*(k-1)) is 0 once mu*(k-1) passes 745, and stays 0 past the
+        # largest float.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            spectrum = chain_spectrum(5, mu=1e308)
+        assert spectrum.eigenvalues.tobytes() == chain_spectrum(5, mu=1000.0).eigenvalues.tobytes()
 
     def test_first_eigenvalue_is_always_zero(self):
         for t_N in (2, 7, 30):
@@ -475,6 +484,18 @@ class TestSpaceFromTree:
     def test_caterpillar_rejects_nan_mu(self):
         with pytest.raises(ValueError, match="positive"):
             caterpillar_tree(4, math.nan)
+
+    def test_caterpillar_heights_past_the_float_range(self):
+        # A root height past the largest float is inf, quietly; a lower
+        # level there is refused by name, not as a tie with the root.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert caterpillar_tree(3, 1e308).height.tolist() == [math.inf, 1e308, 0, 0, 0]
+            with pytest.raises(ValueError) as refusal:
+                caterpillar_tree(5, 1e308)
+        assert str(refusal.value) == (
+            "mu=1e+308 overflows the heights mu*(k-1) of levels below the root"
+        )
 
     def test_distances_of_a_deep_caterpillar_match_the_chain_row_by_row(self):
         n, mu = 2000, 0.1

@@ -16,7 +16,6 @@ from ultradiffusion.traces import (
     TraceFormatError,
     aggregate_mean,
     curve_block,
-    empirical_curve,
     parse_trace_csv,
     uniform_grid,
 )
@@ -479,16 +478,18 @@ def test_parse_peak_memory_stays_below_the_file_size(tmp_path, peak_rise):
 
 
 class TestEmpiricalCurve:
+    """The curve of one trace: a one-row `curve_block`."""
+
     def test_counts_fraction_of_events_up_to_each_grid_time(self):
         trace = EventTrace(
             story_id="s", events=np.array([1.0, 2.0, 3.0, 4.0]), horizon=4.0
         )
-        curve = empirical_curve(trace)
+        _, (values,), (fault,) = curve_block([trace])
         # Grid times 4k/200: the events are at k = 50, 100, 150 and 200.
-        assert curve.grid.size == 200
+        assert fault is None and values.size == 200
         steps = [0.0, 0.25, 0.5, 0.75, 1.0]
-        assert curve.values[[48, 49, 99, 149, 199]].tolist() == steps
-        assert np.unique(curve.values).tolist() == steps
+        assert values[[48, 49, 99, 149, 199]].tolist() == steps
+        assert np.unique(values).tolist() == steps
 
     def test_single_late_event_yields_step_curve(self):
         # One event fills one grid cell, too few to build a curve from: the
@@ -500,8 +501,6 @@ class TestEmpiricalCurve:
         assert str(fault) == (
             "events fill 1 of 200 grid cells: are timestamps measured from the story's start?"
         )
-        with pytest.raises(ValueError, match="events fill 1 of 200 grid cells"):
-            empirical_curve(trace)
 
     def test_worked_timeline_reaches_four_sixths_at_t8(self):
         trace = EventTrace(
@@ -509,11 +508,12 @@ class TestEmpiricalCurve:
             events=np.array([1.0, 5.0, 6.0, 8.0, 12.0, 17.0]),
             horizon=17.0,
         )
-        curve = empirical_curve(trace)
+        _, (values,), (fault,) = curve_block([trace])
         # Four of the six events are in by t = 8, and no fifth before t = 12.
-        between = (curve.grid >= 8.0) & (curve.grid < 12.0)
-        assert between.sum() == 47
-        assert np.all(curve.values[between] == 4.0 / 6.0)
+        grid = uniform_grid(17.0)
+        between = (grid >= 8.0) & (grid < 12.0)
+        assert fault is None and between.sum() == 47
+        assert np.all(values[between] == 4.0 / 6.0)
 
     def test_curve_always_ends_at_one(self):
         rng = np.random.default_rng(7)
@@ -528,30 +528,24 @@ class TestEmpiricalCurve:
 
     def test_counting_is_inclusive_at_event_times(self):
         trace = EventTrace(story_id="s", events=np.array([2.0, 3.0, 3.5, 4.0]), horizon=4.0)
-        curve = empirical_curve(trace)
+        _, (values,), (fault,) = curve_block([trace])
         # Grid time 4 * 100/200 is exactly the event at 2.
-        assert curve.grid[99] == 2.0
-        assert (curve.values[98], curve.values[99], curve.values[-1]) == (0.0, 0.25, 1.0)
+        assert fault is None and uniform_grid(4.0)[99] == 2.0
+        assert (values[98], values[99], values[-1]) == (0.0, 0.25, 1.0)
 
     def test_the_block_row_is_checked_once_and_passes_the_public_checks(self):
-        # curve_block has checked the row's grid, the one check that can
-        # fail on it, so the curve is made without a second check; the
-        # public constructor still takes it unchanged.
+        # curve_block checks the row's grid once, the one check that can
+        # fail on it; the public constructor takes the row unchanged.
         trace = EventTrace(
             story_id="s", events=np.array([1.0, 5.0, 5.0, 8.0, 17.0]), horizon=17.0
         )
-        with mock.patch.object(traces, "_scaled", wraps=traces._scaled) as scaled, \
-                mock.patch.object(
-                    traces.PopularityCurve, "__post_init__", autospec=True,
-                    side_effect=traces.PopularityCurve.__post_init__,
-                ) as checks:
-            curve = empirical_curve(trace)
+        with mock.patch.object(traces, "_scaled", wraps=traces._scaled) as scaled:
+            (horizon,), (values,), (fault,) = curve_block([trace])
         assert scaled.call_count == 1 and scaled.call_args.args[0] == 17.0
-        assert checks.call_count == 0
-        again = PopularityCurve(horizon=curve.horizon, values=curve.values)
-        assert again.grid.tobytes() == curve.grid.tobytes() == uniform_grid(17.0).tobytes()
-        assert np.array_equal(again.values, curve.values)
-        assert not curve.values.flags.writeable
+        assert fault is None
+        curve = PopularityCurve(horizon=horizon, values=values)
+        assert curve.grid.tobytes() == uniform_grid(17.0).tobytes()
+        assert curve.values.tobytes() == values.tobytes()
 
 
 class TestCurveBlock:
@@ -591,17 +585,17 @@ class TestCurveBlock:
             assert horizons.tolist() == [trace.horizon for trace in batch]
             assert len(faults) == len(batch)
             for n, trace in enumerate(batch):
-                try:
-                    lone = empirical_curve(trace)
-                except ValueError as err:
-                    assert (type(faults[n]), str(faults[n])) == (type(err), str(err))
+                (horizon,), (lone,), (fault,) = curve_block([trace])
+                assert horizon == trace.horizon
+                if fault is not None:
+                    assert (type(faults[n]), str(faults[n])) == (type(fault), str(fault))
                     continue
                 assert faults[n] is None
                 # The formulas of the earlier per-trace builder.
                 times = trace.horizon * (np.arange(1, 201) / 200)
                 fraction = np.searchsorted(trace.events, times, side="right") / trace.count
-                assert lone.horizon == trace.horizon and lone.grid.tobytes() == times.tobytes()
-                assert values[n].tobytes() == lone.values.tobytes() == fraction.tobytes()
+                assert uniform_grid(trace.horizon).tobytes() == times.tobytes()
+                assert values[n].tobytes() == lone.tobytes() == fraction.tobytes()
 
         check()
 
@@ -665,9 +659,9 @@ class TestCurveBlock:
         assert faults[0] is None and faults[2] is None
         message = "horizon 5e-324 is too short to split into 200 uniform grid points"
         assert str(faults[1]) == message
-        np.testing.assert_array_equal(values[0], empirical_curve(good).values)
-        with pytest.raises(ValueError, match=re.escape(str(faults[1]))):
-            empirical_curve(tiny)
+        assert values[0].tobytes() == curve_block([good])[1][0].tobytes()
+        (lone,) = curve_block([tiny])[2]
+        assert (type(lone), str(lone)) == (type(faults[1]), message)
 
     def test_no_traces_make_an_empty_block(self):
         horizons, values, faults = curve_block([])
@@ -775,7 +769,8 @@ class TestAggregateMean:
         trace = EventTrace(
             story_id="s", events=np.array([1.0, 2.0, 3.0, 4.0]), horizon=4.0
         )
-        curve = empirical_curve(trace)
+        (horizon,), (values,), _ = curve_block([trace])
+        curve = PopularityCurve(horizon, values)
         mean = block_mean([curve])
         assert mean.horizon == curve.horizon
         assert mean.grid.tobytes() == curve.grid.tobytes()

@@ -374,8 +374,8 @@ def test_out_of_order_peak_memory_stays_below_one_and_a_quarter_matrices(peak_ri
     # a pair was broken.
     size, nbytes, rise = peak_rise(
         "import numpy as np\n"
-        "from ultradiffusion.traces import EventTrace\n"
-        "from ultradiffusion.ultrametric import UltrametricSpace, _built_space, build_from_trace, verify_ultrametric\n"
+        "from ultradiffusion.traces import EventTrace, _unchecked\n"
+        "from ultradiffusion.ultrametric import UltrametricSpace, build_from_trace, verify_ultrametric\n"
         "events = np.sort(1000.0 * (1.0 - np.random.default_rng(7).random(3000)))\n"
         'space = build_from_trace(EventTrace(story_id="big", events=events, horizon=1000.0))\n'
         # d(i, j) = max(h_i, h_j) off the diagonal, with h = T - label, built
@@ -387,7 +387,7 @@ def test_out_of_order_peak_memory_stays_below_one_and_a_quarter_matrices(peak_ri
         "np.fill_diagonal(dist, 0.0)\n"
         "if sys.argv[1] == 'True':\n"
         "    dist[0, 1] = dist[1, 0] = dist[0, 1] * 1.5\n"
-        "space = _built_space(np.arange(1.0, heights.size + 1), dist)\n"
+        "space = _unchecked(UltrametricSpace, labels=np.arange(1.0, heights.size + 1), dist=dist)\n"
         # Three states out of their order: scipy.cluster is imported first.
         "verify_ultrametric(UltrametricSpace(labels=np.arange(1.0, 4), dist=[[0, 2, 1], [2, 0, 2], [1, 2, 0]]))",
         "assert verify_ultrametric(space).ok is (sys.argv[1] == 'False')",

@@ -1,30 +1,34 @@
 """Only the named builders skip a constructor's checks.
 
 `traces._unchecked` sets a frozen dataclass's fields without running its
-`__post_init__`, and `ultrametric._built_space` hands a space over through
-it. Each call is a claim that the values are valid by construction, so this
-AST scan fails on a call from any function not in the allow-list below:
-adding one is a visible, reviewed choice.
+`__post_init__`, making each array field read-only in place. Each call is a
+claim that the values are valid by construction and the arrays the
+builder's own, so this AST scan fails on a call from any function not in
+the allow-list below: adding one is a visible, reviewed choice.
 """
 
 import ast
+from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import ultradiffusion
+from ultradiffusion.fitting import UltradiffusionParams, sample_events, simulate_curve
+from ultradiffusion.generator import build_generator
+from ultradiffusion.spectral import caterpillar_tree, space_from_tree
+from ultradiffusion.ultrametric import build_from_trace, uniform_chain
 
 SOURCES = sorted(Path(ultradiffusion.__file__).parent.glob("*.py"))
 
 # (module, enclosing function) of every call allowed to skip the checks.
 ALLOWED = {
     "_unchecked": {
-        ("traces", "empirical_curve"),
         ("fitting", "simulate_curve"),
-        ("ultrametric", "_built_space"),
-        ("generator", "build_generator"),
-    },
-    "_built_space": {
         ("ultrametric", "_max_space"),
         ("spectral", "space_from_tree"),
+        ("generator", "build_generator"),
     },
 }
 
@@ -81,11 +85,39 @@ def test_scan_flags_a_call_outside_the_allow_list():
         "def helper(x):\n"
         "    def inner():\n"
         "        return traces._unchecked(Generator, rates=x)\n"
-        "    return _built_space(x, x, x)\n"
+        "    return _unchecked(Generator, rates=x)\n"
         "made = _unchecked(Generator, rates=None)\n"
     )
     assert disallowed("generator", source) == [
         "generator.inner calls _unchecked( on line 7",
-        "generator.helper calls _built_space( on line 8",
+        "generator.helper calls _unchecked( on line 8",
         "generator.<module> calls _unchecked( on line 9",
     ]
+
+
+_TRACE = sample_events(UltradiffusionParams(t_N=20, mu=0.2, M=120), seed=3)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: simulate_curve(UltradiffusionParams(t_N=20, mu=0.2, M=120), 30.0),
+        lambda: build_from_trace(_TRACE),
+        lambda: uniform_chain(7),
+        lambda: space_from_tree(caterpillar_tree(7, 0.3)),
+        lambda: build_generator(uniform_chain(7), 0.3),
+    ],
+    ids=["simulate_curve", "build_from_trace", "uniform_chain", "space_from_tree",
+         "build_generator"],
+)
+def test_built_values_are_frozen_and_pass_the_checked_constructor(build):
+    built = build()
+    values = {field.name: getattr(built, field.name) for field in fields(built)}
+    arrays = {name: value for name, value in values.items() if isinstance(value, np.ndarray)}
+    assert arrays
+    for name, array in arrays.items():
+        assert not array.flags.writeable, name
+        assert array.base is None, name
+    checked = type(built)(**values)
+    for name, array in arrays.items():
+        np.testing.assert_array_equal(getattr(checked, name), array)
