@@ -5,18 +5,22 @@ window, so their event curve is the straight line t/T0, which `fit_linear`
 explains strictly better than a saturating exponential. And a self-similar
 hierarchy with branching b and level spacing delta_h, whose relaxation is a
 geometric series of exponentials that sums to a power law t^(-v) over a wide
-window instead of a single exponential.
+window instead of a single exponential. That series is the tree kernel's
+sum of path modes on the infinite b-ary tree, and `spectral._mode_sum`
+evaluates it.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .fitting import r_squared
+from .spectral import _mode_sum
 from .traces import _integer
 
 __all__ = [
@@ -86,6 +90,10 @@ class PowerLawModel:
             raise ValueError(f"branching b must be at least 2, got {self.b}")
         if not math.isfinite(self.delta_h) or self.delta_h <= 0:
             raise ValueError(f"level spacing delta_h must be positive, got {self.delta_h}")
+        if self.delta_h > math.log(sys.float_info.max):
+            raise ValueError(
+                f"level spacing delta_h={self.delta_h} puts e^delta_h past the largest float"
+            )
 
     @property
     def s(self) -> float:
@@ -117,22 +125,28 @@ def power_law_curve(model: PowerLawModel, t) -> PowerLawCurve:
     The series is sum over levels m >= 1 of (b-1)*b^(-m)*e^(-t*c*q^m) with
     q = b*e^(-delta_h) and c = (e^delta_h - 1)/(e^delta_h - b), truncated at
     60 levels; the neglected tail is below b^(-60) pointwise, which is
-    returned as the truncation bound. The asymptote is D*t^(-v) with
-    D = Gamma(v)*c^(-v)*((b-1)/ln b)*v. Reading `model.v` first refuses
-    s >= 1 before the times are checked or any level is summed.
+    returned as the truncation bound. These are the path modes of a leaf of
+    the infinite b-ary tree with heights m*delta_h: N_m = b^m leaves at
+    level m give the weights 1/N_{m-1} - 1/N_m, and `spectral._path_rates`
+    gives the rates, in which the levels above m sum geometrically to the
+    factor c. The path kernel's evaluator, `spectral._mode_sum`, sums them.
+    The asymptote is D*t^(-v) with D = Gamma(v)*c^(-v)*((b-1)/ln b)*v.
+    Reading `model.v` first refuses s >= 1 before the times are checked or
+    any level is summed.
     """
     v = model.v
     times = np.asarray(t, dtype=float)
-    # Written so that NaN fails too.
-    if not np.all(times > 0):
-        raise ValueError("power-law evaluation needs strictly positive times")
+    # Written so that NaN fails too; at t = inf a rate that underflowed to 0
+    # would give 0 * inf = NaN.
+    if not np.all(np.isfinite(times) & (times > 0)):
+        raise ValueError("power-law evaluation needs finite, strictly positive times")
     b, dh = model.b, model.delta_h
     q = b * math.exp(-dh)
     c = (math.exp(dh) - 1.0) / (math.exp(dh) - b)
     m = np.arange(1, _LEVELS + 1)
     weights = (b - 1.0) * np.power(float(b), -m.astype(float))
     rates = c * np.power(q, m.astype(float))
-    series = np.exp(-np.multiply.outer(times, rates)) @ weights
+    series = _mode_sum(weights, rates, times)
     amplitude = math.gamma(v) * c ** (-v) * ((b - 1) / math.log(b)) * v
     asymptote = amplitude * np.power(times, -v)
     return PowerLawCurve(

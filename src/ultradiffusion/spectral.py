@@ -4,10 +4,13 @@ On a rooted tree whose node heights set the hop rates e^(-h), every ancestor
 on a leaf's path to the root contributes one exponential mode to the leaf's
 return probability. With leaf counts N_0 = 1, N_1, ..., N_m along the path,
 P(t) = sum_k (1/N_{k-1} - 1/N_k) e^(-rate_k t) + 1/N_m: a hierarchy of time
-scales rather than a single rate. One formula gives the rates and one kernel
-evaluates that sum, for trees and chains alike. A tree is given as two
-arrays, each node's parent and height, in depth-first pre-order, so no
-routine recurses.
+scales rather than a single rate. One formula gives the rates and one
+evaluator, `_mode_sum`, sums the modes: for trees, chains and the
+self-similar hierarchy of `baselines` alike. It takes a bounded block of
+times at a time, about 2 MB of exponentials however deep the path, and
+keeps the one-shot sum's bits whenever the times fit one block. A tree is
+given as two arrays, each node's parent and height, in depth-first
+pre-order, so no routine recurses.
 
 The unit-spaced chain of t_N states is the caterpillar with N_k = k and
 h_k = mu*(k-1). Its generator diagonalizes exactly: lambda(1) = 0 and, for
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .traces import _integer, _readonly, _unchecked
-from .ultrametric import UltrametricSpace
+from .ultrametric import _BLOCK_ENTRIES, UltrametricSpace
 
 __all__ = [
     "ChainSpectrum",
@@ -49,8 +52,9 @@ _TILE = 128
 
 def _check_times(t) -> np.ndarray:
     times = np.asarray(t, dtype=float)
-    if not np.all(times >= 0):
-        raise ValueError("times must be nonnegative")
+    # At t = inf a rate that underflowed to 0 gives 0 * inf = NaN.
+    if not np.all(np.isfinite(times) & (times >= 0)):
+        raise ValueError("times must be finite and nonnegative")
     return times
 
 
@@ -61,10 +65,31 @@ def _check_index(index, n: int, what: str) -> int:
     return index
 
 
+def _mode_sum(weights: np.ndarray, rates: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """sum_k weights[k] e^(-rates[k] t) at every time t, in the shape of `times`.
+
+    The one evaluator of a sum of relaxation modes. It takes the times a
+    block at a time, so its (times x modes) exponential stays near
+    `_BLOCK_ENTRIES` entries (2 MB), or one row of modes on a path deeper
+    than that. Times that fit one block get the one-shot sum, bit for bit;
+    across blocks BLAS may round a row differently, by up to about 2e-15
+    relative.
+    """
+    step = max(1, _BLOCK_ENTRIES // max(1, rates.size))
+    if times.size <= step:
+        return np.exp(np.multiply.outer(times, -rates)) @ weights
+    flat = times.ravel()
+    out = np.empty(flat.size)
+    for top in range(0, flat.size, step):
+        out[top : top + step] = np.exp(np.multiply.outer(flat[top : top + step], -rates)) @ weights
+    return out.reshape(times.shape)
+
+
 def _path_modes(counts: np.ndarray, rates: np.ndarray, times: np.ndarray) -> np.ndarray | float:
-    """sum_k (1/N_{k-1} - 1/N_k) e^(-rate_k t) + 1/N_m for path counts N_0 = 1, ..., N_m."""
+    """sum_k (1/N_{k-1} - 1/N_k) e^(-rate_k t) + 1/N_m for path counts N_0 = 1, ..., N_m,
+    the modes summed by `_mode_sum`."""
     weights = 1.0 / counts[:-1] - 1.0 / counts[1:]
-    out = np.exp(np.multiply.outer(times, -rates)) @ weights + 1.0 / counts[-1]
+    out = _mode_sum(weights, rates, times) + 1.0 / counts[-1]
     return out if times.ndim else float(out)
 
 
@@ -149,7 +174,9 @@ def survival_probability(t_N: int, mu: float, t) -> np.ndarray | float:
     """Probability that no rebroadcast has occurred by time t.
 
     Single-mode closed form for the chain's last state:
-    ((t_N-1)/t_N) * e^(-t * t_N * e^(-mu*(t_N-1))) + 1/t_N.
+    ((t_N-1)/t_N) * e^(-t * t_N * e^(-mu*(t_N-1))) + 1/t_N. It is written
+    out, not summed by `_mode_sum`: the survival-identity check compares it
+    with the path kernel.
     """
     t_N = _check_chain(t_N, mu)
     times = _check_times(t)

@@ -172,7 +172,7 @@ def _max_space(labels, heights) -> UltrametricSpace:
 
 # Entries per block of the order proof, so its temporaries stay near 2 MB
 # at any n. A block has at most min(n, max(1, _BLOCK_ENTRIES // n)) <= _SIDE
-# rows.
+# rows. `spectral._mode_sum` sums its blocks of times to the same size.
 _SIDE = 512
 _BLOCK_ENTRIES = _SIDE * _SIDE
 

@@ -11,6 +11,8 @@ import pytest
 from ultradiffusion.generator import build_generator
 from ultradiffusion.oracle import numeric_spectrum
 from ultradiffusion.spectral import (
+    _BLOCK_ENTRIES,
+    _mode_sum,
     ChainSpectrum,
     TreeModel,
     autocorrelation_chain,
@@ -622,3 +624,88 @@ def test_refusals_read_as_pinned(call, message):
     with pytest.raises(ValueError) as caught:
         call()
     assert str(caught.value) == message
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda t: tree_autocorrelation(caterpillar_tree(5, 400.0), 1, t), id="tree"),
+        pytest.param(lambda t: autocorrelation_chain(chain_spectrum(5, 400.0), 1, t), id="chain"),
+        pytest.param(lambda t: survival_probability(5, 1000.0, t), id="survival"),
+    ],
+)
+def test_refuses_an_infinite_time_by_name(call):
+    # At these mu a rate underflows to 0, and 0 * inf made the value at
+    # t = inf NaN, with a RuntimeWarning only. Where no rate underflows it
+    # read 1/N; an infinite time is refused everywhere now.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert call([0.0, 1.0]).shape == (2,)
+        for t in ([1.0, math.inf], math.inf):
+            with pytest.raises(ValueError, match="^times must be finite and nonnegative$"):
+                call(t)
+
+
+def one_shot(weights, rates, times):
+    """The (times x modes) exponential formed whole, as before blocking."""
+    return np.exp(np.multiply.outer(times, -rates)) @ weights
+
+
+def random_modes(n_modes, times_shape, seed=0):
+    rng = np.random.default_rng(seed)
+    weights = rng.random(n_modes)
+    rates = np.geomspace(1e-4, 1e2, n_modes) * rng.uniform(0.5, 1.5, n_modes)
+    times = rng.uniform(0.0, 50.0, times_shape)
+    return weights, rates, times
+
+
+class TestModeSum:
+    """The one evaluator of sum_k w_k e^(-rate_k t), a block of times at a time."""
+
+    step = _BLOCK_ENTRIES // 1000  # times per block at 1000 modes
+
+    @pytest.mark.parametrize(
+        "n_modes, times_shape",
+        [(1, ()), (30, ()), (60, (200,)), (2000, (64,)), (1000, (step,)), (30, (4, 8)), (5, (0,))],
+        ids=["scalar-1", "scalar-30", "power-law", "model-verify", "full-block", "2-d", "no-times"],
+    )
+    def test_within_one_block_is_the_one_shot_sum_bit_for_bit(self, n_modes, times_shape):
+        weights, rates, times = random_modes(n_modes, times_shape)
+        out = _mode_sum(weights, rates, times)
+        expected = one_shot(weights, rates, times)
+        assert np.shape(out) == times_shape
+        assert np.asarray(out).tobytes() == np.asarray(expected).tobytes()
+
+    @pytest.mark.parametrize(
+        "n_modes, times_shape",
+        [
+            (1000, (step + 1,)),
+            (60, (3 * _BLOCK_ENTRIES // 60 + 7,)),
+            (1000, (step, 3)),
+            (_BLOCK_ENTRIES + 1, (3,)),
+        ],
+        ids=["one-past-a-block", "power-law-many-times", "2-d", "deeper-than-a-block"],
+    )
+    def test_across_blocks_agrees_with_the_one_shot_sum(self, n_modes, times_shape):
+        # BLAS may round a row differently once the times are cut into
+        # blocks: 2.3e-15 relative was the largest gap seen on these cases.
+        weights, rates, times = random_modes(n_modes, times_shape)
+        out = _mode_sum(weights, rates, times)
+        assert out.shape == times_shape
+        np.testing.assert_allclose(out, one_shot(weights, rates, times), rtol=1e-14, atol=0)
+
+
+def test_tree_autocorrelation_peak_memory_stays_bounded_at_depth(peak_rise):
+    # A leaf of a 10^5-level caterpillar has 10^5 modes. Formed whole at 200
+    # times, their exponential is 160 MB and raised the peak by about 310 MB;
+    # summed a block of times at a time it stays near 2 MB per temporary.
+    size, rise = peak_rise(
+        "import numpy as np\n"
+        "from ultradiffusion.spectral import caterpillar_tree, tree_autocorrelation\n"
+        "tree = caterpillar_tree(10**5, 1e-3)\n"
+        "times = np.geomspace(1e-3, 1e3, 200)",
+        "values = tree_autocorrelation(tree, 1, times)",
+        "values.size",
+    )
+    assert size == 200
+    assert rise < 32 * 2**20
