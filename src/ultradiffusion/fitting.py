@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .traces import EventTrace, PopularityCurve, _axis, _integer, _unchecked, uniform_grid
+from .traces import EventTrace, PopularityCurve, _axis, _block, _integer, _unchecked, uniform_grid
 
 __all__ = [
     "ExponentialFit",
@@ -311,12 +311,7 @@ def fit_block(horizons, values, offset: bool = False):
     curves are fitted up to 128 at a time, and each gets bit for bit its
     lone fit.
     """
-    horizons = np.asarray(horizons, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 2 or horizons.shape != values.shape[:1]:
-        raise ValueError("values must be a 2-D array with one horizon per row")
-    if not np.all((horizons > 0) & (horizons < np.inf)):
-        raise ValueError("horizons must be positive and finite")
+    horizons, values = _block(horizons, values)
     if values.shape[1] < 3:
         return [FitError("need at least 3 points to fit") for _ in values]
     x = _axis(values.shape[1])

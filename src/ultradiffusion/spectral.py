@@ -65,6 +65,7 @@ def _check_index(index, n: int, what: str) -> int:
     return index
 
 
+@np.errstate(over="ignore")
 def _mode_sum(weights: np.ndarray, rates: np.ndarray, times: np.ndarray) -> np.ndarray:
     """sum_k weights[k] e^(-rates[k] t) at every time t, in the shape of `times`.
 
@@ -73,7 +74,8 @@ def _mode_sum(weights: np.ndarray, rates: np.ndarray, times: np.ndarray) -> np.n
     `_BLOCK_ENTRIES` entries (2 MB), or one row of modes on a path deeper
     than that. Times that fit one block get the one-shot sum, bit for bit;
     across blocks BLAS may round a row differently, by up to about 2e-15
-    relative.
+    relative. A time times a rate past the float range is -inf, whose
+    exponential is the exact 0.
     """
     step = max(1, _BLOCK_ENTRIES // max(1, rates.size))
     if times.size <= step:
@@ -181,7 +183,8 @@ def survival_probability(t_N: int, mu: float, t) -> np.ndarray | float:
     t_N = _check_chain(t_N, mu)
     times = _check_times(t)
     rate = t_N * np.exp(-mu * (t_N - 1))
-    out = ((t_N - 1) / t_N) * np.exp(-times * rate) + 1.0 / t_N
+    with np.errstate(over="ignore"):  # -inf past the float range: e^(-inf) = 0
+        out = ((t_N - 1) / t_N) * np.exp(-times * rate) + 1.0 / t_N
     return out if times.ndim else float(out)
 
 

@@ -41,16 +41,9 @@ class TraceFormatError(ValueError):
 
 
 def _readonly(values, dtype=float) -> np.ndarray:
-    # A read-only array that owns its data is taken as it is, so a builder
-    # that hands over its own finished matrix pays for no second copy; any
-    # other input, a caller's writable array included, is copied.
-    if (
-        isinstance(values, np.ndarray)
-        and values.dtype == dtype
-        and values.base is None
-        and not values.flags.writeable
-    ):
-        return values
+    # A checked constructor keeps a frozen copy of every input, read-only or
+    # not, so no caller's array is ever shared; a builder hands its own
+    # arrays over with `_unchecked` instead.
     out = np.array(values, dtype=dtype)
     out.setflags(write=False)
     return out
@@ -59,8 +52,8 @@ def _readonly(values, dtype=float) -> np.ndarray:
 def _unchecked(cls, **fields):
     """An instance of the frozen dataclass `cls` with `fields` set as given,
     for a builder whose values are valid by construction: `__post_init__`
-    and its checks do not run. An array field is the builder's own fresh
-    array, owning its data, so it is made read-only in place, not copied."""
+    and its checks do not run. A checked constructor copies; a builder hands
+    over: each array field, its own and owning its data, is frozen in place."""
     made = object.__new__(cls)
     for name, value in fields.items():
         if isinstance(value, np.ndarray):
@@ -221,7 +214,7 @@ def parse_trace_csv(path) -> list[EventTrace]:
     may be quoted as `csv` quotes them, so a story id can hold commas, quotes
     or line ends. A story's rows need not be contiguous; stories keep their
     order of first appearance. The observation horizon of each story is its
-    largest timestamp.
+    largest timestamp. Each cell is checked as read, so each trace is handed over.
     """
     parts: dict[str, list[np.ndarray]] = {}
     try:
@@ -249,14 +242,11 @@ def parse_trace_csv(path) -> list[EventTrace]:
         # A chunk's timestamps are freed once every story in it is copied out.
         pieces.clear()
         events.sort()
-        # Read-only and owning its data, so EventTrace keeps it uncopied.
-        events.setflags(write=False)
-        try:
-            traces.append(EventTrace(story_id=story, events=events, horizon=float(events[-1])))
-        except ValueError as exc:
-            # A zero timestamp violates trace invariants; surface it as a
-            # format problem.
-            raise TraceFormatError(f"{path}: {exc}") from None
+        horizon = float(events[-1])
+        # Cells are finite and nonnegative, so a zero time is the one fault left.
+        if events[0] == 0:
+            raise TraceFormatError(f"{path}: story {story}: {_trace_fault(events, horizon)}")
+        traces.append(_unchecked(EventTrace, story_id=story, events=events, horizon=horizon))
     return traces
 
 
@@ -410,22 +400,32 @@ def curve_block(traces: Sequence[EventTrace]):
     return horizons, values, faults
 
 
+def _block(horizons, values):
+    """A block of curves as float arrays: `values` (curves x points) with one
+    positive, finite horizon per row, or the ValueError that refuses it."""
+    horizons = np.asarray(horizons, dtype=float)
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 2 or horizons.shape != values.shape[:1]:
+        raise ValueError("values must be a 2-D array with one horizon per row")
+    if not np.all((horizons > 0) & (horizons < np.inf)):
+        raise ValueError("horizons must be positive and finite")
+    return horizons, values
+
+
 def aggregate_mean(horizons, values) -> PopularityCurve:
     """Pointwise mean of a block of curves on a shared uniform grid.
 
     Row n of the (curves x points) array `values` is a curve of horizon
     `horizons[n]`, a row of `curve_block` that it did not refuse: the rows
-    are not checked again. The shared grid is `uniform_grid` of the longest
+    are not checked again, the block's shape and horizons are, as
+    `fit_block` checks them. The shared grid is `uniform_grid` of the longest
     horizon. Each member is linearly interpolated onto it, holding its
     first value to the left of its support and its last value beyond its
     own horizon. Means are computed with exactly rounded summation, so the
     result does not depend on the order of the rows; the mean is checked
     once, as a `PopularityCurve`.
     """
-    horizons = np.asarray(horizons, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 2 or horizons.shape != values.shape[:1]:
-        raise ValueError("values must be a 2-D array with one horizon per row")
+    horizons, values = _block(horizons, values)
     if not values.size:
         raise ValueError("aggregate_mean needs at least one curve")
     axis = _axis(values.shape[1])

@@ -225,7 +225,9 @@ def checked_generator(gen, space, mu):
     constructor and its O(n^2) checks, and compared with e^(-mu*d)."""
     rates = gen.rates
     assert not rates.flags.writeable and rates.base is None
-    assert Generator(rates=rates).rates is rates
+    kept = Generator(rates=rates).rates
+    assert not kept.flags.writeable and kept.base is None
+    assert np.array_equal(kept, rates)
     off = ~np.eye(space.size, dtype=bool)
     with np.errstate(over="ignore"):  # mu times the largest double
         assert np.array_equal(rates[off], np.exp(-mu * space.dist[off]))

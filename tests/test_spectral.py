@@ -646,6 +646,23 @@ def test_refuses_an_infinite_time_by_name(call):
                 call(t)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda t: tree_autocorrelation(caterpillar_tree(5, 0.1), 1, t), id="tree"),
+        pytest.param(lambda t: autocorrelation_chain(chain_spectrum(5, 0.1), 1, t), id="chain"),
+        pytest.param(lambda t: survival_probability(5, 0.1, t), id="survival"),
+    ],
+)
+def test_a_finite_time_whose_decay_passes_the_float_range_reads_the_limit(call):
+    # t times a rate overflows to inf, e^(-inf) is the exact 0 and the value
+    # is the limit 1/N, with no overflow warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert call([1e308]).tolist() == [0.2]
+        assert call(1e308) == 0.2
+
+
 def one_shot(weights, rates, times):
     """The (times x modes) exponential formed whole, as before blocking."""
     return np.exp(np.multiply.outer(times, -rates)) @ weights

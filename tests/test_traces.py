@@ -765,6 +765,15 @@ class TestAggregateMean:
         with pytest.raises(ValueError, match="2-D array with one horizon per row"):
             aggregate_mean(2.0, [0.5, 1.0])
 
+    @pytest.mark.parametrize("first", [-1.0, 0.0], ids=["negative", "zero"])
+    def test_rejects_a_horizon_that_is_not_positive_as_fit_block_does(self, first):
+        # One block check serves both: fit_block refuses the same block.
+        trace = EventTrace("s", np.linspace(0.1, 8.0, 50), 8.0)
+        horizons, values, _ = curve_block([trace, trace])
+        horizons[0] *= first
+        with pytest.raises(ValueError, match="^horizons must be positive and finite$"):
+            aggregate_mean(horizons, values)
+
     def test_single_curve_is_returned_unchanged_on_its_own_grid(self):
         trace = EventTrace(
             story_id="s", events=np.array([1.0, 2.0, 3.0, 4.0]), horizon=4.0

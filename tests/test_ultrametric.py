@@ -657,23 +657,27 @@ class TestUltrametricSpaceInvariants:
         assert space.dist[0, 1] == 17.0
         assert not space.dist.flags.writeable
 
-    def test_keeps_a_read_only_matrix_it_owns_outright(self):
+    def test_copies_a_read_only_matrix_too(self):
+        # A built space's arrays are read-only and own their data; the
+        # checked constructor copies them all the same.
         space = build_from_trace(WORKED_TRACE)
         again = UltrametricSpace(labels=space.labels, dist=space.dist)
-        assert again.dist is space.dist
+        for field in ("labels", "dist"):
+            assert not np.shares_memory(getattr(again, field), getattr(space, field))
 
 
 def checked_again(space):
     """`space` passed through the public constructor and its O(n^2) checks.
 
-    A builder hands over arrays that are read-only and own their data, so
-    the constructor keeps each one as it is.
+    A builder hands over arrays that are read-only and own their data; the
+    constructor keeps an equal, frozen copy of each.
     """
     again = UltrametricSpace(labels=space.labels, dist=space.dist)
     for field in ("labels", "dist"):
-        built = getattr(space, field)
+        built, kept = getattr(space, field), getattr(again, field)
         assert not built.flags.writeable and built.base is None
-        assert getattr(again, field) is built
+        assert not kept.flags.writeable and kept.base is None
+        assert np.array_equal(kept, built)
     assert space.labels.dtype == space.dist.dtype == float
     return again
 
