@@ -18,11 +18,11 @@ Fitted constants map onto model parameters: chain length t_N and decay mu.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
+from .spectral import _check_chain
 from .traces import EventTrace, PopularityCurve, _axis, _block, _integer, _unchecked, uniform_grid
 
 __all__ = [
@@ -66,23 +66,19 @@ class ExponentialFit:
 
 @dataclass(frozen=True)
 class UltradiffusionParams:
-    """Chain length t_N, distance decay mu, and saturation count M."""
+    """Chain length t_N, distance decay mu, and saturation count M: (t_N, mu)
+    make a chain by `spectral`'s rule, mu is finite for JSON, M is positive."""
 
     t_N: int
     mu: float
     M: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "t_N", _integer(self.t_N, "t_N"))
         object.__setattr__(self, "mu", float(self.mu))
+        object.__setattr__(self, "t_N", _check_chain(self.t_N, self.mu))
         object.__setattr__(self, "M", _integer(self.M, "M"))
-        if self.t_N < 2:
-            raise ValueError(f"t_N must be at least 2, got {self.t_N}")
-        # The model's arithmetic is in floats, which would overflow.
-        if self.t_N > sys.float_info.max:
-            raise ValueError(f"t_N must be at most {sys.float_info.max:g}")
-        if not math.isfinite(self.mu) or self.mu < 0:
-            raise ValueError(f"mu must be finite and nonnegative, got {self.mu}")
+        if not math.isfinite(self.mu):
+            raise ValueError(f"mu must be finite, got {self.mu}")
         if self.M < 1:
             raise ValueError("M must be a positive count")
 
@@ -423,6 +419,11 @@ def sample_events(
     p(t) = A*(1 - e^(-rate*t)); draws beyond p(horizon), including the 1/t_N
     share that never responds, are recorded at exactly the horizon. The
     default horizon is five relaxation times.
+
+    The trace is built by the checked `EventTrace` constructor, not handed
+    over: its story id and horizon come from the caller, and the type is the
+    one place that checks them in full, the id rule included. The copy that
+    costs is M floats, once per story.
     """
     rate = decay_rate(params)
     if horizon is None:

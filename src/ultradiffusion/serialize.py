@@ -88,16 +88,13 @@ def write_trace_csv(path, traces: Iterable[EventTrace]) -> None:
 
     A story id holding a comma, a double quote, CR or LF is written in
     double quotes with its quotes doubled, so `parse_trace_csv` reads it
-    back; any other id is written as it is. An id with whitespace at either
-    end is refused with a ValueError before anything is written, since the
-    parser strips that whitespace and would read the story back under
-    another id. A story's rows are one `%` format over its timestamps.
+    back; any other id, which `EventTrace` keeps free of the whitespace the
+    parser strips, as it is. A story's rows are one `%` format over its
+    timestamps.
     """
     parts = ["story_id,timestamp\n"]
     for trace in traces:
-        story = str(trace.story_id)
-        if story != story.strip():
-            raise ValueError(f"story id {story!r} has whitespace at an end, which parsing strips")
+        story = trace.story_id
         if not set(story).isdisjoint(',"\r\n'):
             story = '"' + story.replace('"', '""') + '"'
         events = trace.events.tolist()
@@ -106,11 +103,16 @@ def write_trace_csv(path, traces: Iterable[EventTrace]) -> None:
 
 
 def write_distance_tsv(path, space: UltrametricSpace) -> None:
-    """Distance matrix with state labels on both axes."""
-    names = [
-        ("X_%d" if a.is_integer() else "X_%.9g") % a
-        for a in np.asarray(space.labels, dtype=float).tolist()
-    ]
+    """Distance matrix with state labels on both axes.
+
+    A state is named X_ and its label: whole as an integer, otherwise to 9
+    digits, or, when two labels agree to 9 digits, every name of the table
+    to the digits `repr` needs, so no two states share a name.
+    """
+    labels = np.asarray(space.labels, dtype=float).tolist()
+    names = [("X_%d" if a.is_integer() else "X_%.9g") % a for a in labels]
+    if len(set(names)) < len(names):
+        names = [("X_%d" if a.is_integer() else "X_%r") % a for a in labels]
     _write_table(path, ["state", *names], space.dist, labels=names)
 
 

@@ -109,15 +109,25 @@ class ChainSpectrum:
 
     The chain is its eigenvalues, one per state, so t_N is their count.
     Only the eigenvalues depend on the decay mu; the eigenvectors do not and
-    are built on request.
+    are built on request. A chain has at least 2 states, its first
+    eigenvalue is exactly 0 (the stationary mode) and the rest are finite
+    and at most 0 (decaying modes); any other vector is refused by name.
     """
 
     eigenvalues: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "eigenvalues", _readonly(self.eigenvalues))
-        if self.eigenvalues.ndim != 1:
+        eigenvalues = _readonly(self.eigenvalues)
+        object.__setattr__(self, "eigenvalues", eigenvalues)
+        if eigenvalues.ndim != 1:
             raise ValueError("eigenvalues must be one-dimensional")
+        if eigenvalues.size < 2:
+            raise ValueError(f"a chain needs at least 2 eigenvalues, got {eigenvalues.size}")
+        if eigenvalues[0] != 0:
+            raise ValueError(f"the first eigenvalue must be 0, got {eigenvalues[0].item()!r}")
+        # A NaN fails both comparisons.
+        if not np.all((eigenvalues[1:] <= 0) & (eigenvalues[1:] > -np.inf)):
+            raise ValueError("eigenvalues after the first must be finite and at most 0")
 
     @property
     def t_N(self) -> int:
@@ -136,19 +146,21 @@ class ChainSpectrum:
 
 
 def _check_chain(t_N: int, mu: float) -> int:
+    """t_N as an int if (t_N, mu) make a chain; `UltradiffusionParams` reads it too."""
     t_N = _integer(t_N, "t_N")
     if t_N < 2:
-        raise ValueError("t_N must be at least 2")
+        raise ValueError(f"t_N must be at least 2, got {t_N}")
     # The spectra's arithmetic is in floats, which would overflow.
     if t_N > sys.float_info.max:
         raise ValueError(f"t_N must be at most {sys.float_info.max:g}")
     if not mu >= 0:
-        raise ValueError("mu must be nonnegative")
+        raise ValueError(f"mu must be nonnegative, got {mu}")
     return t_N
 
 
 def chain_spectrum(t_N: int, mu: float) -> ChainSpectrum:
-    """Exact spectrum of the generator over uniform_chain(t_N) at decay mu."""
+    """Exact spectrum of the generator over uniform_chain(t_N) at decay mu: 0
+    and minus the levels' finite rates, valid by construction and handed over."""
     t_N = _check_chain(t_N, mu)
     # The path of leaf 1 climbs levels 2..t_N: N_0 = 1, N_k = k, h_k = mu*(k-1).
     lam = np.zeros(t_N)
@@ -156,7 +168,7 @@ def chain_spectrum(t_N: int, mu: float) -> ChainSpectrum:
     with np.errstate(over="ignore"):
         decays = np.exp(-mu * np.arange(1, t_N))
     lam[1:] = -_path_rates(np.arange(1.0, t_N + 1), decays)
-    return ChainSpectrum(eigenvalues=lam)
+    return _unchecked(ChainSpectrum, eigenvalues=lam)
 
 
 def autocorrelation_chain(spectrum: ChainSpectrum, i: int, t) -> np.ndarray | float:

@@ -76,6 +76,7 @@ class EventTrace:
     Events are sorted ascending, strictly positive, and never exceed the
     observation horizon. Ties are legal: simultaneous events stay distinct
     here and are only collapsed when a state space is built from the trace.
+    The story id is a nonempty `str` with no end whitespace for a parser to strip.
 
     The constructor checks its events in O(n), in one pass for a valid
     trace: comparing neighbours and the two ends against 0 and the horizon.
@@ -88,8 +89,13 @@ class EventTrace:
     horizon: float
 
     def __post_init__(self) -> None:
-        if not self.story_id:
+        story = self.story_id
+        if not isinstance(story, str):
+            raise ValueError(f"story_id must be a str, got {type(story).__name__}")
+        if not story:
             raise ValueError("story_id must be nonempty")
+        if story != story.strip():
+            raise ValueError(f"story id {story!r} has whitespace at an end, which parsing strips")
         events = _readonly(self.events)
         horizon = float(self.horizon)
         object.__setattr__(self, "events", events)
@@ -104,7 +110,7 @@ class EventTrace:
             and events[-1] <= horizon
             and (events[1:] >= events[:-1]).all()
         ):
-            raise ValueError(f"story {self.story_id}: {_trace_fault(events, horizon)}")
+            raise ValueError(f"story {story}: {_trace_fault(events, horizon)}")
 
     @property
     def count(self) -> int:

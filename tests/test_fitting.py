@@ -798,6 +798,19 @@ class TestUltradiffusionParams:
         with pytest.raises(ValueError, match="mu"):
             UltradiffusionParams(t_N=5, mu=-0.1, M=10)
 
+    def test_refuses_a_chain_as_the_spectra_refuse_it(self):
+        # One rule, in `spectral`: every (t_N, mu) that is no chain reads the
+        # same from the parameters and from the closed forms. mu = inf is the
+        # one deliberate difference: a JSON record holds no infinity.
+        t_Ns = [1, 0, -3, 2.5, True, 2**1024, 5]
+        mus = [-0.1, math.nan, 0.1]
+        for t_N, mu in [(t_N, mu) for t_N in t_Ns for mu in mus if (t_N, mu) != (5, 0.1)]:
+            with pytest.raises(ValueError) as params:
+                UltradiffusionParams(t_N, mu, 10)
+            with pytest.raises(ValueError) as spectra:
+                survival_probability(t_N, mu, 0.0)
+            assert str(params.value) == str(spectra.value), (t_N, mu)
+
     def test_rejects_zero_saturation_count(self):
         with pytest.raises(ValueError, match="positive count"):
             UltradiffusionParams(t_N=5, mu=0.1, M=0)

@@ -96,8 +96,8 @@ class TestTraceRoundTrip:
         assert path_a.read_bytes() == path_b.read_bytes()
 
     def test_any_story_id_round_trips(self, tmp_path):
-        # The parser strips whitespace around a field, so the writer refuses
-        # an id with whitespace at either end, before it writes anything.
+        # The parser strips whitespace around a field, so `EventTrace`
+        # refuses an id with whitespace at either end and no writer sees one.
         # An id without a bare CR is written as `csv` writes it.
         hypothesis = pytest.importorskip("hypothesis")
         st = hypothesis.strategies
@@ -110,18 +110,20 @@ class TestTraceRoundTrip:
         @hypothesis.example([" a", "a"])
         @hypothesis.example(["\r"])
         def check(names):
-            stories = [
-                EventTrace(story_id=name, events=np.array([0.5, 1.0 + k]), horizon=1.0 + k)
-                for k, name in enumerate(names)
-            ]
-            path = tmp_path / "trace.csv"
-            path.unlink(missing_ok=True)
+            def build():
+                return [
+                    EventTrace(story_id=name, events=np.array([0.5, 1.0 + k]), horizon=1.0 + k)
+                    for k, name in enumerate(names)
+                ]
+
             padded = [name for name in names if name != name.strip()]
             if padded:
                 with pytest.raises(ValueError, match=re.escape(f"story id {padded[0]!r} has")):
-                    write_trace_csv(path, stories)
-                assert list(tmp_path.iterdir()) == []
+                    build()
                 return
+            stories = build()
+            path = tmp_path / "trace.csv"
+            path.unlink(missing_ok=True)
             write_trace_csv(path, stories)
             back = parse_trace_csv(path)
             assert [(t.story_id, t.events.tolist()) for t in back] == [
@@ -150,6 +152,17 @@ class TestMatrixTables:
         assert lines[0] == "state\tX_0\tX_5\tX_9\tX_11\tX_12\tX_16\tX_17"
         assert lines[1] == "X_0\t0\t17\t17\t17\t17\t17\t17"
         assert lines[-1] == "X_17\t17\t12\t8\t6\t5\t1\t0"
+
+    def test_states_whose_labels_agree_to_nine_digits_get_distinct_names(self, tmp_path):
+        # Labels 999999999.6 and 999999999.7 both read 1e+09 to 9 digits, so
+        # every name of the table takes the digits `repr` needs.
+        trace = EventTrace("s", np.array([0.3, 0.4, 5e8, 1e9]), 1e9)
+        path = tmp_path / "dist.tsv"
+        write_distance_tsv(path, build_from_trace(trace))
+        names = ["X_0", "X_500000000", "X_999999999.6", "X_999999999.7", "X_1000000000"]
+        lines = path.read_text().splitlines()
+        assert lines[0].split("\t") == ["state", *names]
+        assert [line.split("\t")[0] for line in lines[1:]] == names
 
     def test_generator_matrix_uses_state_indices(self, tmp_path):
         gen = build_generator(uniform_chain(3), mu=0.0)
@@ -217,6 +230,9 @@ class TestAgainstPerValueFormatting:
 
             square = np.resize(arr, (n, n))
             labels = [f"X_{int(a) if float(a).is_integer() else _g(a)}" for a in col]
+            # Labels that agree to 9 digits are all named to the digits of `repr`.
+            if len(set(labels)) < n:
+                labels = [f"X_{int(a) if float(a).is_integer() else float(a)!r}" for a in col]
             write_distance_tsv(path, SimpleNamespace(labels=col, dist=square))
             assert path.read_text() == _reference_rows(["state", *labels], square, labels)
 

@@ -120,6 +120,10 @@ class TestChainSpectrum:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             spectrum = chain_spectrum(5, mu=1e308)
+            # Its -0.0 eigenvalues pass the checked constructor too.
+            checked = ChainSpectrum(spectrum.eigenvalues)
+        assert np.signbit(spectrum.eigenvalues[1:]).all()
+        assert checked.eigenvalues.tobytes() == spectrum.eigenvalues.tobytes()
         assert spectrum.eigenvalues.tobytes() == chain_spectrum(5, mu=1000.0).eigenvalues.tobytes()
 
     def test_first_eigenvalue_is_always_zero(self):
@@ -172,6 +176,26 @@ class TestChainSpectrum:
         assert [f.name for f in dataclasses.fields(spectrum)] == ["eigenvalues"]
         assert spectrum.eigenvalues.nbytes == 8 * 10**4
         assert spectrum.t_N == 10**4
+
+    @pytest.mark.parametrize(
+        "eigenvalues, message",
+        [
+            ([], "a chain needs at least 2 eigenvalues, got 0"),
+            ([0.0], "a chain needs at least 2 eigenvalues, got 1"),
+            ([1.0, -1.0], "the first eigenvalue must be 0, got 1.0"),
+            ([math.nan, -1.0], "the first eigenvalue must be 0, got nan"),
+            ([0.0, math.nan], "eigenvalues after the first must be finite and at most 0"),
+            ([0.0, 1.0], "eigenvalues after the first must be finite and at most 0"),
+            ([0.0, -1.0, -math.inf], "eigenvalues after the first must be finite and at most 0"),
+        ],
+        ids=["empty", "one-state", "first-positive", "first-nan", "nan", "positive", "minus-inf"],
+    )
+    def test_refuses_a_spectrum_no_chain_has(self, eigenvalues, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as caught:
+                ChainSpectrum(eigenvalues=eigenvalues)
+        assert str(caught.value) == message
 
     def test_rejects_eigenvalues_that_are_not_one_dimensional(self):
         with pytest.raises(ValueError, match="^eigenvalues must be one-dimensional$"):

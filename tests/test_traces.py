@@ -854,8 +854,19 @@ class TestAggregateMean:
 
 @pytest.mark.parametrize(
     "call, message",
-    [(lambda: EventTrace("", np.array([1.0]), 1.0), "story_id must be nonempty")],
-    ids=["empty-story-id"],
+    [
+        (lambda: EventTrace("", np.array([1.0]), 1.0), "story_id must be nonempty"),
+        # The type is tested first: b"" is no str, not an empty one.
+        (lambda: EventTrace(b"story", np.array([1.0]), 1.0), "story_id must be a str, got bytes"),
+        (lambda: EventTrace(b"", np.array([1.0]), 1.0), "story_id must be a str, got bytes"),
+        (lambda: EventTrace(5, np.array([1.0]), 1.0), "story_id must be a str, got int"),
+        (
+            lambda: EventTrace(" a\t", np.array([1.0]), 1.0),
+            "story id ' a\\t' has whitespace at an end, which parsing strips",
+        ),
+    ],
+    ids=["empty-story-id", "bytes-story-id", "empty-bytes-story-id", "int-story-id",
+         "padded-story-id"],
 )
 def test_refusals_read_as_pinned(call, message):
     with pytest.raises(ValueError) as caught:

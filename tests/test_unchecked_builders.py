@@ -21,7 +21,13 @@ import ultradiffusion
 from ultradiffusion.fitting import UltradiffusionParams, sample_events, simulate_curve
 from ultradiffusion.generator import Generator, build_generator
 from ultradiffusion.oracle import ProbabilityVector
-from ultradiffusion.spectral import ChainSpectrum, TreeModel, caterpillar_tree, space_from_tree
+from ultradiffusion.spectral import (
+    ChainSpectrum,
+    TreeModel,
+    caterpillar_tree,
+    chain_spectrum,
+    space_from_tree,
+)
 from ultradiffusion.traces import EventTrace, PopularityCurve, parse_trace_csv
 from ultradiffusion.ultrametric import UltrametricSpace, build_from_trace, uniform_chain
 
@@ -34,6 +40,7 @@ ALLOWED = {
         ("fitting", "simulate_curve"),
         ("ultrametric", "_max_space"),
         ("spectral", "space_from_tree"),
+        ("spectral", "chain_spectrum"),
         ("generator", "build_generator"),
         ("traces", "parse_trace_csv"),
     },
@@ -130,9 +137,10 @@ _TRACE = sample_events(UltradiffusionParams(t_N=20, mu=0.2, M=120), seed=3)
         lambda: space_from_tree(caterpillar_tree(7, 0.3)),
         lambda: build_generator(uniform_chain(7), 0.3),
         lambda: parse_trace_csv(FIXTURE),
+        lambda: chain_spectrum(7, 0.3),
     ],
     ids=["simulate_curve", "build_from_trace", "uniform_chain", "space_from_tree",
-         "build_generator", "parse_trace_csv"],
+         "build_generator", "parse_trace_csv", "chain_spectrum"],
 )
 def test_built_values_are_frozen_and_pass_the_checked_constructor(build):
     made = build()
